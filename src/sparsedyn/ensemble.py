@@ -1,20 +1,23 @@
 """Bagging-style ensembles of sparse regression fits.
 
-Each member re-solves the problem on resampled rows, optionally with a few
-feature columns dropped (their coefficients pinned to zero, so indices stay
-stable).  Aggregation is a per-entry median or mean; inclusion probability is
-the exact fraction of members retaining a term.
+Each member solves on a compressed factor of its resampled rows: the bootstrap
+draws become row counts C, and the member's factor has R'R = [theta Y]' C W
+[theta Y] (W the sample weights).  No member builds its own problem or copies
+a drawn row twice; only a scaled temporary of its distinct rows is formed, and
+dropped for the (p + n)-square factor.  A member may also drop a few feature
+columns (their coefficients pinned to zero, so indices stay stable).  Aggregation is a per-entry median or
+mean; inclusion probability is the exact fraction of members retaining a term.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import FitError, SpecError
-from .optimize import Coefficients, OptimizerSpec, Problem, solve
+from .optimize import Coefficients, OptimizerSpec, Problem, _fit_rows, _Rows
 
 _MASK64 = (1 << 64) - 1
 
@@ -75,11 +78,12 @@ def fit_ensemble(
 ) -> EnsembleReport:
     """Fit ``spec.n_models`` members and aggregate.
 
-    Fully deterministic given the spec seed: member seeds come from
-    ``derive_seed``, row indices are sorted after drawing (so full-fraction
-    sampling without replacement reproduces the plain solve exactly), and
-    aggregation does not depend on completion order.  Members whose solve
-    raises are excluded; more than half failing is an error.
+    Each member solves on the factor of its count-weighted rows (a row drawn
+    c times enters the Gram with weight c), so full-fraction sampling without
+    replacement reproduces the plain solve exactly.  Fully deterministic given the spec seed: member seeds come from
+    ``derive_seed`` and aggregation does not depend on completion order.
+    Members whose solve raises are excluded; more than half failing is an
+    error.
     """
     spec.validate()
     m, p = problem.theta.shape
@@ -95,40 +99,28 @@ def fit_ensemble(
             stacklevel=2,
         )
 
-    n = problem.n_targets
+    base = _Rows.of(problem)
     members: list[np.ndarray] = []
     failures: list[str] = []
     for i in range(spec.n_models):
         rng = np.random.default_rng(derive_seed(spec.seed, i))
         if spec.replace:
-            rows = np.sort(rng.integers(0, m, size=n_rows))
+            rows = rng.integers(0, m, size=n_rows)
         else:
-            rows = np.sort(rng.permutation(m)[:n_rows])
+            rows = rng.permutation(m)[:n_rows]
+        features = None
         if spec.n_library_drop:
             dropped = rng.choice(p, size=spec.n_library_drop, replace=False)
-            keep = np.setdiff1d(np.arange(p), dropped)
-        else:
-            keep = np.arange(p)
-
-        sub = Problem(
-            theta=problem.theta[np.ix_(rows, keep)],
-            targets=problem.targets[rows],
-            sample_weights=(
-                None
-                if problem.sample_weights is None
-                else problem.sample_weights[rows]
-            ),
-            normalize_columns=problem.normalize_columns,
-            feature_names=tuple(problem.names()[j] for j in keep),
+            features = np.setdiff1d(np.arange(p), dropped)
+        member = replace(
+            base, counts=np.bincount(rows, minlength=m), features=features
         )
         try:
-            coeffs = solve(sub, opt)
+            fac, xi_n, _ = _fit_rows(member, opt)
         except (FitError, SpecError, np.linalg.LinAlgError) as exc:
             failures.append(f"member {i}: {exc}")
             continue
-        xi = np.zeros((p, n))
-        xi[keep] = coeffs.xi
-        members.append(xi)
+        members.append(fac.embed(xi_n))
 
     if len(members) <= spec.n_models / 2:
         raise FitError(

@@ -10,6 +10,14 @@ term, differing in how sparsity is reached:
 * FROLS  - forward selection by error reduction ratio on an orthogonalized
            residual.
 
+All four read the data only through inner products, so they run on one
+compressed factor of ``[theta Y]``: an upper-triangular R of p + n rows with
+R'R = [theta Y]' W [theta Y] (W the sample weights), from Cholesky of the Gram
+matrix when that is well conditioned and Householder QR of the rows otherwise.
+Bagging ensembles reuse it with row counts folded into W.  Only the returned
+residuals are taken on the full rows.  Every solver reports the factor's
+``cond_estimate`` and ``rank_deficient``.
+
 Solvers are deterministic given their inputs.  Zero feature columns are
 dropped before solving and reported in diagnostics; coefficients keep the
 original indexing with zeros in dropped positions.
@@ -17,12 +25,12 @@ original indexing with zeros in dropped positions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Literal, NamedTuple, Union
 
 import numpy as np
 
-from .errors import FitError, SpecError
+from .errors import DataError, FitError, SpecError
 
 HOLDOUT_FRACTION = 0.25
 HOLDOUT_SEED = 7919
@@ -70,10 +78,18 @@ class Problem:
                     f"{len(names)} feature names for {theta.shape[1]} columns"
                 )
             object.__setattr__(self, "feature_names", names)
+        if not np.isfinite(theta).all():
+            bad = np.flatnonzero(~np.isfinite(theta).all(axis=0))
+            columns = [self.names()[i] for i in bad]
+            raise DataError(f"non-finite values in feature columns {columns}")
+        if not np.isfinite(targets).all():
+            raise DataError("non-finite values in targets")
         if self.sample_weights is not None:
             w = np.asarray(self.sample_weights, dtype=float)
             if w.shape != (theta.shape[0],) or np.any(w < 0):
                 raise SpecError("sample_weights must be non-negative, one per row")
+            if not np.isfinite(w).all():
+                raise DataError("non-finite sample_weights")
             object.__setattr__(self, "sample_weights", w)
 
     @property
@@ -197,79 +213,190 @@ def hard_threshold(x: np.ndarray, t: float) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Shared plumbing
+# Shared plumbing: the compressed regression factor
 # ---------------------------------------------------------------------------
 
+# Cholesky of the Gram matrix is kept only while every feature column retains
+# at least this share of its squared norm once the columns before it are
+# projected out (min R_ii^2 / G_ii, a cheap condition estimate).  Below it the
+# normal equations would lose more than ~1e-12 relative accuracy, and the
+# factor comes from Householder QR of the rows instead.
+CHOLESKY_MIN_PIVOT = 1e-3
+# A feature column whose diagonal entry |R_ii| is at most this share of its
+# norm lies (numerically) in the span of the columns before it.
+RANK_RTOL = 1e-10
 
-class _Work:
-    """Weighted, zero-column-dropped, optionally normalized view of a problem."""
 
-    def __init__(self, problem: Problem):
-        theta = problem.theta
-        targets = problem.targets
-        if problem.sample_weights is not None:
-            sw = np.sqrt(problem.sample_weights)[:, None]
-            theta = theta * sw
-            targets = targets * sw
-        norms = np.linalg.norm(theta, axis=0)
-        self.keep = norms > 0.0
-        self.dropped = np.flatnonzero(~self.keep)
-        theta = theta[:, self.keep]
-        if problem.normalize_columns:
-            self.scale = norms[self.keep]
-            theta = theta / self.scale
-        else:
-            self.scale = np.ones(int(self.keep.sum()))
-        self.theta = theta
-        self.targets = targets
-        self.problem = problem
-        self.diagnostics: dict = {}
+def _triangular_factor(rows: np.ndarray, n_features: int) -> np.ndarray:
+    """Upper-triangular R with R'R = rows'rows."""
+    gram = rows.T @ rows
+    try:
+        R = np.linalg.cholesky(gram).T
+    except np.linalg.LinAlgError:
+        pass
+    else:
+        pivots = np.diagonal(R)[:n_features] ** 2 / np.diagonal(gram)[:n_features]
+        if pivots.min() >= CHOLESKY_MIN_PIVOT:
+            return R
+    return np.linalg.qr(rows, mode="r")
+
+
+class _Factor:
+    """Compressed, zero-column-dropped, optionally normalized view of a problem.
+
+    ``theta`` and ``targets`` are the column blocks of an upper-triangular R
+    with R'R = [theta Y]' W [theta Y], W the row weights.  Every solver reads
+    the data only through inner products, which R reproduces on its p + n
+    rows in place of the problem's m rows.  ``index`` maps each factor column
+    to its library column.
+    """
+
+    def __init__(
+        self,
+        R: np.ndarray,
+        columns: np.ndarray,
+        n_features: int,
+        normalize: bool,
+        names: tuple[str, ...],
+    ):
+        """``R`` factors all ``n_features`` library columns and the targets;
+        the view keeps the nonzero ones among ``columns``."""
+        norms = np.linalg.norm(R[:, columns], axis=0)
+        keep = norms > 0.0
+        self.n_features = n_features
+        self.index = columns[keep]
+        self.dropped = columns[~keep]
+        k = self.index.size
+        if k < n_features:
+            targets = np.arange(n_features, R.shape[1])
+            R = np.linalg.qr(R[:, np.concatenate((self.index, targets))], mode="r")
+        self.scale = norms[keep] if normalize else np.ones(k)
+        self.normalized = normalize
+        self.theta = R[:, :k] / self.scale
+        self.targets = R[:, k:]
+        diag = np.zeros(k)
+        diag[: min(k, R.shape[0])] = np.abs(np.diagonal(self.theta))
+        singular = diag <= RANK_RTOL * np.linalg.norm(self.theta, axis=0)
+        self.diagnostics: dict = {
+            "cond_estimate": (
+                float(diag.max() / diag.min()) if k and diag.min() > 0.0 else np.inf
+            ),
+            "rank_deficient": bool(k == 0 or singular.any()),
+        }
         if self.dropped.size:
-            self.diagnostics["dropped_columns"] = [
-                problem.names()[i] for i in self.dropped
-            ]
+            self.diagnostics["dropped_columns"] = [names[i] for i in self.dropped]
 
-    def finish(self, xi_n: np.ndarray, extra: dict | None = None) -> Coefficients:
-        """Re-embed normalized reduced coefficients into original indexing."""
-        p = self.problem.n_features
-        n = self.problem.n_targets
-        xi = np.zeros((p, n))
-        xi[self.keep] = xi_n / self.scale[:, None]
-        support = xi != 0.0
-        residuals = np.linalg.norm(
-            self.targets - self.theta @ xi_n, axis=0
+    def embed(self, xi_n: np.ndarray) -> np.ndarray:
+        """Reduced normalized coefficients in the original indexing and scale."""
+        xi = np.zeros((self.n_features, xi_n.shape[1]))
+        xi[self.index] = xi_n / self.scale[:, None]
+        return xi
+
+
+@dataclass(frozen=True)
+class _Rows:
+    """A weighted multiset of rows of the stacked ``[theta Y]``.
+
+    ``counts`` holds each row's multiplicity (None: every row once) and
+    ``features`` the library columns in play (None: all).  Factors, holdout
+    splits and holdout residuals read the stacked array in place, so
+    resampled or column-dropped variants of a problem copy no rows of it.
+    """
+
+    data: np.ndarray
+    n_features: int
+    weights: np.ndarray | None
+    normalize: bool
+    names: tuple[str, ...]
+    counts: np.ndarray | None = None
+    features: np.ndarray | None = None
+
+    @classmethod
+    def of(cls, problem: Problem) -> "_Rows":
+        return cls(
+            data=np.hstack((problem.theta, problem.targets)),
+            n_features=problem.n_features,
+            weights=problem.sample_weights,
+            normalize=problem.normalize_columns,
+            names=problem.names(),
         )
-        diagnostics = dict(self.diagnostics)
-        if extra:
-            diagnostics.update(extra)
-        return Coefficients(
-            xi=xi,
-            support=support,
-            names=self.problem.names(),
-            residuals=residuals,
-            diagnostics=diagnostics,
+
+    def factor(self) -> _Factor:
+        """Factor of the rows with nonzero count, scaled by sqrt(count * weight)."""
+        rows = self.data
+        if self.counts is not None:
+            nz = np.flatnonzero(self.counts)
+            scale = self.counts[nz]
+            if self.weights is not None:
+                scale = scale * self.weights[nz]
+            rows = np.take(rows, nz, axis=0)
+            rows *= np.sqrt(scale)[:, None]
+        elif self.weights is not None:
+            rows = rows * np.sqrt(self.weights)[:, None]
+        p = self.n_features
+        columns = np.arange(p) if self.features is None else self.features
+        return _Factor(
+            _triangular_factor(rows, p), columns, p, self.normalize, self.names
         )
 
+    def split(self) -> tuple["_Rows", "_Rows"]:
+        """Seeded (train, holdout) split of the row multiset."""
+        m = self.data.shape[0]
+        positions = (
+            np.arange(m) if self.counts is None
+            else np.repeat(np.arange(m), self.counts)
+        )
+        perm = np.random.default_rng(HOLDOUT_SEED).permutation(positions.size)
+        n_hold = max(1, int(round(HOLDOUT_FRACTION * positions.size)))
+        if positions.size - n_hold < 1:
+            raise SpecError(f"{positions.size} rows are too few for a holdout split")
+        hold = np.bincount(positions[perm[:n_hold]], minlength=m)
+        total = np.ones(m, dtype=hold.dtype) if self.counts is None else self.counts
+        return replace(self, counts=total - hold), replace(self, counts=hold)
 
-def _lstsq(theta: np.ndarray, targets: np.ndarray, diagnostics: dict) -> np.ndarray:
-    xi, _, rank, _ = np.linalg.lstsq(theta, targets, rcond=None)
-    if rank < theta.shape[1]:
-        diagnostics["rank_deficient"] = True
-    return xi
+    def residual_norms(self, xis: np.ndarray) -> np.ndarray:
+        """Unweighted residual norms over these rows of each (p, n) coefficient
+        matrix in ``xis``; returns (len(xis), n)."""
+        nz = np.flatnonzero(self.counts)
+        block = np.take(self.data, nz, axis=0)
+        p = self.n_features
+        out = np.empty((xis.shape[0], xis.shape[2]))
+        for j in range(xis.shape[2]):
+            r = block[:, p + j, None] - block[:, :p] @ xis[:, :, j].T
+            out[:, j] = np.sqrt(self.counts[nz] @ (r * r))
+        return out
 
 
-def _ridge(
-    theta: np.ndarray, targets: np.ndarray, alpha: float, diagnostics: dict
-) -> np.ndarray:
+def _finish(
+    problem: Problem, fac: _Factor, xi_n: np.ndarray, diags: dict
+) -> Coefficients:
+    """Re-embed reduced coefficients; residuals are taken on the full rows."""
+    xi = fac.embed(xi_n)
+    resid = problem.targets - problem.theta @ xi
+    if problem.sample_weights is not None:
+        resid *= np.sqrt(problem.sample_weights)[:, None]
+    return Coefficients(
+        xi=xi,
+        support=xi != 0.0,
+        names=problem.names(),
+        residuals=np.linalg.norm(resid, axis=0),
+        diagnostics={**fac.diagnostics, **diags},
+    )
+
+
+def _lstsq(theta: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    return np.linalg.lstsq(theta, targets, rcond=None)[0]
+
+
+def _ridge(theta: np.ndarray, targets: np.ndarray, alpha: float) -> np.ndarray:
     if alpha == 0.0:
-        return _lstsq(theta, targets, diagnostics)
+        return _lstsq(theta, targets)
     p = theta.shape[1]
     gram = theta.T @ theta + alpha * np.eye(p)
     rhs = theta.T @ targets
     try:
         return np.linalg.solve(gram, rhs)
     except np.linalg.LinAlgError:
-        diagnostics["rank_deficient"] = True
         return np.linalg.lstsq(gram, rhs, rcond=None)[0]
 
 
@@ -278,11 +405,11 @@ def _ridge(
 # ---------------------------------------------------------------------------
 
 
-def _solve_stlsq(work: _Work, spec: STLSQ) -> Coefficients:
-    theta, Y = work.theta, work.targets
+def _solve_stlsq(fac: _Factor, spec: STLSQ) -> tuple[np.ndarray, dict]:
+    theta, Y = fac.theta, fac.targets
     p, n = theta.shape[1], Y.shape[1]
     diags: dict = {}
-    xi = _ridge(theta, Y, spec.ridge, diags)
+    xi = _ridge(theta, Y, spec.ridge)
     support = np.ones((p, n), dtype=bool)
     history: list[dict] = []
     converged = False
@@ -300,7 +427,7 @@ def _solve_stlsq(work: _Work, spec: STLSQ) -> Coefficients:
         for j in range(n):
             act = support[:, j]
             if act.any():
-                xi[act, j] = _ridge(theta[:, act], Y[:, j : j + 1], spec.ridge, diags).ravel()
+                xi[act, j] = _ridge(theta[:, act], Y[:, j : j + 1], spec.ridge).ravel()
         history.append(
             {
                 "residual_thresholded": r_thresh,
@@ -315,8 +442,7 @@ def _solve_stlsq(work: _Work, spec: STLSQ) -> Coefficients:
     diags["residual_history"] = history
     if empty:
         diags["empty_support_targets"] = sorted(empty)
-    xi = np.where(support, xi, 0.0)
-    return work.finish(xi, diags)
+    return np.where(support, xi, 0.0), diags
 
 
 # ---------------------------------------------------------------------------
@@ -350,7 +476,7 @@ def _check_constraints(spec: SR3, p: int, n: int) -> tuple[np.ndarray, np.ndarra
 
 
 def _constrained_quadratic(
-    H: np.ndarray, rhs_vec: np.ndarray, C: np.ndarray, d: np.ndarray, diags: dict
+    H: np.ndarray, rhs_vec: np.ndarray, C: np.ndarray, d: np.ndarray
 ) -> np.ndarray:
     """Minimize x'Hx/2 - rhs'x subject to Cx = d via the KKT system."""
     k = C.shape[0]
@@ -359,13 +485,12 @@ def _constrained_quadratic(
     try:
         sol = np.linalg.solve(kkt, rhs)
     except np.linalg.LinAlgError:
-        diags["rank_deficient"] = True
         sol = np.linalg.lstsq(kkt, rhs, rcond=None)[0]
     return sol[: rhs_vec.size]
 
 
-def _solve_sr3(work: _Work, spec: SR3) -> Coefficients:
-    theta, Y = work.theta, work.targets
+def _solve_sr3(fac: _Factor, spec: SR3) -> tuple[np.ndarray, dict]:
+    theta, Y = fac.theta, fac.targets
     p, n = theta.shape[1], Y.shape[1]
     diags: dict = {}
     gram = theta.T @ theta + np.eye(p) / spec.relaxation
@@ -373,7 +498,7 @@ def _solve_sr3(work: _Work, spec: SR3) -> Coefficients:
 
     constrained = spec.constraints is not None
     if constrained:
-        if work.dropped.size or work.problem.normalize_columns:
+        if fac.dropped.size or fac.normalized:
             raise SpecError(
                 "equality constraints require the original column indexing; "
                 "disable normalization and remove zero columns first"
@@ -387,13 +512,12 @@ def _solve_sr3(work: _Work, spec: SR3) -> Coefficients:
     for it in range(spec.max_iter):
         rhs = thY + W / spec.relaxation
         if constrained:
-            vec = _constrained_quadratic(H_big, rhs.T.ravel(), C, d, diags)
+            vec = _constrained_quadratic(H_big, rhs.T.ravel(), C, d)
             Xi = vec.reshape(n, p).T
         else:
             try:
                 Xi = np.linalg.solve(gram, rhs)
             except np.linalg.LinAlgError:
-                diags["rank_deficient"] = True
                 Xi = np.linalg.lstsq(gram, rhs, rcond=None)[0]
         W_new = _sr3_prox(Xi, spec)
         gap = float(np.linalg.norm(Xi - W_new) / np.sqrt(p * n))
@@ -403,10 +527,10 @@ def _solve_sr3(work: _Work, spec: SR3) -> Coefficients:
             break
     diags["converged"] = converged
     diags["iterations"] = it + 1
-    diags["xi_relaxed"] = Xi
+    diags["xi_relaxed"] = fac.embed(Xi)
 
     if not constrained:
-        return work.finish(W, diags)
+        return W, diags
 
     # Debias on the sparse support while honoring the constraints (off-support
     # entries are pinned to zero, so the constraint rhs is unchanged); if the
@@ -418,12 +542,12 @@ def _solve_sr3(work: _Work, spec: SR3) -> Coefficients:
         H_s = np.kron(np.eye(n), theta.T @ theta)[np.ix_(mask, mask)]
         rhs_s = thY.T.ravel()[mask]
         vec = np.zeros(p * n)
-        vec[mask] = _constrained_quadratic(H_s, rhs_s, C_s, d, diags)
+        vec[mask] = _constrained_quadratic(H_s, rhs_s, C_s, d)
         xi = vec.reshape(n, p).T
     else:
         diags["constrained_support_infeasible"] = True
         xi = Xi
-    return work.finish(xi, diags)
+    return xi, diags
 
 
 # ---------------------------------------------------------------------------
@@ -431,24 +555,20 @@ def _solve_sr3(work: _Work, spec: SR3) -> Coefficients:
 # ---------------------------------------------------------------------------
 
 
-def _ssr_path(work: _Work, spec: SSR) -> list[PathEntry]:
-    theta, Y = work.theta, work.targets
+def _ssr_path(fac: _Factor, spec: SSR) -> list[tuple[int, np.ndarray]]:
+    """Elimination path as (support size, reduced coefficients) pairs."""
+    theta, Y = fac.theta, fac.targets
     p, n = theta.shape[1], Y.shape[1]
-    diags: dict = {}
     supports = [np.ones(p, dtype=bool) for _ in range(n)]
-    entries: list[PathEntry] = []
+    entries: list[tuple[int, np.ndarray]] = []
     size = p
     floor = min(spec.min_terms, p)
     while size >= floor:
         xi = np.zeros((p, n))
         for j in range(n):
             act = supports[j]
-            xi[act, j] = _lstsq(theta[:, act], Y[:, j], diags)
-        entry_xi = np.where(np.column_stack(supports), xi, 0.0)
-        residual = float(np.linalg.norm(Y - theta @ entry_xi))
-        entries.append(
-            PathEntry(work.finish(entry_xi, dict(diags)), size, residual)
-        )
+            xi[act, j] = _lstsq(theta[:, act], Y[:, j])
+        entries.append((size, np.where(np.column_stack(supports), xi, 0.0)))
         if size == floor:
             break
         for j in range(n):
@@ -459,6 +579,28 @@ def _ssr_path(work: _Work, spec: SSR) -> list[PathEntry]:
             supports[j][drop] = False
         size -= 1
     return entries
+
+
+def _ssr_holdout(rows: _Rows, spec: SSR) -> tuple[_Factor, np.ndarray, dict]:
+    """Path on the train rows, per-target selection by holdout residual, and
+    a refit of the selected supports on the factor of all rows."""
+    train, hold = rows.split()
+    train_fac = train.factor()
+    path = np.stack([train_fac.embed(xi_n) for _, xi_n in _ssr_path(train_fac, spec)])
+    hold_res = hold.residual_norms(path)
+
+    fac = rows.factor()
+    n = path.shape[2]
+    xi = np.zeros((fac.index.size, n))
+    for j in range(n):
+        best, best_res = None, np.inf
+        for entry, res in zip(path, hold_res[:, j]):
+            if res < best_res * (1.0 - HOLDOUT_TIE_RTOL):
+                best, best_res = entry[:, j] != 0.0, res
+        act = np.isin(fac.index, np.flatnonzero(best))
+        if act.any():
+            xi[act, j] = _lstsq(fac.theta[:, act], fac.targets[:, j])
+    return fac, xi, {"holdout_rows": int(hold.counts.sum())}
 
 
 # ---------------------------------------------------------------------------
@@ -500,33 +642,55 @@ def _frols_order(theta: np.ndarray, y: np.ndarray, max_terms: int, err_tol: floa
     return selected, errs
 
 
-def _frols_path(work: _Work, spec: FROLS) -> list[PathEntry]:
-    theta, Y = work.theta, work.targets
+def _frols_path(
+    fac: _Factor, spec: FROLS
+) -> tuple[list[tuple[int, np.ndarray]], dict]:
+    """Forward path as (size, reduced coefficients) pairs, plus diagnostics."""
+    theta, Y = fac.theta, fac.targets
     p, n = theta.shape[1], Y.shape[1]
     max_terms = p if spec.max_terms is None else min(spec.max_terms, p)
-    diags: dict = {}
     orders = [
         _frols_order(theta, Y[:, j], max_terms, spec.err_tol) for j in range(n)
     ]
-    diags["err_values"] = [errs for _, errs in orders]
     depth = max((len(sel) for sel, _ in orders), default=0)
     if depth == 0:
         raise FitError("FROLS selected no features (err_tol too large?)")
-    entries: list[PathEntry] = []
+    entries: list[tuple[int, np.ndarray]] = []
     for size in range(1, depth + 1):
         xi = np.zeros((p, n))
         for j in range(n):
             sel = orders[j][0][: min(size, len(orders[j][0]))]
             if sel:
-                xi[sel, j] = _lstsq(theta[:, sel], Y[:, j], diags)
-        residual = float(np.linalg.norm(Y - theta @ xi))
-        entries.append(PathEntry(work.finish(xi, dict(diags)), size, residual))
-    return entries
+                xi[sel, j] = _lstsq(theta[:, sel], Y[:, j])
+        entries.append((size, xi))
+    return entries, {"err_values": [errs for _, errs in orders]}
 
 
 # ---------------------------------------------------------------------------
 # Public interface
 # ---------------------------------------------------------------------------
+
+
+def _fit_rows(rows: _Rows, spec: OptimizerSpec) -> tuple[_Factor, np.ndarray, dict]:
+    """Validate ``spec`` and solve on the factor of ``rows``: (factor, reduced
+    coefficients, solver diagnostics)."""
+    spec.validate()
+    if isinstance(spec, SSR):
+        if spec.selection == "path":
+            raise SpecError(
+                "SSR selection='path' leaves model choice to the caller; "
+                "use solve_path"
+            )
+        return _ssr_holdout(rows, spec)
+    if not isinstance(spec, (STLSQ, SR3, FROLS)):
+        raise SpecError(f"unknown optimizer spec {spec!r}")
+    fac = rows.factor()
+    if isinstance(spec, STLSQ):
+        return (fac, *_solve_stlsq(fac, spec))
+    if isinstance(spec, SR3):
+        return (fac, *_solve_sr3(fac, spec))
+    path, diags = _frols_path(fac, spec)
+    return fac, path[-1][1], diags
 
 
 def solve(problem: Problem, spec: OptimizerSpec) -> Coefficients:
@@ -536,76 +700,23 @@ def solve(problem: Problem, spec: OptimizerSpec) -> Coefficients:
     split, picks the sparsest path entry within a whisker of the minimum
     holdout residual, and refits that support on all rows.
     """
-    spec.validate()
-    if isinstance(spec, STLSQ):
-        return _solve_stlsq(_Work(problem), spec)
-    if isinstance(spec, SR3):
-        return _solve_sr3(_Work(problem), spec)
-    if isinstance(spec, FROLS):
-        return _frols_path(_Work(problem), spec)[-1].coefficients
-    if isinstance(spec, SSR):
-        if spec.selection == "path":
-            raise SpecError(
-                "SSR selection='path' leaves model choice to the caller; "
-                "use solve_path"
-            )
-        return _ssr_holdout(problem, spec)
-    raise SpecError(f"unknown optimizer spec {spec!r}")
+    return _finish(problem, *_fit_rows(_Rows.of(problem), spec))
 
 
 def solve_path(problem: Problem, spec: OptimizerSpec) -> list[PathEntry]:
     """Model path for the greedy algorithms (SSR descending, FROLS ascending)."""
     spec.validate()
-    work = _Work(problem)
+    if not isinstance(spec, (SSR, FROLS)):
+        raise SpecError(f"solve_path requires SSR or FROLS, got {type(spec).__name__}")
+    fac = _Rows.of(problem).factor()
     if isinstance(spec, SSR):
-        return _ssr_path(work, spec)
-    if isinstance(spec, FROLS):
-        return _frols_path(work, spec)
-    raise SpecError(f"solve_path requires SSR or FROLS, got {type(spec).__name__}")
-
-
-def _ssr_holdout(problem: Problem, spec: SSR) -> Coefficients:
-    m = problem.theta.shape[0]
-    rng = np.random.default_rng(HOLDOUT_SEED)
-    perm = rng.permutation(m)
-    n_hold = max(1, int(round(HOLDOUT_FRACTION * m)))
-    hold, train = np.sort(perm[:n_hold]), np.sort(perm[n_hold:])
-    if train.size < 1:
-        raise SpecError(f"{m} rows are too few for a holdout split")
-
-    sub = Problem(
-        theta=problem.theta[train],
-        targets=problem.targets[train],
-        sample_weights=(
-            None if problem.sample_weights is None else problem.sample_weights[train]
-        ),
-        normalize_columns=problem.normalize_columns,
-        feature_names=problem.feature_names,
-    )
-    path = _ssr_path(_Work(sub), spec)
-    th_h, y_h = problem.theta[hold], problem.targets[hold]
-
-    n = problem.n_targets
-    supports = []
-    for j in range(n):
-        best, best_res = None, np.inf
-        for entry in path:
-            res = float(
-                np.linalg.norm(y_h[:, j] - th_h @ entry.coefficients.xi[:, j])
-            )
-            if res < best_res * (1.0 - HOLDOUT_TIE_RTOL):
-                best, best_res = entry.coefficients.support[:, j], res
-        supports.append(best)
-
-    # Refit the selected per-target supports on all rows.
-    work = _Work(problem)
-    p = work.theta.shape[1]
-    keep_idx = np.flatnonzero(work.keep)
-    diags: dict = {"holdout_rows": int(n_hold)}
-    xi = np.zeros((p, n))
-    for j in range(n):
-        act_full = supports[j]
-        act = np.isin(keep_idx, np.flatnonzero(act_full))
-        if act.any():
-            xi[act, j] = _lstsq(work.theta[:, act], work.targets[:, j], diags)
-    return work.finish(xi, diags)
+        path, diags = _ssr_path(fac, spec), {}
+    else:
+        path, diags = _frols_path(fac, spec)
+    entries = []
+    for size, xi_n in path:
+        coefficients = _finish(problem, fac, xi_n, dict(diags))
+        entries.append(
+            PathEntry(coefficients, size, float(np.linalg.norm(coefficients.residuals)))
+        )
+    return entries

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sparsedyn.ensemble import (
     EnsembleSpec,
@@ -8,7 +10,7 @@ from sparsedyn.ensemble import (
     fit_ensemble,
 )
 from sparsedyn.errors import FitError, SpecError
-from sparsedyn.optimize import FROLS, STLSQ, Problem, solve
+from sparsedyn.optimize import FROLS, SR3, SSR, STLSQ, Problem, solve
 
 
 def planted_problem(seed=123, noise=0.0):
@@ -120,3 +122,68 @@ class TestFitEnsemble:
         np.testing.assert_array_equal(
             report.inclusion_probability, counts / report.member_xi.shape[0]
         )
+
+
+def row_copied_members(problem, opt, spec):
+    """Members refit on explicitly row-copied problems, drawing the same rows
+    and dropped columns from the same per-member generators."""
+    m, p = problem.theta.shape
+    n_rows = max(1, int(round(spec.row_fraction * m)))
+    members = []
+    for i in range(spec.n_models):
+        rng = np.random.default_rng(derive_seed(spec.seed, i))
+        if spec.replace:
+            rows = np.sort(rng.integers(0, m, size=n_rows))
+        else:
+            rows = np.sort(rng.permutation(m)[:n_rows])
+        keep = np.arange(p)
+        if spec.n_library_drop:
+            dropped = rng.choice(p, size=spec.n_library_drop, replace=False)
+            keep = np.setdiff1d(keep, dropped)
+        sub = Problem(
+            theta=problem.theta[np.ix_(rows, keep)],
+            targets=problem.targets[rows],
+            sample_weights=(
+                None if problem.sample_weights is None else problem.sample_weights[rows]
+            ),
+            normalize_columns=problem.normalize_columns,
+        )
+        xi = np.zeros((p, problem.n_targets))
+        xi[keep] = solve(sub, opt).xi
+        members.append(xi)
+    return np.stack(members)
+
+
+class TestCountWeightedMembers:
+    @pytest.mark.parametrize(
+        "opt",
+        [STLSQ(threshold=0.1, ridge=0.0), STLSQ(), SR3(threshold=0.1), SSR(), FROLS()],
+        ids=["stlsq", "stlsq-ridge", "sr3", "ssr", "frols"],
+    )
+    @given(
+        seed=st.integers(0, 10_000),
+        replace=st.booleans(),
+        n_library_drop=st.integers(0, 2),
+        weighted=st.booleans(),
+        normalize=st.booleans(),
+    )
+    @settings(max_examples=15)
+    def test_members_match_row_copied_refits(
+        self, opt, seed, replace, n_library_drop, weighted, normalize
+    ):
+        rng = np.random.default_rng(seed)
+        theta = rng.standard_normal((60, 6)) * rng.uniform(0.2, 5.0, 6)
+        targets = theta @ rng.uniform(-2.0, 2.0, (6, 2))
+        targets += 0.05 * rng.standard_normal(targets.shape)
+        problem = Problem(
+            theta=theta,
+            targets=targets,
+            sample_weights=rng.uniform(0.5, 2.0, 60) if weighted else None,
+            normalize_columns=normalize,
+        )
+        spec = EnsembleSpec(n_models=6, replace=replace,
+                            n_library_drop=n_library_drop, seed=seed)
+        report = fit_ensemble(problem, opt, spec)
+        expected = row_copied_members(problem, opt, spec)
+        np.testing.assert_array_equal(report.member_xi != 0.0, expected != 0.0)
+        np.testing.assert_allclose(report.member_xi, expected, rtol=0.0, atol=1e-10)
