@@ -18,21 +18,19 @@ import numpy as np
 
 from .config import (
     SCHEMA_VERSION,
-    benchmark_from_json,
-    config_from_json,
-    diff_from_json,
-    diff_to_json,
+    DiscoveryConfig,
+    check_schema,
+    from_json,
     jsonable,
-    library_from_json,
-    library_to_json,
+    to_json,
 )
 from .data import load_dataset, save_csv, save_dataset, split_train_test
-from .diff import differentiate_dataset
+from .diff import DiffMethod, differentiate_dataset
 from .errors import DataError, FitError, SpecError
-from .library import WeakPDE, evaluate
+from .library import LibrarySpec, WeakPDE, evaluate
 from .model import FittedModel, equations, fit, predict, score
 from .optimize import Coefficients
-from .systems import canonical_library, generate
+from .systems import BenchmarkSpec, canonical_library, generate
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -57,11 +55,14 @@ def _dump_json(obj) -> str:
 
 def _load_json(path: Path, what: str) -> dict:
     try:
-        return json.loads(path.read_text())
+        obj = json.loads(path.read_text())
     except FileNotFoundError as exc:
         raise SpecError(f"{what} not found: {path}") from exc
     except json.JSONDecodeError as exc:
         raise SpecError(f"{what} is not valid JSON: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise SpecError(f"{what}: expected an object, got {obj!r}")
+    return obj
 
 
 # ---------------------------------------------------------------------------
@@ -71,10 +72,13 @@ def _load_json(path: Path, what: str) -> dict:
 
 def cmd_generate(args) -> int:
     obj = _load_json(Path(args.config), "benchmark spec")
-    spec = benchmark_from_json(obj)
+    output_dir = from_json(
+        str | None, obj.pop("output_dir", None), "benchmark spec.output_dir"
+    )
+    spec = from_json(BenchmarkSpec, obj, "benchmark spec")
     if args.seed is not None:
         spec = dataclasses.replace(spec, seed=args.seed)
-    out = Path(args.out or obj.get("output_dir") or "dataset")
+    out = Path(args.out or output_dir or "dataset")
     _log(args.verbose, f"generating {type(spec.system).__name__} dataset -> {out}")
 
     dataset, truth = generate(spec)
@@ -86,7 +90,7 @@ def cmd_generate(args) -> int:
         "feature_names": list(truth.names),
         "target_names": [f"q{j}_t" for j in range(dataset.n_states)],
         "coefficients": truth.xi,
-        "library": library_to_json(canonical_library(spec.system)),
+        "library": to_json(canonical_library(spec.system)),
     }
     _write_atomic(out / "truth.json", _dump_json(truth_doc))
     _log(
@@ -110,7 +114,7 @@ def _resolve_config(args):
         obj["optimizer"] = args.optimizer
     if args.ensemble:
         obj["ensemble"] = args.ensemble
-    cfg = config_from_json(obj)
+    cfg = from_json(DiscoveryConfig, obj, "config")
     if args.seed is not None:
         replacements = {"seed": args.seed}
         if cfg.benchmark is not None:
@@ -166,8 +170,8 @@ def cmd_fit(args) -> int:
             "seed": cfg.seed,
             **{k: v for k, v in model.diagnostics.items()},
         },
-        "library": library_to_json(cfg.library),
-        "diff": diff_to_json(cfg.diff),
+        "library": to_json(cfg.library),
+        "diff": to_json(cfg.diff),
     }
     if model.ensemble is not None:
         report["ensemble"] = {
@@ -212,15 +216,17 @@ def cmd_fit(args) -> int:
 
 def model_from_report(report: dict) -> FittedModel:
     """Rebuild a fitted model from a report.json document."""
-    from .config import check_schema
-
     check_schema(report, "report")
     for key in ("coefficients", "feature_names", "target_names", "library", "diff"):
         if key not in report:
             raise SpecError(f"report is missing field {key!r}")
-    xi = np.asarray(report["coefficients"], dtype=float)
-    names = tuple(report["feature_names"])
-    targets = tuple(report["target_names"])
+    try:
+        # non-finite entries are written as "nan"/"inf" strings, which this reads
+        xi = np.asarray(report["coefficients"], dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise SpecError(f"report.coefficients: {exc}") from exc
+    names = from_json(tuple[str, ...], report["feature_names"], "report.feature_names")
+    targets = from_json(tuple[str, ...], report["target_names"], "report.target_names")
     if xi.shape != (len(names), len(targets)):
         raise SpecError(
             f"report coefficients shape {xi.shape} does not match "
@@ -234,8 +240,8 @@ def model_from_report(report: dict) -> FittedModel:
     )
     return FittedModel(
         coefficients=coefficients,
-        library=library_from_json(report["library"]),
-        diff=diff_from_json(report["diff"]),
+        library=from_json(LibrarySpec, report["library"], "report.library"),
+        diff=from_json(DiffMethod, report["diff"], "report.diff"),
         target_names=targets,
     )
 

@@ -1,21 +1,30 @@
-"""JSON (de)serialization for every spec plus the discovery configuration.
+"""JSON codec for every spec plus the discovery configuration.
 
-Specs are tagged dicts (``{"type": ..., ...}``); the CLI additionally accepts
-compact strings for the common flags::
+One codec, driven by the dataclass fields, moves every spec to and from
+JSON.  A spec is an object holding its fields in declaration order; members
+of a spec union (diff methods, libraries, optimizers, benchmark systems) lead
+with a tag from ``_TAGS``.  Decoding checks each value against its field's
+declared type and rejects unknown fields, so a malformed spec raises
+``SpecError`` naming its path (``config.library.degree: expected int``).
+
+Diff, optimizer and ensemble specs may also be given as compact strings::
 
     diff        fd:<order> | sg:<window>,<poly> | spectral[:<filter>]
     optimizer   stlsq:<threshold>,<ridge> | sr3:<threshold>,<nu>,<l0|l1>
                 | ssr | frols
     ensemble    n=20,rows=0.6,drop=0,agg=median,seed=0
 
-All schemas carry ``"schema": 1``.
+Top-level documents carry ``"schema": 1``.
 """
 
 from __future__ import annotations
 
-import json
+import dataclasses
+import functools
+import types
+import typing
 from dataclasses import dataclass
-from pathlib import Path
+from typing import Literal, Union
 
 import numpy as np
 
@@ -29,12 +38,6 @@ from .systems import KS, BenchmarkSpec, Lorenz
 SCHEMA_VERSION = 1
 
 
-def _require(mapping: dict, key: str, context: str):
-    if key not in mapping:
-        raise SpecError(f"{context}: missing required field {key!r}")
-    return mapping[key]
-
-
 def check_schema(obj: dict, what: str) -> None:
     """Reject documents declaring a schema version we do not understand."""
     version = obj.get("schema", SCHEMA_VERSION)
@@ -45,453 +48,20 @@ def check_schema(obj: dict, what: str) -> None:
         )
 
 
-# ---------------------------------------------------------------------------
-# DiffMethod
-# ---------------------------------------------------------------------------
-
-
-def diff_to_json(method: diffmod.DiffMethod) -> dict:
-    if isinstance(method, diffmod.FiniteDifference):
-        return {"method": "fd", "order": method.order, "d": method.d}
-    if isinstance(method, diffmod.SavitzkyGolay):
-        return {
-            "method": "sg",
-            "window": method.window,
-            "poly_order": method.poly_order,
-            "d": method.d,
-        }
-    if isinstance(method, diffmod.Spectral):
-        return {
-            "method": "spectral",
-            "filter_strength": method.filter_strength,
-            "d": method.d,
-        }
-    raise SpecError(f"unknown diff method {method!r}")
-
-
-def diff_from_json(obj) -> diffmod.DiffMethod:
-    if isinstance(obj, str):
-        return parse_diff_flag(obj)
-    if not isinstance(obj, dict):
-        raise SpecError(f"diff spec must be an object or string, got {type(obj).__name__}")
-    kind = _require(obj, "method", "diff spec")
-    d = int(obj.get("d", 1))
-    if kind == "fd":
-        return diffmod.FiniteDifference(order=int(obj.get("order", 2)), d=d)
-    if kind == "sg":
-        return diffmod.SavitzkyGolay(
-            window=int(obj.get("window", 11)),
-            poly_order=int(obj.get("poly_order", 3)),
-            d=d,
-        )
-    if kind == "spectral":
-        return diffmod.Spectral(
-            filter_strength=float(obj.get("filter_strength", 0.0)), d=d
-        )
-    raise SpecError(f"unknown diff method {kind!r}")
-
-
-def parse_diff_flag(text: str) -> diffmod.DiffMethod:
-    """Parse ``fd:<order> | sg:<window>,<poly> | spectral[:<filter>]``."""
-    name, _, args = text.partition(":")
-    name = name.strip().lower()
-    try:
-        if name == "fd":
-            return diffmod.FiniteDifference(order=int(args) if args else 2)
-        if name == "sg":
-            window, poly = args.split(",")
-            return diffmod.SavitzkyGolay(window=int(window), poly_order=int(poly))
-        if name == "spectral":
-            return diffmod.Spectral(filter_strength=float(args) if args else 0.0)
-    except ValueError as exc:
-        raise SpecError(f"cannot parse diff flag {text!r}: {exc}") from exc
-    raise SpecError(f"unknown diff flag {text!r}")
-
-
-# ---------------------------------------------------------------------------
-# LibrarySpec
-# ---------------------------------------------------------------------------
-
-
-def library_to_json(spec: libmod.LibrarySpec) -> dict:
-    if isinstance(spec, libmod.Polynomial):
-        return {
-            "type": "polynomial",
-            "degree": spec.degree,
-            "include_bias": spec.include_bias,
-            "include_interactions": spec.include_interactions,
-        }
-    if isinstance(spec, libmod.Fourier):
-        return {
-            "type": "fourier",
-            "n_frequencies": spec.n_frequencies,
-            "include_sin": spec.include_sin,
-            "include_cos": spec.include_cos,
-        }
-    if isinstance(spec, libmod.Custom):
-        names = []
-        for fname, fn in spec.functions:
-            if libmod.CUSTOM_REGISTRY.get(fname) is not fn:
-                raise SpecError(
-                    f"custom function {fname!r} is not from the registry and "
-                    "cannot be serialized"
-                )
-            names.append(fname)
-        return {"type": "custom", "functions": names}
-    if isinstance(spec, libmod.PDE):
-        return {
-            "type": "pde",
-            "derivative_order": spec.derivative_order,
-            "axes": list(spec.axes),
-            "multiply_by": (
-                None if spec.multiply_by is None else library_to_json(spec.multiply_by)
-            ),
-            "diff": None if spec.diff is None else diff_to_json(spec.diff),
-        }
-    if isinstance(spec, libmod.WeakPDE):
-        size = spec.subdomain_size
-        return {
-            "type": "weak",
-            "inner": library_to_json(spec.inner),
-            "n_subdomains": spec.n_subdomains,
-            "test_poly_order": spec.test_poly_order,
-            "subdomain_size": size if isinstance(size, int) else list(size),
-            "seed": spec.seed,
-        }
-    if isinstance(spec, libmod.Concat):
-        return {"type": "concat", "parts": [library_to_json(p) for p in spec.parts]}
-    if isinstance(spec, libmod.Tensor):
-        return {
-            "type": "tensor",
-            "left": library_to_json(spec.left),
-            "right": library_to_json(spec.right),
-        }
-    if isinstance(spec, libmod.InputSubset):
-        return {
-            "type": "subset",
-            "inner": library_to_json(spec.inner),
-            "indices": list(spec.indices),
-        }
-    raise SpecError(f"unknown library spec {spec!r}")
-
-
-def library_from_json(obj: dict) -> libmod.LibrarySpec:
-    if not isinstance(obj, dict):
-        raise SpecError(f"library spec must be an object, got {type(obj).__name__}")
-    kind = _require(obj, "type", "library spec")
-    if kind == "polynomial":
-        return libmod.Polynomial(
-            degree=int(obj.get("degree", 2)),
-            include_bias=bool(obj.get("include_bias", True)),
-            include_interactions=bool(obj.get("include_interactions", True)),
-        )
-    if kind == "fourier":
-        return libmod.Fourier(
-            n_frequencies=int(obj.get("n_frequencies", 1)),
-            include_sin=bool(obj.get("include_sin", True)),
-            include_cos=bool(obj.get("include_cos", True)),
-        )
-    if kind == "custom":
-        functions = []
-        for fname in _require(obj, "functions", "custom library"):
-            if fname not in libmod.CUSTOM_REGISTRY:
-                raise SpecError(
-                    f"unknown custom function {fname!r}; available: "
-                    f"{sorted(libmod.CUSTOM_REGISTRY)}"
-                )
-            functions.append((fname, libmod.CUSTOM_REGISTRY[fname]))
-        return libmod.Custom(functions=tuple(functions))
-    if kind == "pde":
-        multiply = obj.get("multiply_by")
-        diff = obj.get("diff")
-        return libmod.PDE(
-            derivative_order=int(obj.get("derivative_order", 1)),
-            axes=tuple(obj.get("axes", ["x"])),
-            multiply_by=None if multiply is None else library_from_json(multiply),
-            diff=None if diff is None else diff_from_json(diff),
-        )
-    if kind == "weak":
-        size = _require(obj, "subdomain_size", "weak library")
-        return libmod.WeakPDE(
-            inner=library_from_json(_require(obj, "inner", "weak library")),
-            n_subdomains=int(obj.get("n_subdomains", 100)),
-            test_poly_order=int(obj.get("test_poly_order", 4)),
-            subdomain_size=size if isinstance(size, int) else tuple(int(s) for s in size),
-            seed=int(obj.get("seed", 0)),
-        )
-    if kind == "concat":
-        return libmod.Concat(
-            parts=tuple(library_from_json(p) for p in _require(obj, "parts", "concat"))
-        )
-    if kind == "tensor":
-        return libmod.Tensor(
-            left=library_from_json(_require(obj, "left", "tensor")),
-            right=library_from_json(_require(obj, "right", "tensor")),
-        )
-    if kind == "subset":
-        return libmod.InputSubset(
-            inner=library_from_json(_require(obj, "inner", "subset")),
-            indices=tuple(int(i) for i in _require(obj, "indices", "subset")),
-        )
-    raise SpecError(f"unknown library type {kind!r}")
-
-
-# ---------------------------------------------------------------------------
-# OptimizerSpec
-# ---------------------------------------------------------------------------
-
-
-def optimizer_to_json(spec: optmod.OptimizerSpec) -> dict:
-    if isinstance(spec, optmod.STLSQ):
-        return {
-            "type": "stlsq",
-            "threshold": spec.threshold,
-            "ridge": spec.ridge,
-            "max_iter": spec.max_iter,
-        }
-    if isinstance(spec, optmod.SR3):
-        out = {
-            "type": "sr3",
-            "threshold": spec.threshold,
-            "relaxation": spec.relaxation,
-            "regularizer": spec.regularizer,
-            "max_iter": spec.max_iter,
-            "tol": spec.tol,
-        }
-        if spec.constraints is not None:
-            C, d = spec.constraints
-            out["constraints"] = {
-                "matrix": np.asarray(C, dtype=float).tolist(),
-                "rhs": np.asarray(d, dtype=float).tolist(),
-            }
-        return out
-    if isinstance(spec, optmod.SSR):
-        return {"type": "ssr", "min_terms": spec.min_terms, "selection": spec.selection}
-    if isinstance(spec, optmod.FROLS):
-        return {"type": "frols", "max_terms": spec.max_terms, "err_tol": spec.err_tol}
-    raise SpecError(f"unknown optimizer spec {spec!r}")
-
-
-def optimizer_from_json(obj) -> optmod.OptimizerSpec:
-    if isinstance(obj, str):
-        return parse_optimizer_flag(obj)
-    if not isinstance(obj, dict):
-        raise SpecError(
-            f"optimizer spec must be an object or string, got {type(obj).__name__}"
-        )
-    kind = _require(obj, "type", "optimizer spec")
-    if kind == "stlsq":
-        return optmod.STLSQ(
-            threshold=float(obj.get("threshold", 0.1)),
-            ridge=float(obj.get("ridge", 0.05)),
-            max_iter=int(obj.get("max_iter", 20)),
-        )
-    if kind == "sr3":
-        constraints = None
-        if obj.get("constraints") is not None:
-            block = obj["constraints"]
-            constraints = (
-                np.asarray(_require(block, "matrix", "constraints"), dtype=float),
-                np.asarray(_require(block, "rhs", "constraints"), dtype=float),
-            )
-        return optmod.SR3(
-            threshold=float(obj.get("threshold", 0.1)),
-            relaxation=float(obj.get("relaxation", 1.0)),
-            regularizer=obj.get("regularizer", "l0"),
-            max_iter=int(obj.get("max_iter", 30)),
-            tol=float(obj.get("tol", 1e-5)),
-            constraints=constraints,
-        )
-    if kind == "ssr":
-        return optmod.SSR(
-            min_terms=int(obj.get("min_terms", 1)),
-            selection=obj.get("selection", "holdout"),
-        )
-    if kind == "frols":
-        max_terms = obj.get("max_terms")
-        return optmod.FROLS(
-            max_terms=None if max_terms is None else int(max_terms),
-            err_tol=float(obj.get("err_tol", 1e-6)),
-        )
-    raise SpecError(f"unknown optimizer type {kind!r}")
-
-
-def parse_optimizer_flag(text: str) -> optmod.OptimizerSpec:
-    """Parse ``stlsq:l,a | sr3:l,nu,l0|l1 | ssr | frols``."""
-    name, _, args = text.partition(":")
-    name = name.strip().lower()
-    try:
-        if name == "stlsq":
-            if not args:
-                return optmod.STLSQ()
-            lam, alpha = args.split(",")
-            return optmod.STLSQ(threshold=float(lam), ridge=float(alpha))
-        if name == "sr3":
-            if not args:
-                return optmod.SR3()
-            lam, nu, reg = args.split(",")
-            return optmod.SR3(
-                threshold=float(lam), relaxation=float(nu), regularizer=reg.strip()
-            )
-        if name == "ssr":
-            return optmod.SSR()
-        if name == "frols":
-            return optmod.FROLS()
-    except ValueError as exc:
-        raise SpecError(f"cannot parse optimizer flag {text!r}: {exc}") from exc
-    raise SpecError(f"unknown optimizer flag {text!r}")
-
-
-# ---------------------------------------------------------------------------
-# EnsembleSpec
-# ---------------------------------------------------------------------------
-
-
-def ensemble_to_json(spec: EnsembleSpec) -> dict:
-    return {
-        "n_models": spec.n_models,
-        "row_fraction": spec.row_fraction,
-        "replace": spec.replace,
-        "n_library_drop": spec.n_library_drop,
-        "aggregator": spec.aggregator,
-        "support_threshold": spec.support_threshold,
-        "seed": spec.seed,
-    }
-
-
-def ensemble_from_json(obj) -> EnsembleSpec:
-    if isinstance(obj, str):
-        return parse_ensemble_flag(obj)
-    if not isinstance(obj, dict):
-        raise SpecError(
-            f"ensemble spec must be an object or string, got {type(obj).__name__}"
-        )
-    return EnsembleSpec(
-        n_models=int(obj.get("n_models", 20)),
-        row_fraction=float(obj.get("row_fraction", 0.6)),
-        replace=bool(obj.get("replace", True)),
-        n_library_drop=int(obj.get("n_library_drop", 0)),
-        aggregator=obj.get("aggregator", "median"),
-        support_threshold=float(obj.get("support_threshold", 0.5)),
-        seed=int(obj.get("seed", 0)),
-    )
-
-
-def parse_ensemble_flag(text: str) -> EnsembleSpec:
-    """Parse ``n=20,rows=0.6,drop=0,agg=median,seed=0[,norepl]``."""
-    kwargs: dict = {}
-    for item in text.split(","):
-        item = item.strip()
-        if not item:
-            continue
-        if item == "norepl":
-            kwargs["replace"] = False
-            continue
-        key, _, value = item.partition("=")
-        try:
-            if key == "n":
-                kwargs["n_models"] = int(value)
-            elif key == "rows":
-                kwargs["row_fraction"] = float(value)
-            elif key == "drop":
-                kwargs["n_library_drop"] = int(value)
-            elif key == "agg":
-                kwargs["aggregator"] = value
-            elif key == "seed":
-                kwargs["seed"] = int(value)
-            else:
-                raise SpecError(f"unknown ensemble flag key {key!r}")
-        except ValueError as exc:
-            raise SpecError(f"cannot parse ensemble flag {item!r}: {exc}") from exc
-    return EnsembleSpec(**kwargs)
-
-
-# ---------------------------------------------------------------------------
-# BenchmarkSpec
-# ---------------------------------------------------------------------------
-
-
-def benchmark_to_json(spec: BenchmarkSpec) -> dict:
-    system = spec.system
-    if isinstance(system, Lorenz):
-        sys_obj = {
-            "name": "lorenz",
-            "sigma": system.sigma,
-            "rho": system.rho,
-            "beta": system.beta,
-            "initial_state": list(system.initial_state),
-            "t_span": system.t_span,
-            "dt": system.dt,
-        }
-    else:
-        sys_obj = {
-            "name": "ks",
-            "length": system.length,
-            "n_grid": system.n_grid,
-            "t_span": system.t_span,
-            "dt_save": system.dt_save,
-            "dt": system.dt,
-            "burn_in": system.burn_in,
-            "n_init_modes": system.n_init_modes,
-            "init_amplitude": system.init_amplitude,
-        }
-    return {"system": sys_obj, "noise_level": spec.noise_level, "seed": spec.seed}
-
-
-def benchmark_from_json(obj: dict) -> BenchmarkSpec:
-    if not isinstance(obj, dict):
-        raise SpecError("benchmark spec must be an object")
-    check_schema(obj, "benchmark spec")
-    sys_obj = _require(obj, "system", "benchmark spec")
-    name = _require(sys_obj, "name", "benchmark system")
-    if name == "lorenz":
-        system = Lorenz(
-            sigma=float(sys_obj.get("sigma", 10.0)),
-            rho=float(sys_obj.get("rho", 28.0)),
-            beta=float(sys_obj.get("beta", 8.0 / 3.0)),
-            initial_state=tuple(sys_obj.get("initial_state", (-8.0, 8.0, 27.0))),
-            t_span=float(sys_obj.get("t_span", 10.0)),
-            dt=float(sys_obj.get("dt", 0.002)),
-        )
-    elif name == "ks":
-        system = KS(
-            length=float(sys_obj.get("length", 100.0)),
-            n_grid=int(sys_obj.get("n_grid", 1024)),
-            t_span=float(sys_obj.get("t_span", 100.0)),
-            dt_save=float(sys_obj.get("dt_save", 0.4)),
-            dt=float(sys_obj.get("dt", 0.05)),
-            burn_in=float(sys_obj.get("burn_in", 50.0)),
-            n_init_modes=int(sys_obj.get("n_init_modes", 4)),
-            init_amplitude=float(sys_obj.get("init_amplitude", 0.5)),
-        )
-    else:
-        raise SpecError(f"unknown benchmark system {name!r}")
-    return BenchmarkSpec(
-        system=system,
-        noise_level=float(obj.get("noise_level", 0.0)),
-        seed=int(obj.get("seed", 0)),
-    )
-
-
-# ---------------------------------------------------------------------------
-# DiscoveryConfig
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class DiscoveryConfig:
     """Declarative description of one discovery run."""
 
-    data_path: str | None
-    benchmark: BenchmarkSpec | None
-    train_fraction: float
-    diff: diffmod.DiffMethod
+    data_path: str | None = None
+    benchmark: BenchmarkSpec | None = None
+    train_fraction: float = 0.6
+    diff: diffmod.DiffMethod = diffmod.FiniteDifference()
     library: libmod.LibrarySpec
-    optimizer: optmod.OptimizerSpec
-    ensemble: EnsembleSpec | None
-    output_dir: str
-    seed: int
-    precision: int
+    optimizer: optmod.OptimizerSpec = optmod.STLSQ()
+    ensemble: EnsembleSpec | None = None
+    output_dir: str = "."
+    seed: int = 0
+    precision: int = 3
     normalize_columns: bool = False
 
     def validate(self) -> None:
@@ -511,64 +81,266 @@ class DiscoveryConfig:
             self.benchmark.validate()
 
 
-def config_from_json(obj: dict) -> DiscoveryConfig:
-    if not isinstance(obj, dict):
-        raise SpecError("config must be a JSON object")
-    check_schema(obj, "config")
-    data = _require(obj, "data", "config")
-    data_path = data.get("path")
-    benchmark = data.get("benchmark")
-    cfg = DiscoveryConfig(
-        data_path=data_path,
-        benchmark=None if benchmark is None else benchmark_from_json(benchmark),
-        train_fraction=float(obj.get("train_fraction", 0.6)),
-        diff=diff_from_json(obj.get("diff", {"method": "fd", "order": 2})),
-        library=library_from_json(_require(obj, "library", "config")),
-        optimizer=optimizer_from_json(obj.get("optimizer", {"type": "stlsq"})),
-        ensemble=(
-            None
-            if obj.get("ensemble") is None
-            else ensemble_from_json(obj["ensemble"])
-        ),
-        output_dir=obj.get("output_dir", "."),
-        seed=int(obj.get("seed", 0)),
-        precision=int(obj.get("precision", 3)),
-        normalize_columns=bool(obj.get("normalize_columns", False)),
-    )
-    cfg.validate()
-    return cfg
+# ---------------------------------------------------------------------------
+# the codec
+# ---------------------------------------------------------------------------
+
+# The wire name of every member of a spec union: class -> (tag key, tag).
+_TAGS = {
+    diffmod.FiniteDifference: ("method", "fd"),
+    diffmod.SavitzkyGolay: ("method", "sg"),
+    diffmod.Spectral: ("method", "spectral"),
+    libmod.Polynomial: ("type", "polynomial"),
+    libmod.Fourier: ("type", "fourier"),
+    libmod.Custom: ("type", "custom"),
+    libmod.PDE: ("type", "pde"),
+    libmod.WeakPDE: ("type", "weak"),
+    libmod.Concat: ("type", "concat"),
+    libmod.Tensor: ("type", "tensor"),
+    libmod.InputSubset: ("type", "subset"),
+    optmod.STLSQ: ("type", "stlsq"),
+    optmod.SR3: ("type", "sr3"),
+    optmod.SSR: ("type", "ssr"),
+    optmod.FROLS: ("type", "frols"),
+    Lorenz: ("name", "lorenz"),
+    KS: ("name", "ks"),
+}
+
+# Compact strings: ``<tag>[:<field>,...]`` gives all listed fields or none;
+# ensembles take ``key=value`` items and ``norepl``.
+_FLAG_FIELDS = {
+    "fd": ("order",),
+    "sg": ("window", "poly_order"),
+    "spectral": ("filter_strength",),
+    "stlsq": ("threshold", "ridge"),
+    "sr3": ("threshold", "relaxation", "regularizer"),
+    "ssr": (),
+    "frols": (),
+}
+_ENSEMBLE_KEYS = {
+    "n": "n_models",
+    "rows": "row_fraction",
+    "drop": "n_library_drop",
+    "agg": "aggregator",
+    "seed": "seed",
+}
+
+# Fields whose default applies in code but which a JSON spec must give.
+_REQUIRED = {(libmod.WeakPDE, "subdomain_size")}
 
 
-def config_to_json(cfg: DiscoveryConfig) -> dict:
-    data = (
-        {"path": cfg.data_path}
-        if cfg.data_path is not None
-        else {"benchmark": benchmark_to_json(cfg.benchmark)}
-    )
+def _encode_functions(functions) -> list[str]:
+    for name, fn in functions:
+        if libmod.CUSTOM_REGISTRY.get(name) is not fn:
+            raise SpecError(
+                f"custom function {name!r} is not from the registry and "
+                "cannot be serialized"
+            )
+    return [name for name, _ in functions]
+
+
+def _decode_functions(value, where: str):
+    names = from_json(tuple[str, ...], value, where)
+    for name in names:
+        if name not in libmod.CUSTOM_REGISTRY:
+            raise SpecError(
+                f"{where}: unknown custom function {name!r}; available: "
+                f"{sorted(libmod.CUSTOM_REGISTRY)}"
+            )
+    return tuple((name, libmod.CUSTOM_REGISTRY[name]) for name in names)
+
+
+def _encode_constraints(constraints) -> dict:
+    C, d = constraints
     return {
-        "schema": SCHEMA_VERSION,
-        "data": data,
-        "train_fraction": cfg.train_fraction,
-        "diff": diff_to_json(cfg.diff),
-        "library": library_to_json(cfg.library),
-        "optimizer": optimizer_to_json(cfg.optimizer),
-        "ensemble": None if cfg.ensemble is None else ensemble_to_json(cfg.ensemble),
-        "output_dir": cfg.output_dir,
-        "seed": cfg.seed,
-        "precision": cfg.precision,
-        "normalize_columns": cfg.normalize_columns,
+        "matrix": np.asarray(C, dtype=float).tolist(),
+        "rhs": np.asarray(d, dtype=float).tolist(),
     }
 
 
-def load_config(path: str | Path) -> DiscoveryConfig:
-    path = Path(path)
-    try:
-        obj = json.loads(path.read_text())
-    except FileNotFoundError as exc:
-        raise SpecError(f"config file not found: {path}") from exc
-    except json.JSONDecodeError as exc:
-        raise SpecError(f"config is not valid JSON: {exc}") from exc
-    return config_from_json(obj)
+def _decode_constraints(value, where: str):
+    if value is None:
+        return None
+    if not isinstance(value, dict) or set(value) != {"matrix", "rhs"}:
+        raise SpecError(f"{where}: expected an object with matrix and rhs, got {value!r}")
+    matrix = from_json(tuple[tuple[float, ...], ...], value["matrix"], f"{where}.matrix")
+    if len({len(row) for row in matrix}) > 1:
+        raise SpecError(f"{where}.matrix: rows differ in length")
+    rhs = from_json(tuple[float, ...], value["rhs"], f"{where}.rhs")
+    return np.array(matrix, dtype=float), np.array(rhs, dtype=float)
+
+
+# (class, field) -> (encode, decode) for fields the type-driven codec cannot
+# express.  An overridden field holding None is left out of the JSON.
+_OVERRIDES = {
+    (libmod.Custom, "functions"): (_encode_functions, _decode_functions),
+    (optmod.SR3, "constraints"): (_encode_constraints, _decode_constraints),
+}
+
+
+@functools.cache
+def _hints(cls) -> dict:
+    return typing.get_type_hints(cls)
+
+
+def _encode(value):
+    if dataclasses.is_dataclass(value):
+        return to_json(value)
+    if isinstance(value, tuple):
+        return [_encode(v) for v in value]
+    return value
+
+
+def to_json(spec) -> dict:
+    """Encode a spec or ``DiscoveryConfig``: its tag, then each field in
+    declaration order."""
+    cls = type(spec)
+    out = dict([_TAGS[cls]]) if cls in _TAGS else {}
+    values = {f.name: getattr(spec, f.name) for f in dataclasses.fields(spec)}
+    if cls is DiscoveryConfig:
+        path, benchmark = values.pop("data_path"), values.pop("benchmark")
+        out["schema"] = SCHEMA_VERSION
+        out["data"] = {"path": path} if path is not None else {"benchmark": to_json(benchmark)}
+    for name, value in values.items():
+        override = _OVERRIDES.get((cls, name))
+        if override is None:
+            out[name] = _encode(value)
+        elif value is not None:
+            out[name] = override[0](value)
+    return out
+
+
+def _flag_value(text: str):
+    for convert in (int, float):
+        try:
+            return convert(text)
+        except ValueError:
+            pass
+    return text.strip()
+
+
+def _parse_flag(kind, text: str, where: str):
+    """Turn a compact string into the JSON object it abbreviates, then decode
+    that, so flags are checked like any other spec."""
+    obj: dict = {}
+    if kind is EnsembleSpec:
+        for item in filter(None, (item.strip() for item in text.split(","))):
+            key, _, value = item.partition("=")
+            if item == "norepl":
+                obj["replace"] = False
+            elif key in _ENSEMBLE_KEYS:
+                obj[_ENSEMBLE_KEYS[key]] = _flag_value(value)
+            else:
+                raise SpecError(f"{where}: unknown ensemble flag key {key!r} in {text!r}")
+        return from_json(kind, obj, where)
+    name, _, args = text.partition(":")
+    name = name.strip().lower()
+    values = args.split(",") if args else []
+    if name not in _FLAG_FIELDS or len(values) not in (0, len(_FLAG_FIELDS[name])):
+        raise SpecError(f"{where}: cannot parse flag {text!r}")
+    obj[_TAGS[typing.get_args(kind)[0]][0]] = name
+    obj.update(zip(_FLAG_FIELDS[name], map(_flag_value, values)))
+    return from_json(kind, obj, where)
+
+
+def from_json(kind, obj, where: str = "spec"):
+    """Decode ``obj`` as ``kind``: a spec class, a union of spec classes, or
+    a field type.  Raises ``SpecError`` naming the path of a value that is
+    missing, unknown, or not of its declared type."""
+    if isinstance(obj, str) and kind in (
+        diffmod.DiffMethod, optmod.OptimizerSpec, EnsembleSpec
+    ):
+        return _parse_flag(kind, obj, where)
+    if dataclasses.is_dataclass(kind):
+        return _decode_spec(kind, obj, where)
+    origin, args = typing.get_origin(kind), typing.get_args(kind)
+    if origin in (Union, types.UnionType):
+        if obj is None and type(None) in args:
+            return None
+        rest = tuple(a for a in args if a is not type(None))
+        if len(rest) < len(args):
+            return from_json(Union[rest], obj, where)
+        if all(a in _TAGS for a in args):
+            key = _TAGS[args[0]][0]
+            by_tag = {_TAGS[cls][1]: cls for cls in args}
+            tag = obj.get(key) if isinstance(obj, dict) else None
+            if not isinstance(tag, str) or tag not in by_tag:
+                raise SpecError(
+                    f"{where}: expected an object with {key} one of "
+                    f"{sorted(by_tag)}, got {obj!r}"
+                )
+            return _decode_spec(by_tag[tag], obj, where)
+        for arm in args:
+            try:
+                return from_json(arm, obj, where)
+            except SpecError:
+                pass
+    elif origin is tuple:
+        if isinstance(obj, (list, tuple)):
+            if args[-1] is Ellipsis:
+                args = (args[0],) * len(obj)
+            if len(args) == len(obj):
+                return tuple(
+                    from_json(a, v, f"{where}[{i}]")
+                    for i, (a, v) in enumerate(zip(args, obj))
+                )
+    elif origin is Literal:
+        if any(obj == a and type(obj) is type(a) for a in args):
+            return obj
+    elif kind is float:
+        if isinstance(obj, (int, float)) and not isinstance(obj, bool):
+            return float(obj)
+    elif kind is int:
+        if isinstance(obj, int) and not isinstance(obj, bool):
+            return obj
+    elif isinstance(obj, kind):  # bool, str
+        return obj
+    expected = kind.__name__ if isinstance(kind, type) else str(kind).replace("typing.", "")
+    raise SpecError(f"{where}: expected {expected}, got {obj!r}")
+
+
+def _decode_spec(cls, obj, where: str):
+    if not isinstance(obj, dict):
+        raise SpecError(f"{where}: expected an object, got {obj!r}")
+    obj = dict(obj)
+    if cls in _TAGS:
+        key, tag = _TAGS[cls]
+        got = obj.pop(key, tag)
+        if got != tag:
+            raise SpecError(f"{where}: expected {key} {tag!r}, got {got!r}")
+    if cls in (BenchmarkSpec, DiscoveryConfig):
+        check_schema(obj, where)
+        obj.pop("schema", None)
+    kwargs = {}
+    if cls is DiscoveryConfig:
+        if "data" not in obj:
+            raise SpecError(f"{where}: missing required field 'data'")
+        data = obj.pop("data")
+        if not isinstance(data, dict) or not set(data) <= {"path", "benchmark"}:
+            raise SpecError(f"{where}.data: expected an object with path or benchmark, got {data!r}")
+        kwargs["data_path"] = from_json(str | None, data.get("path"), f"{where}.data.path")
+        kwargs["benchmark"] = from_json(
+            BenchmarkSpec | None, data.get("benchmark"), f"{where}.data.benchmark"
+        )
+    hints = _hints(cls)
+    wire = [name for name in hints if name not in kwargs]
+    for name, value in obj.items():
+        if name not in wire:
+            raise SpecError(
+                f"{where}: unknown field {name!r}; {cls.__name__} takes {', '.join(wire)}"
+            )
+        override = _OVERRIDES.get((cls, name))
+        decode = override[1] if override else functools.partial(from_json, hints[name])
+        kwargs[name] = decode(value, f"{where}.{name}")
+    for f in dataclasses.fields(cls):
+        if f.name not in kwargs and (
+            f.default is dataclasses.MISSING or (cls, f.name) in _REQUIRED
+        ):
+            raise SpecError(f"{where}: missing required field {f.name!r}")
+    spec = cls(**kwargs)
+    if cls is DiscoveryConfig:
+        spec.validate()
+    return spec
 
 
 def jsonable(value):

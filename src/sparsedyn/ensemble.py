@@ -80,7 +80,8 @@ def fit_ensemble(
 
     Each member solves on the factor of its count-weighted rows (a row drawn
     c times enters the Gram with weight c), so full-fraction sampling without
-    replacement reproduces the plain solve exactly.  Fully deterministic given the spec seed: member seeds come from
+    replacement reproduces the plain solve exactly, residuals included.
+    Fully deterministic given the spec seed: member seeds come from
     ``derive_seed`` and aggregation does not depend on completion order.
     Members whose solve raises are excluded; more than half failing is an
     error.
@@ -130,12 +131,11 @@ def fit_ensemble(
 
     stack = np.stack(members)
     xi, inclusion, iqr = aggregate_members(stack, spec)
-    residuals = np.linalg.norm(problem.targets - problem.theta @ xi, axis=0)
     coefficients = Coefficients(
         xi=xi,
         support=xi != 0.0,
         names=problem.names(),
-        residuals=residuals,
+        residuals=problem.residual_norms(xi),
         diagnostics={
             "ensemble_members": len(members),
             "ensemble_failed": len(failures),

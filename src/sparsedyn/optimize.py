@@ -105,6 +105,13 @@ class Problem:
             return self.feature_names
         return tuple(f"f{i}" for i in range(self.n_features))
 
+    def residual_norms(self, xi: np.ndarray) -> np.ndarray:
+        """Per-target norm of the sqrt(weight)-scaled residual of ``xi``."""
+        resid = self.targets - self.theta @ xi
+        if self.sample_weights is not None:
+            resid *= np.sqrt(self.sample_weights)[:, None]
+        return np.linalg.norm(resid, axis=0)
+
 
 @dataclass(frozen=True)
 class Coefficients:
@@ -267,6 +274,11 @@ class _Factor:
         self.index = columns[keep]
         self.dropped = columns[~keep]
         k = self.index.size
+        if k == 0:
+            raise FitError(
+                "every library column is zero on the rows being fit; "
+                "there is no feature to fit"
+            )
         if k < n_features:
             targets = np.arange(n_features, R.shape[1])
             R = np.linalg.qr(R[:, np.concatenate((self.index, targets))], mode="r")
@@ -279,9 +291,9 @@ class _Factor:
         singular = diag <= RANK_RTOL * np.linalg.norm(self.theta, axis=0)
         self.diagnostics: dict = {
             "cond_estimate": (
-                float(diag.max() / diag.min()) if k and diag.min() > 0.0 else np.inf
+                float(diag.max() / diag.min()) if diag.min() > 0.0 else np.inf
             ),
-            "rank_deficient": bool(k == 0 or singular.any()),
+            "rank_deficient": bool(singular.any()),
         }
         if self.dropped.size:
             self.diagnostics["dropped_columns"] = [names[i] for i in self.dropped]
@@ -372,14 +384,11 @@ def _finish(
 ) -> Coefficients:
     """Re-embed reduced coefficients; residuals are taken on the full rows."""
     xi = fac.embed(xi_n)
-    resid = problem.targets - problem.theta @ xi
-    if problem.sample_weights is not None:
-        resid *= np.sqrt(problem.sample_weights)[:, None]
     return Coefficients(
         xi=xi,
         support=xi != 0.0,
         names=problem.names(),
-        residuals=np.linalg.norm(resid, axis=0),
+        residuals=problem.residual_norms(xi),
         diagnostics={**fac.diagnostics, **diags},
     )
 

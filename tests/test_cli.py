@@ -132,6 +132,44 @@ class TestFit:
         cfg = fit_config(tmp_path, lorenz_dataset, train_fraction=2.0)
         assert main(["fit", "--config", str(cfg)]) == 2
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"library": {"type": "polynomial", "degre": 3}},
+            {"library": {"type": "polynomial", "include_bias": "false"}},
+            {"library": {"type": "polynomial", "degree": 2.7}},
+            {"library": {"type": "pde", "axes": "xy"}},
+            {
+                "library": {
+                    "type": "weak",
+                    "inner": {"type": "polynomial"},
+                    "subdomain_size": [10.5],
+                }
+            },
+            {"library": {"type": "polynomial", "degree": "two"}},
+            {"optimizer": {"type": "stlsq", "threshold": "abc"}},
+            {"data": "x"},
+        ],
+        ids=[
+            "unknown-field",
+            "string-bool",
+            "float-int",
+            "string-axes",
+            "float-size",
+            "string-int",
+            "string-float",
+            "string-data",
+        ],
+    )
+    def test_malformed_config_exits_2(self, tmp_path, lorenz_dataset, capsys, overrides):
+        cfg = fit_config(tmp_path, lorenz_dataset, **overrides)
+        capsys.readouterr()
+        assert main(["fit", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "Traceback" not in err
+        assert not (tmp_path / "fit_out").exists()
+
     def test_fit_failure_exits_4_without_partial_files(self, tmp_path, lorenz_dataset):
         cfg = fit_config(
             tmp_path,
@@ -220,6 +258,31 @@ class TestScore:
         assert (
             main(["score", "--config", str(report_path), "--data", str(wrong)]) == 2
         )
+
+    @pytest.mark.parametrize(
+        "path, value, message",
+        [
+            (("library", "degree"), "two", "report.library.degree: expected int, got 'two'"),
+            (("coefficients", 0, 0), "x", "report.coefficients: could not convert"),
+            (("feature_names",), "abc", "report.feature_names: expected tuple[str, ...]"),
+        ],
+        ids=["library-degree", "coefficients", "feature-names"],
+    )
+    def test_ill_typed_report_exits_2(
+        self, tmp_path, lorenz_dataset, capsys, path, value, message
+    ):
+        cfg = fit_config(tmp_path, lorenz_dataset)
+        assert main(["fit", "--config", str(cfg)]) == 0
+        report = json.loads((tmp_path / "fit_out" / "report.json").read_text())
+        node = report
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        bad = write_json(tmp_path / "bad_report.json", report)
+        capsys.readouterr()
+        assert main(["score", "--config", str(bad), "--data", str(lorenz_dataset)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: " + message) and err.count("\n") == 1, err
 
     def test_corrupt_report_exits_2(self, tmp_path, lorenz_dataset):
         bad = tmp_path / "bad_report.json"

@@ -63,6 +63,31 @@ class TestFitEnsemble:
         np.testing.assert_array_equal(report.coefficients.xi, plain.xi)
         assert set(np.unique(report.inclusion_probability)) <= {0.0, 1.0}
 
+    def test_weighted_residuals_match_plain_solve(self):
+        # full-fraction sampling without replacement reproduces the plain
+        # solve, so the reported (sqrt-weight scaled) residuals must agree
+        prob, _ = planted_problem(noise=0.1)
+        weights = np.random.default_rng(4).uniform(0.1, 3.0, prob.theta.shape[0])
+        prob = Problem(theta=prob.theta, targets=prob.targets, sample_weights=weights)
+        spec = EnsembleSpec(n_models=3, row_fraction=1.0, replace=False, seed=2)
+        report = fit_ensemble(prob, STLSQ(), spec)
+        plain = solve(prob, STLSQ())
+        np.testing.assert_array_equal(report.coefficients.xi, plain.xi)
+        np.testing.assert_array_equal(report.coefficients.residuals, plain.residuals)
+
+    def test_all_zero_member_counts_as_failed(self):
+        # rows 0-9 carry the only nonzero entries of the design; a member
+        # that draws none of them has no feature to fit and fails
+        theta = np.zeros((200, 2))
+        theta[:10] = np.random.default_rng(0).standard_normal((10, 2))
+        prob = Problem(theta=theta, targets=theta @ np.array([1.0, -2.0]))
+        report = fit_ensemble(
+            prob, STLSQ(), EnsembleSpec(n_models=40, row_fraction=0.1, seed=0)
+        )
+        assert report.n_failed > 0
+        assert all("zero" in f for f in report.failures)
+        assert report.member_xi.shape[0] == 40 - report.n_failed
+
     def test_planted_problem_inclusion_probabilities(self):
         prob, _ = planted_problem(noise=0.05)
         spec = EnsembleSpec(n_models=50, seed=3)

@@ -67,6 +67,18 @@ class TestProblem:
         with pytest.raises(DataError, match="f1"):
             Problem(theta=theta, targets=2.0 * np.arange(6.0))
 
+    @pytest.mark.parametrize(
+        "opt", [STLSQ(), SR3(), SSR(), FROLS()], ids=["stlsq", "sr3", "ssr", "frols"]
+    )
+    def test_all_zero_design_is_a_fit_error(self, opt):
+        # with every column dropped as zero there is nothing to fit; this
+        # used to come back as xi == 0 with converged: True
+        with pytest.raises(FitError, match="zero"):
+            solve(Problem(theta=np.zeros((5, 1)), targets=np.ones(5)), opt)
+        theta = np.zeros((8, 3))
+        with pytest.raises(FitError):
+            solve(Problem(theta=theta, targets=np.ones((8, 2))), opt)
+
 
 class TestCoefficients:
     def test_off_support_must_be_zero(self):
