@@ -25,10 +25,10 @@ from .config import (
     to_json,
 )
 from .data import load_dataset, save_csv, save_dataset, split_train_test
-from .diff import DiffMethod, differentiate_dataset
+from .diff import DiffMethod
 from .errors import DataError, FitError, SpecError
-from .library import LibrarySpec, WeakPDE, evaluate
-from .model import FittedModel, equations, fit, predict, score
+from .library import LibrarySpec
+from .model import FittedModel, _metric, _predicted_and_actual, equations, fit
 from .optimize import Coefficients
 from .systems import BenchmarkSpec, canonical_library, generate
 
@@ -127,6 +127,20 @@ def _resolve_config(args):
     return cfg
 
 
+def _prediction_csv(
+    target_names: tuple[str, ...], pred: np.ndarray, actual: np.ndarray
+) -> str:
+    """One row per sample: its index, then predicted and computed values of
+    each target, as shortest round-trip floats."""
+    header = ["sample"]
+    columns = [map(str, range(pred.shape[0]))]
+    for j, name in enumerate(target_names):
+        header += [f"predicted_{name}", f"computed_{name}"]
+        columns += [map(repr, pred[:, j].tolist()), map(repr, actual[:, j].tolist())]
+    rows = [",".join(header), *map(",".join, zip(*columns))]
+    return "\n".join(rows) + "\n"
+
+
 def cmd_fit(args) -> int:
     cfg = _resolve_config(args)
     out = Path(cfg.output_dir)
@@ -153,7 +167,8 @@ def cmd_fit(args) -> int:
         ensemble=cfg.ensemble,
         normalize_columns=cfg.normalize_columns,
     )
-    test_score = score(model, test, "r2")
+    pred, actual = _predicted_and_actual(model, test)
+    test_score = _metric(pred, actual, "r2")
     _log(args.verbose, f"test r2 = {test_score:.6f}")
 
     eq_lines = equations(model, precision=cfg.precision)
@@ -180,31 +195,13 @@ def cmd_fit(args) -> int:
             "n_failed": model.ensemble.n_failed,
         }
 
-    pred = predict(model, test)
-    if isinstance(cfg.library, WeakPDE):
-        fm = evaluate(cfg.library, test, cfg.diff)
-        actual = fm.weak_lhs
-        pred_flat = pred
-    else:
-        actual = differentiate_dataset(test, cfg.diff, "t").reshape(
-            -1, test.n_states
-        )
-        pred_flat = pred.reshape(actual.shape)
-
     out.mkdir(parents=True, exist_ok=True)
-    header = ["sample"]
-    for name in model.target_names:
-        header += [f"predicted_{name}", f"computed_{name}"]
-    rows = [",".join(header)]
-    for i in range(pred_flat.shape[0]):
-        cells = [str(i)]
-        for j in range(pred_flat.shape[1]):
-            cells += [repr(float(pred_flat[i, j])), repr(float(actual[i, j]))]
-        rows.append(",".join(cells))
-
     _write_atomic(out / "report.json", _dump_json(report))
     _write_atomic(out / "equations.txt", "\n".join(eq_lines) + "\n")
-    _write_atomic(out / "prediction_vs_truth.csv", "\n".join(rows) + "\n")
+    _write_atomic(
+        out / "prediction_vs_truth.csv",
+        _prediction_csv(model.target_names, pred, actual),
+    )
     print("\n".join(eq_lines))
     return EXIT_OK
 
@@ -255,10 +252,11 @@ def cmd_score(args) -> int:
             f"dataset has {dataset.n_states} states, report targets "
             f"{len(model.target_names)}"
         )
+    pred, actual = _predicted_and_actual(model, dataset)
     result = {
         "schema": SCHEMA_VERSION,
-        "r2": score(model, dataset, "r2"),
-        "rmse": score(model, dataset, "rmse"),
+        "r2": _metric(pred, actual, "r2"),
+        "rmse": _metric(pred, actual, "rmse"),
         "n_samples": dataset.n_samples,
     }
     text = _dump_json(result)

@@ -15,7 +15,6 @@ from typing import Union
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.signal import savgol_filter
 
 from .data import Dataset, _is_uniform
 from .errors import DataError, SpecError
@@ -160,30 +159,50 @@ def _fd_along_last(values: np.ndarray, axis: np.ndarray, d: int, order: int) -> 
     return out
 
 
+def _sg_weights(nodes: np.ndarray, at: np.ndarray, d: int, poly_order: int) -> np.ndarray:
+    """Weights ``(..., k, w)`` giving the d-th derivative at ``at`` ``(..., k)``
+    of the degree-``poly_order`` least-squares polynomial through samples at
+    ``nodes`` ``(..., w)``; leading axes are a batch of windows.
+
+    Each window is mapped onto [-1, 1] so the Vandermonde matrix stays well
+    conditioned; ``pinv`` of it turns samples into polynomial coefficients.
+    """
+    center = nodes.mean(axis=-1, keepdims=True)
+    half_width = (nodes[..., -1:] - nodes[..., :1]) / 2.0
+    powers = np.arange(poly_order + 1)
+    coef = np.linalg.pinv(((nodes - center) / half_width)[..., None] ** powers)
+    k = powers[d:]
+    falling = np.array([factorial(i) // factorial(i - d) for i in k], dtype=float)
+    deriv = falling * ((at - center) / half_width)[..., None] ** (k - d)
+    return deriv @ coef[..., d:, :] / half_width[..., None] ** d
+
+
 def _sg_along_last(
     values: np.ndarray, axis: np.ndarray, d: int, window: int, poly_order: int
 ) -> np.ndarray:
+    # Interior points sit at the center of their window; the first and last
+    # ``half`` points share the end windows (one polynomial fit per end,
+    # evaluated at each point, like scipy's savgol_filter mode="interp").
     L = axis.size
     if L < window:
         raise DataError(f"axis length {L} too short for window {window}")
+    half = window // 2
+    out = np.empty_like(values, dtype=float)
+    windows = sliding_window_view(values, window, axis=-1)
     if _is_uniform(axis):
         h = (axis[-1] - axis[0]) / (L - 1)
-        return savgol_filter(
-            values, window, poly_order, deriv=d, delta=h, axis=-1, mode="interp"
-        )
-    # General nodes: per-point least-squares polynomial fit.  Window positions
-    # are clamped at the edges, matching the uniform path's boundary handling
-    # (fit once per edge window, evaluate at each point).
-    flat = values.reshape(-1, L)
-    res = np.empty_like(flat, dtype=float)
-    half = window // 2
-    for i in range(L):
-        start = min(max(i - half, 0), L - window)
-        t = axis[start : start + window] - axis[i]
-        V = np.vander(t, poly_order + 1, increasing=True)
-        coef, *_ = np.linalg.lstsq(V, flat[:, start : start + window].T, rcond=None)
-        res[:, i] = factorial(d) * coef[d]
-    return res.reshape(values.shape)
+        offsets = np.arange(window) * h
+        w = _sg_weights(offsets, offsets[half : half + 1], d, poly_order)[0]
+        out[..., half : L - half] = windows @ w
+    else:
+        nodes = sliding_window_view(axis, window)
+        W = _sg_weights(nodes, nodes[:, half : half + 1], d, poly_order)[:, 0]
+        out[..., half : L - half] = np.einsum("...js,js->...j", windows, W)
+    for block, points in ((slice(0, window), slice(0, half)),
+                          (slice(L - window, L), slice(L - half, L))):
+        W = _sg_weights(axis[block], axis[points], d, poly_order)
+        out[..., points] = values[..., block] @ W.T
+    return out
 
 
 def _spectral_along_last(

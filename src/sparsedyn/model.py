@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from math import floor, log10
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .data import Dataset, SampleIndexMap, as_collection, unflatten
 from .diff import DiffMethod, FiniteDifference, differentiate_dataset
@@ -135,18 +134,21 @@ def predict(model: FittedModel, dataset: Dataset) -> np.ndarray:
     return unflatten(pred, SampleIndexMap(dataset.grid.sample_shape))
 
 
-def _target_values(model: FittedModel, dataset: Dataset) -> np.ndarray:
+def _predicted_and_actual(
+    model: FittedModel, dataset: Dataset
+) -> tuple[np.ndarray, np.ndarray]:
+    """Flat ``(rows, n)`` predictions and computed targets of one dataset,
+    from a single library evaluation."""
+    fm = evaluate(model.library, dataset, model.diff)
     if isinstance(model.library, WeakPDE):
-        fm = evaluate(model.library, dataset, model.diff)
-        return fm.weak_lhs
-    derivs = differentiate_dataset(dataset, model.diff, "t")
-    return derivs.reshape(-1, dataset.n_states)
+        actual = fm.weak_lhs
+    else:
+        derivs = differentiate_dataset(dataset, model.diff, "t")
+        actual = derivs.reshape(-1, dataset.n_states)
+    return fm.values @ model.xi, actual
 
 
-def score(model: FittedModel, dataset: Dataset, metric: str = "r2") -> float:
-    """Pooled r2 or rmse of predictions against computed target derivatives."""
-    actual = _target_values(model, dataset)
-    pred = predict(model, dataset).reshape(actual.shape)
+def _metric(pred: np.ndarray, actual: np.ndarray, metric: str) -> float:
     if metric == "rmse":
         return float(np.sqrt(np.mean((pred - actual) ** 2)))
     if metric == "r2":
@@ -156,6 +158,11 @@ def score(model: FittedModel, dataset: Dataset, metric: str = "r2") -> float:
         ss_res = float(np.sum((pred - actual) ** 2))
         return 1.0 - ss_res / ss_tot
     raise SpecError(f"unknown metric {metric!r} (use r2 or rmse)")
+
+
+def score(model: FittedModel, dataset: Dataset, metric: str = "r2") -> float:
+    """Pooled r2 or rmse of predictions against computed target derivatives."""
+    return _metric(*_predicted_and_actual(model, dataset), metric)
 
 
 @dataclass(frozen=True)
@@ -180,6 +187,9 @@ def simulate(
     ``t_eval`` and are interpolated linearly in time.  If the state norm
     exceeds 1e8 the trajectory is truncated and flagged.
     """
+    # imported here so that importing the package never loads scipy
+    from scipy.integrate import solve_ivp
+
     t_eval = np.asarray(t_eval, dtype=float)
     if t_eval.ndim != 1 or np.any(np.diff(t_eval) <= 0):
         raise SpecError("t_eval must be strictly increasing")

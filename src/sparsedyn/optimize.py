@@ -502,8 +502,7 @@ def _solve_sr3(fac: _Factor, spec: SR3) -> tuple[np.ndarray, dict]:
     theta, Y = fac.theta, fac.targets
     p, n = theta.shape[1], Y.shape[1]
     diags: dict = {}
-    gram = theta.T @ theta + np.eye(p) / spec.relaxation
-    thY = theta.T @ Y
+    nu = spec.relaxation
 
     constrained = spec.constraints is not None
     if constrained:
@@ -513,21 +512,27 @@ def _solve_sr3(fac: _Factor, spec: SR3) -> tuple[np.ndarray, dict]:
                 "disable normalization and remove zero columns first"
             )
         C, d = _check_constraints(spec, p, n)
-        H_big = np.kron(np.eye(n), gram)
+        thY = theta.T @ Y
+        H_big = np.kron(np.eye(n), theta.T @ theta + np.eye(p) / nu)
+    else:
+        # The relaxed update minimizes |theta Xi - Y|^2 + |Xi - W|^2 / nu, a
+        # least-squares problem in [theta; I/sqrt(nu)].  One QR of that stack
+        # turns each iteration into a triangular solve, without squaring the
+        # condition number the way the normal equations do.
+        Q, R_s = np.linalg.qr(np.vstack((theta, np.eye(p) / np.sqrt(nu))))
+        fit_part = Q[: theta.shape[0]].T @ Y
+        coupling = Q[theta.shape[0] :].T / np.sqrt(nu)
 
     W = np.zeros((p, n))
     Xi = W
     converged = False
     for it in range(spec.max_iter):
-        rhs = thY + W / spec.relaxation
         if constrained:
+            rhs = thY + W / nu
             vec = _constrained_quadratic(H_big, rhs.T.ravel(), C, d)
             Xi = vec.reshape(n, p).T
         else:
-            try:
-                Xi = np.linalg.solve(gram, rhs)
-            except np.linalg.LinAlgError:
-                Xi = np.linalg.lstsq(gram, rhs, rcond=None)[0]
+            Xi = np.linalg.solve(R_s, fit_part + coupling @ W)
         W_new = _sr3_prox(Xi, spec)
         gap = float(np.linalg.norm(Xi - W_new) / np.sqrt(p * n))
         W = W_new

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .data import Dataset, Grid, add_noise
 from .diff import DiffMethod, Spectral, differentiate_dataset
@@ -134,6 +133,9 @@ def _ks_truth() -> Coefficients:
 
 
 def _generate_lorenz(system: Lorenz) -> Dataset:
+    # imported here so that importing the package never loads scipy
+    from scipy.integrate import solve_ivp
+
     t = np.arange(0.0, system.t_span + 0.5 * system.dt, system.dt)
 
     def rhs(_, q):

@@ -4,8 +4,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sparsedyn.cli import main
-from sparsedyn.data import load_dataset
+from sparsedyn.cli import _prediction_csv, main, model_from_report
+from sparsedyn.data import load_dataset, split_train_test
+from sparsedyn.diff import differentiate_dataset
+from sparsedyn.library import WeakPDE, evaluate
+from sparsedyn.model import predict, score
 
 
 def write_json(path: Path, obj) -> Path:
@@ -216,6 +219,83 @@ class TestFit:
         assert incl.min() >= 0.0 and incl.max() <= 1.0
 
 
+def per_cell_csv(names, pred, actual):
+    """The CSV writer as a per-cell loop: the reference the column-wise
+    writer must reproduce byte for byte."""
+    header = ["sample"]
+    for name in names:
+        header += [f"predicted_{name}", f"computed_{name}"]
+    rows = [",".join(header)]
+    for i in range(pred.shape[0]):
+        cells = [str(i)]
+        for j in range(pred.shape[1]):
+            cells += [repr(float(pred[i, j])), repr(float(actual[i, j]))]
+        rows.append(",".join(cells))
+    return "\n".join(rows) + "\n"
+
+
+def computed_targets(model, dataset):
+    if isinstance(model.library, WeakPDE):
+        return evaluate(model.library, dataset, model.diff).weak_lhs
+    return differentiate_dataset(dataset, model.diff, "t").reshape(-1, dataset.n_states)
+
+
+class TestPredictionCsv:
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {},
+            {
+                "library": {
+                    "type": "weak",
+                    "inner": {"type": "polynomial", "degree": 2},
+                    "n_subdomains": 40,
+                    "test_poly_order": 4,
+                    "subdomain_size": [101],
+                    "seed": 3,
+                },
+            },
+        ],
+        ids=["lorenz", "weak"],
+    )
+    def test_body_matches_predict_and_targets(self, tmp_path, lorenz_dataset, overrides):
+        cfg = fit_config(tmp_path, lorenz_dataset, **overrides)
+        assert main(["fit", "--config", str(cfg)]) == 0
+        out = tmp_path / "fit_out"
+        report = json.loads((out / "report.json").read_text())
+        model = model_from_report(report)
+        _, test = split_train_test(load_dataset(lorenz_dataset), 0.6)
+        pred = predict(model, test).reshape(-1, 3)
+        actual = computed_targets(model, test)
+
+        lines = (out / "prediction_vs_truth.csv").read_text().splitlines()
+        assert lines[0].split(",") == [
+            "sample",
+            "predicted_q0_t", "computed_q0_t",
+            "predicted_q1_t", "computed_q1_t",
+            "predicted_q2_t", "computed_q2_t",
+        ]
+        table = np.array([[float(c) for c in line.split(",")] for line in lines[1:]])
+        assert table.shape == (pred.shape[0], 7)
+        np.testing.assert_array_equal(table[:, 0], np.arange(pred.shape[0]))
+        np.testing.assert_array_equal(table[:, 1::2], pred)
+        np.testing.assert_array_equal(table[:, 2::2], actual)
+        assert report["score"] == score(model, test)
+
+    @pytest.mark.parametrize("n_targets", [1, 3])
+    def test_writer_matches_per_cell_loop(self, n_targets):
+        rng = np.random.default_rng(n_targets)
+        pred = rng.standard_normal((200, n_targets)) * 10.0 ** rng.integers(
+            -310, 300, (200, n_targets)
+        )
+        actual = rng.standard_normal((200, n_targets))
+        special = [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, 1e16, 123.0]
+        pred[: len(special), 0] = special
+        actual[-len(special) :, -1] = special
+        names = tuple(f"q{j}_t" for j in range(n_targets))
+        assert _prediction_csv(names, pred, actual) == per_cell_csv(names, pred, actual)
+
+
 class TestScore:
     def test_round_trips_serialized_coefficients(self, tmp_path, lorenz_dataset):
         cfg = fit_config(tmp_path, lorenz_dataset)
@@ -248,6 +328,22 @@ class TestScore:
         np.testing.assert_array_equal(
             model.xi, np.asarray(report["coefficients"], dtype=float)
         )
+
+    @pytest.mark.parametrize("diff", ["fd:2", "sg:41,3"])
+    def test_score_json_matches_score(self, tmp_path, lorenz_dataset, diff):
+        cfg = fit_config(tmp_path, lorenz_dataset, diff=diff)
+        assert main(["fit", "--config", str(cfg)]) == 0
+        report_path = tmp_path / "fit_out" / "report.json"
+        out = tmp_path / "scored"
+        argv = ["score", "--config", str(report_path), "--data", str(lorenz_dataset)]
+        assert main([*argv, "--out", str(out)]) == 0
+        result = json.loads((out / "score.json").read_text())
+        model = model_from_report(json.loads(report_path.read_text()))
+        dataset = load_dataset(lorenz_dataset)
+        assert list(result) == ["schema", "r2", "rmse", "n_samples"]
+        assert result["r2"] == score(model, dataset, "r2")
+        assert result["rmse"] == score(model, dataset, "rmse")
+        assert result["n_samples"] == dataset.n_samples
 
     def test_mismatched_state_count_exits_2(self, tmp_path, lorenz_dataset):
         cfg = fit_config(tmp_path, lorenz_dataset)

@@ -1,3 +1,6 @@
+from fractions import Fraction
+from math import factorial
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -118,6 +121,81 @@ class TestSavitzkyGolay:
         t = np.linspace(0.0, 1.0, 200)
         out = differentiate(t**4, t, SavitzkyGolay(window=7, poly_order=4), d=2)
         np.testing.assert_allclose(out, 12 * t**2, atol=1e-6)
+
+
+def exact_sg_weights(window, poly_order, d):
+    """Interior Savitzky-Golay weights of the d-th derivative on a unit grid,
+    in exact rational arithmetic: d! times row d of (A'A)^-1 A', with A the
+    Vandermonde matrix of the integer offsets -half..half."""
+    x = [Fraction(i - window // 2) for i in range(window)]
+    k = poly_order + 1
+    # Gauss-Jordan on [A'A | e_d] gives u = (A'A)^-1 e_d (A'A is symmetric)
+    rows = [[sum(xi ** (a + b) for xi in x) for b in range(k)] + [Fraction(a == d)]
+            for a in range(k)]
+    for c in range(k):
+        pivot = next(r for r in range(c, k) if rows[r][c] != 0)
+        rows[c], rows[pivot] = rows[pivot], rows[c]
+        rows[c] = [v / rows[c][c] for v in rows[c]]
+        for r in range(k):
+            if r != c and rows[r][c] != 0:
+                rows[r] = [v - rows[r][c] * w for v, w in zip(rows[r], rows[c])]
+    u = [rows[a][k] for a in range(k)]
+    return np.array(
+        [float(factorial(d) * sum(u[a] * xi**a for a in range(k))) for xi in x]
+    )
+
+
+class TestSavitzkyGolayReference:
+    """The numpy filter against scipy.signal.savgol_filter(mode="interp")."""
+
+    @pytest.mark.parametrize(
+        "window,poly_order",
+        [(w, p) for w in range(5, 42, 2) for p in range(2, 6) if p < w],
+    )
+    def test_matches_scipy_interp_mode(self, window, poly_order):
+        from scipy.signal import savgol_coeffs, savgol_filter
+
+        L = 2 * window + 7
+        h = 0.05
+        t = 0.3 + h * np.arange(L)
+        impulses = np.eye(L)  # row i is the filter's response to sample i
+        for d in range(poly_order + 1):
+            ours = differentiate(impulses, t, SavitzkyGolay(window, poly_order, d), d=d)
+            ref = savgol_filter(impulses, window, poly_order, deriv=d,
+                                delta=h, axis=-1, mode="interp")
+            # scipy's interior weights come from an unscaled integer
+            # Vandermonde matrix and drift from the exact ones (by up to
+            # 1.3e-10 at window 35, poly_order 5); that drift is added to the
+            # tolerance, and our own interior weights must be exact.
+            exact = exact_sg_weights(window, poly_order, d)
+            scipy_w = savgol_coeffs(window, poly_order, deriv=d, use="dot")
+            drift = np.abs(scipy_w - exact).max() / np.abs(exact).max()
+            rel = np.abs(ours - ref).max() / np.abs(ref).max()
+            assert rel <= 1e-10 + drift, (d, rel, drift)
+            interior = ours[: window, window // 2] * h**d
+            assert np.abs(interior - exact).max() <= 1e-12 * np.abs(exact).max()
+
+    @given(
+        data=st.data(),
+        half=st.integers(2, 20),
+        extra=st.integers(0, 30),
+        seed=st.integers(0, 10_000),
+    )
+    @settings(max_examples=60)
+    def test_exact_on_polynomials_nonuniform(self, data, half, extra, seed):
+        window = 2 * half + 1
+        poly_order = data.draw(st.integers(2, min(5, window - 1)))
+        d = data.draw(st.integers(0, poly_order))
+        rng = np.random.default_rng(seed)
+        L = window + extra
+        t = 0.1 * (np.arange(L) + rng.uniform(-0.3, 0.3, L))
+        coef = rng.uniform(-1.0, 1.0, (2, poly_order + 1))
+        coef[:, -1] = rng.choice([-1.0, 1.0], 2) * rng.uniform(0.5, 1.0, 2)
+        polys = [np.polynomial.Polynomial(c) for c in coef]
+        values = np.stack([p(t) for p in polys])
+        expected = np.stack([p.deriv(d)(t) for p in polys])
+        out = differentiate(values, t, SavitzkyGolay(window, poly_order, d), d=d)
+        assert np.abs(out - expected).max() <= 1e-8 * np.abs(expected).max()
 
 
 class TestSpectral:

@@ -1,0 +1,49 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import sparsedyn
+
+SRC = str(Path(sparsedyn.__file__).resolve().parents[1])
+
+# Runs in a fresh interpreter: which scipy modules does importing the CLI
+# load, and do the two scipy users still work once it has been imported?
+PROBE = """
+import json, sys
+import numpy as np
+import sparsedyn.cli
+from sparsedyn import (BenchmarkSpec, FiniteDifference, FittedModel, Lorenz,
+                       canonical_library, generate, simulate)
+
+heavy = ("scipy.signal", "scipy.integrate", "scipy.linalg")
+after_import = sorted(m for m in heavy if m in sys.modules)
+system = Lorenz(t_span=0.5)
+dataset, truth = generate(BenchmarkSpec(system=system))
+model = FittedModel(coefficients=truth, library=canonical_library(system),
+                    diff=FiniteDifference(), target_names=("q0_t", "q1_t", "q2_t"))
+t = dataset.grid.time_axis[:50]
+sim = simulate(model, dataset.states[0], t)
+print(json.dumps({
+    "after_import": after_import,
+    "integrate_after_use": "scipy.integrate" in sys.modules,
+    "samples": dataset.states.shape[0],
+    "sim_error": float(np.abs(sim.states - dataset.states[:50]).max()),
+}))
+"""
+
+
+def test_cli_import_leaves_scipy_unloaded_until_needed():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run(
+        [sys.executable, "-c", PROBE], env=env, capture_output=True, text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["after_import"] == []
+    assert result["integrate_after_use"]
+    assert result["samples"] > 50
+    assert result["sim_error"] < 1e-4
