@@ -206,21 +206,64 @@ def _sg_along_last(
 
 
 def _spectral_along_last(
-    values: np.ndarray, axis: np.ndarray, d: int, filter_strength: float
-) -> np.ndarray:
+    values: np.ndarray, axis: np.ndarray, orders: tuple[int, ...], filter_strength: float
+) -> list[np.ndarray]:
+    # one forward transform serves every requested order
     L = axis.size
     if not _is_uniform(axis):
         raise DataError("spectral differentiation requires a uniform axis")
     h = (axis[-1] - axis[0]) / (L - 1)
     k = 2.0 * np.pi * np.fft.rfftfreq(L, d=h)
-    mult = (1j * k) ** d
-    if d % 2 == 1 and L % 2 == 0:
-        mult[-1] = 0.0  # Nyquist mode carries no sign information for odd d
-    if filter_strength > 0:
-        kmax = k[-1] if k[-1] > 0 else 1.0
-        mult = mult * np.exp(-filter_strength * (k / kmax) ** 8)
     spec = np.fft.rfft(values, axis=-1)
-    return np.fft.irfft(spec * mult, n=L, axis=-1)
+    out = []
+    for d in orders:
+        mult = (1j * k) ** d
+        if d % 2 == 1 and L % 2 == 0:
+            mult[-1] = 0.0  # Nyquist mode carries no sign information for odd d
+        if filter_strength > 0:
+            kmax = k[-1] if k[-1] > 0 else 1.0
+            mult = mult * np.exp(-filter_strength * (k / kmax) ** 8)
+        out.append(np.fft.irfft(spec * mult, n=L, axis=-1))
+    return out
+
+
+def _differentiate_orders(
+    values: np.ndarray,
+    axis_values: np.ndarray,
+    method: DiffMethod,
+    orders: tuple[int, ...],
+    axis: int,
+) -> list[np.ndarray]:
+    """Derivatives of ``values`` along ``axis`` for each of ``orders``, each
+    identical to its own ``differentiate`` call; spectral derivatives share
+    one forward transform."""
+    values = np.asarray(values, dtype=float)
+    axis_values = np.asarray(axis_values, dtype=float)
+    for d in orders:
+        method.validate(d)
+    if axis_values.ndim != 1 or values.shape[axis] != axis_values.size:
+        raise DataError(
+            f"axis values (len {axis_values.size}) do not match data axis "
+            f"{axis} of shape {values.shape}"
+        )
+    if np.any(np.diff(axis_values) <= 0):
+        raise DataError("axis values must be strictly increasing")
+
+    moved = np.moveaxis(values, axis, -1)
+    if isinstance(method, FiniteDifference):
+        results = [_fd_along_last(moved, axis_values, d, method.order) for d in orders]
+    elif isinstance(method, SavitzkyGolay):
+        results = [
+            _sg_along_last(moved, axis_values, d, method.window, method.poly_order)
+            for d in orders
+        ]
+    elif isinstance(method, Spectral):
+        results = _spectral_along_last(
+            moved, axis_values, orders, method.filter_strength
+        )
+    else:
+        raise SpecError(f"unknown differentiation method {method!r}")
+    return [np.moveaxis(r, -1, axis) for r in results]
 
 
 def differentiate(
@@ -235,29 +278,9 @@ def differentiate(
     ``d`` defaults to the method's own derivative order.  The output has the
     same shape as the input; see the method classes for boundary behavior.
     """
-    values = np.asarray(values, dtype=float)
-    axis_values = np.asarray(axis_values, dtype=float)
     if d is None:
         d = method.d
-    method.validate(d)
-    if axis_values.ndim != 1 or values.shape[axis] != axis_values.size:
-        raise DataError(
-            f"axis values (len {axis_values.size}) do not match data axis "
-            f"{axis} of shape {values.shape}"
-        )
-    if np.any(np.diff(axis_values) <= 0):
-        raise DataError("axis values must be strictly increasing")
-
-    moved = np.moveaxis(values, axis, -1)
-    if isinstance(method, FiniteDifference):
-        result = _fd_along_last(moved, axis_values, d, method.order)
-    elif isinstance(method, SavitzkyGolay):
-        result = _sg_along_last(moved, axis_values, d, method.window, method.poly_order)
-    elif isinstance(method, Spectral):
-        result = _spectral_along_last(moved, axis_values, d, method.filter_strength)
-    else:
-        raise SpecError(f"unknown differentiation method {method!r}")
-    return np.moveaxis(result, -1, axis)
+    return _differentiate_orders(values, axis_values, method, (d,), axis)[0]
 
 
 def differentiate_dataset(

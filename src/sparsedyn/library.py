@@ -17,7 +17,7 @@ from typing import Callable, Union
 import numpy as np
 
 from .data import Dataset, flatten
-from .diff import DiffMethod, differentiate
+from .diff import DiffMethod, _differentiate_orders
 from .errors import DataError, SpecError
 
 AXIS_LETTERS = ("x", "y", "z")
@@ -357,61 +357,95 @@ def predict_width(spec: LibrarySpec, n_inputs: int, n_states: int | None = None)
 # Pointwise evaluation on a samples-by-inputs matrix
 # ---------------------------------------------------------------------------
 
+# Writes a library's values for an (m, k) input matrix into an (m, width) out.
+_Fill = Callable[[np.ndarray, np.ndarray], None]
 
-def _pointwise_columns(
-    spec: LibrarySpec, X: np.ndarray, names: tuple[str, ...]
-) -> tuple[np.ndarray, list[str]]:
-    m, k = X.shape
+
+def _plan(spec: LibrarySpec, names: tuple[str, ...]) -> tuple[list[str], _Fill]:
+    """Column names of a derivative-free ``spec`` on inputs ``names``, and
+    the function that computes its values."""
+    k = len(names)
     if isinstance(spec, Polynomial):
-        cols, out = [], []
-        degrees = range(0 if spec.include_bias else 1, spec.degree + 1)
-        for deg in degrees:
-            if deg == 0:
-                cols.append(np.ones(m))
-                out.append("1")
-                continue
+        bias, linear = spec.include_bias, spec.degree >= 1
+        out = (["1"] if bias else []) + (list(names) if linear else [])
+        # Each degree-d monomial is its degree-(d-1) parent times its last
+        # input, the same left-to-right product as np.prod over the combo.
+        recipes, level = [], [(i,) for i in range(k)]
+        for deg in range(2, spec.degree + 1):
             if spec.include_interactions:
-                combos = combinations_with_replacement(range(k), deg)
+                combos = list(combinations_with_replacement(range(k), deg))
             else:
-                combos = ((i,) * deg for i in range(k))
-            for combo in combos:
-                cols.append(np.prod(X[:, combo], axis=1))
-                out.append(_monomial_name(combo, names))
-        return np.column_stack(cols) if cols else np.empty((m, 0)), out
+                combos = [(i,) * deg for i in range(k)]
+            parent = {combo: j for j, combo in enumerate(level)}
+            recipes.append((
+                np.array([parent[c[:-1]] for c in combos]),
+                np.array([c[-1] for c in combos]),
+            ))
+            out += [_monomial_name(c, names) for c in combos]
+            level = combos
+
+        def fill(X: np.ndarray, values: np.ndarray) -> None:
+            c = int(bias)
+            if bias:
+                values[:, 0] = 1.0
+            if linear:
+                prev = values[:, c : c + k]
+                prev[...] = X
+                c += k
+            for parents, last in recipes:
+                block = values[:, c : c + parents.size]
+                np.multiply(prev[:, parents], X[:, last], out=block)
+                prev, c = block, c + parents.size
+
+        return out, fill
     if isinstance(spec, Fourier):
-        cols, out = [], []
+        terms, out = [], []
         for freq in range(1, spec.n_frequencies + 1):
             for i in range(k):
-                if spec.include_sin:
-                    cols.append(np.sin(freq * X[:, i]))
-                    out.append(f"sin({freq} {names[i]})")
-                if spec.include_cos:
-                    cols.append(np.cos(freq * X[:, i]))
-                    out.append(f"cos({freq} {names[i]})")
-        return np.column_stack(cols), out
+                for on, fn in ((spec.include_sin, np.sin), (spec.include_cos, np.cos)):
+                    if on:
+                        terms.append((fn, freq, i))
+                        out.append(f"{fn.__name__}({freq} {names[i]})")
+
+        def fill(X: np.ndarray, values: np.ndarray) -> None:
+            for c, (fn, freq, i) in enumerate(terms):
+                values[:, c] = fn(freq * X[:, i])
+
+        return out, fill
     if isinstance(spec, Custom):
-        cols, out = [], []
-        for fname, fn in spec.functions:
-            for i in range(k):
-                cols.append(np.asarray(fn(X[:, i]), dtype=float))
-                out.append(f"{fname}({names[i]})")
-        return np.column_stack(cols), out
+        terms = [(fn, i) for _, fn in spec.functions for i in range(k)]
+
+        def fill(X: np.ndarray, values: np.ndarray) -> None:
+            for c, (fn, i) in enumerate(terms):
+                values[:, c] = fn(X[:, i])
+
+        return [f"{fname}({names[i]})" for fname, _ in spec.functions for i in range(k)], fill
     if isinstance(spec, Concat):
-        blocks = [_pointwise_columns(p, X, names) for p in spec.parts]
-        values = np.hstack([b[0] for b in blocks])
-        out = [n for b in blocks for n in b[1]]
-        return values, out
+        parts = [_plan(p, names) for p in spec.parts]
+        bounds = np.cumsum([0] + [len(n) for n, _ in parts])
+
+        def fill(X: np.ndarray, values: np.ndarray) -> None:
+            for (_, part), a, b in zip(parts, bounds[:-1], bounds[1:]):
+                part(X, values[:, a:b])
+
+        return [n for part_names, _ in parts for n in part_names], fill
     if isinstance(spec, Tensor):
-        lv, ln = _pointwise_columns(spec.left, X, names)
-        rv, rn = _pointwise_columns(spec.right, X, names)
-        values = (lv[:, :, None] * rv[:, None, :]).reshape(m, -1)
-        out = [f"{a} {b}" for a in ln for b in rn]
-        return values, out
+        (ln, left), (rn, right) = _plan(spec.left, names), _plan(spec.right, names)
+
+        def fill(X: np.ndarray, values: np.ndarray) -> None:
+            m = X.shape[0]
+            lv, rv = np.empty((m, len(ln))), np.empty((m, len(rn)))
+            left(X, lv)
+            right(X, rv)
+            values[...] = (lv[:, :, None] * rv[:, None, :]).reshape(m, -1)
+
+        return [f"{a} {b}" for a in ln for b in rn], fill
     if isinstance(spec, InputSubset):
         idx = list(spec.indices)
         if max(idx) >= k:
             raise SpecError(f"InputSubset index {max(idx)} out of range for {k} inputs")
-        return _pointwise_columns(spec.inner, X[:, idx], tuple(names[i] for i in idx))
+        out, inner = _plan(spec.inner, tuple(names[i] for i in idx))
+        return out, lambda X, values: inner(X[:, idx], values)
     raise SpecError(f"{type(spec).__name__} cannot be evaluated pointwise")
 
 
@@ -423,6 +457,47 @@ def _monomial_name(combo: tuple[int, ...], names: tuple[str, ...]) -> str:
     return " ".join(parts)
 
 
+def _input_names(n_states: int, n_controls: int) -> tuple[str, ...]:
+    return tuple(
+        [f"q{i}" for i in range(n_states)] + [f"u{i}" for i in range(n_controls)]
+    )
+
+
+class PointwisePlan:
+    """A derivative-free library planned once for ``n_states`` states and
+    ``n_controls`` controls.
+
+    Construction validates the spec and builds the column names and index
+    recipes; ``apply`` only computes values.  Grid evaluation, one-row
+    evaluation and the integrator's right-hand side all run ``apply``.  A
+    ``WeakPDE`` over a derivative-free library plans that library, whose
+    columns are the integrands of the weak columns and carry their names.
+    """
+
+    def __init__(self, spec: LibrarySpec, n_states: int, n_controls: int = 0):
+        validate(spec)
+        if isinstance(spec, WeakPDE) and not _has_derivatives(spec.inner):
+            spec = spec.inner
+        if _has_derivatives(spec):
+            raise SpecError("pointwise evaluation is undefined for derivative features")
+        self.n_inputs = n_states + n_controls
+        names, self._fill = _plan(spec, _input_names(n_states, n_controls))
+        self.names = tuple(names)
+
+    def apply(self, X: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Feature values ``(m, width)`` of an ``(m, n_inputs)`` matrix,
+        written into ``out`` when given."""
+        if X.ndim != 2 or X.shape[1] != self.n_inputs:
+            raise SpecError(f"expected (m, {self.n_inputs}) inputs, got {X.shape}")
+        shape = (X.shape[0], len(self.names))
+        if out is None:
+            out = np.empty(shape)
+        elif out.shape != shape:
+            raise SpecError(f"output has shape {out.shape}, expected {shape}")
+        self._fill(X, out)
+        return out
+
+
 def evaluate_pointwise(
     spec: LibrarySpec,
     state_row: np.ndarray,
@@ -430,22 +505,16 @@ def evaluate_pointwise(
 ) -> np.ndarray:
     """One feature row for a single state (and optional control) sample.
 
-    Only valid for libraries without derivative features; used by the
-    integrator to evaluate the right-hand side at arbitrary states.
+    Only valid for libraries without derivative features (a ``WeakPDE``
+    gives the row of its derivative-free inner library).  Callers that
+    evaluate one library many times should build a ``PointwisePlan`` once.
     """
-    validate(spec)
-    if _has_derivatives(spec):
-        raise SpecError("pointwise evaluation is undefined for derivative features")
-    state_row = np.atleast_1d(np.asarray(state_row, dtype=float))
-    parts = [state_row]
-    names = [f"q{i}" for i in range(state_row.size)]
+    rows = [np.atleast_1d(np.asarray(state_row, dtype=float))]
     if control_row is not None:
-        control_row = np.atleast_1d(np.asarray(control_row, dtype=float))
-        parts.append(control_row)
-        names += [f"u{i}" for i in range(control_row.size)]
-    X = np.concatenate(parts)[None, :]
-    values, _ = _pointwise_columns(spec, X, tuple(names))
-    return values[0]
+        rows.append(np.atleast_1d(np.asarray(control_row, dtype=float)))
+    X = np.concatenate(rows)[None, :]
+    plan = PointwisePlan(spec, rows[0].size, X.shape[1] - rows[0].size)
+    return plan.apply(X)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -467,81 +536,110 @@ def _axis_info(dataset: Dataset, axis_id: str) -> tuple[int, np.ndarray]:
     return idx, grid.spatial_axes[idx]
 
 
-def _derivative_field(
-    dataset: Dataset, spec: PDE, mu: tuple[int, ...], method: DiffMethod
-) -> np.ndarray:
-    """D^mu applied to the state block, shape (*spatial, time, n_states)."""
-    if (
-        dataset.derivatives is not None
-        and sum(mu) == 1
-        and spec.axes[mu.index(1)] == "t"
-    ):
-        return dataset.derivatives
-    out = dataset.states
-    for ax_id, order in zip(spec.axes, mu):
-        if order == 0:
-            continue
-        array_axis, coords = _axis_info(dataset, ax_id)
-        out = differentiate(out, coords, method, d=order, axis=array_axis)
-    return out
+def _derivative_fields(
+    dataset: Dataset, spec: PDE, mus: list[tuple[int, ...]], method: DiffMethod
+) -> list[np.ndarray]:
+    """D^mu of the state block for each mu, shape (*spatial, time, n_states).
+
+    Axes are differentiated in ``spec.axes`` order, so D^mu is a derivative
+    along the last axis mu uses of the field of its prefix (mu with that
+    axis zeroed).  All orders taken of one field along one axis come from
+    one call, so spectral derivatives share one transform.  A dataset's
+    precomputed time derivatives stand in for a plain first time derivative.
+    """
+    def precomputed(mu: tuple[int, ...]) -> bool:
+        return (
+            dataset.derivatives is not None
+            and sum(mu) == 1
+            and spec.axes[mu.index(1)] == "t"
+        )
+
+    # (prefix, axis position) -> orders, for every mu computed numerically
+    groups: dict[tuple[tuple[int, ...], int], set[int]] = {}
+    todo = [mu for mu in mus if not precomputed(mu)]
+    while todo:
+        mu = todo.pop()
+        a = max(i for i, order in enumerate(mu) if order)
+        prefix = mu[:a] + (0,) + mu[a + 1 :]
+        orders = groups.setdefault((prefix, a), set())
+        if mu[a] not in orders:
+            orders.add(mu[a])
+            if any(prefix):
+                todo.append(prefix)
+    fields = {(0,) * len(spec.axes): dataset.states}
+    for (prefix, a), orders in sorted(groups.items(), key=lambda g: sum(g[0][0])):
+        array_axis, coords = _axis_info(dataset, spec.axes[a])
+        orders = tuple(sorted(orders))
+        derived = _differentiate_orders(fields[prefix], coords, method, orders, array_axis)
+        for order, field in zip(orders, derived):
+            fields[prefix[:a] + (order,) + prefix[a + 1 :]] = field
+    return [dataset.derivatives if precomputed(mu) else fields[mu] for mu in mus]
 
 
-def _pde_columns(
-    spec: PDE, dataset: Dataset, diff_method: DiffMethod
-) -> tuple[np.ndarray, list[str]]:
-    method = spec.diff if spec.diff is not None else diff_method
+def _grid_inputs(dataset: Dataset) -> np.ndarray:
+    """Flattened ``(samples, states + controls)`` library inputs."""
     X, U, _ = flatten(dataset)
-    inputs = X if U is None else np.hstack([X, U])
-    input_names = tuple(
-        [f"q{i}" for i in range(dataset.n_states)]
-        + [f"u{i}" for i in range(dataset.n_controls)]
-    )
+    return X if U is None else np.hstack([X, U])
+
+
+def _pde_fill(
+    spec: PDE, dataset: Dataset, diff_method: DiffMethod, inputs: np.ndarray,
+    out: np.ndarray,
+) -> list[str]:
+    method = spec.diff if spec.diff is not None else diff_method
     n = dataset.n_states
     m = inputs.shape[0]
-
+    f_names: tuple[str, ...] = ()
     if spec.multiply_by is not None:
-        f_vals, f_names = _pointwise_columns(spec.multiply_by, inputs, input_names)
-    else:
-        f_vals, f_names = np.empty((m, 0)), []
+        plan = PointwisePlan(spec.multiply_by, n, dataset.n_controls)
+        f_names = plan.names
+        # the multiply_by columns close the library; products read them there
+        f_vals = plan.apply(inputs, out[:, out.shape[1] - len(f_names) :])
 
-    cols, names = [], []
-    for mu in spec.multiindices():
-        field_flat = _derivative_field(dataset, spec, mu, method).reshape(m, n)
+    mus = spec.multiindices()
+    names, c = [], 0
+    for mu, field in zip(mus, _derivative_fields(dataset, spec, mus, method)):
+        field_flat = field.reshape(m, n)
         suffix = spec.suffix(mu)
-        for j in range(n):
-            cols.append(field_flat[:, j])
-            names.append(f"q{j}{suffix}")
+        out[:, c : c + n] = field_flat
+        names.extend(f"q{j}{suffix}" for j in range(n))
+        c += n
         for i, fname in enumerate(f_names):
-            for j in range(n):
-                cols.append(f_vals[:, i] * field_flat[:, j])
-                names.append(f"{fname} q{j}{suffix}")
-    for i, fname in enumerate(f_names):
-        cols.append(f_vals[:, i])
-        names.append(fname)
-    return np.column_stack(cols), names
+            np.multiply(f_vals[:, i : i + 1], field_flat, out=out[:, c : c + n])
+            names.extend(f"{fname} q{j}{suffix}" for j in range(n))
+            c += n
+    return names + list(f_names)
 
 
-def _grid_columns(
-    spec: LibrarySpec, dataset: Dataset, diff_method: DiffMethod
-) -> tuple[np.ndarray, list[str]]:
+def _grid_fill(
+    spec: LibrarySpec, dataset: Dataset, diff_method: DiffMethod,
+    inputs: np.ndarray, out: np.ndarray,
+) -> list[str]:
+    """Write the columns of ``spec`` into ``out`` (exactly as wide) and
+    return their names."""
+    if not _has_derivatives(spec):
+        # derivative-free libraries act on flattened samples
+        plan = PointwisePlan(spec, dataset.n_states, dataset.n_controls)
+        plan.apply(inputs, out)
+        return list(plan.names)
     if isinstance(spec, PDE):
-        return _pde_columns(spec, dataset, diff_method)
+        return _pde_fill(spec, dataset, diff_method, inputs, out)
+    k, n = inputs.shape[1], dataset.n_states
     if isinstance(spec, Concat):
-        blocks = [_grid_columns(p, dataset, diff_method) for p in spec.parts]
-        return np.hstack([b[0] for b in blocks]), [n for b in blocks for n in b[1]]
-    if isinstance(spec, Tensor):
-        lv, ln = _grid_columns(spec.left, dataset, diff_method)
-        rv, rn = _grid_columns(spec.right, dataset, diff_method)
-        values = (lv[:, :, None] * rv[:, None, :]).reshape(lv.shape[0], -1)
-        return values, [f"{a} {b}" for a in ln for b in rn]
-    # Pointwise variants (and InputSubset of them) act on flattened samples.
-    X, U, _ = flatten(dataset)
-    inputs = X if U is None else np.hstack([X, U])
-    input_names = tuple(
-        [f"q{i}" for i in range(dataset.n_states)]
-        + [f"u{i}" for i in range(dataset.n_controls)]
-    )
-    return _pointwise_columns(spec, inputs, input_names)
+        names, c = [], 0
+        for part in spec.parts:
+            w = predict_width(part, k, n)
+            names += _grid_fill(part, dataset, diff_method, inputs, out[:, c : c + w])
+            c += w
+        return names
+    # a Tensor with a derivative factor
+    m = out.shape[0]
+    lv = np.empty((m, predict_width(spec.left, k, n)))
+    rv = np.empty((m, predict_width(spec.right, k, n)))
+    ln = _grid_fill(spec.left, dataset, diff_method, inputs, lv)
+    rn = _grid_fill(spec.right, dataset, diff_method, inputs, rv)
+    out[...] = (lv[:, :, None] * rv[:, None, :]).reshape(m, -1)
+    return [f"{a} {b}" for a in ln for b in rn]
 
 
 def evaluate(
@@ -549,28 +647,26 @@ def evaluate(
 ) -> FeatureMatrix:
     """Evaluate a library on a dataset.
 
-    Differential libraries produce one row per flattened sample; weak-form
-    libraries produce one row per subdomain and carry the weak left-hand
-    side.  ``diff_method`` supplies derivatives unless the spec embeds its
-    own override.
+    Differential libraries produce one row per flattened sample, written
+    into one preallocated C-ordered matrix; weak-form libraries produce one
+    row per subdomain and carry the weak left-hand side.  ``diff_method``
+    supplies derivatives unless the spec embeds its own override.
     """
     validate(spec)
-    if isinstance(spec, WeakPDE):
-        values, names, lhs = _weak_columns(spec, dataset, diff_method)
-        fm = FeatureMatrix(
-            values=values, names=tuple(names), provenance=spec, weak_lhs=lhs
-        )
-    else:
-        values, names = _grid_columns(spec, dataset, diff_method)
-        fm = FeatureMatrix(values=values, names=tuple(names), provenance=spec)
     expected = predict_width(
         spec, dataset.n_states + dataset.n_controls, dataset.n_states
     )
-    if fm.width != expected:
+    if isinstance(spec, WeakPDE):
+        values, names, lhs = _weak_columns(spec, dataset, diff_method)
+    else:
+        inputs = _grid_inputs(dataset)
+        values, lhs = np.empty((inputs.shape[0], expected)), None
+        names = _grid_fill(spec, dataset, diff_method, inputs, values)
+    if len(names) != expected:
         raise SpecError(
-            f"evaluation produced {fm.width} columns, predict_width says {expected}"
+            f"evaluation produced {len(names)} columns, predict_width says {expected}"
         )
-    return fm
+    return FeatureMatrix(values=values, names=tuple(names), provenance=spec, weak_lhs=lhs)
 
 
 # ---------------------------------------------------------------------------
@@ -586,27 +682,29 @@ def _trapezoid_weights(coords: np.ndarray) -> np.ndarray:
     return w
 
 
-def _bump_derivative_values(p: int, r: int, zeta: np.ndarray) -> np.ndarray:
+def _bump_polynomials(p: int, max_order: int) -> list[np.polynomial.Polynomial]:
+    """The bump (1 - zeta^2)^p and its derivatives up to ``max_order``."""
     poly = np.polynomial.Polynomial([1.0, 0.0, -1.0]) ** p
-    return poly.deriv(r)(zeta) if r else poly(zeta)
+    return [poly.deriv(r) if r else poly for r in range(max_order + 1)]
 
 
 def _weak_axis_vectors(
-    coords: np.ndarray, p: int, max_order: int
+    coords: np.ndarray, bumps: list[np.polynomial.Polynomial]
 ) -> tuple[np.ndarray, list[np.ndarray]]:
     """Trapezoid weights and phi-derivative weight vectors for one axis.
 
-    Returns (w, [w*phi, w*phi', w*phi'', ...]) with derivative vectors
-    mean-corrected so that a constant field integrates to exactly zero, as in
-    the continuous integration-by-parts identity.
+    ``bumps`` comes from ``_bump_polynomials``.  Returns (w, [w*phi, w*phi',
+    w*phi'', ...]) with derivative vectors mean-corrected so that a constant
+    field integrates to exactly zero, as in the continuous
+    integration-by-parts identity.
     """
     a, b = coords[0], coords[-1]
     zeta = 2.0 * (coords - a) / (b - a) - 1.0
     scale = 2.0 / (b - a)
     w = _trapezoid_weights(coords)
     vectors = []
-    for r in range(max_order + 1):
-        v = w * _bump_derivative_values(p, r, zeta) * scale**r
+    for r, bump in enumerate(bumps):
+        v = w * bump(zeta) * scale**r
         if r >= 1:
             v = v - (v.sum() / w.sum()) * w
         vectors.append(v)
@@ -657,24 +755,22 @@ def _weak_columns(
         mus, mu_axis_orders, suffixes = [], [], []
         multiply_by = inner
 
-    X, U, _ = flatten(dataset)
-    inputs = X if U is None else np.hstack([X, U])
-    input_names = tuple(
-        [f"q{i}" for i in range(n)] + [f"u{i}" for i in range(dataset.n_controls)]
-    )
     sample_shape = grid.sample_shape
     if multiply_by is not None:
-        f_flat, f_names = _pointwise_columns(multiply_by, inputs, input_names)
-        f_fields = f_flat.T.reshape(-1, *sample_shape)
+        plan = PointwisePlan(multiply_by, n, dataset.n_controls)
+        f_names = plan.names
+        # feature-major, so that each feature is one contiguous field
+        f_fields = np.empty((len(f_names), grid.n_samples))
+        plan.apply(_grid_inputs(dataset), f_fields.T)
+        f_fields = f_fields.reshape(-1, *sample_shape)
     else:
-        f_fields, f_names = np.empty((0, *sample_shape)), []
+        f_fields, f_names = np.empty((0, *sample_shape)), ()
+    n_f = len(f_names)
 
     # The numerically differentiated fields feed only the product columns;
     # pure derivative columns are handled by parts and never need them.
-    if len(f_names) and mus:
-        deriv_fields = [
-            _derivative_field(dataset, inner, mu, method) for mu in mus
-        ]
+    if n_f and mus:
+        deriv_fields = _derivative_fields(dataset, inner, mus, method)
     else:
         deriv_fields = [None] * len(mus)
 
@@ -687,6 +783,9 @@ def _weak_columns(
 
     max_order = max((max(orders) for orders in mu_axis_orders), default=0)
     max_order = max(max_order, 1)  # phi_t needed for the left-hand side
+    bumps = _bump_polynomials(spec.test_poly_order, max_order)
+    grid_axes = list(range(n_axes))
+    t_orders = tuple(1 if a == time_pos else 0 for a in grid_axes)
 
     rng = np.random.default_rng(spec.seed)
     values = np.empty((spec.n_subdomains, len(names)))
@@ -702,7 +801,7 @@ def _weak_columns(
             slice(start, start + size) for start, size in zip(starts, sizes)
         )
         axis_vecs = [
-            _weak_axis_vectors(coords[sl], spec.test_poly_order, max_order)
+            _weak_axis_vectors(coords[sl], bumps)
             for coords, sl in zip(axes_coords, block)
         ]
 
@@ -714,6 +813,7 @@ def _weak_columns(
 
         w_phi = weight_field((0,) * n_axes)
         state_block = states[block]  # (*sizes, n)
+        f_block = f_fields[(slice(None), *block)]  # (n_f, *sizes)
         col = 0
         for orders, field in zip(mu_axis_orders, deriv_fields):
             sign = (-1) ** sum(orders)
@@ -725,19 +825,15 @@ def _weak_columns(
             col += n
             if field is None:
                 continue
-            # products keep the numerical derivative, smoothed by phi
-            dblock = field[block]
-            for f_field in f_fields:
-                integrand = dblock * f_field[block][..., None]
-                values[k, col : col + n] = np.tensordot(
-                    w_phi, integrand, axes=n_axes
-                )
-                col += n
-        for f_field in f_fields:
-            values[k, col] = np.tensordot(w_phi, f_field[block], axes=n_axes)
-            col += 1
+            # products keep the numerical derivative, smoothed by phi; all
+            # multiply_by fields in one contraction, feature-major
+            integrand = f_block[..., None] * field[block]  # (n_f, *sizes, n)
+            values[k, col : col + n_f * n] = np.tensordot(
+                integrand, w_phi, axes=([a + 1 for a in grid_axes], grid_axes)
+            ).ravel()
+            col += n_f * n
+        values[k, col : col + n_f] = np.tensordot(f_block, w_phi, axes=n_axes)
 
-        t_orders = tuple(1 if a == time_pos else 0 for a in range(n_axes))
         lhs[k] = -np.tensordot(weight_field(t_orders), state_block, axes=n_axes)
 
     return values, names, lhs

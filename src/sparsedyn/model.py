@@ -18,13 +18,7 @@ from .data import Dataset, SampleIndexMap, as_collection, unflatten
 from .diff import DiffMethod, FiniteDifference, differentiate_dataset
 from .ensemble import EnsembleReport, EnsembleSpec, fit_ensemble
 from .errors import DataError, FitError, SpecError
-from .library import (
-    LibrarySpec,
-    WeakPDE,
-    evaluate,
-    evaluate_pointwise,
-    validate,
-)
+from .library import LibrarySpec, PointwisePlan, WeakPDE, evaluate, validate
 from .optimize import STLSQ, Coefficients, OptimizerSpec, Problem, solve
 
 BLOWUP_NORM = 1e8
@@ -60,7 +54,8 @@ class FittedModel:
 def _assemble(
     collection, library: LibrarySpec, diff: DiffMethod
 ) -> tuple[np.ndarray, np.ndarray, tuple[str, ...]]:
-    """Stacked (theta, targets, names) across trajectories."""
+    """Stacked (theta, targets, names) across trajectories; a single
+    trajectory's blocks are returned as they are."""
     blocks, targets, names = [], [], None
     weak = isinstance(library, WeakPDE)
     for ds in collection:
@@ -75,6 +70,8 @@ def _assemble(
         else:
             derivs = differentiate_dataset(ds, diff, "t")
             targets.append(derivs.reshape(-1, ds.n_states))
+    if len(blocks) == 1:
+        return blocks[0], targets[0], names
     return np.vstack(blocks), np.vstack(targets), names
 
 
@@ -173,6 +170,7 @@ class SimulationResult:
     states: np.ndarray
     blew_up: bool = False
     message: str = ""
+    n_rhs_evals: int = 0
 
 
 def simulate(
@@ -185,7 +183,9 @@ def simulate(
 
     Tolerances are rtol 1e-8 / atol 1e-10.  ``controls`` rows align with
     ``t_eval`` and are interpolated linearly in time.  If the state norm
-    exceeds 1e8 the trajectory is truncated and flagged.
+    exceeds 1e8 the trajectory is truncated and flagged.  The library is
+    planned once; a weak-form model integrates its derivative-free inner
+    library, whose columns its coefficients multiply.
     """
     # imported here so that importing the package never loads scipy
     from scipy.integrate import solve_ivp
@@ -203,15 +203,18 @@ def simulate(
         controls = np.atleast_2d(np.asarray(controls, dtype=float))
         if controls.shape[0] != t_eval.size:
             raise SpecError("controls must provide one row per t_eval entry")
+    plan = PointwisePlan(model.library, n, 0 if controls is None else controls.shape[1])
+    if plan.names != model.feature_names:
+        raise SpecError("model coefficients do not match its library's columns")
+    apply = plan.apply
 
-        def u_at(t: float) -> np.ndarray:
-            return np.array(
-                [np.interp(t, t_eval, controls[:, j]) for j in range(controls.shape[1])]
-            )
-
-    def rhs(t: float, q: np.ndarray) -> np.ndarray:
-        u = u_at(t) if controls is not None else None
-        return evaluate_pointwise(model.library, q, u) @ xi
+    if controls is None:
+        def rhs(t: float, q: np.ndarray) -> np.ndarray:
+            return apply(q[None, :])[0] @ xi
+    else:
+        def rhs(t: float, q: np.ndarray) -> np.ndarray:
+            u = [np.interp(t, t_eval, controls[:, j]) for j in range(controls.shape[1])]
+            return apply(np.concatenate([q, u])[None, :])[0] @ xi
 
     def blow_up(t: float, q: np.ndarray) -> float:
         return float(np.linalg.norm(q)) - BLOWUP_NORM
@@ -237,6 +240,7 @@ def simulate(
         states=sol.y.T,
         blew_up=blew_up,
         message="state norm exceeded 1e8" if blew_up else "",
+        n_rhs_evals=int(sol.nfev),
     )
 
 

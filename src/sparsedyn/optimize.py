@@ -325,9 +325,14 @@ class _Rows:
 
     @classmethod
     def of(cls, problem: Problem) -> "_Rows":
+        # C order whatever theta's layout: members gather whole rows of it
+        p = problem.n_features
+        data = np.empty((problem.theta.shape[0], p + problem.n_targets))
+        data[:, :p] = problem.theta
+        data[:, p:] = problem.targets
         return cls(
-            data=np.hstack((problem.theta, problem.targets)),
-            n_features=problem.n_features,
+            data=data,
+            n_features=p,
             weights=problem.sample_weights,
             normalize=problem.normalize_columns,
             names=problem.names(),

@@ -11,6 +11,7 @@ from sparsedyn.diff import (
     FiniteDifference,
     SavitzkyGolay,
     Spectral,
+    _differentiate_orders,
     differentiate,
     differentiate_dataset,
     fd_weights,
@@ -233,6 +234,62 @@ class TestSpectral:
         x = np.sort(np.random.default_rng(0).uniform(0, 1, 32))
         with pytest.raises(DataError):
             differentiate(x, x, Spectral())
+
+
+def per_order_spectral(values, axis, d, filter_strength):
+    """One forward transform per derivative order along the last axis, as
+    spectral differentiation was computed before orders shared one."""
+    L = axis.size
+    h = (axis[-1] - axis[0]) / (L - 1)
+    k = 2.0 * np.pi * np.fft.rfftfreq(L, d=h)
+    mult = (1j * k) ** d
+    if d % 2 == 1 and L % 2 == 0:
+        mult[-1] = 0.0
+    if filter_strength > 0:
+        kmax = k[-1] if k[-1] > 0 else 1.0
+        mult = mult * np.exp(-filter_strength * (k / kmax) ** 8)
+    return np.fft.irfft(np.fft.rfft(values, axis=-1) * mult, n=L, axis=-1)
+
+
+class TestSharedOrders:
+    """Several orders from one call equal one ``differentiate`` call each;
+    spectral ones equal the former one-transform-per-order computation."""
+
+    @given(
+        L=st.integers(8, 40),
+        axis=st.integers(0, 2),
+        orders=st.lists(st.integers(1, 4), min_size=1, max_size=4, unique=True),
+        strength=st.sampled_from([0.0, 0.5, 10.0]),
+        seed=st.integers(0, 1000),
+    )
+    @settings(max_examples=40)
+    def test_spectral_bit_identical(self, L, axis, orders, strength, seed):
+        shape = [5, 6, 3]
+        shape[axis] = L
+        values = np.random.default_rng(seed).standard_normal(shape)
+        x = np.linspace(0.0, 2.0 * np.pi, L, endpoint=False)
+        method = Spectral(filter_strength=strength)
+        got = _differentiate_orders(values, x, method, tuple(orders), axis)
+        for d, field in zip(orders, got):
+            moved = np.moveaxis(values, axis, -1)
+            expected = np.moveaxis(per_order_spectral(moved, x, d, strength), -1, axis)
+            np.testing.assert_array_equal(field, expected)
+            np.testing.assert_array_equal(
+                field, differentiate(values, x, method, d=d, axis=axis)
+            )
+
+    @pytest.mark.parametrize(
+        "method", [FiniteDifference(order=4), SavitzkyGolay(window=7, poly_order=4)]
+    )
+    def test_local_methods(self, method):
+        rng = np.random.default_rng(2)
+        values = rng.standard_normal((4, 30, 2))
+        x = np.cumsum(rng.uniform(0.5, 1.5, 30))
+        got = _differentiate_orders(values, x, method, (1, 2, 3), 1)
+        for d, field in zip((1, 2, 3), got):
+            np.testing.assert_array_equal(
+                field, differentiate(values, x, method, d=d, axis=1)
+            )
 
 
 class TestLinearity:

@@ -1,10 +1,12 @@
+from itertools import combinations_with_replacement
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from sparsedyn.data import Dataset, Grid
-from sparsedyn.diff import FiniteDifference, Spectral
+from sparsedyn.data import Dataset, Grid, flatten
+from sparsedyn.diff import FiniteDifference, Spectral, differentiate
 from sparsedyn.errors import SpecError
 from sparsedyn.library import (
     CUSTOM_REGISTRY,
@@ -16,11 +18,13 @@ from sparsedyn.library import (
     Polynomial,
     Tensor,
     WeakPDE,
+    _bump_polynomials,
     _weak_axis_vectors,
     evaluate,
     evaluate_pointwise,
     predict_width,
 )
+from sparsedyn.systems import KS, canonical_library
 
 FD = FiniteDifference(order=2)
 
@@ -234,7 +238,7 @@ class TestWeakForm:
             x = np.linspace(0.0, 1.0, nx)
             q = np.exp(1.3 * x)
             dq = 1.3 * np.exp(1.3 * x)
-            _, vecs = _weak_axis_vectors(x, 2, 1)
+            _, vecs = _weak_axis_vectors(x, _bump_polynomials(2, 1))
             return abs(-(vecs[1] @ q) - vecs[0] @ dq)
 
         coarse, fine = discrepancy(101), discrepancy(201)
@@ -265,7 +269,7 @@ class TestWeakForm:
         for k in range(5):
             start = int(rng.integers(0, t.size - 401 + 1))
             window = t[start : start + 401]
-            _, vecs = _weak_axis_vectors(window, 4, 1)
+            _, vecs = _weak_axis_vectors(window, _bump_polynomials(4, 1))
             direct = vecs[0] @ np.cos(window)
             assert abs(fm.weak_lhs[k, 0] - direct) < 1e-6
 
@@ -323,3 +327,232 @@ def test_polynomial_width_property(degree, bias, interactions, n):
     ds = pointwise_dataset(rng.standard_normal((5, n)))
     fm = evaluate(spec, ds, FiniteDifference())
     assert fm.width == predict_width(spec, n)
+
+
+# ---------------------------------------------------------------------------
+# Planned evaluation against the former column-by-column evaluation
+# ---------------------------------------------------------------------------
+
+
+def oracle_columns(spec, X, names):
+    """Pointwise columns as computed before libraries were planned: one
+    ``np.prod`` per monomial and a ``column_stack`` per block."""
+    m, k = X.shape
+    if isinstance(spec, Polynomial):
+        cols, out = [], []
+        for deg in range(0 if spec.include_bias else 1, spec.degree + 1):
+            if deg == 0:
+                cols.append(np.ones(m))
+                out.append("1")
+                continue
+            if spec.include_interactions:
+                combos = combinations_with_replacement(range(k), deg)
+            else:
+                combos = ((i,) * deg for i in range(k))
+            for combo in combos:
+                cols.append(np.prod(X[:, combo], axis=1))
+                out.append(" ".join(
+                    names[i] if combo.count(i) == 1 else f"{names[i]}^{combo.count(i)}"
+                    for i in sorted(set(combo))
+                ))
+        return np.column_stack(cols) if cols else np.empty((m, 0)), out
+    if isinstance(spec, Fourier):
+        cols, out = [], []
+        for freq in range(1, spec.n_frequencies + 1):
+            for i in range(k):
+                if spec.include_sin:
+                    cols.append(np.sin(freq * X[:, i]))
+                    out.append(f"sin({freq} {names[i]})")
+                if spec.include_cos:
+                    cols.append(np.cos(freq * X[:, i]))
+                    out.append(f"cos({freq} {names[i]})")
+        return np.column_stack(cols), out
+    if isinstance(spec, Custom):
+        cols = [fn(X[:, i]) for _, fn in spec.functions for i in range(k)]
+        out = [f"{name}({names[i]})" for name, _ in spec.functions for i in range(k)]
+        return np.column_stack(cols), out
+    if isinstance(spec, Concat):
+        blocks = [oracle_columns(p, X, names) for p in spec.parts]
+        return np.hstack([b[0] for b in blocks]), [n for b in blocks for n in b[1]]
+    if isinstance(spec, Tensor):
+        lv, ln = oracle_columns(spec.left, X, names)
+        rv, rn = oracle_columns(spec.right, X, names)
+        values = (lv[:, :, None] * rv[:, None, :]).reshape(m, -1)
+        return values, [f"{a} {b}" for a in ln for b in rn]
+    idx = list(spec.indices)
+    return oracle_columns(spec.inner, X[:, idx], tuple(names[i] for i in idx))
+
+
+def oracle_pde(spec, dataset, method):
+    """PDE block as computed before: one ``differentiate`` call per axis and
+    order, products column by column, then ``column_stack``."""
+    X, U, _ = flatten(dataset)
+    inputs = X if U is None else np.hstack([X, U])
+    names = tuple([f"q{i}" for i in range(dataset.n_states)]
+                  + [f"u{i}" for i in range(dataset.n_controls)])
+    m, n = inputs.shape[0], dataset.n_states
+    f_vals, f_names = oracle_columns(spec.multiply_by, inputs, names)
+    cols = []
+    for mu in spec.multiindices():
+        if (dataset.derivatives is not None and sum(mu) == 1
+                and spec.axes[mu.index(1)] == "t"):
+            field = dataset.derivatives
+        else:
+            field = dataset.states
+            for ax, order in zip(spec.axes, mu):
+                if order:
+                    a = dataset.states.ndim - 2 if ax == "t" else "xyz".index(ax)
+                    coords = (dataset.grid.time_axis if ax == "t"
+                              else dataset.grid.spatial_axes[a])
+                    field = differentiate(field, coords, method, d=order, axis=a)
+        flat = field.reshape(m, n)
+        cols.extend(flat[:, j] for j in range(n))
+        cols.extend(f_vals[:, i] * flat[:, j] for i in range(len(f_names)) for j in range(n))
+    cols.extend(f_vals[:, i] for i in range(len(f_names)))
+    return np.column_stack(cols)
+
+
+FUNCTIONS = [(name, CUSTOM_REGISTRY[name]) for name in ("exp", "tanh", "abs", "sin")]
+
+leaf_specs = st.one_of(
+    st.builds(Polynomial, st.integers(0, 4), st.booleans(), st.booleans()),
+    st.builds(Fourier, st.integers(1, 3), st.just(True), st.booleans()),
+    st.builds(Fourier, st.integers(1, 2), st.just(False), st.just(True)),
+    st.lists(st.sampled_from(FUNCTIONS), min_size=1, max_size=2, unique=True).map(
+        lambda fns: Custom(tuple(fns))
+    ),
+)
+
+
+@st.composite
+def pointwise_cases(draw):
+    """A derivative-free spec over ``n`` states and ``r`` controls."""
+    n, r = draw(st.integers(1, 3)), draw(st.integers(0, 2))
+    k = n + r
+    subsets = st.lists(st.integers(0, k - 1), min_size=1, max_size=k, unique=True)
+    specs = st.recursive(
+        leaf_specs,
+        lambda inner: st.one_of(
+            st.lists(inner, min_size=1, max_size=3).map(lambda ps: Concat(tuple(ps))),
+            st.builds(Tensor, inner, inner),
+            st.builds(InputSubset, inner, subsets.map(tuple)),
+        ),
+        max_leaves=3,
+    )
+    return draw(specs), n, r, draw(st.integers(0, 10_000))
+
+
+class TestPlanParity:
+    @given(case=pointwise_cases())
+    @settings(max_examples=150)
+    def test_rows_equal_grid_and_former_columns(self, case):
+        spec, n, r, seed = case
+        try:  # nested subsets may index past the inputs they receive
+            predict_width(spec, n + r, n)
+        except SpecError:
+            assume(False)
+        rng = np.random.default_rng(seed)
+        X = rng.standard_normal((9, n + r)) * rng.uniform(0.1, 3.0, n + r)
+        names = tuple([f"q{i}" for i in range(n)] + [f"u{i}" for i in range(r)])
+        expected, expected_names = oracle_columns(spec, X, names)
+        assume(len(set(expected_names)) == len(expected_names))
+        controls = X[:, n:] if r else None
+        fm = evaluate(spec, pointwise_dataset(X[:, :n], controls), FD)
+        assert fm.names == tuple(expected_names)
+        np.testing.assert_array_equal(fm.values, expected)
+        for i in range(X.shape[0]):
+            row = evaluate_pointwise(spec, X[i, :n], X[i, n:] if r else None)
+            np.testing.assert_array_equal(row, fm.values[i])
+
+    def test_weak_ode_library_plans_its_inner_library(self):
+        row = np.array([0.5, -1.5, 2.0])
+        inner = Polynomial(2)
+        np.testing.assert_array_equal(
+            evaluate_pointwise(WeakPDE(inner=inner, subdomain_size=5), row),
+            evaluate_pointwise(inner, row),
+        )
+        with pytest.raises(SpecError):
+            evaluate_pointwise(WeakPDE(inner=PDE(1, ("x",)), subdomain_size=5), row)
+
+
+def periodic_field(nx, nt, n_states, seed):
+    """Smooth random states on a periodic x axis, shape (nx, nt, n)."""
+    rng = np.random.default_rng(seed)
+    x = np.linspace(0.0, 2 * np.pi, nx, endpoint=False)
+    t = np.linspace(0.0, 1.0, nt)
+    states = np.zeros((nx, nt, n_states))
+    for mode in range(1, 5):
+        a = rng.standard_normal((1, nt, n_states))
+        states += a * np.sin(mode * x + rng.uniform(0, 6))[:, None, None] / mode
+    return x, t, states
+
+
+class TestPDEParity:
+    def test_ks_canonical_library(self):
+        x, t, states = periodic_field(64, 20, 1, seed=4)
+        ds = Dataset(grid=Grid(t, (x,)), states=states)
+        spec = canonical_library(KS())
+        fm = evaluate(spec, ds, FD)
+        assert fm.values.flags.c_contiguous
+        np.testing.assert_array_equal(fm.values, oracle_pde(spec, ds, spec.diff))
+
+    @pytest.mark.parametrize("method", [FiniteDifference(order=4), Spectral(2.0)])
+    def test_mixed_axes_with_precomputed_time_derivatives(self, method):
+        # prefixes of mixed derivatives must be differentiated numerically
+        # even where a precomputed first time derivative stands in for q_t
+        rng = np.random.default_rng(5)
+        x = np.linspace(0, 2 * np.pi, 12, endpoint=False)
+        y = np.linspace(0, 2 * np.pi, 10, endpoint=False)
+        t = np.linspace(0, 1, 9)
+        ds = Dataset(
+            grid=Grid(t, (x, y)),
+            states=rng.standard_normal((12, 10, 9, 2)),
+            derivatives=rng.standard_normal((12, 10, 9, 2)),
+            controls=rng.standard_normal((12, 10, 9, 1)),
+        )
+        spec = PDE(3, ("t", "y", "x"), Polynomial(2, include_bias=False), diff=method)
+        fm = evaluate(spec, ds, FD)
+        np.testing.assert_array_equal(fm.values, oracle_pde(spec, ds, method))
+
+
+class TestWeakProperties:
+    @given(
+        seed=st.integers(0, 10_000),
+        size=st.integers(3, 60),
+        p=st.integers(2, 8),
+        max_order=st.integers(1, 3),
+    )
+    @settings(max_examples=80)
+    def test_derivative_weights_annihilate_constants(self, seed, size, p, max_order):
+        rng = np.random.default_rng(seed)
+        coords = np.cumsum(rng.uniform(0.05, 2.0, size)) + rng.uniform(-5, 5)
+        w, vectors = _weak_axis_vectors(coords, _bump_polynomials(p, max_order))
+        assert len(vectors) == max_order + 1
+        np.testing.assert_allclose(w.sum(), coords[-1] - coords[0], rtol=1e-12)
+        for v in vectors[1:]:
+            assert abs(v.sum()) <= 1e-12 * np.linalg.norm(v)
+
+    @given(
+        value=st.floats(-10.0, 10.0),
+        order=st.integers(1, 3),
+        p=st.integers(2, 6),
+        sizes=st.tuples(st.integers(5, 12), st.integers(3, 8)),
+        seed=st.integers(0, 1000),
+    )
+    @settings(max_examples=30)
+    def test_constant_field_has_zero_derivative_columns_and_lhs(
+        self, value, order, p, sizes, seed
+    ):
+        x = np.cumsum(np.random.default_rng(seed).uniform(0.5, 1.5, 16))
+        t = np.linspace(0.0, 1.0, 10)
+        ds = Dataset(grid=Grid(t, (x,)), states=np.full((16, 10, 1), value))
+        spec = WeakPDE(
+            inner=PDE(order, ("x",), Polynomial(2, include_bias=False)),
+            n_subdomains=5, test_poly_order=p, subdomain_size=sizes, seed=seed,
+        )
+        fm = evaluate(spec, ds, FD)
+        scale = max(np.abs(fm.values).max(), 1.0)
+        assert np.abs(fm.weak_lhs).max() <= 1e-12 * scale
+        pure = [i for i, name in enumerate(fm.names) if " " not in name and "_" in name]
+        assert len(pure) == order
+        assert np.abs(fm.values[:, pure]).max() <= 1e-12 * scale

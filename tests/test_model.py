@@ -5,9 +5,21 @@ from scipy.integrate import solve_ivp
 from sparsedyn.data import Dataset, Grid, TrajectoryCollection, split_train_test
 from sparsedyn.diff import FiniteDifference
 from sparsedyn.errors import DataError, SpecError
-from sparsedyn.library import Concat, PDE, Polynomial
+from sparsedyn.library import (
+    Concat,
+    Custom,
+    Fourier,
+    PDE,
+    Polynomial,
+    Tensor,
+    WeakPDE,
+    evaluate,
+    evaluate_pointwise,
+)
 from sparsedyn.model import (
+    BLOWUP_NORM,
     FittedModel,
+    _assemble,
     equations,
     fit,
     fit_implicit,
@@ -17,6 +29,7 @@ from sparsedyn.model import (
     simulate,
 )
 from sparsedyn.optimize import Coefficients, STLSQ
+from sparsedyn.systems import BenchmarkSpec, Lorenz, generate
 
 FD4 = FiniteDifference(order=4)
 
@@ -237,6 +250,119 @@ class TestSimulate:
         )
         rms = np.sqrt(np.mean((sim.states - ref.y.T) ** 2))
         assert rms <= 1e-2
+
+
+def per_step_simulation(model, q0, t_eval, controls=None):
+    """States integrated with the library evaluated afresh at every
+    right-hand-side call, as ``simulate`` did before it planned the library."""
+    def rhs(t, q):
+        u = None
+        if controls is not None:
+            u = np.array([np.interp(t, t_eval, controls[:, j])
+                          for j in range(controls.shape[1])])
+        return evaluate_pointwise(model.library, q, u) @ model.xi
+
+    def blow_up(t, q):
+        return float(np.linalg.norm(q)) - BLOWUP_NORM
+
+    blow_up.terminal = True
+    sol = solve_ivp(rhs, (t_eval[0], t_eval[-1]), np.asarray(q0, dtype=float),
+                    method="RK45", t_eval=t_eval, rtol=1e-8, atol=1e-10,
+                    events=blow_up, dense_output=False)
+    return sol.y.T, sol.nfev
+
+
+def lorenz_model():
+    """Lorenz equations over Polynomial(2), plus small dense terms."""
+    _, truth = generate(BenchmarkSpec(system=Lorenz()))
+    xi = truth.xi + 1e-3 * np.arange(30).reshape(10, 3) / 30
+    return make_model(xi, truth.names, ("q0_t", "q1_t", "q2_t"), library=Polynomial(2))
+
+
+class TestPlannedSimulate:
+    def test_matches_per_step_evaluation(self):
+        model = lorenz_model()
+        t = np.linspace(0.0, 2.0, 401)
+        res = simulate(model, [-8.0, 7.0, 27.0], t)
+        expected, nfev = per_step_simulation(model, [-8.0, 7.0, 27.0], t)
+        np.testing.assert_array_equal(res.states, expected)
+        assert res.n_rhs_evals == nfev > t.size
+
+    def test_matches_per_step_evaluation_with_controls(self):
+        names = ("1", "q0", "u0", "u1", "sin(1 q0)", "cos(1 q0)", "sin(1 u0)",
+                 "cos(1 u0)", "sin(1 u1)", "cos(1 u1)")
+        library = Concat((Polynomial(1), Fourier(1)))
+        xi = np.linspace(-0.5, 0.5, 10)[:, None]
+        model = make_model(xi, names, ("q0_t",), library=library)
+        t = np.linspace(0.0, 3.0, 61)
+        controls = np.column_stack([np.sin(t), t**2])
+        res = simulate(model, [0.3], t, controls=controls)
+        expected, _ = per_step_simulation(model, [0.3], t, controls)
+        np.testing.assert_array_equal(res.states, expected)
+
+    def test_rhs_evals_count_library_evaluations(self):
+        calls = []
+
+        def identity(x):
+            calls.append(1)
+            return x
+
+        library = Custom((("id", identity),))
+        model = make_model(np.array([[-1.0]]), ("id(q0)",), ("q0_t",), library=library)
+        res = simulate(model, [1.0], np.linspace(0.0, 1.0, 11))
+        assert res.n_rhs_evals == len(calls) > 0
+
+    def test_weak_ode_model_simulates_like_its_inner_library(self):
+        dataset, _ = generate(BenchmarkSpec(system=Lorenz(t_span=5.0)))
+        weak = fit(
+            dataset,
+            WeakPDE(inner=Polynomial(2), n_subdomains=100, subdomain_size=(101,)),
+            diff=FD4,
+            opt=STLSQ(threshold=0.2),
+        )
+        plain = FittedModel(
+            coefficients=weak.coefficients,
+            library=Polynomial(2),
+            diff=weak.diff,
+            target_names=weak.target_names,
+        )
+        t = dataset.grid.time_axis[:200]
+        a = simulate(weak, dataset.states[0], t)
+        b = simulate(plain, dataset.states[0], t)
+        assert not a.blew_up and a.states.shape == (200, 3)
+        np.testing.assert_array_equal(a.states, b.states)
+
+    def test_weak_pde_model_rejected(self):
+        library = WeakPDE(inner=PDE(1, ("x",)), subdomain_size=5)
+        model = make_model(np.zeros((1, 1)), ("q0_x",), ("q0_t",), library=library)
+        with pytest.raises(SpecError):
+            simulate(model, [1.0], np.linspace(0, 1, 5))
+
+    def test_names_must_match_library(self):
+        model = make_model(np.zeros((2, 1)), ("1", "q1"), ("q0_t",))
+        with pytest.raises(SpecError):
+            simulate(model, [1.0], np.linspace(0, 1, 5))
+
+
+class TestAssemble:
+    def test_single_trajectory_block_is_the_evaluation(self):
+        ds = rotation_dataset(T=200)
+        theta, targets, names = _assemble(
+            TrajectoryCollection((ds,)), Tensor(Polynomial(1), Polynomial(1)), FD4
+        )
+        fm = evaluate(Tensor(Polynomial(1), Polynomial(1)), ds, FD4)
+        assert theta.flags.c_contiguous and names == fm.names
+        np.testing.assert_array_equal(theta, fm.values)
+        assert targets.shape == (200, 2)
+
+    def test_trajectories_are_stacked(self):
+        a, b = rotation_dataset(T=100), rotation_dataset(T=150, t_max=5.0)
+        theta, targets, _ = _assemble(TrajectoryCollection((a, b)), Polynomial(2), FD4)
+        np.testing.assert_array_equal(
+            theta,
+            np.vstack([evaluate(Polynomial(2), ds, FD4).values for ds in (a, b)]),
+        )
+        assert targets.shape == (250, 2)
 
 
 class TestImplicit:

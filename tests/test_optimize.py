@@ -13,6 +13,7 @@ from sparsedyn.optimize import (
     STLSQ,
     Coefficients,
     Problem,
+    _Rows,
     hard_threshold,
     soft_threshold,
     solve,
@@ -588,3 +589,26 @@ class TestRowInvariance:
         elif isinstance(spec, STLSQ) and prob.normalize_columns:
             doubled = replace(spec, threshold=np.sqrt(2) * spec.threshold)
         assert_same_fit(solve(stacked, doubled).xi, solve(prob, spec).xi)
+
+
+class TestColumnPermutation:
+    @pytest.mark.parametrize("spec", ALL_SPECS, ids=ALL_IDS)
+    @given(data=st.data(), perm_seed=st.integers(0, 1000))
+    @settings(max_examples=30)
+    def test_permutes_the_support(self, spec, data, perm_seed):
+        prob = data.draw(problems)
+        perm = np.random.default_rng(perm_seed).permutation(prob.n_features)
+        permuted = replace(
+            prob,
+            theta=prob.theta[:, perm],
+            feature_names=tuple(prob.names()[i] for i in perm),
+        )
+        c = solve(prob, spec)
+        assert_same_fit(solve(permuted, spec).xi, c.xi[perm])
+
+
+def test_stacked_rows_are_c_ordered():
+    prob, _ = planted_problem()
+    rows = _Rows.of(replace(prob, theta=np.asfortranarray(prob.theta)))
+    assert rows.data.flags.c_contiguous
+    np.testing.assert_array_equal(rows.data, np.hstack([prob.theta, prob.targets]))
