@@ -99,6 +99,8 @@ class Dataset:
                 f"states shape {states.shape} does not match grid sample shape "
                 f"{expected} + (n_states,)"
             )
+        if states.shape[-1] == 0:
+            raise DataError("states need at least one variable")
         object.__setattr__(self, "states", states)
         if self.controls is not None:
             controls = np.asarray(self.controls, dtype=float)

@@ -4,14 +4,14 @@ Inputs to a library are the state variables followed by any control variables
 (names ``q0..q{n-1}``, ``u0..u{r-1}``).  Derivative columns carry suffixes
 built from axis letters (``q0_xx``, ``q0_t``); product names join factors with
 a single space (``q0 q0_x``).  Column order is deterministic and documented
-per variant, and ``predict_width`` always matches what ``evaluate`` produces.
+per variant.  One walk of a spec (``GridPlan``) validates it and builds its
+names and fills, so the width of a library is the length of its plan's names.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations_with_replacement, product as iproduct
-from math import comb
 from typing import Callable, Union
 
 import numpy as np
@@ -23,8 +23,20 @@ from .errors import DataError, SpecError
 AXIS_LETTERS = ("x", "y", "z")
 
 
+class _Spec:
+    """Base of the library specs: ``validate`` plans the whole tree, and
+    ``_check`` holds the checks of a node's own parameters, which the plan
+    walk runs on every node."""
+
+    def validate(self) -> None:
+        validate(self)
+
+    def _check(self) -> None:
+        pass
+
+
 @dataclass(frozen=True)
-class Polynomial:
+class Polynomial(_Spec):
     """Monomials up to ``degree``; interactions add cross terms.
 
     Column order follows the usual convention: degree ascending, and within a
@@ -35,20 +47,20 @@ class Polynomial:
     include_bias: bool = True
     include_interactions: bool = True
 
-    def validate(self) -> None:
+    def _check(self) -> None:
         if self.degree < 0:
             raise SpecError(f"polynomial degree must be >= 0, got {self.degree}")
 
 
 @dataclass(frozen=True)
-class Fourier:
+class Fourier(_Spec):
     """sin/cos of integer frequencies 1..n_frequencies per input variable."""
 
     n_frequencies: int = 1
     include_sin: bool = True
     include_cos: bool = True
 
-    def validate(self) -> None:
+    def _check(self) -> None:
         if self.n_frequencies < 1:
             raise SpecError(f"n_frequencies must be >= 1, got {self.n_frequencies}")
         if not (self.include_sin or self.include_cos):
@@ -69,7 +81,7 @@ CUSTOM_REGISTRY: dict[str, Callable[[np.ndarray], np.ndarray]] = {
 
 
 @dataclass(frozen=True)
-class Custom:
+class Custom(_Spec):
     """Named scalar functions, each applied to every input variable.
 
     ``functions`` holds (name, callable) pairs; names from ``CUSTOM_REGISTRY``
@@ -78,13 +90,13 @@ class Custom:
 
     functions: tuple[tuple[str, Callable], ...]
 
-    def validate(self) -> None:
+    def _check(self) -> None:
         if not self.functions:
             raise SpecError("custom library needs at least one function")
 
 
 @dataclass(frozen=True)
-class PDE:
+class PDE(_Spec):
     """Derivative features: pure derivatives, function-derivative products,
     and the plain ``multiply_by`` functions.
 
@@ -103,7 +115,7 @@ class PDE:
     multiply_by: Union["LibrarySpec", None] = None
     diff: DiffMethod | None = None
 
-    def validate(self) -> None:
+    def _check(self) -> None:
         if self.derivative_order < 1:
             raise SpecError(
                 f"derivative_order must be >= 1, got {self.derivative_order}"
@@ -115,13 +127,6 @@ class PDE:
                 raise SpecError(f"unknown axis id {ax!r} (use x, y, z or t)")
         if len(set(self.axes)) != len(self.axes):
             raise SpecError("duplicate axis in PDE library")
-        if self.multiply_by is not None:
-            validate(self.multiply_by)
-            if _has_bias(self.multiply_by):
-                raise SpecError(
-                    "multiply_by must not include a bias column (it would "
-                    "duplicate the pure derivative columns)"
-                )
 
     def multiindices(self) -> list[tuple[int, ...]]:
         D, A = self.derivative_order, len(self.axes)
@@ -140,7 +145,7 @@ class PDE:
 
 
 @dataclass(frozen=True)
-class WeakPDE:
+class WeakPDE(_Spec):
     """Integral (weak) form of an inner library over random subdomains.
 
     One row per subdomain.  The test function is the separable bump
@@ -164,15 +169,7 @@ class WeakPDE:
     subdomain_size: tuple[int, ...] | int = 20
     seed: int = 0
 
-    def validate(self) -> None:
-        validate(self.inner)
-        if _is_weak(self.inner):
-            raise SpecError("weak-form specs cannot be nested")
-        if not isinstance(self.inner, PDE) and _has_derivatives(self.inner):
-            raise SpecError(
-                "weak inner spec must be a single PDE block (with multiply_by "
-                "factors) or a derivative-free library"
-            )
+    def _check(self) -> None:
         if self.n_subdomains < 1:
             raise SpecError(f"n_subdomains must be >= 1, got {self.n_subdomains}")
         if self.test_poly_order < 2:
@@ -189,45 +186,32 @@ class WeakPDE:
 
 
 @dataclass(frozen=True)
-class Concat:
+class Concat(_Spec):
     """Columns of every part, in order."""
 
     parts: tuple["LibrarySpec", ...]
 
-    def validate(self) -> None:
+    def _check(self) -> None:
         if not self.parts:
             raise SpecError("Concat needs at least one part")
-        for part in self.parts:
-            validate(part)
-            if _is_weak(part):
-                raise SpecError("weak-form specs cannot be combined; use them top-level")
 
 
 @dataclass(frozen=True)
-class Tensor:
+class Tensor(_Spec):
     """All pairwise products: column (i, j) is left_i * right_j (left-major)."""
 
     left: "LibrarySpec"
     right: "LibrarySpec"
 
-    def validate(self) -> None:
-        for part in (self.left, self.right):
-            validate(part)
-            if _is_weak(part):
-                raise SpecError("weak-form specs cannot be combined; use them top-level")
-
 
 @dataclass(frozen=True)
-class InputSubset:
+class InputSubset(_Spec):
     """Evaluate the inner (non-derivative) spec on a subset of the inputs."""
 
     inner: "LibrarySpec"
     indices: tuple[int, ...]
 
-    def validate(self) -> None:
-        validate(self.inner)
-        if _has_derivatives(self.inner):
-            raise SpecError("InputSubset only applies to non-derivative libraries")
+    def _check(self) -> None:
         if len(set(self.indices)) != len(self.indices) or not self.indices:
             raise SpecError("InputSubset indices must be nonempty and unique")
         if any(i < 0 for i in self.indices):
@@ -271,40 +255,9 @@ class FeatureMatrix:
 
 
 def validate(spec: LibrarySpec) -> None:
-    spec.validate()
-
-
-def _is_weak(spec: LibrarySpec) -> bool:
-    return isinstance(spec, WeakPDE)
-
-
-def _has_derivatives(spec: LibrarySpec) -> bool:
-    if isinstance(spec, (PDE, WeakPDE)):
-        return True
-    if isinstance(spec, Concat):
-        return any(_has_derivatives(p) for p in spec.parts)
-    if isinstance(spec, Tensor):
-        return _has_derivatives(spec.left) or _has_derivatives(spec.right)
-    if isinstance(spec, InputSubset):
-        return _has_derivatives(spec.inner)
-    return False
-
-
-def _has_bias(spec: LibrarySpec) -> bool:
-    if isinstance(spec, Polynomial):
-        return spec.include_bias
-    if isinstance(spec, Concat):
-        return any(_has_bias(p) for p in spec.parts)
-    if isinstance(spec, Tensor):
-        return _has_bias(spec.left) and _has_bias(spec.right)
-    if isinstance(spec, InputSubset):
-        return _has_bias(spec.inner)
-    return False
-
-
-# ---------------------------------------------------------------------------
-# Width prediction
-# ---------------------------------------------------------------------------
+    """Raise ``SpecError`` if ``spec`` is malformed whatever its inputs: it is
+    planned on no inputs, so ``InputSubset`` indices into them go unchecked."""
+    GridPlan(spec, 0)
 
 
 def predict_width(spec: LibrarySpec, n_inputs: int, n_states: int | None = None) -> int:
@@ -313,140 +266,32 @@ def predict_width(spec: LibrarySpec, n_inputs: int, n_states: int | None = None)
     ``n_inputs`` counts states plus controls; ``n_states`` (defaults to
     ``n_inputs``) is what derivative features apply to.
     """
-    validate(spec)
     if n_states is None:
         n_states = n_inputs
-    if isinstance(spec, Polynomial):
-        if spec.include_interactions:
-            width = comb(n_inputs + spec.degree, spec.degree) - 1
-        else:
-            width = n_inputs * spec.degree
-        return width + (1 if spec.include_bias else 0)
-    if isinstance(spec, Fourier):
-        per = int(spec.include_sin) + int(spec.include_cos)
-        return n_inputs * spec.n_frequencies * per
-    if isinstance(spec, Custom):
-        return n_inputs * len(spec.functions)
-    if isinstance(spec, PDE):
-        n_der = len(spec.multiindices())
-        f_width = (
-            0
-            if spec.multiply_by is None
-            else predict_width(spec.multiply_by, n_inputs, n_states)
-        )
-        return n_der * n_states * (1 + f_width) + f_width
-    if isinstance(spec, WeakPDE):
-        return predict_width(spec.inner, n_inputs, n_states)
-    if isinstance(spec, Concat):
-        return sum(predict_width(p, n_inputs, n_states) for p in spec.parts)
-    if isinstance(spec, Tensor):
-        return predict_width(spec.left, n_inputs, n_states) * predict_width(
-            spec.right, n_inputs, n_states
-        )
-    if isinstance(spec, InputSubset):
-        if max(spec.indices) >= n_inputs:
-            raise SpecError(
-                f"InputSubset index {max(spec.indices)} out of range for "
-                f"{n_inputs} inputs"
-            )
-        return predict_width(spec.inner, len(spec.indices))
-    raise SpecError(f"unknown library spec {spec!r}")
+    if not 0 <= n_states <= n_inputs or n_inputs < 1:
+        raise SpecError(f"cannot plan {n_states} states among {n_inputs} inputs")
+    return len(GridPlan(spec, n_states, n_inputs - n_states).names)
 
 
 # ---------------------------------------------------------------------------
-# Pointwise evaluation on a samples-by-inputs matrix
+# The plan: names, fills and derivative requests from one walk of the spec
 # ---------------------------------------------------------------------------
 
-# Writes a library's values for an (m, k) input matrix into an (m, width) out.
-_Fill = Callable[[np.ndarray, np.ndarray], None]
+# Writes a library's values for an (m, k) input matrix into an (m, width)
+# out; ``fields`` holds the derivative fields of every PDE block of the plan.
+_Fill = Callable[[np.ndarray, list, np.ndarray], None]
 
 
-def _plan(spec: LibrarySpec, names: tuple[str, ...]) -> tuple[list[str], _Fill]:
-    """Column names of a derivative-free ``spec`` on inputs ``names``, and
-    the function that computes its values."""
-    k = len(names)
-    if isinstance(spec, Polynomial):
-        bias, linear = spec.include_bias, spec.degree >= 1
-        out = (["1"] if bias else []) + (list(names) if linear else [])
-        # Each degree-d monomial is its degree-(d-1) parent times its last
-        # input, the same left-to-right product as np.prod over the combo.
-        recipes, level = [], [(i,) for i in range(k)]
-        for deg in range(2, spec.degree + 1):
-            if spec.include_interactions:
-                combos = list(combinations_with_replacement(range(k), deg))
-            else:
-                combos = [(i,) * deg for i in range(k)]
-            parent = {combo: j for j, combo in enumerate(level)}
-            recipes.append((
-                np.array([parent[c[:-1]] for c in combos]),
-                np.array([c[-1] for c in combos]),
-            ))
-            out += [_monomial_name(c, names) for c in combos]
-            level = combos
+@dataclass(frozen=True)
+class _Block:
+    """The derivative request of one PDE block: the multi-indices ``mus``
+    along ``spec.axes``, taken with ``spec.diff`` when set, and the names
+    and fill of its ``multiply_by`` factor (``None`` without one)."""
 
-        def fill(X: np.ndarray, values: np.ndarray) -> None:
-            c = int(bias)
-            if bias:
-                values[:, 0] = 1.0
-            if linear:
-                prev = values[:, c : c + k]
-                prev[...] = X
-                c += k
-            for parents, last in recipes:
-                block = values[:, c : c + parents.size]
-                np.multiply(prev[:, parents], X[:, last], out=block)
-                prev, c = block, c + parents.size
-
-        return out, fill
-    if isinstance(spec, Fourier):
-        terms, out = [], []
-        for freq in range(1, spec.n_frequencies + 1):
-            for i in range(k):
-                for on, fn in ((spec.include_sin, np.sin), (spec.include_cos, np.cos)):
-                    if on:
-                        terms.append((fn, freq, i))
-                        out.append(f"{fn.__name__}({freq} {names[i]})")
-
-        def fill(X: np.ndarray, values: np.ndarray) -> None:
-            for c, (fn, freq, i) in enumerate(terms):
-                values[:, c] = fn(freq * X[:, i])
-
-        return out, fill
-    if isinstance(spec, Custom):
-        terms = [(fn, i) for _, fn in spec.functions for i in range(k)]
-
-        def fill(X: np.ndarray, values: np.ndarray) -> None:
-            for c, (fn, i) in enumerate(terms):
-                values[:, c] = fn(X[:, i])
-
-        return [f"{fname}({names[i]})" for fname, _ in spec.functions for i in range(k)], fill
-    if isinstance(spec, Concat):
-        parts = [_plan(p, names) for p in spec.parts]
-        bounds = np.cumsum([0] + [len(n) for n, _ in parts])
-
-        def fill(X: np.ndarray, values: np.ndarray) -> None:
-            for (_, part), a, b in zip(parts, bounds[:-1], bounds[1:]):
-                part(X, values[:, a:b])
-
-        return [n for part_names, _ in parts for n in part_names], fill
-    if isinstance(spec, Tensor):
-        (ln, left), (rn, right) = _plan(spec.left, names), _plan(spec.right, names)
-
-        def fill(X: np.ndarray, values: np.ndarray) -> None:
-            m = X.shape[0]
-            lv, rv = np.empty((m, len(ln))), np.empty((m, len(rn)))
-            left(X, lv)
-            right(X, rv)
-            values[...] = (lv[:, :, None] * rv[:, None, :]).reshape(m, -1)
-
-        return [f"{a} {b}" for a in ln for b in rn], fill
-    if isinstance(spec, InputSubset):
-        idx = list(spec.indices)
-        if max(idx) >= k:
-            raise SpecError(f"InputSubset index {max(idx)} out of range for {k} inputs")
-        out, inner = _plan(spec.inner, tuple(names[i] for i in idx))
-        return out, lambda X, values: inner(X[:, idx], values)
-    raise SpecError(f"{type(spec).__name__} cannot be evaluated pointwise")
+    spec: PDE
+    mus: list[tuple[int, ...]]
+    f_names: tuple[str, ...]
+    f_fill: _Fill | None
 
 
 def _monomial_name(combo: tuple[int, ...], names: tuple[str, ...]) -> str:
@@ -463,39 +308,179 @@ def _input_names(n_states: int, n_controls: int) -> tuple[str, ...]:
     )
 
 
-class PointwisePlan:
-    """A derivative-free library planned once for ``n_states`` states and
-    ``n_controls`` controls.
+class GridPlan:
+    """A library planned once for ``n_states`` states and ``n_controls``
+    controls.
 
-    Construction validates the spec and builds the column names and index
-    recipes; ``apply`` only computes values.  Grid evaluation, one-row
-    evaluation and the integrator's right-hand side all run ``apply``.  A
-    ``WeakPDE`` over a derivative-free library plans that library, whose
-    columns are the integrands of the weak columns and carry their names.
+    One walk of the spec validates it and builds the column ``names``, the
+    fill of every node and the derivative request of every PDE block
+    (``blocks``, in column order).  ``apply`` only computes values: grid
+    evaluation passes each block's derivative fields, while a plan without
+    blocks also evaluates single rows and the integrator's right-hand side.
+    A ``WeakPDE`` (kept as ``weak``) plans its inner library, whose columns
+    are the integrands of the weak columns and carry their names.  A plan on
+    no inputs (``validate``) leaves ``InputSubset`` indices into them unchecked.
     """
 
     def __init__(self, spec: LibrarySpec, n_states: int, n_controls: int = 0):
-        validate(spec)
-        if isinstance(spec, WeakPDE) and not _has_derivatives(spec.inner):
-            spec = spec.inner
-        if _has_derivatives(spec):
-            raise SpecError("pointwise evaluation is undefined for derivative features")
+        self.n_states = n_states
         self.n_inputs = n_states + n_controls
-        names, self._fill = _plan(spec, _input_names(n_states, n_controls))
+        self.blocks: list[_Block] = []
+        self.weak = spec if isinstance(spec, WeakPDE) else None
+        if self.weak is not None:
+            spec._check()
+            spec = spec.inner
+        names, self._fill = self._walk(spec, _input_names(n_states, n_controls))
+        if self.weak is not None and self.blocks and not isinstance(spec, PDE):
+            raise SpecError(
+                "weak inner spec must be a single PDE block (with multiply_by "
+                "factors) or a derivative-free library"
+            )
         self.names = tuple(names)
 
-    def apply(self, X: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """Feature values ``(m, width)`` of an ``(m, n_inputs)`` matrix,
-        written into ``out`` when given."""
+    def apply(self, X: np.ndarray, fields: list | tuple = ()) -> np.ndarray:
+        """Feature values ``(m, width)`` of an ``(m, n_inputs)`` matrix;
+        ``fields`` holds each block's derivative fields on the same samples."""
+        if len(fields) != len(self.blocks):
+            raise SpecError("pointwise evaluation is undefined for derivative features")
         if X.ndim != 2 or X.shape[1] != self.n_inputs:
             raise SpecError(f"expected (m, {self.n_inputs}) inputs, got {X.shape}")
-        shape = (X.shape[0], len(self.names))
-        if out is None:
-            out = np.empty(shape)
-        elif out.shape != shape:
-            raise SpecError(f"output has shape {out.shape}, expected {shape}")
-        self._fill(X, out)
+        out = np.empty((X.shape[0], len(self.names)))
+        self._fill(X, fields, out)
         return out
+
+    def _walk(self, spec: LibrarySpec, names: tuple[str, ...]) -> tuple[list[str], _Fill]:
+        """Column names of ``spec`` on inputs ``names``, and its fill."""
+        if isinstance(spec, WeakPDE):
+            raise SpecError("weak-form specs cannot be nested or combined; use them top-level")
+        if not isinstance(spec, _Spec):
+            raise SpecError(f"unknown library spec {spec!r}")
+        spec._check()
+        k = len(names)
+        if isinstance(spec, Polynomial):
+            bias, linear = spec.include_bias, spec.degree >= 1
+            out = (["1"] if bias else []) + (list(names) if linear else [])
+            # Each degree-d monomial is its degree-(d-1) parent times its last
+            # input, the same left-to-right product as np.prod over the combo.
+            recipes, level = [], [(i,) for i in range(k)]
+            for deg in range(2, spec.degree + 1):
+                if spec.include_interactions:
+                    combos = list(combinations_with_replacement(range(k), deg))
+                else:
+                    combos = [(i,) * deg for i in range(k)]
+                parent = {combo: j for j, combo in enumerate(level)}
+                recipes.append((
+                    np.array([parent[c[:-1]] for c in combos]),
+                    np.array([c[-1] for c in combos]),
+                ))
+                out += [_monomial_name(c, names) for c in combos]
+                level = combos
+
+            def fill(X: np.ndarray, fields: list, values: np.ndarray) -> None:
+                c = int(bias)
+                if bias:
+                    values[:, 0] = 1.0
+                if linear:
+                    prev = values[:, c : c + k]
+                    prev[...] = X
+                    c += k
+                for parents, last in recipes:
+                    block = values[:, c : c + parents.size]
+                    np.multiply(prev[:, parents], X[:, last], out=block)
+                    prev, c = block, c + parents.size
+
+            return out, fill
+        if isinstance(spec, Fourier):
+            terms, out = [], []
+            for freq in range(1, spec.n_frequencies + 1):
+                for i in range(k):
+                    for on, fn in ((spec.include_sin, np.sin), (spec.include_cos, np.cos)):
+                        if on:
+                            terms.append((fn, freq, i))
+                            out.append(f"{fn.__name__}({freq} {names[i]})")
+
+            def fill(X: np.ndarray, fields: list, values: np.ndarray) -> None:
+                for c, (fn, freq, i) in enumerate(terms):
+                    values[:, c] = fn(freq * X[:, i])
+
+            return out, fill
+        if isinstance(spec, Custom):
+            terms = [(fn, i) for _, fn in spec.functions for i in range(k)]
+
+            def fill(X: np.ndarray, fields: list, values: np.ndarray) -> None:
+                for c, (fn, i) in enumerate(terms):
+                    values[:, c] = fn(X[:, i])
+
+            return [f"{fname}({names[i]})" for fname, _ in spec.functions for i in range(k)], fill
+        if isinstance(spec, PDE):
+            n, n_blocks = self.n_states, len(self.blocks)
+            f_names, f_fill = [], None
+            if spec.multiply_by is not None:
+                f_names, f_fill = self._walk(spec.multiply_by, names)
+                if len(self.blocks) > n_blocks:
+                    raise SpecError("multiply_by must be a derivative-free library")
+                # a constant column is named 1, or a product of 1s
+                if any(set(name.split(" ")) == {"1"} for name in f_names):
+                    raise SpecError(
+                        "multiply_by must not include a bias column (it would "
+                        "duplicate the pure derivative columns)"
+                    )
+            mus = spec.multiindices()
+            self.blocks.append(_Block(spec, mus, tuple(f_names), f_fill))
+            out = []
+            for mu in mus:
+                suffix = spec.suffix(mu)
+                out += [f"q{j}{suffix}" for j in range(n)]
+                out += [f"{fname} q{j}{suffix}" for fname in f_names for j in range(n)]
+            n_f = len(f_names)
+
+            def fill(X: np.ndarray, fields: list, values: np.ndarray) -> None:
+                m = X.shape[0]
+                # the multiply_by columns close the block; products read them there
+                f_vals = values[:, values.shape[1] - n_f :]
+                if n_f:
+                    f_fill(X, fields, f_vals)
+                c = 0
+                for field in fields[n_blocks]:
+                    field_flat = field.reshape(m, n)
+                    values[:, c : c + n] = field_flat
+                    c += n
+                    for i in range(n_f):
+                        np.multiply(f_vals[:, i : i + 1], field_flat, out=values[:, c : c + n])
+                        c += n
+
+            return out + f_names, fill
+        if isinstance(spec, Concat):
+            parts = [self._walk(p, names) for p in spec.parts]
+            bounds = np.cumsum([0] + [len(n) for n, _ in parts])
+
+            def fill(X: np.ndarray, fields: list, values: np.ndarray) -> None:
+                for (_, part), a, b in zip(parts, bounds[:-1], bounds[1:]):
+                    part(X, fields, values[:, a:b])
+
+            return [n for part_names, _ in parts for n in part_names], fill
+        if isinstance(spec, Tensor):
+            (ln, left), (rn, right) = self._walk(spec.left, names), self._walk(spec.right, names)
+
+            def fill(X: np.ndarray, fields: list, values: np.ndarray) -> None:
+                m = X.shape[0]
+                lv, rv = np.empty((m, len(ln))), np.empty((m, len(rn)))
+                left(X, fields, lv)
+                right(X, fields, rv)
+                values[...] = (lv[:, :, None] * rv[:, None, :]).reshape(m, -1)
+
+            return [f"{a} {b}" for a in ln for b in rn], fill
+        # InputSubset
+        idx = list(spec.indices)
+        if max(idx) >= k:
+            if k:
+                raise SpecError(f"InputSubset index {max(idx)} out of range for {k} inputs")
+            names = _input_names(max(idx) + 1, 0)  # validation: no inputs yet
+        n_blocks = len(self.blocks)
+        out, inner = self._walk(spec.inner, tuple(names[i] for i in idx))
+        if len(self.blocks) > n_blocks:
+            raise SpecError("InputSubset only applies to non-derivative libraries")
+        return out, lambda X, fields, values: inner(X[:, idx], fields, values)
 
 
 def evaluate_pointwise(
@@ -507,13 +492,13 @@ def evaluate_pointwise(
 
     Only valid for libraries without derivative features (a ``WeakPDE``
     gives the row of its derivative-free inner library).  Callers that
-    evaluate one library many times should build a ``PointwisePlan`` once.
+    evaluate one library many times should build a ``GridPlan`` once.
     """
     rows = [np.atleast_1d(np.asarray(state_row, dtype=float))]
     if control_row is not None:
         rows.append(np.atleast_1d(np.asarray(control_row, dtype=float)))
     X = np.concatenate(rows)[None, :]
-    plan = PointwisePlan(spec, rows[0].size, X.shape[1] - rows[0].size)
+    plan = GridPlan(spec, rows[0].size, X.shape[1] - rows[0].size)
     return plan.apply(X)[0]
 
 
@@ -537,9 +522,10 @@ def _axis_info(dataset: Dataset, axis_id: str) -> tuple[int, np.ndarray]:
 
 
 def _derivative_fields(
-    dataset: Dataset, spec: PDE, mus: list[tuple[int, ...]], method: DiffMethod
+    dataset: Dataset, block: _Block, axes: dict, diff_method: DiffMethod
 ) -> list[np.ndarray]:
-    """D^mu of the state block for each mu, shape (*spatial, time, n_states).
+    """D^mu of the state block for each of the block's mus, shape
+    (*spatial, time, n_states); ``axes`` maps axis letters to ``_axis_info``.
 
     Axes are differentiated in ``spec.axes`` order, so D^mu is a derivative
     along the last axis mu uses of the field of its prefix (mu with that
@@ -547,6 +533,9 @@ def _derivative_fields(
     one call, so spectral derivatives share one transform.  A dataset's
     precomputed time derivatives stand in for a plain first time derivative.
     """
+    spec = block.spec
+    method = spec.diff if spec.diff is not None else diff_method
+
     def precomputed(mu: tuple[int, ...]) -> bool:
         return (
             dataset.derivatives is not None
@@ -556,7 +545,7 @@ def _derivative_fields(
 
     # (prefix, axis position) -> orders, for every mu computed numerically
     groups: dict[tuple[tuple[int, ...], int], set[int]] = {}
-    todo = [mu for mu in mus if not precomputed(mu)]
+    todo = [mu for mu in block.mus if not precomputed(mu)]
     while todo:
         mu = todo.pop()
         a = max(i for i, order in enumerate(mu) if order)
@@ -568,78 +557,18 @@ def _derivative_fields(
                 todo.append(prefix)
     fields = {(0,) * len(spec.axes): dataset.states}
     for (prefix, a), orders in sorted(groups.items(), key=lambda g: sum(g[0][0])):
-        array_axis, coords = _axis_info(dataset, spec.axes[a])
+        array_axis, coords = axes[spec.axes[a]]
         orders = tuple(sorted(orders))
         derived = _differentiate_orders(fields[prefix], coords, method, orders, array_axis)
         for order, field in zip(orders, derived):
             fields[prefix[:a] + (order,) + prefix[a + 1 :]] = field
-    return [dataset.derivatives if precomputed(mu) else fields[mu] for mu in mus]
+    return [dataset.derivatives if precomputed(mu) else fields[mu] for mu in block.mus]
 
 
 def _grid_inputs(dataset: Dataset) -> np.ndarray:
     """Flattened ``(samples, states + controls)`` library inputs."""
     X, U, _ = flatten(dataset)
     return X if U is None else np.hstack([X, U])
-
-
-def _pde_fill(
-    spec: PDE, dataset: Dataset, diff_method: DiffMethod, inputs: np.ndarray,
-    out: np.ndarray,
-) -> list[str]:
-    method = spec.diff if spec.diff is not None else diff_method
-    n = dataset.n_states
-    m = inputs.shape[0]
-    f_names: tuple[str, ...] = ()
-    if spec.multiply_by is not None:
-        plan = PointwisePlan(spec.multiply_by, n, dataset.n_controls)
-        f_names = plan.names
-        # the multiply_by columns close the library; products read them there
-        f_vals = plan.apply(inputs, out[:, out.shape[1] - len(f_names) :])
-
-    mus = spec.multiindices()
-    names, c = [], 0
-    for mu, field in zip(mus, _derivative_fields(dataset, spec, mus, method)):
-        field_flat = field.reshape(m, n)
-        suffix = spec.suffix(mu)
-        out[:, c : c + n] = field_flat
-        names.extend(f"q{j}{suffix}" for j in range(n))
-        c += n
-        for i, fname in enumerate(f_names):
-            np.multiply(f_vals[:, i : i + 1], field_flat, out=out[:, c : c + n])
-            names.extend(f"{fname} q{j}{suffix}" for j in range(n))
-            c += n
-    return names + list(f_names)
-
-
-def _grid_fill(
-    spec: LibrarySpec, dataset: Dataset, diff_method: DiffMethod,
-    inputs: np.ndarray, out: np.ndarray,
-) -> list[str]:
-    """Write the columns of ``spec`` into ``out`` (exactly as wide) and
-    return their names."""
-    if not _has_derivatives(spec):
-        # derivative-free libraries act on flattened samples
-        plan = PointwisePlan(spec, dataset.n_states, dataset.n_controls)
-        plan.apply(inputs, out)
-        return list(plan.names)
-    if isinstance(spec, PDE):
-        return _pde_fill(spec, dataset, diff_method, inputs, out)
-    k, n = inputs.shape[1], dataset.n_states
-    if isinstance(spec, Concat):
-        names, c = [], 0
-        for part in spec.parts:
-            w = predict_width(part, k, n)
-            names += _grid_fill(part, dataset, diff_method, inputs, out[:, c : c + w])
-            c += w
-        return names
-    # a Tensor with a derivative factor
-    m = out.shape[0]
-    lv = np.empty((m, predict_width(spec.left, k, n)))
-    rv = np.empty((m, predict_width(spec.right, k, n)))
-    ln = _grid_fill(spec.left, dataset, diff_method, inputs, lv)
-    rn = _grid_fill(spec.right, dataset, diff_method, inputs, rv)
-    out[...] = (lv[:, :, None] * rv[:, None, :]).reshape(m, -1)
-    return [f"{a} {b}" for a in ln for b in rn]
 
 
 def evaluate(
@@ -652,21 +581,14 @@ def evaluate(
     row per subdomain and carry the weak left-hand side.  ``diff_method``
     supplies derivatives unless the spec embeds its own override.
     """
-    validate(spec)
-    expected = predict_width(
-        spec, dataset.n_states + dataset.n_controls, dataset.n_states
-    )
-    if isinstance(spec, WeakPDE):
-        values, names, lhs = _weak_columns(spec, dataset, diff_method)
+    plan = GridPlan(spec, dataset.n_states, dataset.n_controls)
+    axes = {ax: _axis_info(dataset, ax) for block in plan.blocks for ax in block.spec.axes}
+    if plan.weak is not None:
+        values, lhs = _weak_columns(plan, dataset, diff_method, axes)
     else:
-        inputs = _grid_inputs(dataset)
-        values, lhs = np.empty((inputs.shape[0], expected)), None
-        names = _grid_fill(spec, dataset, diff_method, inputs, values)
-    if len(names) != expected:
-        raise SpecError(
-            f"evaluation produced {len(names)} columns, predict_width says {expected}"
-        )
-    return FeatureMatrix(values=values, names=tuple(names), provenance=spec, weak_lhs=lhs)
+        fields = [_derivative_fields(dataset, b, axes, diff_method) for b in plan.blocks]
+        values, lhs = plan.apply(_grid_inputs(dataset), fields), None
+    return FeatureMatrix(values=values, names=plan.names, provenance=spec, weak_lhs=lhs)
 
 
 # ---------------------------------------------------------------------------
@@ -712,14 +634,13 @@ def _weak_axis_vectors(
 
 
 def _weak_columns(
-    spec: WeakPDE, dataset: Dataset, diff_method: DiffMethod
-) -> tuple[np.ndarray, list[str], np.ndarray]:
-    inner = spec.inner
+    plan: GridPlan, dataset: Dataset, diff_method: DiffMethod, axes: dict
+) -> tuple[np.ndarray, np.ndarray]:
+    spec = plan.weak
     grid = dataset.grid
     n = dataset.n_states
     axes_coords = list(grid.spatial_axes) + [grid.time_axis]
     n_axes = len(axes_coords)
-    time_pos = n_axes - 1
 
     sizes = (
         (spec.subdomain_size,) * n_axes
@@ -737,58 +658,37 @@ def _weak_columns(
                 f"subdomain size {size} exceeds axis length {coords.size}"
             )
 
-    # Differentiated axis (array axis, order) pairs per multi-index, plus the
-    # inner library's column structure evaluated on the full grid.
-    if isinstance(inner, PDE):
-        method = inner.diff if inner.diff is not None else diff_method
-        mus = inner.multiindices()
-        mu_axis_orders = []
-        for mu in mus:
-            per_axis = [0] * n_axes
-            for ax_id, order in zip(inner.axes, mu):
-                array_axis, _ = _axis_info(dataset, ax_id)
-                per_axis[array_axis] = order
-            mu_axis_orders.append(tuple(per_axis))
-        suffixes = [inner.suffix(mu) for mu in mus]
-        multiply_by = inner.multiply_by
+    # A PDE inner library is the plan's one block; a derivative-free one is
+    # all multiply_by columns.  Orders map array axis -> order per mu.
+    if plan.blocks:
+        (pde,) = plan.blocks
+        mus, n_f, f_fill = pde.mus, len(pde.f_names), pde.f_fill
+        mu_orders = [
+            {axes[ax][0]: order for ax, order in zip(pde.spec.axes, mu)} for mu in mus
+        ]
     else:
-        mus, mu_axis_orders, suffixes = [], [], []
-        multiply_by = inner
+        mus, n_f, f_fill, mu_orders = [], len(plan.names), plan._fill, []
 
-    sample_shape = grid.sample_shape
-    if multiply_by is not None:
-        plan = PointwisePlan(multiply_by, n, dataset.n_controls)
-        f_names = plan.names
-        # feature-major, so that each feature is one contiguous field
-        f_fields = np.empty((len(f_names), grid.n_samples))
-        plan.apply(_grid_inputs(dataset), f_fields.T)
-        f_fields = f_fields.reshape(-1, *sample_shape)
-    else:
-        f_fields, f_names = np.empty((0, *sample_shape)), ()
-    n_f = len(f_names)
+    # feature-major, so that each feature is one contiguous field
+    f_fields = np.empty((n_f, grid.n_samples))
+    if n_f:
+        f_fill(_grid_inputs(dataset), (), f_fields.T)
+    f_fields = f_fields.reshape(-1, *grid.sample_shape)
 
     # The numerically differentiated fields feed only the product columns;
     # pure derivative columns are handled by parts and never need them.
     if n_f and mus:
-        deriv_fields = _derivative_fields(dataset, inner, mus, method)
+        deriv_fields = _derivative_fields(dataset, pde, axes, diff_method)
     else:
         deriv_fields = [None] * len(mus)
 
-    names: list[str] = []
-    for suffix in suffixes:
-        names.extend(f"q{j}{suffix}" for j in range(n))
-        for fname in f_names:
-            names.extend(f"{fname} q{j}{suffix}" for j in range(n))
-    names.extend(f_names)
-
-    max_order = max((max(orders) for orders in mu_axis_orders), default=0)
+    max_order = max((max(mu) for mu in mus), default=0)
     max_order = max(max_order, 1)  # phi_t needed for the left-hand side
     bumps = _bump_polynomials(spec.test_poly_order, max_order)
     grid_axes = list(range(n_axes))
-    t_orders = tuple(1 if a == time_pos else 0 for a in grid_axes)
 
     rng = np.random.default_rng(spec.seed)
-    values = np.empty((spec.n_subdomains, len(names)))
+    values = np.empty((spec.n_subdomains, len(plan.names)))
     lhs = np.empty((spec.n_subdomains, n))
 
     states = dataset.states
@@ -805,18 +705,18 @@ def _weak_columns(
             for coords, sl in zip(axes_coords, block)
         ]
 
-        def weight_field(orders: tuple[int, ...]) -> np.ndarray:
+        def weight_field(orders: dict[int, int]) -> np.ndarray:
             out = np.array(1.0)
-            for (_, vectors), r in zip(axis_vecs, orders):
-                out = np.multiply.outer(out, vectors[r])
+            for a, (_, vectors) in enumerate(axis_vecs):
+                out = np.multiply.outer(out, vectors[orders.get(a, 0)])
             return out
 
-        w_phi = weight_field((0,) * n_axes)
+        w_phi = weight_field({})
         state_block = states[block]  # (*sizes, n)
         f_block = f_fields[(slice(None), *block)]  # (n_f, *sizes)
         col = 0
-        for orders, field in zip(mu_axis_orders, deriv_fields):
-            sign = (-1) ** sum(orders)
+        for orders, field in zip(mu_orders, deriv_fields):
+            sign = (-1) ** sum(orders.values())
             w_mu = weight_field(orders)
             # pure derivatives, integrated by parts
             values[k, col : col + n] = sign * np.tensordot(
@@ -834,6 +734,6 @@ def _weak_columns(
             col += n_f * n
         values[k, col : col + n_f] = np.tensordot(f_block, w_phi, axes=n_axes)
 
-        lhs[k] = -np.tensordot(weight_field(t_orders), state_block, axes=n_axes)
+        lhs[k] = -np.tensordot(weight_field({n_axes - 1: 1}), state_block, axes=n_axes)
 
-    return values, names, lhs
+    return values, lhs

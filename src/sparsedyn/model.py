@@ -18,7 +18,7 @@ from .data import Dataset, SampleIndexMap, as_collection, unflatten
 from .diff import DiffMethod, FiniteDifference, differentiate_dataset
 from .ensemble import EnsembleReport, EnsembleSpec, fit_ensemble
 from .errors import DataError, FitError, SpecError
-from .library import LibrarySpec, PointwisePlan, WeakPDE, evaluate, validate
+from .library import FeatureMatrix, GridPlan, LibrarySpec, WeakPDE, evaluate, validate
 from .optimize import STLSQ, Coefficients, OptimizerSpec, Problem, solve
 
 BLOWUP_NORM = 1e8
@@ -51,13 +51,23 @@ class FittedModel:
         return self.coefficients.xi
 
 
+def regression_targets(
+    fm: FeatureMatrix, dataset: Dataset, diff: DiffMethod
+) -> np.ndarray:
+    """The ``(rows, n_states)`` targets of the rows of ``fm``, evaluated on
+    ``dataset``: the weak left-hand side of a weak library, else the
+    flattened time derivatives of the states."""
+    if fm.weak_lhs is not None:
+        return fm.weak_lhs
+    return differentiate_dataset(dataset, diff, "t").reshape(-1, dataset.n_states)
+
+
 def _assemble(
     collection, library: LibrarySpec, diff: DiffMethod
 ) -> tuple[np.ndarray, np.ndarray, tuple[str, ...]]:
     """Stacked (theta, targets, names) across trajectories; a single
     trajectory's blocks are returned as they are."""
     blocks, targets, names = [], [], None
-    weak = isinstance(library, WeakPDE)
     for ds in collection:
         fm = evaluate(library, ds, diff)
         if names is None:
@@ -65,11 +75,7 @@ def _assemble(
         elif names != fm.names:
             raise SpecError("trajectories disagree on library feature names")
         blocks.append(fm.values)
-        if weak:
-            targets.append(fm.weak_lhs)
-        else:
-            derivs = differentiate_dataset(ds, diff, "t")
-            targets.append(derivs.reshape(-1, ds.n_states))
+        targets.append(regression_targets(fm, ds, diff))
     if len(blocks) == 1:
         return blocks[0], targets[0], names
     return np.vstack(blocks), np.vstack(targets), names
@@ -137,12 +143,7 @@ def _predicted_and_actual(
     """Flat ``(rows, n)`` predictions and computed targets of one dataset,
     from a single library evaluation."""
     fm = evaluate(model.library, dataset, model.diff)
-    if isinstance(model.library, WeakPDE):
-        actual = fm.weak_lhs
-    else:
-        derivs = differentiate_dataset(dataset, model.diff, "t")
-        actual = derivs.reshape(-1, dataset.n_states)
-    return fm.values @ model.xi, actual
+    return fm.values @ model.xi, regression_targets(fm, dataset, model.diff)
 
 
 def _metric(pred: np.ndarray, actual: np.ndarray, metric: str) -> float:
@@ -203,9 +204,11 @@ def simulate(
         controls = np.atleast_2d(np.asarray(controls, dtype=float))
         if controls.shape[0] != t_eval.size:
             raise SpecError("controls must provide one row per t_eval entry")
-    plan = PointwisePlan(model.library, n, 0 if controls is None else controls.shape[1])
+    plan = GridPlan(model.library, n, 0 if controls is None else controls.shape[1])
     if plan.names != model.feature_names:
         raise SpecError("model coefficients do not match its library's columns")
+    if plan.blocks:
+        raise SpecError("a model with derivative features cannot be simulated")
     apply = plan.apply
 
     if controls is None:

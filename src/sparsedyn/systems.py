@@ -15,10 +15,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset, Grid, add_noise
-from .diff import DiffMethod, Spectral, differentiate_dataset
+from .diff import DiffMethod, Spectral
 from .ensemble import derive_seed
 from .errors import FitError, SpecError
-from .library import PDE, LibrarySpec, Polynomial, WeakPDE, evaluate
+from .library import PDE, LibrarySpec, Polynomial, evaluate
+from .model import regression_targets
 from .optimize import Coefficients
 
 
@@ -257,11 +258,7 @@ def verify_residual(
         raise SpecError(
             "library feature names do not match the ground-truth names"
         )
-    if isinstance(library, WeakPDE):
-        targets = fm.weak_lhs
-    else:
-        derivs = differentiate_dataset(dataset, diff, "t")
-        targets = derivs.reshape(-1, dataset.n_states)
+    targets = regression_targets(fm, dataset, diff)
     norm = float(np.linalg.norm(targets))
     if norm == 0.0:
         return 0.0

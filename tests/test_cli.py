@@ -173,6 +173,15 @@ class TestFit:
         assert "Traceback" not in err
         assert not (tmp_path / "fit_out").exists()
 
+    def test_derivative_multiply_by_exits_2_before_reading_data(self, tmp_path, capsys):
+        # the data path does not exist: a config rejected at load time exits 2,
+        # where reading the data first would exit 3
+        library = {"type": "pde", "axes": ["x"], "multiply_by": {"type": "pde", "axes": ["x"]}}
+        cfg = fit_config(tmp_path, tmp_path / "missing", library=library)
+        capsys.readouterr()
+        assert main(["fit", "--config", str(cfg)]) == 2
+        assert "multiply_by must be a derivative-free library" in capsys.readouterr().err
+
     def test_fit_failure_exits_4_without_partial_files(self, tmp_path, lorenz_dataset):
         cfg = fit_config(
             tmp_path,

@@ -47,6 +47,10 @@ class TestDatasetInvariants:
         with pytest.raises(DataError):
             Dataset(grid=Grid(np.arange(3.0)), states=np.zeros((4, 1)))
 
+    def test_rejects_zero_states(self):
+        with pytest.raises(DataError):
+            Dataset(grid=Grid(np.arange(5.0)), states=np.zeros((5, 0)))
+
     def test_rejects_nan(self):
         states = np.zeros((3, 1))
         states[1] = np.nan

@@ -1,4 +1,5 @@
 from itertools import combinations_with_replacement
+from math import comb
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from sparsedyn.data import Dataset, Grid, flatten
 from sparsedyn.diff import FiniteDifference, Spectral, differentiate
 from sparsedyn.errors import SpecError
 from sparsedyn.library import (
+    AXIS_LETTERS,
     CUSTOM_REGISTRY,
     Concat,
     Custom,
@@ -23,6 +25,7 @@ from sparsedyn.library import (
     evaluate,
     evaluate_pointwise,
     predict_width,
+    validate,
 )
 from sparsedyn.systems import KS, canonical_library
 
@@ -56,6 +59,10 @@ class TestWidths:
         spec = PDE(4, ("x",), Polynomial(2, include_bias=False))
         # 4 derivative orders x 1 state x (1 + 2 functions) + 2 functions
         assert predict_width(spec, 1) == 14
+
+    def test_more_states_than_inputs_rejected(self):
+        with pytest.raises(SpecError):
+            predict_width(Polynomial(1), 1, 2)
 
     @pytest.mark.parametrize(
         "spec",
@@ -159,6 +166,23 @@ class TestCombinators:
             Concat((weak, Polynomial(1))).validate()
 
 
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            WeakPDE(inner=WeakPDE(inner=Polynomial(1), subdomain_size=5), subdomain_size=5),
+            Tensor(Polynomial(1), WeakPDE(inner=Polynomial(1), subdomain_size=5)),
+            WeakPDE(inner=Concat((PDE(1, ("x",)), Polynomial(1))), subdomain_size=5),
+            InputSubset(Concat((Polynomial(1), PDE(1, ("x",)))), (0,)),
+            PDE(1, ("x",), Tensor(Polynomial(1), InputSubset(Polynomial(1), (0,)))),
+        ],
+        ids=["weak-in-weak", "weak-in-tensor", "weak-over-concat-pde", "subset-of-pde",
+             "bias-product-in-multiply-by"],
+    )
+    def test_structure_rejected_by_validation(self, spec):
+        with pytest.raises(SpecError):
+            validate(spec)
+
+
 class TestPDELibrary:
     def test_spectral_second_derivative_column(self):
         x = np.linspace(0.0, 2 * np.pi, 128, endpoint=False)
@@ -184,6 +208,21 @@ class TestPDELibrary:
     def test_bias_in_multiply_by_rejected(self):
         with pytest.raises(SpecError):
             PDE(1, ("x",), Polynomial(1, include_bias=True)).validate()
+
+    @pytest.mark.parametrize(
+        "multiply_by",
+        [
+            PDE(1, ("x",)),
+            Concat((Polynomial(1, include_bias=False), PDE(1, ("x",)))),
+            Tensor(Fourier(1), PDE(2, ("x",))),
+        ],
+    )
+    def test_derivative_multiply_by_rejected_by_validation(self, multiply_by):
+        spec = PDE(1, ("x",), multiply_by=multiply_by)
+        with pytest.raises(SpecError, match="derivative-free"):
+            validate(spec)
+        with pytest.raises(SpecError, match="derivative-free"):
+            predict_width(spec, 1)
 
     def test_time_axis_derivatives_for_implicit_libraries(self):
         t = np.linspace(0.0, 1.0, 50)
@@ -383,55 +422,204 @@ def oracle_columns(spec, X, names):
     return oracle_columns(spec.inner, X[:, idx], tuple(names[i] for i in idx))
 
 
-def oracle_pde(spec, dataset, method):
-    """PDE block as computed before: one ``differentiate`` call per axis and
-    order, products column by column, then ``column_stack``."""
+def oracle_inputs(dataset):
+    """Flattened states and controls, and their names."""
     X, U, _ = flatten(dataset)
     inputs = X if U is None else np.hstack([X, U])
     names = tuple([f"q{i}" for i in range(dataset.n_states)]
                   + [f"u{i}" for i in range(dataset.n_controls)])
+    return inputs, names
+
+
+def oracle_field(dataset, axes, mu, method):
+    """D^mu of the states: one ``differentiate`` call per axis and order, in
+    ``axes`` order; precomputed time derivatives stand in for q_t."""
+    if dataset.derivatives is not None and sum(mu) == 1 and axes[mu.index(1)] == "t":
+        return dataset.derivatives
+    field = dataset.states
+    for ax, order in zip(axes, mu):
+        if order:
+            a = dataset.states.ndim - 2 if ax == "t" else "xyz".index(ax)
+            coords = (dataset.grid.time_axis if ax == "t"
+                      else dataset.grid.spatial_axes[a])
+            field = differentiate(field, coords, method, d=order, axis=a)
+    return field
+
+
+def oracle_pde(spec, dataset, method):
+    """PDE block as computed before: one ``differentiate`` call per axis and
+    order, products column by column, then ``column_stack``."""
+    inputs, names = oracle_inputs(dataset)
     m, n = inputs.shape[0], dataset.n_states
     f_vals, f_names = oracle_columns(spec.multiply_by, inputs, names)
     cols = []
     for mu in spec.multiindices():
-        if (dataset.derivatives is not None and sum(mu) == 1
-                and spec.axes[mu.index(1)] == "t"):
-            field = dataset.derivatives
-        else:
-            field = dataset.states
-            for ax, order in zip(spec.axes, mu):
-                if order:
-                    a = dataset.states.ndim - 2 if ax == "t" else "xyz".index(ax)
-                    coords = (dataset.grid.time_axis if ax == "t"
-                              else dataset.grid.spatial_axes[a])
-                    field = differentiate(field, coords, method, d=order, axis=a)
-        flat = field.reshape(m, n)
+        flat = oracle_field(dataset, spec.axes, mu, method).reshape(m, n)
         cols.extend(flat[:, j] for j in range(n))
         cols.extend(f_vals[:, i] * flat[:, j] for i in range(len(f_names)) for j in range(n))
     cols.extend(f_vals[:, i] for i in range(len(f_names)))
     return np.column_stack(cols)
 
 
+def oracle_weak(spec, dataset, diff_method):
+    """Weak columns, names and left-hand side as computed before libraries
+    were planned as one tree: the weak form maps PDE axes to array axes and
+    builds the column names itself."""
+    inner = spec.inner
+    grid = dataset.grid
+    n = dataset.n_states
+    axes_coords = list(grid.spatial_axes) + [grid.time_axis]
+    n_axes = len(axes_coords)
+    time_pos = n_axes - 1
+    sizes = (
+        (spec.subdomain_size,) * n_axes
+        if isinstance(spec.subdomain_size, int)
+        else tuple(spec.subdomain_size)
+    )
+
+    if isinstance(inner, PDE):
+        method = inner.diff if inner.diff is not None else diff_method
+        mus = inner.multiindices()
+        mu_axis_orders = []
+        for mu in mus:
+            per_axis = [0] * n_axes
+            for ax_id, order in zip(inner.axes, mu):
+                per_axis[time_pos if ax_id == "t" else "xyz".index(ax_id)] = order
+            mu_axis_orders.append(tuple(per_axis))
+        suffixes = [inner.suffix(mu) for mu in mus]
+        multiply_by = inner.multiply_by
+    else:
+        mus, mu_axis_orders, suffixes = [], [], []
+        multiply_by = inner
+
+    sample_shape = grid.sample_shape
+    if multiply_by is not None:
+        f_vals, f_names = oracle_columns(multiply_by, *oracle_inputs(dataset))
+        f_fields = np.ascontiguousarray(f_vals.T).reshape(-1, *sample_shape)
+    else:
+        f_fields, f_names = np.empty((0, *sample_shape)), []
+    n_f = len(f_names)
+
+    if n_f and mus:
+        deriv_fields = [oracle_field(dataset, inner.axes, mu, method) for mu in mus]
+    else:
+        deriv_fields = [None] * len(mus)
+
+    names = []
+    for suffix in suffixes:
+        names.extend(f"q{j}{suffix}" for j in range(n))
+        for fname in f_names:
+            names.extend(f"{fname} q{j}{suffix}" for j in range(n))
+    names.extend(f_names)
+
+    max_order = max((max(orders) for orders in mu_axis_orders), default=0)
+    max_order = max(max_order, 1)
+    bumps = _bump_polynomials(spec.test_poly_order, max_order)
+    grid_axes = list(range(n_axes))
+    t_orders = tuple(1 if a == time_pos else 0 for a in grid_axes)
+
+    rng = np.random.default_rng(spec.seed)
+    values = np.empty((spec.n_subdomains, len(names)))
+    lhs = np.empty((spec.n_subdomains, n))
+    states = dataset.states
+    for k in range(spec.n_subdomains):
+        starts = [
+            int(rng.integers(0, coords.size - size + 1))
+            for coords, size in zip(axes_coords, sizes)
+        ]
+        block = tuple(slice(start, start + size) for start, size in zip(starts, sizes))
+        axis_vecs = [
+            _weak_axis_vectors(coords[sl], bumps) for coords, sl in zip(axes_coords, block)
+        ]
+
+        def weight_field(orders):
+            out = np.array(1.0)
+            for (_, vectors), r in zip(axis_vecs, orders):
+                out = np.multiply.outer(out, vectors[r])
+            return out
+
+        w_phi = weight_field((0,) * n_axes)
+        state_block = states[block]
+        f_block = f_fields[(slice(None), *block)]
+        col = 0
+        for orders, field in zip(mu_axis_orders, deriv_fields):
+            sign = (-1) ** sum(orders)
+            values[k, col : col + n] = sign * np.tensordot(
+                weight_field(orders), state_block, axes=n_axes
+            )
+            col += n
+            if field is None:
+                continue
+            integrand = f_block[..., None] * field[block]
+            values[k, col : col + n_f * n] = np.tensordot(
+                integrand, w_phi, axes=([a + 1 for a in grid_axes], grid_axes)
+            ).ravel()
+            col += n_f * n
+        values[k, col : col + n_f] = np.tensordot(f_block, w_phi, axes=n_axes)
+        lhs[k] = -np.tensordot(weight_field(t_orders), state_block, axes=n_axes)
+    return values, names, lhs
+
+
+def oracle_width(spec, n_inputs, n_states):
+    """Closed-form column count of ``spec``, as ``predict_width`` computed
+    it before widths came from the plan."""
+    if isinstance(spec, Polynomial):
+        if spec.include_interactions:
+            width = comb(n_inputs + spec.degree, spec.degree) - 1
+        else:
+            width = n_inputs * spec.degree
+        return width + (1 if spec.include_bias else 0)
+    if isinstance(spec, Fourier):
+        per = int(spec.include_sin) + int(spec.include_cos)
+        return n_inputs * spec.n_frequencies * per
+    if isinstance(spec, Custom):
+        return n_inputs * len(spec.functions)
+    if isinstance(spec, PDE):
+        n_der = len(spec.multiindices())
+        f_width = (
+            0 if spec.multiply_by is None
+            else oracle_width(spec.multiply_by, n_inputs, n_states)
+        )
+        return n_der * n_states * (1 + f_width) + f_width
+    if isinstance(spec, WeakPDE):
+        return oracle_width(spec.inner, n_inputs, n_states)
+    if isinstance(spec, Concat):
+        return sum(oracle_width(p, n_inputs, n_states) for p in spec.parts)
+    if isinstance(spec, Tensor):
+        return (oracle_width(spec.left, n_inputs, n_states)
+                * oracle_width(spec.right, n_inputs, n_states))
+    if max(spec.indices) >= n_inputs:
+        raise SpecError(f"InputSubset index {max(spec.indices)} out of range")
+    return oracle_width(spec.inner, len(spec.indices), len(spec.indices))
+
+
 FUNCTIONS = [(name, CUSTOM_REGISTRY[name]) for name in ("exp", "tanh", "abs", "sin")]
 
-leaf_specs = st.one_of(
-    st.builds(Polynomial, st.integers(0, 4), st.booleans(), st.booleans()),
+nonpolynomial_leaf_specs = st.one_of(
     st.builds(Fourier, st.integers(1, 3), st.just(True), st.booleans()),
     st.builds(Fourier, st.integers(1, 2), st.just(False), st.just(True)),
     st.lists(st.sampled_from(FUNCTIONS), min_size=1, max_size=2, unique=True).map(
         lambda fns: Custom(tuple(fns))
     ),
 )
+leaf_specs = (
+    st.builds(Polynomial, st.integers(0, 4), st.booleans(), st.booleans())
+    | nonpolynomial_leaf_specs
+)
 
 
-@st.composite
-def pointwise_cases(draw):
-    """A derivative-free spec over ``n`` states and ``r`` controls."""
-    n, r = draw(st.integers(1, 3)), draw(st.integers(0, 2))
-    k = n + r
+# the same leaves without a bias column, as ``multiply_by`` factors need
+nobias_leaf_specs = (
+    st.builds(Polynomial, st.integers(1, 3), st.just(False), st.booleans())
+    | nonpolynomial_leaf_specs
+)
+
+
+def free_specs(k, leaves=leaf_specs):
+    """Derivative-free specs over ``k`` inputs, nested up to three leaves."""
     subsets = st.lists(st.integers(0, k - 1), min_size=1, max_size=k, unique=True)
-    specs = st.recursive(
-        leaf_specs,
+    return st.recursive(
+        leaves,
         lambda inner: st.one_of(
             st.lists(inner, min_size=1, max_size=3).map(lambda ps: Concat(tuple(ps))),
             st.builds(Tensor, inner, inner),
@@ -439,7 +627,22 @@ def pointwise_cases(draw):
         ),
         max_leaves=3,
     )
-    return draw(specs), n, r, draw(st.integers(0, 10_000))
+
+
+@st.composite
+def pointwise_cases(draw):
+    """A derivative-free spec over ``n`` states and ``r`` controls."""
+    n, r = draw(st.integers(1, 3)), draw(st.integers(0, 2))
+    return draw(free_specs(n + r)), n, r, draw(st.integers(0, 10_000))
+
+
+def plannable(spec, n_inputs, n_states):
+    """Whether nested subsets of ``spec`` stay inside the inputs they get."""
+    try:
+        oracle_width(spec, n_inputs, n_states)
+    except SpecError:
+        return False
+    return True
 
 
 class TestPlanParity:
@@ -447,10 +650,7 @@ class TestPlanParity:
     @settings(max_examples=150)
     def test_rows_equal_grid_and_former_columns(self, case):
         spec, n, r, seed = case
-        try:  # nested subsets may index past the inputs they receive
-            predict_width(spec, n + r, n)
-        except SpecError:
-            assume(False)
+        assume(plannable(spec, n + r, n))  # nested subsets may index past their inputs
         rng = np.random.default_rng(seed)
         X = rng.standard_normal((9, n + r)) * rng.uniform(0.1, 3.0, n + r)
         names = tuple([f"q{i}" for i in range(n)] + [f"u{i}" for i in range(r)])
@@ -556,3 +756,109 @@ class TestWeakProperties:
         pure = [i for i, name in enumerate(fm.names) if " " not in name and "_" in name]
         assert len(pure) == order
         assert np.abs(fm.values[:, pure]).max() <= 1e-12 * scale
+
+
+def random_dataset(rng, n_spatial, n, r, derivatives):
+    """Random states (and controls, precomputed q_t) on ``n_spatial`` axes
+    of 6-8 points and a nonuniform time axis of 9 points."""
+    spatial = tuple(np.cumsum(rng.uniform(0.5, 1.5, rng.integers(6, 9)))
+                    for _ in range(n_spatial))
+    t = np.cumsum(rng.uniform(0.5, 1.5, 9))
+    shape = tuple(len(ax) for ax in spatial) + (t.size,)
+    return Dataset(
+        grid=Grid(t, spatial),
+        states=rng.standard_normal((*shape, n)),
+        controls=rng.standard_normal((*shape, r)) if r else None,
+        derivatives=rng.standard_normal((*shape, n)) if derivatives else None,
+    )
+
+
+def pde_specs(k, letters):
+    """Single PDE blocks along some of ``letters``, with or without a
+    derivative-free ``multiply_by`` over ``k`` inputs."""
+    return st.builds(
+        PDE,
+        st.integers(1, 3),
+        st.lists(st.sampled_from(letters), min_size=1, unique=True).map(tuple),
+        st.none() | free_specs(k, nobias_leaf_specs),
+    )
+
+
+@st.composite
+def weak_cases(draw):
+    """A weak-form spec and a random dataset with 0-2 spatial axes."""
+    n_spatial, n, r = draw(st.integers(0, 2)), draw(st.integers(1, 2)), draw(st.integers(0, 1))
+    rng = np.random.default_rng(draw(st.integers(0, 10_000)))
+    ds = random_dataset(rng, n_spatial, n, r, derivatives=draw(st.booleans()))
+    letters = AXIS_LETTERS[:n_spatial] + ("t",)
+    inner = draw(free_specs(n + r) | pde_specs(n + r, letters))
+    sizes = tuple(draw(st.integers(3, length)) for length in ds.grid.sample_shape)
+    spec = WeakPDE(inner, n_subdomains=draw(st.integers(1, 4)),
+                   test_poly_order=draw(st.integers(2, 5)),
+                   subdomain_size=sizes, seed=draw(st.integers(0, 100)))
+    return spec, ds
+
+
+class TestWeakParity:
+    @given(case=weak_cases())
+    @settings(max_examples=120)
+    def test_values_names_and_lhs_equal_former_weak_form(self, case):
+        spec, ds = case
+        assume(plannable(spec, ds.n_states + ds.n_controls, ds.n_states))
+        values, names, lhs = oracle_weak(spec, ds, FD)
+        assume(len(set(names)) == len(names))
+        fm = evaluate(spec, ds, FD)
+        assert fm.names == tuple(names)
+        np.testing.assert_array_equal(fm.values, values)
+        np.testing.assert_array_equal(fm.weak_lhs, lhs)
+
+    def test_spectral_override_on_two_spatial_axes(self):
+        x = np.linspace(0, 2 * np.pi, 12, endpoint=False)
+        y = np.linspace(0, 2 * np.pi, 10, endpoint=False)
+        t = np.linspace(0, 1, 9)
+        rng = np.random.default_rng(8)
+        ds = Dataset(grid=Grid(t, (x, y)), states=rng.standard_normal((12, 10, 9, 2)),
+                     derivatives=rng.standard_normal((12, 10, 9, 2)))
+        inner = PDE(2, ("y", "t", "x"), Polynomial(2, include_bias=False), diff=Spectral(2.0))
+        spec = WeakPDE(inner, n_subdomains=6, subdomain_size=(5, 6, 4), seed=2)
+        values, names, lhs = oracle_weak(spec, ds, FD)
+        fm = evaluate(spec, ds, FD)
+        assert fm.names == tuple(names)
+        np.testing.assert_array_equal(fm.values, values)
+        np.testing.assert_array_equal(fm.weak_lhs, lhs)
+
+
+@st.composite
+def width_cases(draw):
+    """A spec of any kind, derivative factors included, on an x-t grid."""
+    n, r = draw(st.integers(1, 2)), draw(st.integers(0, 1))
+    free, pde = free_specs(n + r), pde_specs(n + r, ("x", "t"))
+    combined = st.recursive(
+        free | pde,
+        lambda inner: st.one_of(
+            st.lists(inner, min_size=1, max_size=3).map(lambda ps: Concat(tuple(ps))),
+            st.builds(Tensor, inner, inner),
+        ),
+        max_leaves=3,
+    )
+    weak = st.builds(WeakPDE, free | pde, st.just(2), st.just(4), st.just(3))
+    spec = draw(combined | weak)
+    ds = random_dataset(np.random.default_rng(draw(st.integers(0, 10_000))), 1, n, r,
+                        derivatives=False)
+    return spec, ds
+
+
+@given(case=width_cases())
+@settings(max_examples=150)
+def test_width_equals_closed_form_and_evaluation(case):
+    spec, ds = case
+    n, k = ds.n_states, ds.n_states + ds.n_controls
+    assume(plannable(spec, k, n))
+    width = oracle_width(spec, k, n)
+    assert predict_width(spec, k, n) == width
+    try:
+        fm = evaluate(spec, ds, FD)
+    except SpecError as exc:  # the spec repeats a column
+        assume("duplicate feature names" not in str(exc))
+        raise
+    assert fm.width == width
