@@ -284,8 +284,8 @@ def add_noise(
 # derivs.f64    optional, same shape as states
 #
 # The axes list is in storage order: spatial axes first, the time axis
-# (named "t") last.  Small ODE datasets may instead be a single CSV with
-# header t,q1..qn[,u1..ur].
+# (named "t") last.  Small datasets may instead be a single CSV with
+# header t[,x[,y[,z]]],q1..qn[,u1..ur].
 # ---------------------------------------------------------------------------
 
 
@@ -301,17 +301,35 @@ def _axis_to_json(name: str, values: np.ndarray) -> dict:
     return {"name": name, "values": [float(v) for v in values]}
 
 
-def _axis_from_json(entry: dict) -> tuple[str, np.ndarray]:
-    name = entry.get("name")
-    if name is None:
-        raise DataError("axis entry missing 'name'")
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _count(obj: dict, key: str, where: str, minimum: int = 0, default=None) -> int:
+    """``obj[key]`` as an integer >= ``minimum``."""
+    value = obj.get(key, default)
+    if value is None:
+        raise DataError(f"{where} is missing {key!r}")
+    if type(value) is not int or value < minimum:
+        raise DataError(f"{where}: {key} must be an integer >= {minimum}, got {value!r}")
+    return value
+
+
+def _axis_from_json(entry) -> tuple[str, np.ndarray]:
+    if not isinstance(entry, dict) or not isinstance(entry.get("name"), str):
+        raise DataError(f"axis entry {entry!r} is not an object with a string 'name'")
+    name = entry["name"]
     if "values" in entry:
-        return name, np.asarray(entry["values"], dtype=float)
-    try:
-        start, step, count = entry["start"], entry["step"], entry["count"]
-    except KeyError as exc:
-        raise DataError(f"axis {name!r} needs 'values' or start/step/count") from exc
-    return name, start + step * np.arange(int(count))
+        values = entry["values"]
+        if not isinstance(values, list) or not all(map(_is_number, values)):
+            raise DataError(f"axis {name!r}: values must be a list of numbers")
+        return name, np.asarray(values, dtype=float)
+    if not ("start" in entry and "step" in entry):
+        raise DataError(f"axis {name!r} needs 'values' or start/step/count")
+    start, step = entry["start"], entry["step"]
+    if not (_is_number(start) and _is_number(step)):
+        raise DataError(f"axis {name!r}: start and step must be numbers")
+    return name, start + step * np.arange(_count(entry, "count", f"axis {name!r}"))
 
 
 def save_dataset(dataset: Dataset, directory: str | Path) -> Path:
@@ -370,13 +388,21 @@ def load_dataset(path: str | Path, allow_missing: bool = False) -> Dataset:
     except json.JSONDecodeError as exc:
         raise DataError(f"invalid meta.json: {exc}") from exc
 
+    if not isinstance(meta, dict):
+        raise DataError("meta.json must hold a JSON object")
+    for key, known in (("schema", 1), ("dtype", "f64"), ("order", "time-major")):
+        value = meta.get(key, known)
+        if type(value) is not type(known) or value != known:
+            raise DataError(f"meta.json: {key} {value!r} is not {known!r}")
+    if not isinstance(meta.get("axes", []), list):
+        raise DataError("meta.json axes must be a list")
     axes = [_axis_from_json(entry) for entry in meta.get("axes", [])]
     if not axes or axes[-1][0] != "t":
         raise DataError("axes must end with the time axis named 't'")
     time_axis = axes[-1][1]
     spatial = tuple(values for _, values in axes[:-1])
-    n = int(meta["n_states"])
-    r = int(meta.get("n_controls", 0))
+    n = _count(meta, "n_states", "meta.json", minimum=1)
+    r = _count(meta, "n_controls", "meta.json", default=0)
     grid = Grid(time_axis, spatial)
     shape = grid.sample_shape
 
@@ -413,65 +439,53 @@ def _drop_missing(grid, states, controls, derivs) -> Dataset:
 
 
 def _load_csv(path: Path, allow_missing: bool) -> Dataset:
-    """Parse `t,[x,...],q1..qn[,u1..ur]` sample rows into a gridded dataset.
-
-    With spatial columns present the rows must cover the full tensor grid
-    (every coordinate combination exactly once, in any order).
+    """Parse `t[,x[,y[,z]]],q1..qn[,u1..ur]` sample rows into a gridded
+    dataset.  The rows must hold every point of the tensor grid of their
+    coordinates exactly once, in any order; an empty cell reads as NaN.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
             raise DataError(f"{path} is empty")
-        rows = [[float(v) if v != "" else np.nan for v in row] for row in reader]
+        header = [h.strip() for h in header]
+        n_spatial = sum(h in ("x", "y", "z") for h in header)
+        n = sum(h.startswith("q") for h in header)
+        r = sum(h.startswith("u") for h in header)
+        expected = ["t", *"xyz"[:n_spatial]] + [f"q{i + 1}" for i in range(n)]
+        expected += [f"u{i + 1}" for i in range(r)]
+        if header != expected:
+            raise DataError(
+                f"CSV header {','.join(header)!r} is not t[,x[,y[,z]]],q1..qn[,u1..ur]"
+            )
+        if not n:
+            raise DataError("CSV must contain at least one state column q1..qn")
+        rows = []
+        for row in reader:
+            try:
+                if len(row) != len(header):
+                    raise ValueError(f"{len(row)} values for {len(header)} columns")
+                rows.append([float(v) if v != "" else np.nan for v in row])
+            except ValueError as exc:
+                raise DataError(f"{path} line {reader.line_num}: {exc}") from None
     if not rows:
         raise DataError(f"{path} has a header but no data rows")
-    header = [h.strip() for h in header]
-    if header[0] != "t":
-        raise DataError("CSV header must start with column 't'")
-    spatial_cols = [i for i, h in enumerate(header) if h in ("x", "y", "z")]
-    state_cols = [i for i, h in enumerate(header) if h.startswith("q")]
-    control_cols = [i for i, h in enumerate(header) if h.startswith("u")]
-    if not state_cols:
-        raise DataError("CSV must contain at least one state column q1..qn")
     table = np.asarray(rows, dtype=float)
-
-    if not spatial_cols:
-        order = np.argsort(table[:, 0], kind="stable")
-        table = table[order]
-        t = table[:, 0]
-        if np.any(np.diff(t) <= 0):
-            raise DataError("CSV time column has duplicate or non-increasing entries")
-        grid = Grid(t)
-        states = table[:, state_cols]
-        controls = table[:, control_cols] if control_cols else None
-        if allow_missing:
-            return _drop_missing(grid, states, controls, None)
-        return Dataset(grid=grid, states=states, controls=controls)
-
-    # Spatial data: sort rows into flatten order (spatial lexicographic,
-    # time fastest) and verify the tensor grid is complete.
-    axes = [np.unique(table[:, c]) for c in spatial_cols]
-    t_axis = np.unique(table[:, 0])
-    shape = tuple(len(ax) for ax in axes) + (len(t_axis),)
-    if table.shape[0] != int(np.prod(shape)):
+    # Sort the rows into flatten order (spatial lexicographic, time fastest)
+    # and check that they hold each point of their coordinates' grid once.
+    coords = [*range(1, 1 + n_spatial), 0]
+    axes = [np.unique(table[:, c]) for c in coords]
+    shape = tuple(len(ax) for ax in axes)
+    table = table[np.lexsort(table[:, coords[::-1]].T)]
+    points = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=1)
+    if not np.array_equal(table[:, coords], points):
         raise DataError(
-            f"CSV has {table.shape[0]} rows; a complete "
-            f"{' x '.join(map(str, shape))} grid needs {int(np.prod(shape))}"
+            f"CSV rows do not hold each point of a {' x '.join(map(str, shape))} "
+            "grid exactly once"
         )
-    order = np.lexsort([table[:, 0]] + [table[:, c] for c in reversed(spatial_cols)])
-    table = table[order]
-    expected = np.stack(
-        [g.ravel() for g in np.meshgrid(*axes, t_axis, indexing="ij")], axis=1
-    )
-    got = table[:, spatial_cols + [0]]
-    if not np.array_equal(got, expected):
-        raise DataError("CSV rows do not form a complete tensor grid")
-    grid = Grid(t_axis, tuple(axes))
-    states = table[:, state_cols].reshape(*shape, len(state_cols))
-    controls = None
-    if control_cols:
-        controls = table[:, control_cols].reshape(*shape, len(control_cols))
+    grid = Grid(axes[-1], tuple(axes[:-1]))
+    states = table[:, 1 + n_spatial : 1 + n_spatial + n].reshape(*shape, n)
+    controls = table[:, 1 + n_spatial + n :].reshape(*shape, r) if r else None
     if allow_missing:
         return _drop_missing(grid, states, controls, None)
     return Dataset(grid=grid, states=states, controls=controls)

@@ -3,10 +3,10 @@
 Each member solves on a compressed factor of its resampled rows: the bootstrap
 draws become row counts C, and the member's factor has R'R = [theta Y]' C W
 [theta Y] (W the sample weights).  No member builds its own problem or copies
-a drawn row twice; only a scaled temporary of its distinct rows is formed, and
-dropped for the (p + n)-square factor.  A member may also drop a few feature
-columns (their coefficients pinned to zero, so indices stay stable).  Aggregation is a per-entry median or
-mean; inclusion probability is the exact fraction of members retaining a term.
+a drawn row twice: one scaled temporary of its distinct rows, over the feature
+columns it keeps (a member may drop a few, their coefficients pinned to zero),
+becomes the (p + n)-square factor.  Aggregation is a per-entry median or mean;
+inclusion probability is the exact fraction of members retaining a term.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import FitError, SpecError
-from .optimize import Coefficients, OptimizerSpec, Problem, _fit_rows, _Rows
+from .optimize import Coefficients, OptimizerSpec, Problem, _finish, _fit_rows, _Rows
 
 _MASK64 = (1 << 64) - 1
 
@@ -109,7 +109,7 @@ def fit_ensemble(
             rows = rng.integers(0, m, size=n_rows)
         else:
             rows = rng.permutation(m)[:n_rows]
-        features = None
+        features = base.features
         if spec.n_library_drop:
             dropped = rng.choice(p, size=spec.n_library_drop, replace=False)
             features = np.setdiff1d(np.arange(p), dropped)
@@ -117,11 +117,9 @@ def fit_ensemble(
             base, counts=np.bincount(rows, minlength=m), features=features
         )
         try:
-            fac, xi_n, _ = _fit_rows(member, opt)
+            members.append(_fit_rows(member, opt)[0])
         except (FitError, SpecError, np.linalg.LinAlgError) as exc:
             failures.append(f"member {i}: {exc}")
-            continue
-        members.append(fac.embed(xi_n))
 
     if len(members) <= spec.n_models / 2:
         raise FitError(
@@ -131,19 +129,10 @@ def fit_ensemble(
 
     stack = np.stack(members)
     xi, inclusion, iqr = aggregate_members(stack, spec)
-    coefficients = Coefficients(
-        xi=xi,
-        support=xi != 0.0,
-        names=problem.names(),
-        residuals=problem.residual_norms(xi),
-        diagnostics={
-            "ensemble_members": len(members),
-            "ensemble_failed": len(failures),
-        },
-    )
+    diags = {"ensemble_members": len(members), "ensemble_failed": len(failures)}
     return EnsembleReport(
         member_xi=stack,
-        coefficients=coefficients,
+        coefficients=_finish(base, xi, diags),
         inclusion_probability=inclusion,
         iqr=iqr,
         n_failed=len(failures),

@@ -9,7 +9,7 @@ trajectory boundaries.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from math import floor, log10
 
 import numpy as np
@@ -20,6 +20,7 @@ from .ensemble import EnsembleReport, EnsembleSpec, fit_ensemble
 from .errors import DataError, FitError, SpecError
 from .library import FeatureMatrix, GridPlan, LibrarySpec, WeakPDE, evaluate, validate
 from .optimize import STLSQ, Coefficients, OptimizerSpec, Problem, solve
+from .optimize import _finish, _fit_rows, _Rows
 
 BLOWUP_NORM = 1e8
 
@@ -269,44 +270,32 @@ def fit_implicit(
     Feature columns numerically identical to the candidate are excluded from
     its regression (a duplicated column would explain itself); residuals are
     normalized by the candidate's norm and the list is sorted ascending, with
-    near-zero residuals flagged as degenerate.
+    near-zero residuals flagged as degenerate.  Every candidate is a view of
+    the one assembled library with that column as its target.
     """
     collection = as_collection(data)
     validate(library)
     theta, _, names = _assemble(collection, library, diff)
+    library_rows = _Rows.of(Problem(theta=theta, targets=theta[:, :0], feature_names=names))
     results = []
     for cand in candidate_lhs:
         if cand not in names:
             raise SpecError(f"candidate LHS {cand!r} is not a library column")
         j = names.index(cand)
         target = theta[:, j]
-        exclude = [
+        keep = [
             i
             for i in range(theta.shape[1])
-            if i == j or np.array_equal(theta[:, i], target)
+            if i != j and not np.array_equal(theta[:, i], target)
         ]
-        keep = [i for i in range(theta.shape[1]) if i not in exclude]
         if not keep:
             raise SpecError(f"no features left to explain {cand!r}")
-        sub = Problem(
-            theta=theta[:, keep],
-            targets=target,
-            feature_names=tuple(names[i] for i in keep),
-        )
-        coeffs = solve(sub, opt)
+        rows = replace(library_rows, features=np.array(keep), targets=np.array([j]))
+        coefficients = _finish(rows, *_fit_rows(rows, opt))
         norm = float(np.linalg.norm(target))
-        residual = float(coeffs.residuals[0]) / norm if norm > 0 else 0.0
-        xi = np.zeros((len(names), 1))
-        xi[keep, 0] = coeffs.xi[:, 0]
-        full = Coefficients(
-            xi=xi,
-            support=xi != 0.0,
-            names=names,
-            residuals=coeffs.residuals,
-            diagnostics=dict(coeffs.diagnostics),
-        )
+        residual = float(coefficients.residuals[0]) / norm if norm > 0 else 0.0
         model = FittedModel(
-            coefficients=full,
+            coefficients=coefficients,
             library=library,
             diff=diff,
             target_names=(cand,),

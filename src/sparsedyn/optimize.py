@@ -105,13 +105,6 @@ class Problem:
             return self.feature_names
         return tuple(f"f{i}" for i in range(self.n_features))
 
-    def residual_norms(self, xi: np.ndarray) -> np.ndarray:
-        """Per-target norm of the sqrt(weight)-scaled residual of ``xi``."""
-        resid = self.targets - self.theta @ xi
-        if self.sample_weights is not None:
-            resid *= np.sqrt(self.sample_weights)[:, None]
-        return np.linalg.norm(resid, axis=0)
-
 
 @dataclass(frozen=True)
 class Coefficients:
@@ -266,9 +259,10 @@ class _Factor:
         normalize: bool,
         names: tuple[str, ...],
     ):
-        """``R`` factors all ``n_features`` library columns and the targets;
-        the view keeps the nonzero ones among ``columns``."""
-        norms = np.linalg.norm(R[:, columns], axis=0)
+        """``R`` factors the library columns ``columns`` followed by the
+        targets; the view keeps the nonzero ones among ``columns``."""
+        k0 = columns.size
+        norms = np.linalg.norm(R[:, :k0], axis=0)
         keep = norms > 0.0
         self.n_features = n_features
         self.index = columns[keep]
@@ -279,9 +273,9 @@ class _Factor:
                 "every library column is zero on the rows being fit; "
                 "there is no feature to fit"
             )
-        if k < n_features:
-            targets = np.arange(n_features, R.shape[1])
-            R = np.linalg.qr(R[:, np.concatenate((self.index, targets))], mode="r")
+        if k < k0:
+            kept = np.concatenate((np.flatnonzero(keep), np.arange(k0, R.shape[1])))
+            R = np.linalg.qr(R[:, kept], mode="r")
         self.scale = norms[keep] if normalize else np.ones(k)
         self.normalized = normalize
         self.theta = R[:, :k] / self.scale
@@ -307,12 +301,15 @@ class _Factor:
 
 @dataclass(frozen=True)
 class _Rows:
-    """A weighted multiset of rows of the stacked ``[theta Y]``.
+    """A weighted multiset of rows of an array of library columns and targets.
 
-    ``counts`` holds each row's multiplicity (None: every row once) and
-    ``features`` the library columns in play (None: all).  Factors, holdout
-    splits and holdout residuals read the stacked array in place, so
-    resampled or column-dropped variants of a problem copy no rows of it.
+    ``data[:, features]`` are the library columns in play and
+    ``data[:, targets]`` the targets: a problem's ``[theta Y]``, or the
+    library alone with one of its columns as the target of an implicit
+    candidate.  ``n_features`` is the library's width.  A row takes part with
+    weight count * sample weight (``counts``: None, every row once); rows of
+    weight 0 are left out.  Factors, holdout splits and residuals read
+    ``data`` in place, so variants copy no rows of it.
     """
 
     data: np.ndarray
@@ -320,8 +317,9 @@ class _Rows:
     weights: np.ndarray | None
     normalize: bool
     names: tuple[str, ...]
+    features: np.ndarray | slice
+    targets: np.ndarray | slice
     counts: np.ndarray | None = None
-    features: np.ndarray | None = None
 
     @classmethod
     def of(cls, problem: Problem) -> "_Rows":
@@ -336,24 +334,40 @@ class _Rows:
             weights=problem.sample_weights,
             normalize=problem.normalize_columns,
             names=problem.names(),
+            features=slice(0, p),
+            targets=slice(p, None),
         )
 
-    def factor(self) -> _Factor:
-        """Factor of the rows with nonzero count, scaled by sqrt(count * weight)."""
-        rows = self.data
+    def _weighted(self, columns: np.ndarray | None = None):
+        """The rows of nonzero weight, restricted to ``columns`` (None: all),
+        and their weights (None: every row, weight 1).  Only when both are
+        None is the result ``data`` itself rather than a copy."""
+        weight = self.weights
         if self.counts is not None:
-            nz = np.flatnonzero(self.counts)
-            scale = self.counts[nz]
-            if self.weights is not None:
-                scale = scale * self.weights[nz]
-            rows = np.take(rows, nz, axis=0)
-            rows *= np.sqrt(scale)[:, None]
-        elif self.weights is not None:
-            rows = rows * np.sqrt(self.weights)[:, None]
-        p = self.n_features
-        columns = np.arange(p) if self.features is None else self.features
+            weight = self.counts if weight is None else self.counts * weight
+        if weight is None:
+            rows = self.data if columns is None else np.take(self.data, columns, axis=1)
+            return rows, None
+        nz = np.flatnonzero(weight)
+        if columns is None:
+            return np.take(self.data, nz, axis=0), weight[nz]
+        return self.data[np.ix_(nz, columns)], weight[nz]
+
+    def factor(self) -> _Factor:
+        """Factor of the rows of nonzero weight, scaled by sqrt(weight), over
+        the library columns in play and the targets."""
+        every = np.arange(self.data.shape[1])
+        features = every[self.features]
+        columns = np.concatenate((features, every[self.targets]))
+        rows, weight = self._weighted(None if np.array_equal(columns, every) else columns)
+        if weight is not None:
+            rows *= np.sqrt(weight)[:, None]
         return _Factor(
-            _triangular_factor(rows, p), columns, p, self.normalize, self.names
+            _triangular_factor(rows, features.size),
+            features,
+            self.n_features,
+            self.normalize,
+            self.names,
         )
 
     def split(self) -> tuple["_Rows", "_Rows"]:
@@ -372,29 +386,25 @@ class _Rows:
         return replace(self, counts=total - hold), replace(self, counts=hold)
 
     def residual_norms(self, xis: np.ndarray) -> np.ndarray:
-        """Unweighted residual norms over these rows of each (p, n) coefficient
-        matrix in ``xis``; returns (len(xis), n)."""
-        nz = np.flatnonzero(self.counts)
-        block = np.take(self.data, nz, axis=0)
-        p = self.n_features
-        out = np.empty((xis.shape[0], xis.shape[2]))
-        for j in range(xis.shape[2]):
-            r = block[:, p + j, None] - block[:, :p] @ xis[:, :, j].T
-            out[:, j] = np.sqrt(self.counts[nz] @ (r * r))
-        return out
+        """Per-target residual norms over the rows of nonzero weight, each
+        scaled by sqrt(weight), of every (p, n) coefficient matrix in ``xis``
+        (library indexing); returns (len(xis), n)."""
+        rows, weight = self._weighted()
+        resid = rows[:, self.targets] - rows[:, self.features] @ xis[:, self.features]
+        if weight is not None:
+            resid *= np.sqrt(weight)[:, None]
+        return np.linalg.norm(resid, axis=1)
 
 
-def _finish(
-    problem: Problem, fac: _Factor, xi_n: np.ndarray, diags: dict
-) -> Coefficients:
-    """Re-embed reduced coefficients; residuals are taken on the full rows."""
-    xi = fac.embed(xi_n)
+def _finish(rows: _Rows, xi: np.ndarray, diags: dict) -> Coefficients:
+    """Coefficients in library indexing, with residuals taken on all of
+    ``rows``."""
     return Coefficients(
         xi=xi,
         support=xi != 0.0,
-        names=problem.names(),
-        residuals=problem.residual_norms(xi),
-        diagnostics={**fac.diagnostics, **diags},
+        names=rows.names,
+        residuals=rows.residual_norms(xi[None])[0],
+        diagnostics=diags,
     )
 
 
@@ -574,7 +584,7 @@ def _solve_sr3(fac: _Factor, spec: SR3) -> tuple[np.ndarray, dict]:
 # ---------------------------------------------------------------------------
 
 
-def _ssr_path(fac: _Factor, spec: SSR) -> list[tuple[int, np.ndarray]]:
+def _ssr_path(fac: _Factor, spec: SSR) -> tuple[list[tuple[int, np.ndarray]], dict]:
     """Elimination path as (support size, reduced coefficients) pairs."""
     theta, Y = fac.theta, fac.targets
     p, n = theta.shape[1], Y.shape[1]
@@ -597,7 +607,7 @@ def _ssr_path(fac: _Factor, spec: SSR) -> list[tuple[int, np.ndarray]]:
             supports[j] = act.copy()
             supports[j][drop] = False
         size -= 1
-    return entries
+    return entries, {}
 
 
 def _ssr_holdout(rows: _Rows, spec: SSR) -> tuple[_Factor, np.ndarray, dict]:
@@ -605,7 +615,7 @@ def _ssr_holdout(rows: _Rows, spec: SSR) -> tuple[_Factor, np.ndarray, dict]:
     a refit of the selected supports on the factor of all rows."""
     train, hold = rows.split()
     train_fac = train.factor()
-    path = np.stack([train_fac.embed(xi_n) for _, xi_n in _ssr_path(train_fac, spec)])
+    path = np.stack([train_fac.embed(xi_n) for _, xi_n in _ssr_path(train_fac, spec)[0]])
     hold_res = hold.residual_norms(path)
 
     fac = rows.factor()
@@ -690,26 +700,42 @@ def _frols_path(
 # ---------------------------------------------------------------------------
 
 
-def _fit_rows(rows: _Rows, spec: OptimizerSpec) -> tuple[_Factor, np.ndarray, dict]:
-    """Validate ``spec`` and solve on the factor of ``rows``: (factor, reduced
-    coefficients, solver diagnostics)."""
+# Each solver on a factor returns its coefficients (a greedy solver: its
+# path) and its diagnostics.
+_SOLVERS = {STLSQ: _solve_stlsq, SR3: _solve_sr3, SSR: _ssr_path, FROLS: _frols_path}
+
+
+def _fit_rows(rows: _Rows, spec: OptimizerSpec, path: bool = False):
+    """Validate ``spec`` and solve on the factor of ``rows``.
+
+    Returns the chosen coefficients in library indexing and the diagnostics,
+    the factor's included.  With ``path`` a greedy solver returns its whole
+    model path instead of the coefficients, as (support size, coefficients)
+    pairs.
+    """
     spec.validate()
-    if isinstance(spec, SSR):
+    solver = _SOLVERS.get(type(spec))
+    if solver is None:
+        raise SpecError(f"unknown optimizer spec {spec!r}")
+    greedy = isinstance(spec, (SSR, FROLS))
+    if path and not greedy:
+        raise SpecError(f"solve_path requires SSR or FROLS, got {type(spec).__name__}")
+    if isinstance(spec, SSR) and not path:
         if spec.selection == "path":
             raise SpecError(
                 "SSR selection='path' leaves model choice to the caller; "
                 "use solve_path"
             )
-        return _ssr_holdout(rows, spec)
-    if not isinstance(spec, (STLSQ, SR3, FROLS)):
-        raise SpecError(f"unknown optimizer spec {spec!r}")
-    fac = rows.factor()
-    if isinstance(spec, STLSQ):
-        return (fac, *_solve_stlsq(fac, spec))
-    if isinstance(spec, SR3):
-        return (fac, *_solve_sr3(fac, spec))
-    path, diags = _frols_path(fac, spec)
-    return fac, path[-1][1], diags
+        fac, xi_n, diags = _ssr_holdout(rows, spec)
+    else:
+        fac = rows.factor()
+        xi_n, diags = solver(fac, spec)
+        if path:
+            entries = [(size, fac.embed(xi)) for size, xi in xi_n]
+            return entries, {**fac.diagnostics, **diags}
+        if greedy:
+            xi_n = xi_n[-1][1]
+    return fac.embed(xi_n), {**fac.diagnostics, **diags}
 
 
 def solve(problem: Problem, spec: OptimizerSpec) -> Coefficients:
@@ -719,22 +745,17 @@ def solve(problem: Problem, spec: OptimizerSpec) -> Coefficients:
     split, picks the sparsest path entry within a whisker of the minimum
     holdout residual, and refits that support on all rows.
     """
-    return _finish(problem, *_fit_rows(_Rows.of(problem), spec))
+    rows = _Rows.of(problem)
+    return _finish(rows, *_fit_rows(rows, spec))
 
 
 def solve_path(problem: Problem, spec: OptimizerSpec) -> list[PathEntry]:
     """Model path for the greedy algorithms (SSR descending, FROLS ascending)."""
-    spec.validate()
-    if not isinstance(spec, (SSR, FROLS)):
-        raise SpecError(f"solve_path requires SSR or FROLS, got {type(spec).__name__}")
-    fac = _Rows.of(problem).factor()
-    if isinstance(spec, SSR):
-        path, diags = _ssr_path(fac, spec), {}
-    else:
-        path, diags = _frols_path(fac, spec)
+    rows = _Rows.of(problem)
+    path, diags = _fit_rows(rows, spec, path=True)
     entries = []
-    for size, xi_n in path:
-        coefficients = _finish(problem, fac, xi_n, dict(diags))
+    for size, xi in path:
+        coefficients = _finish(rows, xi, dict(diags))
         entries.append(
             PathEntry(coefficients, size, float(np.linalg.norm(coefficients.residuals)))
         )

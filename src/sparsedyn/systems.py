@@ -18,7 +18,7 @@ from .data import Dataset, Grid, add_noise
 from .diff import DiffMethod, Spectral
 from .ensemble import derive_seed
 from .errors import FitError, SpecError
-from .library import PDE, LibrarySpec, Polynomial, evaluate
+from .library import PDE, GridPlan, LibrarySpec, Polynomial, evaluate
 from .model import regression_targets
 from .optimize import Coefficients
 
@@ -99,37 +99,24 @@ def canonical_library(system: Lorenz | KS) -> LibrarySpec:
     )
 
 
-def _lorenz_truth(system: Lorenz) -> Coefficients:
-    names = (
-        "1", "q0", "q1", "q2",
-        "q0^2", "q0 q1", "q0 q2", "q1^2", "q1 q2", "q2^2",
-    )
-    xi = np.zeros((10, 3))
-    xi[names.index("q0"), 0] = -system.sigma
-    xi[names.index("q1"), 0] = system.sigma
-    xi[names.index("q0"), 1] = system.rho
-    xi[names.index("q1"), 1] = -1.0
-    xi[names.index("q0 q2"), 1] = -1.0
-    xi[names.index("q2"), 2] = -system.beta
-    xi[names.index("q0 q1"), 2] = 1.0
+def _truth(system: Lorenz | KS) -> Coefficients:
+    """Ground truth in the canonical library, its nonzero entries set by
+    (column name, target)."""
+    if isinstance(system, Lorenz):
+        n_states, terms = 3, {
+            ("q0", 0): -system.sigma, ("q1", 0): system.sigma,
+            ("q0", 1): system.rho, ("q1", 1): -1.0, ("q0 q2", 1): -1.0,
+            ("q2", 2): -system.beta, ("q0 q1", 2): 1.0,
+        }
+    else:
+        n_states = 1
+        terms = {("q0 q0_x", 0): -1.0, ("q0_xx", 0): -1.0, ("q0_xxxx", 0): -1.0}
+    names = GridPlan(canonical_library(system), n_states).names
+    xi = np.zeros((len(names), n_states))
+    for (name, target), value in terms.items():
+        xi[names.index(name), target] = value
     return Coefficients(
-        xi=xi, support=xi != 0.0, names=names, residuals=np.zeros(3)
-    )
-
-
-def _ks_truth() -> Coefficients:
-    suffixes = ["_x", "_xx", "_xxx", "_xxxx"]
-    names = []
-    for s in suffixes:
-        names.extend([f"q0{s}", f"q0 q0{s}", f"q0^2 q0{s}"])
-    names.extend(["q0", "q0^2"])
-    names = tuple(names)
-    xi = np.zeros((len(names), 1))
-    xi[names.index("q0 q0_x"), 0] = -1.0
-    xi[names.index("q0_xx"), 0] = -1.0
-    xi[names.index("q0_xxxx"), 0] = -1.0
-    return Coefficients(
-        xi=xi, support=xi != 0.0, names=names, residuals=np.zeros(1)
+        xi=xi, support=xi != 0.0, names=names, residuals=np.zeros(n_states)
     )
 
 
@@ -236,13 +223,11 @@ def generate(spec: BenchmarkSpec) -> tuple[Dataset, Coefficients]:
     spec.validate()
     if isinstance(spec.system, Lorenz):
         dataset = _generate_lorenz(spec.system)
-        truth = _lorenz_truth(spec.system)
     else:
         dataset = _generate_ks(spec.system, spec.seed)
-        truth = _ks_truth()
     if spec.noise_level > 0:
         dataset = add_noise(dataset, spec.noise_level, derive_seed(spec.seed, 1))
-    return dataset, truth
+    return dataset, _truth(spec.system)
 
 
 def verify_residual(

@@ -393,3 +393,14 @@ class TestScore:
         bad = tmp_path / "bad_report.json"
         bad.write_text(json.dumps({"schema": 1, "coefficients": [[1.0]]}))
         assert main(["score", "--config", str(bad), "--data", str(lorenz_dataset)]) == 2
+
+
+def test_malformed_meta_exits_3(tmp_path, lorenz_dataset, capsys):
+    meta_path = lorenz_dataset / "meta.json"
+    meta = json.loads(meta_path.read_text())
+    del meta["n_states"]
+    meta_path.write_text(json.dumps(meta))
+    cfg = fit_config(tmp_path, lorenz_dataset)
+    assert main(["fit", "--config", str(cfg)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and err.count("\n") == 1

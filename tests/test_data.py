@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -258,3 +260,146 @@ class TestStorage:
         path.write_text("t,x,q1\n0.0,0.0,1.0\n0.5,0.0,2.0\n0.0,1.0,3.0\n")
         with pytest.raises(DataError):
             load_dataset(path)
+
+
+def one_line_data_error(path, **kwargs) -> str:
+    with pytest.raises(DataError) as info:
+        load_dataset(path, **kwargs)
+    message = str(info.value)
+    assert "\n" not in message
+    return message
+
+
+def edited_meta(tmp_path, edit):
+    """A saved (3 x 6 x 2) dataset directory whose meta.json went through
+    ``edit`` (a function of the parsed document returning the new one)."""
+    directory = save_dataset(make_dataset((3,), 6, 2, seed=1), tmp_path / "d")
+    meta = json.loads((directory / "meta.json").read_text())
+    (directory / "meta.json").write_text(json.dumps(edit(meta)))
+    return directory
+
+
+def with_item(key, value):
+    return lambda meta: {**meta, key: value}
+
+
+def with_axis(index, **changes):
+    def edit(meta):
+        axes = list(meta["axes"])
+        axes[index] = {**axes[index], **changes}
+        return {**meta, "axes": axes}
+
+    return edit
+
+
+class TestMalformedMeta:
+    def test_valid_meta_loads(self, tmp_path):
+        ds = load_dataset(edited_meta(tmp_path, lambda meta: meta))
+        assert ds.states.shape == (3, 6, 2)
+
+    def test_missing_n_states(self, tmp_path):
+        def drop(meta):
+            del meta["n_states"]
+            return meta
+
+        assert "n_states" in one_line_data_error(edited_meta(tmp_path, drop))
+
+    def test_meta_is_a_list(self, tmp_path):
+        one_line_data_error(edited_meta(tmp_path, lambda meta: [meta]))
+
+    def test_axis_entry_is_a_number(self, tmp_path):
+        def edit(meta):
+            return {**meta, "axes": [3, *meta["axes"][1:]]}
+
+        one_line_data_error(edited_meta(tmp_path, edit))
+
+    def test_count_is_a_string(self, tmp_path):
+        assert "count" in one_line_data_error(
+            edited_meta(tmp_path, with_axis(-1, count="five"))
+        )
+
+    def test_values_are_a_string(self, tmp_path):
+        def edit(meta):
+            axes = [{"name": "x", "values": "0,1,2"}, meta["axes"][1]]
+            return {**meta, "axes": axes}
+
+        assert "values" in one_line_data_error(edited_meta(tmp_path, edit))
+
+    def test_values_hold_a_string(self, tmp_path):
+        def edit(meta):
+            axes = [{"name": "x", "values": [0.0, "0.5", 1.0]}, meta["axes"][1]]
+            return {**meta, "axes": axes}
+
+        assert "values" in one_line_data_error(edited_meta(tmp_path, edit))
+
+    def test_n_states_is_a_string(self, tmp_path):
+        assert "n_states" in one_line_data_error(
+            edited_meta(tmp_path, with_item("n_states", "one"))
+        )
+
+    def test_n_states_is_fractional(self, tmp_path):
+        assert "n_states" in one_line_data_error(
+            edited_meta(tmp_path, with_item("n_states", 1.7))
+        )
+
+    def test_n_controls_is_negative(self, tmp_path):
+        assert "n_controls" in one_line_data_error(
+            edited_meta(tmp_path, with_item("n_controls", -1))
+        )
+
+    def test_unknown_schema(self, tmp_path):
+        assert "schema" in one_line_data_error(
+            edited_meta(tmp_path, with_item("schema", 2))
+        )
+
+    def test_unknown_dtype(self, tmp_path):
+        assert "dtype" in one_line_data_error(
+            edited_meta(tmp_path, with_item("dtype", "f32"))
+        )
+
+    def test_unknown_order(self, tmp_path):
+        assert "order" in one_line_data_error(
+            edited_meta(tmp_path, with_item("order", "space-major"))
+        )
+
+
+class TestMalformedCsv:
+    def write(self, tmp_path, text):
+        path = tmp_path / "d.csv"
+        path.write_text(text)
+        return path
+
+    def test_short_row(self, tmp_path):
+        path = self.write(tmp_path, "t,q1,q2\n0.0,1.0,2.0\n1.0,3.0\n2.0,5.0,6.0\n")
+        assert "line 3" in one_line_data_error(path)
+
+    def test_long_row(self, tmp_path):
+        # every row long: the extra column used to be dropped silently
+        path = self.write(tmp_path, "t,q1\n0.0,1.0,9.0\n1.0,3.0,9.0\n2.0,5.0,9.0\n")
+        assert "line 2" in one_line_data_error(path)
+
+    def test_non_numeric_cell(self, tmp_path):
+        path = self.write(tmp_path, "t,q1\n0.0,1.0\n1.0,abc\n2.0,5.0\n")
+        assert "line 3" in one_line_data_error(path)
+
+    def test_unknown_column(self, tmp_path):
+        path = self.write(tmp_path, "t,q1,w\n0.0,1.0,7.0\n1.0,3.0,7.0\n2.0,5.0,7.0\n")
+        one_line_data_error(path)
+
+    def test_columns_out_of_order(self, tmp_path):
+        path = self.write(tmp_path, "t,q2,q1\n0.0,1.0,2.0\n1.0,3.0,4.0\n2.0,5.0,6.0\n")
+        one_line_data_error(path)
+
+    def test_spatial_column_after_states(self, tmp_path):
+        path = self.write(
+            tmp_path, "t,q1,x\n0.0,1.0,0.0\n0.5,2.0,0.0\n0.0,3.0,1.0\n0.5,4.0,1.0\n"
+        )
+        one_line_data_error(path)
+
+    def test_empty_cell_still_reads_as_missing(self, tmp_path):
+        path = self.write(
+            tmp_path, "t,q1,u1\n0.0,1.0,0.5\n1.0,,0.5\n2.0,3.0,0.5\n3.0,4.0,\n"
+        )
+        ds = load_dataset(path, allow_missing=True)
+        np.testing.assert_array_equal(ds.grid.time_axis, [0.0, 2.0])
+        np.testing.assert_array_equal(ds.controls.ravel(), [0.5, 0.5])

@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from sparsedyn.data import Dataset, Grid, TrajectoryCollection, split_train_test
+from sparsedyn.data import (
+    Dataset,
+    Grid,
+    TrajectoryCollection,
+    as_collection,
+    split_train_test,
+)
 from sparsedyn.diff import FiniteDifference
 from sparsedyn.errors import DataError, SpecError
 from sparsedyn.library import (
@@ -28,7 +34,7 @@ from sparsedyn.model import (
     score,
     simulate,
 )
-from sparsedyn.optimize import Coefficients, STLSQ
+from sparsedyn.optimize import FROLS, SR3, SSR, STLSQ, Coefficients, Problem, solve
 from sparsedyn.systems import BenchmarkSpec, Lorenz, generate
 
 FD4 = FiniteDifference(order=4)
@@ -439,6 +445,95 @@ class TestImplicit:
         scaled_rank, scaled_res = ranking(np.array([1.0, 7.0, 0.2]))
         assert base_rank == scaled_rank
         assert scaled_res == pytest.approx(base_res, rel=1e-8)
+
+
+def oracle_fit_implicit(data, library, opt, candidate_lhs, diff=FiniteDifference()):
+    """Implicit candidates as separate problems: each candidate's regression
+    copies the library without the candidate and its duplicates, solves it
+    and re-embeds the coefficients at full library width."""
+    collection = as_collection(data)
+    theta, _, names = _assemble(collection, library, diff)
+    results = []
+    for cand in candidate_lhs:
+        j = names.index(cand)
+        target = theta[:, j]
+        exclude = [
+            i
+            for i in range(theta.shape[1])
+            if i == j or np.array_equal(theta[:, i], target)
+        ]
+        keep = [i for i in range(theta.shape[1]) if i not in exclude]
+        sub = Problem(
+            theta=theta[:, keep],
+            targets=target,
+            feature_names=tuple(names[i] for i in keep),
+        )
+        coeffs = solve(sub, opt)
+        norm = float(np.linalg.norm(target))
+        residual = float(coeffs.residuals[0]) / norm if norm > 0 else 0.0
+        xi = np.zeros((len(names), 1))
+        xi[keep, 0] = coeffs.xi[:, 0]
+        results.append((cand, xi, residual, coeffs.diagnostics))
+    results.sort(key=lambda r: r[2])
+    return results
+
+
+def implicit_cases():
+    """(dataset, library, candidates): a derivative library on noisy
+    rotation data, and a library with an exact duplicate column ("1 q0"),
+    proportional columns (q2 = 2 q0) and zero columns (q3 and "1 q3")."""
+    rot = rotation_dataset(T=600, t_max=6.0)
+    noisy = Dataset(
+        grid=rot.grid,
+        states=rot.states
+        + 1e-3 * np.random.default_rng(2).standard_normal(rot.states.shape),
+    )
+    derivative_library = Concat((PDE(1, ("t",)), Polynomial(2)))
+    t = np.linspace(0, 5, 400)
+    wave = np.sin(t) + 0.3 * np.sin(3 * t)
+    states = np.column_stack([wave, np.cos(t), 2 * wave, np.zeros_like(t)])
+    degenerate = Dataset(grid=Grid(t), states=states)
+    degenerate_library = Concat(
+        (Polynomial(2), Tensor(Polynomial(0), Polynomial(1, include_bias=False)))
+    )
+    return [
+        (noisy, derivative_library, ["q0_t"]),
+        (noisy, derivative_library, ["q1_t", "q0_t"]),
+        (noisy, derivative_library, ["q0_t", "q1_t", "q0 q1"]),
+        (degenerate, degenerate_library, ["q0"]),
+        (degenerate, degenerate_library, ["q1", "q0 q1"]),
+        (degenerate, degenerate_library, ["q0", "q1", "q0^2"]),
+    ]
+
+
+IMPLICIT_SPECS = [
+    STLSQ(threshold=0.05, ridge=0.0),
+    STLSQ(),
+    SR3(threshold=0.05),
+    SSR(),
+    FROLS(),
+]
+
+
+class TestImplicitOracle:
+    @pytest.mark.parametrize(
+        "opt", IMPLICIT_SPECS, ids=["stlsq", "stlsq-ridge", "sr3", "ssr", "frols"]
+    )
+    @pytest.mark.parametrize("case", range(6))
+    def test_matches_per_candidate_problems(self, opt, case):
+        data, library, candidates = implicit_cases()[case]
+        results = fit_implicit(data, library, opt, candidates, diff=FD4)
+        expected = oracle_fit_implicit(data, library, opt, candidates, diff=FD4)
+        assert [r.lhs_name for r in results] == [e[0] for e in expected]
+        for r, (_, xi, residual, diagnostics) in zip(results, expected):
+            np.testing.assert_array_equal(r.model.xi, xi)
+            np.testing.assert_array_equal(r.model.coefficients.support, xi != 0.0)
+            assert r.model.feature_names == r.model.coefficients.names
+            # residuals are normalized by the candidate's norm
+            assert abs(r.residual - residual) <= 1e-12
+            assert r.model.coefficients.diagnostics.get("dropped_columns") == (
+                diagnostics.get("dropped_columns")
+            )
 
 
 class TestEquations:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sparsedyn.ensemble import EnsembleSpec, fit_ensemble
 from sparsedyn.errors import DataError, FitError, SpecError
 from sparsedyn.optimize import (
     FROLS,
@@ -612,3 +613,48 @@ def test_stacked_rows_are_c_ordered():
     rows = _Rows.of(replace(prob, theta=np.asfortranarray(prob.theta)))
     assert rows.data.flags.c_contiguous
     np.testing.assert_array_equal(rows.data, np.hstack([prob.theta, prob.targets]))
+
+
+# ---------------------------------------------------------------------------
+# Rows of sample weight 0 take no part in a fit: not in the factor, not in
+# SSR's holdout residuals, not in an ensemble member.
+# ---------------------------------------------------------------------------
+
+ZERO_WEIGHT_SPECS = ALL_SPECS + [
+    ("ensemble", STLSQ(threshold=0.1, ridge=0.0)),
+    ("ensemble", SSR()),
+]
+ZERO_WEIGHT_IDS = ALL_IDS + ["ensemble-stlsq", "ensemble-ssr"]
+
+
+def fitted_xi(prob, spec):
+    if isinstance(spec, tuple):
+        report = fit_ensemble(prob, spec[1], EnsembleSpec(n_models=6, seed=3))
+        return report.coefficients.xi
+    return solve(prob, spec).xi
+
+
+class TestZeroWeightRows:
+    @pytest.mark.parametrize("spec", ZERO_WEIGHT_SPECS, ids=ZERO_WEIGHT_IDS)
+    @given(
+        seed=st.integers(0, 10_000),
+        m=st.integers(24, 80),
+        p=st.integers(2, 6),
+        n=st.integers(1, 2),
+        garbage_scale=st.sampled_from([1.0, 1e3]),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_zero_weight_rows_do_not_matter(self, spec, seed, m, p, n, garbage_scale):
+        rng = np.random.default_rng(seed)
+        theta = rng.standard_normal((m, p))
+        targets = theta @ rng.uniform(-2.0, 2.0, (p, n))
+        targets += 0.1 * rng.standard_normal((m, n))
+        weights = rng.uniform(0.5, 2.0, m)
+        zero = rng.permutation(m)[: m // 2]
+        weights[zero] = 0.0
+        prob = Problem(theta=theta, targets=targets, sample_weights=weights)
+        theta_g, targets_g = theta.copy(), targets.copy()
+        theta_g[zero] = garbage_scale * rng.standard_normal((zero.size, p))
+        targets_g[zero] = garbage_scale * rng.standard_normal((zero.size, n))
+        garbled = Problem(theta=theta_g, targets=targets_g, sample_weights=weights)
+        np.testing.assert_array_equal(fitted_xi(garbled, spec), fitted_xi(prob, spec))

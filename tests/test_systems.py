@@ -7,6 +7,7 @@ from sparsedyn.systems import (
     KS,
     BenchmarkSpec,
     Lorenz,
+    _truth,
     canonical_library,
     generate,
     verify_residual,
@@ -125,3 +126,41 @@ class TestKS:
         rms = np.sqrt(np.mean(clean.states**2))
         diff = noisy.states - clean.states
         assert abs(diff.std() / (0.05 * rms) - 1.0) < 0.05
+
+
+class TestTruthTables:
+    """The ground truth's names come from the canonical library's plan;
+    these literal tables pin them and the coefficients."""
+
+    def test_lorenz(self):
+        truth = _truth(Lorenz(sigma=9.0, rho=27.0, beta=2.5))
+        assert truth.names == (
+            "1", "q0", "q1", "q2",
+            "q0^2", "q0 q1", "q0 q2", "q1^2", "q1 q2", "q2^2",
+        )
+        expected = np.zeros((10, 3))
+        expected[1, 0], expected[2, 0] = -9.0, 9.0
+        expected[1, 1], expected[2, 1], expected[6, 1] = 27.0, -1.0, -1.0
+        expected[3, 2], expected[5, 2] = -2.5, 1.0
+        np.testing.assert_array_equal(truth.xi, expected)
+        np.testing.assert_array_equal(truth.support, expected != 0.0)
+        np.testing.assert_array_equal(truth.residuals, np.zeros(3))
+
+    def test_ks(self):
+        truth = _truth(KS())
+        assert truth.names == (
+            "q0_x", "q0 q0_x", "q0^2 q0_x",
+            "q0_xx", "q0 q0_xx", "q0^2 q0_xx",
+            "q0_xxx", "q0 q0_xxx", "q0^2 q0_xxx",
+            "q0_xxxx", "q0 q0_xxxx", "q0^2 q0_xxxx",
+            "q0", "q0^2",
+        )
+        expected = np.zeros((14, 1))
+        expected[[1, 3, 9], 0] = -1.0
+        np.testing.assert_array_equal(truth.xi, expected)
+        np.testing.assert_array_equal(truth.residuals, np.zeros(1))
+
+    def test_generate_returns_the_table(self):
+        _, truth = generate(BenchmarkSpec(system=Lorenz(t_span=0.1)))
+        np.testing.assert_array_equal(truth.xi, _truth(Lorenz()).xi)
+        assert truth.names == _truth(Lorenz()).names
