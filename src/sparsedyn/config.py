@@ -33,6 +33,7 @@ from . import library as libmod
 from . import optimize as optmod
 from .ensemble import EnsembleSpec
 from .errors import SpecError
+from .model import _check_target_diff
 from .systems import KS, BenchmarkSpec, Lorenz
 
 SCHEMA_VERSION = 1
@@ -73,6 +74,7 @@ class DiscoveryConfig:
             )
         if self.precision < 1:
             raise SpecError(f"precision must be >= 1, got {self.precision}")
+        _check_target_diff(self.diff)
         libmod.validate(self.library)
         self.optimizer.validate()
         if self.ensemble is not None:

@@ -19,6 +19,7 @@ import numpy as np
 from .errors import DataError
 
 UNIFORMITY_RTOL = 1e-10
+AXIS_LETTERS = ("x", "y", "z")
 
 
 def _is_uniform(axis: np.ndarray) -> bool:
@@ -74,6 +75,19 @@ class Grid:
     @property
     def n_samples(self) -> int:
         return int(np.prod(self.sample_shape))
+
+    @property
+    def axis_names(self) -> tuple[str, ...]:
+        """Axis names in storage order: x, y, z (then x3, x4, ...) and t."""
+        return (*(AXIS_LETTERS[i] if i < 3 else f"x{i}" for i in range(self.n_spatial)), "t")
+
+    def axis(self, name: str) -> tuple[int, np.ndarray]:
+        """(array axis, coordinates) of the axis ``name`` ("x", "y", "z" or
+        "t"); array axes follow the storage order (*spatial, time)."""
+        if name not in self.axis_names:
+            raise DataError(f"grid has {self.n_spatial} spatial axes, none named {name!r}")
+        index = self.axis_names.index(name)
+        return index, (*self.spatial_axes, self.time_axis)[index]
 
 
 @dataclass(frozen=True)
@@ -230,22 +244,19 @@ def split_train_test(dataset: Dataset, fraction: float) -> tuple[Dataset, Datase
             f"fraction {fraction} on {T} time samples leaves a degenerate side "
             f"(train {n_train}, test {n_test}; both need >= 2)"
         )
+    fields = (dataset.states, dataset.controls, dataset.derivatives)
+    return (_at_times(dataset.grid, slice(0, n_train), *fields),
+            _at_times(dataset.grid, slice(n_train, T), *fields))
 
-    time_axis = dataset.grid.time_axis
 
-    def take(sl: slice) -> Dataset:
-        grid = Grid(time_axis[sl], dataset.grid.spatial_axes)
-        sel = (Ellipsis, sl, slice(None))
-        return Dataset(
-            grid=grid,
-            states=dataset.states[sel],
-            controls=None if dataset.controls is None else dataset.controls[sel],
-            derivatives=(
-                None if dataset.derivatives is None else dataset.derivatives[sel]
-            ),
-        )
+def _at_times(grid: Grid, times, states, controls, derivs) -> Dataset:
+    """The samples at the time indices ``times``, a slice or a mask."""
 
-    return take(slice(0, n_train)), take(slice(n_train, T))
+    def take(values):
+        return None if values is None else values[..., times, :]
+
+    return Dataset(grid=Grid(grid.time_axis[times], grid.spatial_axes),
+                   states=take(states), controls=take(controls), derivatives=take(derivs))
 
 
 def add_noise(
@@ -283,9 +294,9 @@ def add_noise(
 # controls.f64  optional, same sample dims x n_controls
 # derivs.f64    optional, same shape as states
 #
-# The axes list is in storage order: spatial axes first, the time axis
-# (named "t") last.  Small datasets may instead be a single CSV with
-# header t[,x[,y[,z]]],q1..qn[,u1..ur].
+# The axes list is in storage order, named by ``Grid.axis_names``: spatial
+# axes first (x, y, z, then x3, ...), the time axis t last.  Small datasets
+# may instead be a single CSV with header t[,x[,y[,z]]],q1..qn[,u1..ur].
 # ---------------------------------------------------------------------------
 
 
@@ -336,12 +347,11 @@ def save_dataset(dataset: Dataset, directory: str | Path) -> Path:
     """Write the dataset directory format; returns the directory path."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    letters = ("x", "y", "z")
+    grid = dataset.grid
     axes = [
-        _axis_to_json(letters[i] if i < 3 else f"x{i}", ax)
-        for i, ax in enumerate(dataset.grid.spatial_axes)
+        _axis_to_json(name, ax)
+        for name, ax in zip(grid.axis_names, (*grid.spatial_axes, grid.time_axis))
     ]
-    axes.append(_axis_to_json("t", dataset.grid.time_axis))
     meta = {
         "schema": 1,
         "n_states": dataset.n_states,
@@ -397,13 +407,14 @@ def load_dataset(path: str | Path, allow_missing: bool = False) -> Dataset:
     if not isinstance(meta.get("axes", []), list):
         raise DataError("meta.json axes must be a list")
     axes = [_axis_from_json(entry) for entry in meta.get("axes", [])]
-    if not axes or axes[-1][0] != "t":
-        raise DataError("axes must end with the time axis named 't'")
-    time_axis = axes[-1][1]
-    spatial = tuple(values for _, values in axes[:-1])
+    if not axes:
+        raise DataError("meta.json axes must hold at least the time axis 't'")
+    grid = Grid(axes[-1][1], tuple(values for _, values in axes[:-1]))
+    names = [name for name, _ in axes]
+    if tuple(names) != grid.axis_names:
+        raise DataError(f"meta.json axes are named {names}, expected {list(grid.axis_names)}")
     n = _count(meta, "n_states", "meta.json", minimum=1)
     r = _count(meta, "n_controls", "meta.json", default=0)
-    grid = Grid(time_axis, spatial)
     shape = grid.sample_shape
 
     states = _load_raw(path / "states.f64", shape + (n,), "states.f64")
@@ -428,14 +439,7 @@ def _drop_missing(grid, states, controls, derivs) -> Dataset:
     keep = ~bad
     if keep.sum() < 2:
         raise DataError("fewer than 2 complete time samples after dropping NaNs")
-    new_grid = Grid(grid.time_axis[keep], grid.spatial_axes)
-    sel = (Ellipsis, keep, slice(None))
-    return Dataset(
-        grid=new_grid,
-        states=states[sel],
-        controls=None if controls is None else controls[sel],
-        derivatives=None if derivs is None else derivs[sel],
-    )
+    return _at_times(grid, keep, states, controls, derivs)
 
 
 def _load_csv(path: Path, allow_missing: bool) -> Dataset:
@@ -449,10 +453,10 @@ def _load_csv(path: Path, allow_missing: bool) -> Dataset:
         if header is None:
             raise DataError(f"{path} is empty")
         header = [h.strip() for h in header]
-        n_spatial = sum(h in ("x", "y", "z") for h in header)
+        n_spatial = sum(h in AXIS_LETTERS for h in header)
         n = sum(h.startswith("q") for h in header)
         r = sum(h.startswith("u") for h in header)
-        expected = ["t", *"xyz"[:n_spatial]] + [f"q{i + 1}" for i in range(n)]
+        expected = ["t", *AXIS_LETTERS[:n_spatial]] + [f"q{i + 1}" for i in range(n)]
         expected += [f"u{i + 1}" for i in range(r)]
         if header != expected:
             raise DataError(

@@ -283,34 +283,65 @@ def differentiate(
     return _differentiate_orders(values, axis_values, method, (d,), axis)[0]
 
 
+def _derivative_fields(
+    dataset: Dataset,
+    axes: tuple[str, ...],
+    mus: list[tuple[int, ...]],
+    method: DiffMethod,
+) -> list[np.ndarray]:
+    """D^mu of the states, shape (*spatial, time, n_states), for each
+    multi-index of orders ``mu`` along the axis letters ``axes``.
+
+    D^mu is a derivative along the last axis mu uses of the field of its
+    prefix (mu with that axis zeroed), and all orders of one field along one
+    axis come from one call, so spectral ones share one transform.  A
+    dataset's precomputed time derivatives stand in for a first time derivative.
+    """
+
+    def precomputed(mu: tuple[int, ...]) -> bool:
+        return dataset.derivatives is not None and sum(mu) == 1 and axes[mu.index(1)] == "t"
+
+    # (prefix, axis position) -> orders, for every mu computed numerically
+    groups: dict[tuple[tuple[int, ...], int], set[int]] = {}
+    todo = [mu for mu in mus if not precomputed(mu)]
+    while todo:
+        mu = todo.pop()
+        # a zero mu of one axis is the method's order-0 filter (Savitzky-Golay)
+        a = max((i for i, order in enumerate(mu) if order), default=len(mu) - 1)
+        prefix = mu[:a] + (0,) + mu[a + 1 :]
+        orders = groups.setdefault((prefix, a), set())
+        if mu[a] not in orders:
+            orders.add(mu[a])
+            if any(prefix):
+                todo.append(prefix)
+    fields = {(0,) * len(axes): dataset.states}
+    for (prefix, a), orders in sorted(groups.items(), key=lambda g: sum(g[0][0])):
+        array_axis, coords = dataset.grid.axis(axes[a])
+        orders = tuple(sorted(orders))
+        derived = _differentiate_orders(fields[prefix], coords, method, orders, array_axis)
+        for order, field in zip(orders, derived):
+            fields[prefix[:a] + (order,) + prefix[a + 1 :]] = field
+    return [dataset.derivatives if precomputed(mu) else fields[mu] for mu in mus]
+
+
 def differentiate_dataset(
     dataset: Dataset, method: DiffMethod, axis_id: int | str = "t"
 ) -> np.ndarray:
-    """Differentiate every state variable along one grid axis.
+    """Derivative of order ``method.d`` of every state variable along one
+    grid axis.
 
     ``axis_id`` is ``"t"``/``"time"`` for the time axis, a spatial axis index,
     or a spatial axis letter (``"x"``, ``"y"``, ``"z"``).  When the dataset
     carries precomputed time derivatives and a first time derivative is
     requested, they are returned verbatim.
     """
-    if isinstance(axis_id, str) and axis_id in ("t", "time"):
-        if dataset.derivatives is not None and method.d == 1:
-            return dataset.derivatives
-        axis_values = dataset.grid.time_axis
-        array_axis = dataset.states.ndim - 2
-    else:
-        letters = {"x": 0, "y": 1, "z": 2}
-        if isinstance(axis_id, str):
-            if axis_id not in letters:
-                raise DataError(f"unknown axis id {axis_id!r} (use t, x, y, z or an index)")
-            idx = letters[axis_id]
-        else:
-            idx = int(axis_id)
-        if not 0 <= idx < dataset.grid.n_spatial:
+    if not isinstance(axis_id, str):
+        if not 0 <= int(axis_id) < dataset.grid.n_spatial:
             raise DataError(
                 f"spatial axis {axis_id!r} out of range for "
                 f"{dataset.grid.n_spatial} spatial axes"
             )
-        axis_values = dataset.grid.spatial_axes[idx]
-        array_axis = idx
-    return differentiate(dataset.states, axis_values, method, axis=array_axis)
+        axis_id = dataset.grid.axis_names[int(axis_id)]
+    elif axis_id == "time":
+        axis_id = "t"
+    return _derivative_fields(dataset, (axis_id,), [(method.d,)], method)[0]

@@ -10,17 +10,16 @@ names and fills, so the width of a library is the length of its plan's names.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations_with_replacement, product as iproduct
 from typing import Callable, Union
 
 import numpy as np
 
-from .data import Dataset, flatten
-from .diff import DiffMethod, _differentiate_orders
+from .data import AXIS_LETTERS, Dataset, flatten
+from .diff import DiffMethod, _derivative_fields
 from .errors import DataError, SpecError
-
-AXIS_LETTERS = ("x", "y", "z")
 
 
 class _Spec:
@@ -243,15 +242,19 @@ class FeatureMatrix:
                 f"feature matrix shape {values.shape} does not match "
                 f"{len(self.names)} names"
             )
-        if len(set(self.names)) != len(self.names):
-            dupes = sorted({n for n in self.names if list(self.names).count(n) > 1})
-            raise SpecError(f"duplicate feature names: {dupes}")
+        _check_unique(self.names)
         if not np.all(np.isfinite(values)):
             raise DataError("feature matrix contains non-finite entries")
 
     @property
     def width(self) -> int:
         return self.values.shape[1]
+
+
+def _check_unique(names: tuple[str, ...]) -> None:
+    dupes = sorted(name for name, count in Counter(names).items() if count > 1)
+    if dupes:
+        raise SpecError(f"duplicate feature names: {dupes}")
 
 
 def validate(spec: LibrarySpec) -> None:
@@ -293,6 +296,11 @@ class _Block:
     f_names: tuple[str, ...]
     f_fill: _Fill | None
 
+    def fields(self, dataset: Dataset, diff_method: DiffMethod) -> list[np.ndarray]:
+        """D^mu of the states for each of ``mus``, shape (*spatial, time, n)."""
+        method = diff_method if self.spec.diff is None else self.spec.diff
+        return _derivative_fields(dataset, self.spec.axes, self.mus, method)
+
 
 def _monomial_name(combo: tuple[int, ...], names: tuple[str, ...]) -> str:
     parts = []
@@ -312,11 +320,12 @@ class GridPlan:
     """A library planned once for ``n_states`` states and ``n_controls``
     controls.
 
-    One walk of the spec validates it and builds the column ``names``, the
-    fill of every node and the derivative request of every PDE block
-    (``blocks``, in column order).  ``apply`` only computes values: grid
-    evaluation passes each block's derivative fields, while a plan without
-    blocks also evaluates single rows and the integrator's right-hand side.
+    One walk of the spec validates it and builds the column ``names`` (which
+    must be unique), the fill of every node and the derivative request of
+    every PDE block (``blocks``, in column order).  ``apply`` only computes
+    values: grid evaluation passes each block's derivative fields, while a
+    plan without blocks also evaluates single rows and the integrator's
+    right-hand side.
     A ``WeakPDE`` (kept as ``weak``) plans its inner library, whose columns
     are the integrands of the weak columns and carry their names.  A plan on
     no inputs (``validate``) leaves ``InputSubset`` indices into them unchecked.
@@ -337,6 +346,7 @@ class GridPlan:
                 "factors) or a derivative-free library"
             )
         self.names = tuple(names)
+        _check_unique(self.names)
 
     def apply(self, X: np.ndarray, fields: list | tuple = ()) -> np.ndarray:
         """Feature values ``(m, width)`` of an ``(m, n_inputs)`` matrix;
@@ -507,64 +517,6 @@ def evaluate_pointwise(
 # ---------------------------------------------------------------------------
 
 
-def _axis_info(dataset: Dataset, axis_id: str) -> tuple[int, np.ndarray]:
-    """(array axis, coordinates) for an axis letter; states layout is
-    (*spatial, time, n)."""
-    grid = dataset.grid
-    if axis_id == "t":
-        return dataset.states.ndim - 2, grid.time_axis
-    idx = AXIS_LETTERS.index(axis_id)
-    if idx >= grid.n_spatial:
-        raise DataError(
-            f"dataset has {grid.n_spatial} spatial axes, none named {axis_id!r}"
-        )
-    return idx, grid.spatial_axes[idx]
-
-
-def _derivative_fields(
-    dataset: Dataset, block: _Block, axes: dict, diff_method: DiffMethod
-) -> list[np.ndarray]:
-    """D^mu of the state block for each of the block's mus, shape
-    (*spatial, time, n_states); ``axes`` maps axis letters to ``_axis_info``.
-
-    Axes are differentiated in ``spec.axes`` order, so D^mu is a derivative
-    along the last axis mu uses of the field of its prefix (mu with that
-    axis zeroed).  All orders taken of one field along one axis come from
-    one call, so spectral derivatives share one transform.  A dataset's
-    precomputed time derivatives stand in for a plain first time derivative.
-    """
-    spec = block.spec
-    method = spec.diff if spec.diff is not None else diff_method
-
-    def precomputed(mu: tuple[int, ...]) -> bool:
-        return (
-            dataset.derivatives is not None
-            and sum(mu) == 1
-            and spec.axes[mu.index(1)] == "t"
-        )
-
-    # (prefix, axis position) -> orders, for every mu computed numerically
-    groups: dict[tuple[tuple[int, ...], int], set[int]] = {}
-    todo = [mu for mu in block.mus if not precomputed(mu)]
-    while todo:
-        mu = todo.pop()
-        a = max(i for i, order in enumerate(mu) if order)
-        prefix = mu[:a] + (0,) + mu[a + 1 :]
-        orders = groups.setdefault((prefix, a), set())
-        if mu[a] not in orders:
-            orders.add(mu[a])
-            if any(prefix):
-                todo.append(prefix)
-    fields = {(0,) * len(spec.axes): dataset.states}
-    for (prefix, a), orders in sorted(groups.items(), key=lambda g: sum(g[0][0])):
-        array_axis, coords = axes[spec.axes[a]]
-        orders = tuple(sorted(orders))
-        derived = _differentiate_orders(fields[prefix], coords, method, orders, array_axis)
-        for order, field in zip(orders, derived):
-            fields[prefix[:a] + (order,) + prefix[a + 1 :]] = field
-    return [dataset.derivatives if precomputed(mu) else fields[mu] for mu in block.mus]
-
-
 def _grid_inputs(dataset: Dataset) -> np.ndarray:
     """Flattened ``(samples, states + controls)`` library inputs."""
     X, U, _ = flatten(dataset)
@@ -582,11 +534,10 @@ def evaluate(
     supplies derivatives unless the spec embeds its own override.
     """
     plan = GridPlan(spec, dataset.n_states, dataset.n_controls)
-    axes = {ax: _axis_info(dataset, ax) for block in plan.blocks for ax in block.spec.axes}
     if plan.weak is not None:
-        values, lhs = _weak_columns(plan, dataset, diff_method, axes)
+        values, lhs = _weak_columns(plan, dataset, diff_method)
     else:
-        fields = [_derivative_fields(dataset, b, axes, diff_method) for b in plan.blocks]
+        fields = [block.fields(dataset, diff_method) for block in plan.blocks]
         values, lhs = plan.apply(_grid_inputs(dataset), fields), None
     return FeatureMatrix(values=values, names=plan.names, provenance=spec, weak_lhs=lhs)
 
@@ -634,7 +585,7 @@ def _weak_axis_vectors(
 
 
 def _weak_columns(
-    plan: GridPlan, dataset: Dataset, diff_method: DiffMethod, axes: dict
+    plan: GridPlan, dataset: Dataset, diff_method: DiffMethod
 ) -> tuple[np.ndarray, np.ndarray]:
     spec = plan.weak
     grid = dataset.grid
@@ -664,7 +615,7 @@ def _weak_columns(
         (pde,) = plan.blocks
         mus, n_f, f_fill = pde.mus, len(pde.f_names), pde.f_fill
         mu_orders = [
-            {axes[ax][0]: order for ax, order in zip(pde.spec.axes, mu)} for mu in mus
+            {grid.axis(ax)[0]: order for ax, order in zip(pde.spec.axes, mu)} for mu in mus
         ]
     else:
         mus, n_f, f_fill, mu_orders = [], len(plan.names), plan._fill, []
@@ -678,7 +629,7 @@ def _weak_columns(
     # The numerically differentiated fields feed only the product columns;
     # pure derivative columns are handled by parts and never need them.
     if n_f and mus:
-        deriv_fields = _derivative_fields(dataset, pde, axes, diff_method)
+        deriv_fields = pde.fields(dataset, diff_method)
     else:
         deriv_fields = [None] * len(mus)
 

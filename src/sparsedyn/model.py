@@ -52,22 +52,30 @@ class FittedModel:
         return self.coefficients.xi
 
 
+def _check_target_diff(diff: DiffMethod) -> None:
+    """A fit's ``diff`` makes its targets, the first time derivatives."""
+    if diff.d != 1:
+        raise SpecError(f"fit targets are first time derivatives; {diff!r} has d={diff.d}")
+
+
 def regression_targets(
     fm: FeatureMatrix, dataset: Dataset, diff: DiffMethod
 ) -> np.ndarray:
     """The ``(rows, n_states)`` targets of the rows of ``fm``, evaluated on
     ``dataset``: the weak left-hand side of a weak library, else the
-    flattened time derivatives of the states."""
+    flattened first time derivatives of the states."""
+    _check_target_diff(diff)
     if fm.weak_lhs is not None:
         return fm.weak_lhs
     return differentiate_dataset(dataset, diff, "t").reshape(-1, dataset.n_states)
 
 
 def _assemble(
-    collection, library: LibrarySpec, diff: DiffMethod
+    collection, library: LibrarySpec, diff: DiffMethod, with_targets: bool = True
 ) -> tuple[np.ndarray, np.ndarray, tuple[str, ...]]:
-    """Stacked (theta, targets, names) across trajectories; a single
-    trajectory's blocks are returned as they are."""
+    """Stacked (theta, targets, names) across trajectories, the targets
+    ``(rows, 0)`` without ``with_targets``; a single trajectory's blocks are
+    returned as they are."""
     blocks, targets, names = [], [], None
     for ds in collection:
         fm = evaluate(library, ds, diff)
@@ -76,7 +84,7 @@ def _assemble(
         elif names != fm.names:
             raise SpecError("trajectories disagree on library feature names")
         blocks.append(fm.values)
-        targets.append(regression_targets(fm, ds, diff))
+        targets.append(regression_targets(fm, ds, diff) if with_targets else fm.values[:, :0])
     if len(blocks) == 1:
         return blocks[0], targets[0], names
     return np.vstack(blocks), np.vstack(targets), names
@@ -275,7 +283,7 @@ def fit_implicit(
     """
     collection = as_collection(data)
     validate(library)
-    theta, _, names = _assemble(collection, library, diff)
+    theta, _, names = _assemble(collection, library, diff, with_targets=False)
     library_rows = _Rows.of(Problem(theta=theta, targets=theta[:, :0], feature_names=names))
     results = []
     for cand in candidate_lhs:

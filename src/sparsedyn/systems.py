@@ -18,8 +18,8 @@ from .data import Dataset, Grid, add_noise
 from .diff import DiffMethod, Spectral
 from .ensemble import derive_seed
 from .errors import FitError, SpecError
-from .library import PDE, GridPlan, LibrarySpec, Polynomial, evaluate
-from .model import regression_targets
+from .library import PDE, GridPlan, LibrarySpec, Polynomial
+from .model import FittedModel, _predicted_and_actual
 from .optimize import Coefficients
 
 
@@ -238,13 +238,14 @@ def verify_residual(
 ) -> float:
     """Relative RMS of (targets - theta @ truth); a data-quality gate run
     before any fitting to confirm generator and library agree."""
-    fm = evaluate(library, dataset, diff)
-    if tuple(fm.names) != tuple(truth.names):
+    if GridPlan(library, dataset.n_states, dataset.n_controls).names != truth.names:
         raise SpecError(
             "library feature names do not match the ground-truth names"
         )
-    targets = regression_targets(fm, dataset, diff)
+    target_names = tuple(f"q{j}_t" for j in range(dataset.n_states))
+    model = FittedModel(truth, library, diff, target_names)
+    predicted, targets = _predicted_and_actual(model, dataset)
     norm = float(np.linalg.norm(targets))
     if norm == 0.0:
         return 0.0
-    return float(np.linalg.norm(targets - fm.values @ truth.xi)) / norm
+    return float(np.linalg.norm(targets - predicted)) / norm

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from sparsedyn.cli import _prediction_csv, main, model_from_report
-from sparsedyn.data import load_dataset, split_train_test
+from sparsedyn.data import Dataset, Grid, load_dataset, save_dataset, split_train_test
 from sparsedyn.diff import differentiate_dataset
 from sparsedyn.library import WeakPDE, evaluate
 from sparsedyn.model import predict, score
@@ -181,6 +181,26 @@ class TestFit:
         capsys.readouterr()
         assert main(["fit", "--config", str(cfg)]) == 2
         assert "multiply_by must be a derivative-free library" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"diff": {"method": "fd", "order": 4, "d": 2}}, "d=2"),
+            ({"library": {"type": "concat", "parts": [{"type": "polynomial", "degree": 1},
+                                                      {"type": "polynomial", "degree": 1}]}},
+             "duplicate feature names"),
+        ],
+        ids=["target-derivative-order", "duplicate-names"],
+    )
+    def test_exits_2_at_config_load(self, tmp_path, capsys, overrides, message):
+        # the data path does not exist, so reading the data first would exit 3
+        cfg = fit_config(tmp_path, tmp_path / "missing", **overrides)
+        capsys.readouterr()
+        assert main(["fit", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert message in err
+        assert not (tmp_path / "fit_out").exists()
 
     def test_fit_failure_exits_4_without_partial_files(self, tmp_path, lorenz_dataset):
         cfg = fit_config(
@@ -404,3 +424,18 @@ def test_malformed_meta_exits_3(tmp_path, lorenz_dataset, capsys):
     assert main(["fit", "--config", str(cfg)]) == 3
     err = capsys.readouterr().err
     assert err.startswith("data error: ") and err.count("\n") == 1
+
+
+def test_misnamed_axis_exits_3(tmp_path, capsys):
+    x, t = np.linspace(0.0, 1.0, 6), np.linspace(0.0, 1.0, 20)
+    states = np.sin(np.add.outer(x, t))[:, :, None]
+    directory = save_dataset(Dataset(grid=Grid(t, (x,)), states=states), tmp_path / "d")
+    meta = json.loads((directory / "meta.json").read_text())
+    meta["axes"][0]["name"] = "banana"
+    (directory / "meta.json").write_text(json.dumps(meta))
+    cfg = fit_config(tmp_path, directory, library={"type": "polynomial", "degree": 1})
+    assert main(["fit", "--config", str(cfg)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and err.count("\n") == 1
+    assert "banana" in err
+    assert not (tmp_path / "fit_out").exists()

@@ -184,6 +184,10 @@ class TestDiscoveryConfig:
         assert cfg.optimizer == FROLS()
         assert cfg.ensemble.n_models == 8
 
+    def test_diff_of_another_derivative_order_rejected(self):
+        with pytest.raises(SpecError, match="d=2"):
+            from_json(DiscoveryConfig, {**self.base(), "diff": {"method": "fd", "d": 2}})
+
     def test_exactly_one_data_source(self):
         obj = self.base()
         obj["data"]["path"] = "somewhere"

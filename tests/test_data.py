@@ -363,6 +363,42 @@ class TestMalformedMeta:
         )
 
 
+class TestAxisNames:
+    """``meta.json`` names its axes as ``save_dataset`` writes them: x, y, z
+    (then x3, ...) in storage order and t last."""
+
+    def test_every_saved_grid_loads(self, tmp_path):
+        for n_spatial in range(5):
+            ds = make_dataset((3,) * n_spatial, 4, 1, seed=n_spatial)
+            directory = save_dataset(ds, tmp_path / f"d{n_spatial}")
+            names = [a["name"] for a in json.loads((directory / "meta.json").read_text())["axes"]]
+            assert tuple(names) == ds.grid.axis_names
+            loaded = load_dataset(directory)
+            np.testing.assert_array_equal(loaded.states, ds.states)
+            assert loaded.grid.axis_names == ds.grid.axis_names
+
+    def test_swapped_names(self, tmp_path):
+        directory = save_dataset(make_dataset((3, 4), 5, 1), tmp_path / "d")
+        meta = json.loads((directory / "meta.json").read_text())
+        meta["axes"][0]["name"], meta["axes"][1]["name"] = "y", "x"
+        (directory / "meta.json").write_text(json.dumps(meta))
+        assert "['y', 'x', 't']" in one_line_data_error(directory)
+
+    def test_unknown_name(self, tmp_path):
+        assert "banana" in one_line_data_error(
+            edited_meta(tmp_path, with_axis(0, name="banana"))
+        )
+
+    def test_time_axis_not_last(self, tmp_path):
+        def edit(meta):
+            return {**meta, "axes": meta["axes"][::-1]}
+
+        assert "['t', 'x']" in one_line_data_error(edited_meta(tmp_path, edit))
+
+    def test_no_axes(self, tmp_path):
+        one_line_data_error(edited_meta(tmp_path, with_item("axes", [])))
+
+
 class TestMalformedCsv:
     def write(self, tmp_path, text):
         path = tmp_path / "d.csv"

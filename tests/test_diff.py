@@ -1,5 +1,7 @@
+from dataclasses import replace
 from fractions import Fraction
 from math import factorial
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,12 +13,15 @@ from sparsedyn.diff import (
     FiniteDifference,
     SavitzkyGolay,
     Spectral,
+    _derivative_fields,
     _differentiate_orders,
     differentiate,
     differentiate_dataset,
     fd_weights,
 )
 from sparsedyn.errors import DataError, SpecError
+from sparsedyn.library import PDE, Polynomial, evaluate
+from sparsedyn.model import regression_targets
 
 # Seed for the noisy-derivative benchmark shared with the acceptance suite.
 NOISE_BENCH_SEED = 4
@@ -346,3 +351,181 @@ class TestDifferentiateDataset:
         ds = Dataset(grid=Grid(np.arange(4.0)), states=np.zeros((4, 1)))
         with pytest.raises(DataError):
             differentiate_dataset(ds, FiniteDifference(), 0)
+
+
+# ---------------------------------------------------------------------------
+# One derivative path against the former per-module axis resolution
+# ---------------------------------------------------------------------------
+
+
+def oracle_differentiate_dataset(dataset, method, axis_id="t"):
+    """``differentiate_dataset`` as written before it went through the
+    request function: its own letter table and precomputed-q_t rule."""
+    if isinstance(axis_id, str) and axis_id in ("t", "time"):
+        if dataset.derivatives is not None and method.d == 1:
+            return dataset.derivatives
+        axis_values = dataset.grid.time_axis
+        array_axis = dataset.states.ndim - 2
+    else:
+        letters = {"x": 0, "y": 1, "z": 2}
+        if isinstance(axis_id, str):
+            if axis_id not in letters:
+                raise DataError(f"unknown axis id {axis_id!r} (use t, x, y, z or an index)")
+            idx = letters[axis_id]
+        else:
+            idx = int(axis_id)
+        if not 0 <= idx < dataset.grid.n_spatial:
+            raise DataError(
+                f"spatial axis {axis_id!r} out of range for "
+                f"{dataset.grid.n_spatial} spatial axes"
+            )
+        axis_values = dataset.grid.spatial_axes[idx]
+        array_axis = idx
+    return differentiate(dataset.states, axis_values, method, axis=array_axis)
+
+
+ORACLE_AXIS_LETTERS = ("x", "y", "z")
+
+
+def oracle_axis_info(dataset, axis_id):
+    """The library's former letter -> (array axis, coordinates) map."""
+    grid = dataset.grid
+    if axis_id == "t":
+        return dataset.states.ndim - 2, grid.time_axis
+    idx = ORACLE_AXIS_LETTERS.index(axis_id)
+    if idx >= grid.n_spatial:
+        raise DataError(
+            f"dataset has {grid.n_spatial} spatial axes, none named {axis_id!r}"
+        )
+    return idx, grid.spatial_axes[idx]
+
+
+def oracle_derivative_fields(dataset, block, axes, diff_method):
+    """The library's former derivative request of one PDE block (``block``
+    has the PDE ``spec`` and its ``mus``); ``axes`` maps letters to
+    ``oracle_axis_info``."""
+    spec = block.spec
+    method = spec.diff if spec.diff is not None else diff_method
+
+    def precomputed(mu):
+        return (
+            dataset.derivatives is not None
+            and sum(mu) == 1
+            and spec.axes[mu.index(1)] == "t"
+        )
+
+    groups = {}
+    todo = [mu for mu in block.mus if not precomputed(mu)]
+    while todo:
+        mu = todo.pop()
+        a = max(i for i, order in enumerate(mu) if order)
+        prefix = mu[:a] + (0,) + mu[a + 1 :]
+        orders = groups.setdefault((prefix, a), set())
+        if mu[a] not in orders:
+            orders.add(mu[a])
+            if any(prefix):
+                todo.append(prefix)
+    fields = {(0,) * len(spec.axes): dataset.states}
+    for (prefix, a), orders in sorted(groups.items(), key=lambda g: sum(g[0][0])):
+        array_axis, coords = axes[spec.axes[a]]
+        orders = tuple(sorted(orders))
+        derived = _differentiate_orders(fields[prefix], coords, method, orders, array_axis)
+        for order, field in zip(orders, derived):
+            fields[prefix[:a] + (order,) + prefix[a + 1 :]] = field
+    return [dataset.derivatives if precomputed(mu) else fields[mu] for mu in block.mus]
+
+
+def outcome(fn):
+    """``fn()``, or ``DataError`` if it raised one."""
+    try:
+        return fn()
+    except DataError:
+        return DataError
+
+
+def assert_same_field(got, expected, dataset):
+    if expected is DataError or got is DataError:
+        assert got is expected
+    elif expected is dataset.derivatives:
+        assert got is dataset.derivatives
+    else:
+        np.testing.assert_array_equal(got, expected)
+
+
+@st.composite
+def derivative_cases(draw):
+    """A dataset on 0-3 spatial axes (each uniform or not; all uniform for
+    spectral methods), with or without precomputed time derivatives, and a
+    method of derivative order 1-3."""
+    n_spatial, n = draw(st.integers(0, 3)), draw(st.integers(1, 2))
+    kind = draw(st.sampled_from(["fd", "sg", "spectral"]))
+    d = draw(st.integers(1, 3))
+    if kind == "fd":
+        method = FiniteDifference(order=draw(st.sampled_from([2, 4])), d=d)
+    elif kind == "sg":
+        method = SavitzkyGolay(window=draw(st.sampled_from([5, 7])),
+                               poly_order=draw(st.integers(3, 4)), d=d)
+    else:
+        method = Spectral(filter_strength=draw(st.sampled_from([0.0, 2.0])), d=d)
+    rng = np.random.default_rng(draw(st.integers(0, 10_000)))
+    axes = []
+    for _ in range(n_spatial + 1):
+        length = draw(st.integers(7, 9))
+        if kind == "spectral" or draw(st.booleans()):
+            axes.append(rng.uniform(-1.0, 1.0) + rng.uniform(0.1, 1.0) * np.arange(length))
+        else:
+            axes.append(np.cumsum(rng.uniform(0.5, 1.5, length)))
+    grid = Grid(axes[-1], tuple(axes[:-1]))
+    shape = grid.sample_shape + (n,)
+    derivatives = rng.standard_normal(shape) if draw(st.booleans()) else None
+    ds = Dataset(grid=grid, states=rng.standard_normal(shape), derivatives=derivatives)
+    return ds, method
+
+
+class TestOneDerivativePath:
+    """``differentiate_dataset``, the request function behind PDE blocks and
+    the fit targets equal their former separate implementations."""
+
+    @given(case=derivative_cases(), data=st.data())
+    @settings(max_examples=120)
+    def test_differentiate_dataset_equals_former(self, case, data):
+        ds, method = case
+        n_spatial = ds.grid.n_spatial
+        axis_id = data.draw(st.sampled_from(
+            ["t", "time", *"xyz", "w", "x3", -1, np.int64(0), *range(n_spatial + 1)]
+        ))
+        expected = outcome(lambda: oracle_differentiate_dataset(ds, method, axis_id))
+        got = outcome(lambda: differentiate_dataset(ds, method, axis_id))
+        assert_same_field(got, expected, ds)
+
+    @given(case=derivative_cases(), data=st.data())
+    @settings(max_examples=120)
+    def test_request_equals_former_block_fields(self, case, data):
+        ds, method = case
+        letters = data.draw(st.lists(st.sampled_from("xyzt"), min_size=1, max_size=4,
+                                     unique=True).map(tuple))
+        order = data.draw(st.integers(1, 3 if len(letters) <= 2 else 2))
+        spec = PDE(order, letters)
+        block = SimpleNamespace(spec=spec, mus=spec.multiindices())
+
+        def former():
+            axes = {ax: oracle_axis_info(ds, ax) for ax in letters}
+            return oracle_derivative_fields(ds, block, axes, method)
+
+        expected = outcome(former)
+        got = outcome(lambda: _derivative_fields(ds, letters, block.mus, method))
+        if expected is DataError or got is DataError:
+            assert got is expected
+            return
+        assert len(got) == len(expected)
+        for g, e in zip(got, expected):
+            assert_same_field(g, e, ds)
+
+    @given(case=derivative_cases())
+    @settings(max_examples=40)
+    def test_regression_targets_equal_former_time_derivative(self, case):
+        ds, method = case
+        method = replace(method, d=1)
+        fm = evaluate(Polynomial(1, include_bias=False), ds, method)
+        expected = oracle_differentiate_dataset(ds, method, "t").reshape(-1, ds.n_states)
+        np.testing.assert_array_equal(regression_targets(fm, ds, method), expected)

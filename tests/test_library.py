@@ -183,6 +183,25 @@ class TestCombinators:
             validate(spec)
 
 
+class TestDuplicateNames:
+    """A spec that repeats a column name is rejected by its plan, before any
+    value or derivative is computed."""
+
+    def test_validate(self):
+        with pytest.raises(SpecError, match="duplicate feature names"):
+            validate(Concat((Polynomial(1), Polynomial(1))))
+
+    def test_predict_width(self):
+        with pytest.raises(SpecError, match=r"duplicate feature names: \['1', 'q0'\]"):
+            predict_width(Concat((Polynomial(1), Polynomial(1))), 1)
+
+    def test_names_that_repeat_only_on_inputs(self):
+        spec = Concat((Polynomial(1, include_bias=False), Fourier(1), Polynomial(1, False)))
+        validate(spec)  # on no inputs the parts name no columns
+        with pytest.raises(SpecError, match="duplicate feature names"):
+            predict_width(spec, 2)
+
+
 class TestPDELibrary:
     def test_spectral_second_derivative_column(self):
         x = np.linspace(0.0, 2 * np.pi, 128, endpoint=False)
@@ -855,10 +874,10 @@ def test_width_equals_closed_form_and_evaluation(case):
     n, k = ds.n_states, ds.n_states + ds.n_controls
     assume(plannable(spec, k, n))
     width = oracle_width(spec, k, n)
-    assert predict_width(spec, k, n) == width
     try:
-        fm = evaluate(spec, ds, FD)
+        planned = predict_width(spec, k, n)
     except SpecError as exc:  # the spec repeats a column
         assume("duplicate feature names" not in str(exc))
         raise
-    assert fm.width == width
+    assert planned == width
+    assert evaluate(spec, ds, FD).width == width

@@ -116,6 +116,42 @@ class TestFit:
         assert abs(terms["u0"] - 2.0) < 1e-3
 
 
+class TestTargetDerivativeOrder:
+    """A fit's diff makes its targets, the first time derivatives; a method
+    of another derivative order would fit, say, q_tt labelled q_t."""
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_fit_rejects_other_orders(self, d):
+        ds = rotation_dataset(T=200, t_max=5.0)
+        with pytest.raises(SpecError, match=f"FiniteDifference.*d={d}"):
+            fit(ds, Polynomial(1), diff=FiniteDifference(order=4, d=d))
+
+    def test_score_rejects_other_orders(self):
+        ds = rotation_dataset(T=200, t_max=5.0)
+        m = make_model(np.zeros((3, 2)), ("1", "q0", "q1"), ("q0_t", "q1_t"))
+        m = FittedModel(m.coefficients, m.library, FiniteDifference(order=4, d=2),
+                        m.target_names)
+        with pytest.raises(SpecError, match="d=2"):
+            score(m, ds)
+
+    def test_implicit_fit_keeps_any_order(self):
+        # an implicit fit regresses library columns on each other; its diff
+        # makes no time-derivative targets
+        ds = rotation_dataset(T=200, t_max=5.0)
+        library = Concat((PDE(1, ("t",)), Polynomial(1)))
+        (cand,) = fit_implicit(ds, library, STLSQ(), ["q0_t"],
+                               diff=FiniteDifference(order=4, d=2))
+        assert cand.lhs_name == "q0_t"
+
+    def test_pde_block_override_keeps_any_order(self):
+        x = np.linspace(0.0, 2 * np.pi, 16, endpoint=False)
+        t = np.linspace(0.0, 1.0, 12)
+        states = np.sin(x)[:, None, None] * np.exp(-t)[None, :, None]
+        ds = Dataset(grid=Grid(t, (x,)), states=states)
+        spec = PDE(2, ("x",), diff=FiniteDifference(order=4, d=3))
+        assert fit(ds, spec, diff=FD4).feature_names == ("q0_x", "q0_xx")
+
+
 class TestPredictScore:
     def test_zero_model_predicts_zero(self):
         ds = rotation_dataset(T=50, t_max=1.0)
