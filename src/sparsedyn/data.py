@@ -54,7 +54,7 @@ class Grid:
     def __post_init__(self):
         time = _check_axis(self.time_axis, "t")
         spatial = tuple(
-            _check_axis(ax, f"x{i}") for i, ax in enumerate(self.spatial_axes)
+            _check_axis(ax, name) for ax, name in zip(self.spatial_axes, self.axis_names)
         )
         object.__setattr__(self, "time_axis", time)
         object.__setattr__(self, "spatial_axes", spatial)

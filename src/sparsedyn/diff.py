@@ -1,10 +1,12 @@
 """Numerical differentiation along one axis of sampled data.
 
-Three engines share one interface: arbitrary-order finite differences on
+Three methods share one interface: arbitrary-order finite differences on
 arbitrary (possibly nonuniform) nodes, Savitzky-Golay polynomial-filtered
 derivatives, and spectral derivatives with an optional exponential low-pass
-filter.  All engines return an array of the same length as the input, using
-one-sided stencils / shifted windows / periodic wrap-around at the boundaries.
+filter.  Finite differences and Savitzky-Golay run through one windowed
+engine and differ only in their window sizes and weight rule; spectral
+derivatives wrap around periodically.  Every method returns an array of the
+same length as the input.
 """
 
 from __future__ import annotations
@@ -119,46 +121,6 @@ def fd_weights(nodes: np.ndarray, x0: float, d: int) -> np.ndarray:
     return c[:, d]
 
 
-def _stencil_sizes(order: int, d: int) -> tuple[int, int]:
-    # interior: smallest centered (odd) stencil achieving the accuracy order;
-    # boundary: one-sided windows need d + order points for the same order.
-    interior = order + d if d % 2 == 1 else order + d - 1
-    return interior, order + d
-
-
-def _fd_along_last(values: np.ndarray, axis: np.ndarray, d: int, order: int) -> np.ndarray:
-    L = axis.size
-    s_int, s_bnd = _stencil_sizes(order, d)
-    if L < s_bnd:
-        raise DataError(
-            f"axis length {L} too short for finite differences with "
-            f"order={order}, d={d} (needs >= {s_bnd} points)"
-        )
-    out = np.empty_like(values, dtype=float)
-    half = s_int // 2
-    lo, hi = half, L - (s_int - 1 - half)  # interior point range [lo, hi)
-
-    windows = sliding_window_view(values, s_int, axis=-1)
-    if _is_uniform(axis):
-        h = (axis[-1] - axis[0]) / (L - 1)
-        offsets = (np.arange(s_int) - half) * h
-        w = fd_weights(offsets, 0.0, d)
-        out[..., lo:hi] = windows @ w
-    else:
-        W = np.empty((hi - lo, s_int))
-        for j in range(hi - lo):
-            W[j] = fd_weights(axis[j : j + s_int], axis[j + half], d)
-        out[..., lo:hi] = np.einsum("...js,js->...j", windows, W)
-
-    for i in range(lo):
-        w = fd_weights(axis[:s_bnd], axis[i], d)
-        out[..., i] = values[..., :s_bnd] @ w
-    for i in range(hi, L):
-        w = fd_weights(axis[L - s_bnd :], axis[i], d)
-        out[..., i] = values[..., L - s_bnd :] @ w
-    return out
-
-
 def _sg_weights(nodes: np.ndarray, at: np.ndarray, d: int, poly_order: int) -> np.ndarray:
     """Weights ``(..., k, w)`` giving the d-th derivative at ``at`` ``(..., k)``
     of the degree-``poly_order`` least-squares polynomial through samples at
@@ -177,32 +139,52 @@ def _sg_weights(nodes: np.ndarray, at: np.ndarray, d: int, poly_order: int) -> n
     return deriv @ coef[..., d:, :] / half_width[..., None] ** d
 
 
-def _sg_along_last(
-    values: np.ndarray, axis: np.ndarray, d: int, window: int, poly_order: int
+def _stencil_along_last(
+    values: np.ndarray, axis: np.ndarray, size: int, edge: int, weights
 ) -> np.ndarray:
-    # Interior points sit at the center of their window; the first and last
-    # ``half`` points share the end windows (one polynomial fit per end,
-    # evaluated at each point, like scipy's savgol_filter mode="interp").
+    """Windowed derivative along the last axis.  Interior points sit at the
+    center of their ``size``-point window; the first and last ``size // 2``
+    points share one ``edge``-point window per end (one weight matrix per
+    end, like scipy's savgol_filter mode="interp").
+
+    ``weights(nodes, at)`` maps window nodes ``(..., w)`` and points
+    ``(..., k)`` to weights ``(..., k, w)``; leading axes are a batch of
+    windows.
+    """
     L = axis.size
-    if L < window:
-        raise DataError(f"axis length {L} too short for window {window}")
-    half = window // 2
+    if L < edge:
+        raise DataError(f"axis length {L} too short to differentiate (needs >= {edge} points)")
+    half = size // 2
     out = np.empty_like(values, dtype=float)
-    windows = sliding_window_view(values, window, axis=-1)
+    windows = sliding_window_view(values, size, axis=-1)
     if _is_uniform(axis):
         h = (axis[-1] - axis[0]) / (L - 1)
-        offsets = np.arange(window) * h
-        w = _sg_weights(offsets, offsets[half : half + 1], d, poly_order)[0]
-        out[..., half : L - half] = windows @ w
+        offsets = np.arange(size) * h
+        out[..., half : L - half] = windows @ weights(offsets, offsets[half : half + 1])[0]
     else:
-        nodes = sliding_window_view(axis, window)
-        W = _sg_weights(nodes, nodes[:, half : half + 1], d, poly_order)[:, 0]
+        nodes = sliding_window_view(axis, size)
+        W = weights(nodes, nodes[:, half : half + 1])[:, 0]
         out[..., half : L - half] = np.einsum("...js,js->...j", windows, W)
-    for block, points in ((slice(0, window), slice(0, half)),
-                          (slice(L - window, L), slice(L - half, L))):
-        W = _sg_weights(axis[block], axis[points], d, poly_order)
-        out[..., points] = values[..., block] @ W.T
+    for block, points in ((slice(0, edge), slice(0, half)),
+                          (slice(L - edge, L), slice(L - half, L))):
+        out[..., points] = values[..., block] @ weights(axis[block], axis[points]).T
     return out
+
+
+# fd_weights over a batch: nodes (..., 1, w) and points (..., k) -> (..., k, w)
+_fd_batch = np.vectorize(fd_weights, signature="(s),(),()->(s)")
+
+
+def _stencil(method: FiniteDifference | SavitzkyGolay, d: int):
+    """(interior size, end-window size, weight rule) of a windowed method."""
+    if isinstance(method, FiniteDifference):
+        # inside, the smallest centered (odd) stencil of the accuracy order;
+        # one-sided end windows need order + d points for the same order
+        edge = method.order + d
+        return edge - 1 + d % 2, edge, lambda nodes, at: _fd_batch(nodes[..., None, :], at, d)
+    return method.window, method.window, lambda nodes, at: _sg_weights(
+        nodes, at, d, method.poly_order
+    )
 
 
 def _spectral_along_last(
@@ -250,13 +232,8 @@ def _differentiate_orders(
         raise DataError("axis values must be strictly increasing")
 
     moved = np.moveaxis(values, axis, -1)
-    if isinstance(method, FiniteDifference):
-        results = [_fd_along_last(moved, axis_values, d, method.order) for d in orders]
-    elif isinstance(method, SavitzkyGolay):
-        results = [
-            _sg_along_last(moved, axis_values, d, method.window, method.poly_order)
-            for d in orders
-        ]
+    if isinstance(method, (FiniteDifference, SavitzkyGolay)):
+        results = [_stencil_along_last(moved, axis_values, *_stencil(method, d)) for d in orders]
     elif isinstance(method, Spectral):
         results = _spectral_along_last(
             moved, axis_values, orders, method.filter_strength

@@ -126,6 +126,9 @@ class PDE(_Spec):
                 raise SpecError(f"unknown axis id {ax!r} (use x, y, z or t)")
         if len(set(self.axes)) != len(self.axes):
             raise SpecError("duplicate axis in PDE library")
+        if self.diff is not None:
+            # the highest order a block asks of its method along one axis
+            self.diff.validate(self.derivative_order)
 
     def multiindices(self) -> list[tuple[int, ...]]:
         D, A = self.derivative_order, len(self.axes)

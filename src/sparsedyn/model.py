@@ -9,7 +9,7 @@ trajectory boundaries.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from math import floor, log10
 
 import numpy as np
@@ -33,7 +33,6 @@ class FittedModel:
     library: LibrarySpec
     diff: DiffMethod
     target_names: tuple[str, ...]
-    diagnostics: dict = field(default_factory=dict)
     ensemble: EnsembleReport | None = None
 
     def __post_init__(self):
@@ -51,9 +50,14 @@ class FittedModel:
     def xi(self) -> np.ndarray:
         return self.coefficients.xi
 
+    @property
+    def diagnostics(self) -> dict:
+        return self.coefficients.diagnostics
+
 
 def _check_target_diff(diff: DiffMethod) -> None:
     """A fit's ``diff`` makes its targets, the first time derivatives."""
+    diff.validate(1)
     if diff.d != 1:
         raise SpecError(f"fit targets are first time derivatives; {diff!r} has d={diff.d}")
 
@@ -128,7 +132,6 @@ def fit(
         library=library,
         diff=diff,
         target_names=target_names,
-        diagnostics=dict(coefficients.diagnostics),
         ensemble=report,
     )
 

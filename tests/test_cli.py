@@ -189,8 +189,13 @@ class TestFit:
             ({"library": {"type": "concat", "parts": [{"type": "polynomial", "degree": 1},
                                                       {"type": "polynomial", "degree": 1}]}},
              "duplicate feature names"),
+            ({"diff": "fd:3"}, "finite-difference order must be even"),
+            ({"library": {"type": "pde", "derivative_order": 2, "axes": ["t"],
+                          "diff": {"method": "sg", "window": 7, "poly_order": 1}}},
+             "poly_order must be >= 2"),
         ],
-        ids=["target-derivative-order", "duplicate-names"],
+        ids=["target-derivative-order", "duplicate-names", "diff-parameters",
+             "pde-diff-parameters"],
     )
     def test_exits_2_at_config_load(self, tmp_path, capsys, overrides, message):
         # the data path does not exist, so reading the data first would exit 3
@@ -200,6 +205,29 @@ class TestFit:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert message in err
+        assert not (tmp_path / "fit_out").exists()
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"diff": "fd:3"},
+            {"library": {"type": "pde", "derivative_order": 2, "axes": ["t"],
+                         "diff": {"method": "sg", "window": 7, "poly_order": 1}}},
+        ],
+        ids=["diff-parameters", "pde-diff-parameters"],
+    )
+    def test_malformed_diff_exits_2_before_generating(self, tmp_path, capsys, monkeypatch,
+                                                      overrides):
+        def generate(spec):
+            raise AssertionError("benchmark data generated for a malformed config")
+
+        monkeypatch.setattr("sparsedyn.cli.generate", generate)
+        data = {"benchmark": {"system": {"name": "ks", "n_grid": 64, "t_span": 4.0}}}
+        cfg = fit_config(tmp_path, None, data=data, **overrides)
+        capsys.readouterr()
+        assert main(["fit", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
         assert not (tmp_path / "fit_out").exists()
 
     def test_fit_failure_exits_4_without_partial_files(self, tmp_path, lorenz_dataset):

@@ -43,6 +43,13 @@ class TestGrid:
         with pytest.raises(DataError):
             Grid(np.array([0.0]))
 
+    def test_errors_name_axes_as_the_files_do(self):
+        t, good, bad = np.arange(3.0), np.arange(4.0), np.array([0.0, 2.0, 1.0])
+        with pytest.raises(DataError, match="axis 'y' must be strictly increasing"):
+            Grid(t, (good, bad))
+        with pytest.raises(DataError, match="axis 'x3' must be strictly increasing"):
+            Grid(t, (good, good, good, bad))
+
 
 class TestDatasetInvariants:
     def test_shape_mismatch(self):

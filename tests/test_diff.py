@@ -7,14 +7,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
-from sparsedyn.data import Dataset, Grid
+from sparsedyn.data import Dataset, Grid, _is_uniform
 from sparsedyn.diff import (
     FiniteDifference,
     SavitzkyGolay,
     Spectral,
     _derivative_fields,
     _differentiate_orders,
+    _sg_weights,
     differentiate,
     differentiate_dataset,
     fd_weights,
@@ -202,6 +204,115 @@ class TestSavitzkyGolayReference:
         expected = np.stack([p.deriv(d)(t) for p in polys])
         out = differentiate(values, t, SavitzkyGolay(window, poly_order, d), d=d)
         assert np.abs(out - expected).max() <= 1e-8 * np.abs(expected).max()
+
+
+# The finite-difference and Savitzky-Golay paths as they were written before
+# both ran through one windowed engine: the oracles of TestWindowedEngine.
+
+
+def oracle_fd_along_last(values, axis, d, order):
+    L = axis.size
+    s_int = order + d if d % 2 == 1 else order + d - 1
+    s_bnd = order + d
+    if L < s_bnd:
+        raise DataError(f"axis length {L} too short")
+    out = np.empty_like(values, dtype=float)
+    half = s_int // 2
+    lo, hi = half, L - (s_int - 1 - half)
+    windows = sliding_window_view(values, s_int, axis=-1)
+    if _is_uniform(axis):
+        h = (axis[-1] - axis[0]) / (L - 1)
+        out[..., lo:hi] = windows @ fd_weights((np.arange(s_int) - half) * h, 0.0, d)
+    else:
+        W = np.empty((hi - lo, s_int))
+        for j in range(hi - lo):
+            W[j] = fd_weights(axis[j : j + s_int], axis[j + half], d)
+        out[..., lo:hi] = np.einsum("...js,js->...j", windows, W)
+    for i in range(lo):
+        out[..., i] = values[..., :s_bnd] @ fd_weights(axis[:s_bnd], axis[i], d)
+    for i in range(hi, L):
+        out[..., i] = values[..., L - s_bnd :] @ fd_weights(axis[L - s_bnd :], axis[i], d)
+    return out
+
+
+def oracle_sg_along_last(values, axis, d, window, poly_order):
+    L = axis.size
+    if L < window:
+        raise DataError(f"axis length {L} too short")
+    half = window // 2
+    out = np.empty_like(values, dtype=float)
+    windows = sliding_window_view(values, window, axis=-1)
+    if _is_uniform(axis):
+        h = (axis[-1] - axis[0]) / (L - 1)
+        offsets = np.arange(window) * h
+        w = _sg_weights(offsets, offsets[half : half + 1], d, poly_order)[0]
+        out[..., half : L - half] = windows @ w
+    else:
+        nodes = sliding_window_view(axis, window)
+        W = _sg_weights(nodes, nodes[:, half : half + 1], d, poly_order)[:, 0]
+        out[..., half : L - half] = np.einsum("...js,js->...j", windows, W)
+    for block, points in ((slice(0, window), slice(0, half)),
+                          (slice(L - window, L), slice(L - half, L))):
+        W = _sg_weights(axis[block], axis[points], d, poly_order)
+        out[..., points] = values[..., block] @ W.T
+    return out
+
+
+@st.composite
+def windowed_cases(draw):
+    """(method, d, end-window size, oracle) for FD and SG."""
+    if draw(st.booleans()):
+        order, d = draw(st.sampled_from([2, 4, 6, 8])), draw(st.integers(1, 4))
+        method = FiniteDifference(order=order)
+        return method, d, order + d, lambda v, x: oracle_fd_along_last(v, x, d, order)
+    window = draw(st.integers(2, 20)) * 2 + 1
+    poly_order = draw(st.integers(2, min(6, window - 1)))
+    d = draw(st.integers(0, poly_order))
+    method = SavitzkyGolay(window, poly_order)
+    return method, d, window, lambda v, x: oracle_sg_along_last(v, x, d, window, poly_order)
+
+
+class TestWindowedEngine:
+    """Finite differences and Savitzky-Golay through the one windowed engine
+    equal their former separate paths: Savitzky-Golay bit for bit, finite
+    differences up to rounding."""
+
+    @given(
+        case=windowed_cases(),
+        extra=st.integers(0, 40),
+        ndim=st.integers(1, 3),
+        data=st.data(),
+        uniform=st.booleans(),
+        seed=st.integers(0, 10_000),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_former_paths(self, case, extra, ndim, data, uniform, seed):
+        method, d, edge, oracle = case
+        rng = np.random.default_rng(seed)
+        L = edge + extra
+        if uniform:
+            x = rng.uniform(-2.0, 2.0) + rng.uniform(0.01, 2.0) * np.arange(L)
+        else:
+            x = np.cumsum(rng.uniform(0.5, 1.5, L)) * rng.uniform(0.01, 2.0)
+        axis = data.draw(st.integers(0, ndim - 1))
+        shape = [int(n) for n in rng.integers(1, 4, ndim)]
+        shape[axis] = L
+        values = rng.standard_normal(shape)
+        got = differentiate(values, x, method, d=d, axis=axis)
+        expected = np.moveaxis(oracle(np.moveaxis(values, axis, -1), x), -1, axis)
+        if isinstance(method, SavitzkyGolay):
+            np.testing.assert_array_equal(got, expected)
+        else:
+            assert np.abs(got - expected).max() <= 1e-14 * np.abs(expected).max()
+
+    @given(case=windowed_cases(), uniform=st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_axis_shorter_than_end_window_rejected(self, case, uniform):
+        method, d, edge, _ = case
+        L = edge - 1
+        x = np.arange(L) * 0.1 if uniform else np.cumsum(np.linspace(1.0, 2.0, L))
+        with pytest.raises(DataError, match=f"axis length {L} too short"):
+            differentiate(np.ones((2, L)), x, method, d=d)
 
 
 class TestSpectral:

@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sparsedyn.data import Dataset, Grid, flatten
-from sparsedyn.diff import FiniteDifference, Spectral, differentiate
+from sparsedyn.diff import FiniteDifference, SavitzkyGolay, Spectral, differentiate
 from sparsedyn.errors import SpecError
 from sparsedyn.library import (
     AXIS_LETTERS,
@@ -227,6 +227,22 @@ class TestPDELibrary:
     def test_bias_in_multiply_by_rejected(self):
         with pytest.raises(SpecError):
             PDE(1, ("x",), Polynomial(1, include_bias=True)).validate()
+
+    @pytest.mark.parametrize(
+        "method", [SavitzkyGolay(7, 1), FiniteDifference(order=3), Spectral(-1.0)],
+        ids=["sg-poly-order", "fd-odd-order", "spectral-strength"],
+    )
+    def test_malformed_diff_override_rejected(self, method):
+        with pytest.raises(SpecError):
+            validate(PDE(2, ("t",), diff=method))
+        with pytest.raises(SpecError):
+            predict_width(PDE(2, ("t",), diff=method), 1)
+
+    def test_diff_override_checked_at_the_block_order(self):
+        # a degree-2 fit cannot give the third derivative the block asks for
+        with pytest.raises(SpecError, match="derivative order 3"):
+            validate(PDE(3, ("x",), diff=SavitzkyGolay(7, 2)))
+        validate(PDE(2, ("x",), diff=SavitzkyGolay(7, 2)))
 
     @pytest.mark.parametrize(
         "multiply_by",

@@ -445,6 +445,14 @@ class TestImplicit:
         i = res.model.feature_names.index("1 q0")
         assert res.model.xi[i, 0] == 0.0
 
+    def test_candidate_model_carries_its_diagnostics(self):
+        ds = rotation_dataset(analytic_derivs=True)
+        library = Concat((PDE(1, ("t",)), Polynomial(2)))
+        for cand in fit_implicit(ds, library, STLSQ(threshold=0.05), ["q0_t", "q1_t"], diff=FD4):
+            assert "converged" in cand.model.diagnostics
+            assert "cond_estimate" in cand.model.diagnostics
+            assert cand.model.diagnostics == cand.model.coefficients.diagnostics
+
     def test_degenerate_flag_on_zero_residual(self):
         t = np.linspace(0, 5, 200)
         ds = Dataset(grid=Grid(t), states=np.column_stack([np.sin(t), 2 * np.sin(t)]))

@@ -317,6 +317,40 @@ class TestNormalizationInvariance:
         np.testing.assert_allclose(re.xi[3] * 250.0, base.xi[3], rtol=1e-8)
 
 
+SCALING_SPECS = [
+    STLSQ(threshold=0.1, ridge=0.0),
+    STLSQ(threshold=0.1, ridge=0.05),
+    SR3(threshold=0.1, regularizer="l0"),
+    SR3(threshold=0.1, regularizer="l1"),
+    SSR(),
+    FROLS(),
+]
+SCALING_IDS = ["stlsq", "stlsq-ridge", "sr3-l0", "sr3-l1", "ssr", "frols"]
+
+
+class TestColumnScaling:
+    """With ``normalize_columns``, scaling a column of the design by s > 0
+    keeps the support and divides that coefficient row by s."""
+
+    @pytest.mark.parametrize("spec", SCALING_SPECS, ids=SCALING_IDS)
+    @given(
+        seed=st.integers(0, 100_000),
+        m=st.integers(20, 200),
+        p=st.integers(2, 9),
+        n=st.integers(1, 2),
+        scale_seed=st.integers(0, 100_000),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_scales_coefficients_inversely(self, spec, seed, m, p, n, scale_seed):
+        prob = random_problem(seed, m, p, n, weighted=False, normalize=True, collinear=False)
+        scale = 10.0 ** np.random.default_rng(scale_seed).uniform(-3.0, 3.0, p)
+        base = solve(prob, spec).xi
+        scaled = solve(replace(prob, theta=prob.theta * scale), spec).xi
+        np.testing.assert_array_equal(scaled != 0.0, base != 0.0)
+        tol = 1e-10 * np.abs(base).max()
+        np.testing.assert_allclose(scaled * scale[:, None], base, rtol=0.0, atol=tol)
+
+
 class TestWeights:
     def test_sample_weights_change_solution(self):
         theta = np.array([[1.0], [1.0]])
