@@ -28,7 +28,8 @@ from .data import load_dataset, save_csv, save_dataset, split_train_test
 from .diff import DiffMethod
 from .errors import DataError, FitError, SpecError
 from .library import LibrarySpec
-from .model import FittedModel, _metric, _predicted_and_actual, equations, fit
+from .model import FittedModel, _metric, _predicted_and_actual, _target_names
+from .model import equations, fit
 from .optimize import Coefficients
 from .systems import BenchmarkSpec, canonical_library, generate
 
@@ -88,7 +89,7 @@ def cmd_generate(args) -> int:
     truth_doc = {
         "schema": SCHEMA_VERSION,
         "feature_names": list(truth.names),
-        "target_names": [f"q{j}_t" for j in range(dataset.n_states)],
+        "target_names": list(_target_names(dataset.n_states)),
         "coefficients": truth.xi,
         "library": to_json(canonical_library(spec.system)),
     }

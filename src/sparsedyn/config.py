@@ -74,13 +74,20 @@ class DiscoveryConfig:
             )
         if self.precision < 1:
             raise SpecError(f"precision must be >= 1, got {self.precision}")
-        _check_target_diff(self.diff)
-        libmod.validate(self.library)
-        self.optimizer.validate()
+        checks = {
+            "diff": lambda: _check_target_diff(self.diff),
+            "library": lambda: libmod.validate(self.library),
+            "optimizer": self.optimizer.validate,
+        }
         if self.ensemble is not None:
-            self.ensemble.validate()
+            checks["ensemble"] = self.ensemble.validate
         if self.benchmark is not None:
-            self.benchmark.validate()
+            checks["data.benchmark"] = self.benchmark.validate
+        for where, check in checks.items():
+            try:
+                check()
+            except SpecError as exc:
+                raise SpecError(f"config.{where}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

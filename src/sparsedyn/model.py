@@ -62,6 +62,11 @@ def _check_target_diff(diff: DiffMethod) -> None:
         raise SpecError(f"fit targets are first time derivatives; {diff!r} has d={diff.d}")
 
 
+def _target_names(n_states: int) -> tuple[str, ...]:
+    """The names of a fit's targets, the states' first time derivatives."""
+    return tuple(f"q{j}_t" for j in range(n_states))
+
+
 def regression_targets(
     fm: FeatureMatrix, dataset: Dataset, diff: DiffMethod
 ) -> np.ndarray:
@@ -80,18 +85,16 @@ def _assemble(
     """Stacked (theta, targets, names) across trajectories, the targets
     ``(rows, 0)`` without ``with_targets``; a single trajectory's blocks are
     returned as they are."""
-    blocks, targets, names = [], [], None
+    blocks, targets = [], []
     for ds in collection:
+        # names depend only on the spec and the state and control counts,
+        # which every trajectory of a collection shares
         fm = evaluate(library, ds, diff)
-        if names is None:
-            names = fm.names
-        elif names != fm.names:
-            raise SpecError("trajectories disagree on library feature names")
         blocks.append(fm.values)
         targets.append(regression_targets(fm, ds, diff) if with_targets else fm.values[:, :0])
     if len(blocks) == 1:
-        return blocks[0], targets[0], names
-    return np.vstack(blocks), np.vstack(targets), names
+        return blocks[0], targets[0], fm.names
+    return np.vstack(blocks), np.vstack(targets), fm.names
 
 
 def fit(
@@ -126,12 +129,11 @@ def fit(
         coefficients = report.coefficients
     else:
         coefficients = solve(problem, opt)
-    target_names = tuple(f"q{j}_t" for j in range(collection.n_states))
     return FittedModel(
         coefficients=coefficients,
         library=library,
         diff=diff,
-        target_names=target_names,
+        target_names=_target_names(collection.n_states),
         ensemble=report,
     )
 

@@ -34,9 +34,8 @@ from .errors import DataError, FitError, SpecError
 
 HOLDOUT_FRACTION = 0.25
 HOLDOUT_SEED = 7919
-# Relative slack when scanning a path for its minimum-residual entry: among
-# near-ties the sparsest model wins (matters on noiseless data where every
-# superset of the true support fits to machine precision).
+# Relative slack on the smallest holdout residual along an SSR path: each
+# target takes the sparsest entry within it.
 HOLDOUT_TIE_RTOL = 1e-9
 
 
@@ -408,13 +407,9 @@ def _finish(rows: _Rows, xi: np.ndarray, diags: dict) -> Coefficients:
     )
 
 
-def _lstsq(theta: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    return np.linalg.lstsq(theta, targets, rcond=None)[0]
-
-
 def _ridge(theta: np.ndarray, targets: np.ndarray, alpha: float) -> np.ndarray:
     if alpha == 0.0:
-        return _lstsq(theta, targets)
+        return np.linalg.lstsq(theta, targets, rcond=None)[0]
     p = theta.shape[1]
     gram = theta.T @ theta + alpha * np.eye(p)
     rhs = theta.T @ targets
@@ -424,6 +419,19 @@ def _ridge(theta: np.ndarray, targets: np.ndarray, alpha: float) -> np.ndarray:
         return np.linalg.lstsq(gram, rhs, rcond=None)[0]
 
 
+def _refit(
+    theta: np.ndarray, Y: np.ndarray, support: np.ndarray, ridge: float = 0.0
+) -> np.ndarray:
+    """Per-target (ridge) least squares of ``Y`` on the columns of ``theta``
+    in each column of the ``(k, n)`` mask ``support``; zeros off it."""
+    xi = np.zeros(support.shape)
+    for j in range(Y.shape[1]):
+        act = support[:, j]
+        if act.any():
+            xi[act, j] = _ridge(theta[:, act], Y[:, j : j + 1], ridge).ravel()
+    return xi
+
+
 # ---------------------------------------------------------------------------
 # STLSQ
 # ---------------------------------------------------------------------------
@@ -431,27 +439,16 @@ def _ridge(theta: np.ndarray, targets: np.ndarray, alpha: float) -> np.ndarray:
 
 def _solve_stlsq(fac: _Factor, spec: STLSQ) -> tuple[np.ndarray, dict]:
     theta, Y = fac.theta, fac.targets
-    p, n = theta.shape[1], Y.shape[1]
-    diags: dict = {}
     xi = _ridge(theta, Y, spec.ridge)
-    support = np.ones((p, n), dtype=bool)
+    support = np.ones(xi.shape, dtype=bool)
     history: list[dict] = []
     converged = False
-    empty: set[int] = set()
     for _ in range(spec.max_iter):
         new_support = support & (np.abs(xi) >= spec.threshold)
-        xi_thresholded = np.where(new_support, xi, 0.0)
-        r_thresh = float(np.linalg.norm(Y - theta @ xi_thresholded))
-        for j in range(n):
-            if not new_support[:, j].any() and j not in empty:
-                empty.add(j)
+        r_thresh = float(np.linalg.norm(Y - theta @ np.where(new_support, xi, 0.0)))
         changed = bool((new_support != support).any())
         support = new_support
-        xi = np.zeros((p, n))
-        for j in range(n):
-            act = support[:, j]
-            if act.any():
-                xi[act, j] = _ridge(theta[:, act], Y[:, j : j + 1], spec.ridge).ravel()
+        xi = _refit(theta, Y, support, spec.ridge)
         history.append(
             {
                 "residual_thresholded": r_thresh,
@@ -461,12 +458,16 @@ def _solve_stlsq(fac: _Factor, spec: STLSQ) -> tuple[np.ndarray, dict]:
         if not changed:
             converged = True
             break
-    diags["converged"] = converged
-    diags["iterations"] = len(history)
-    diags["residual_history"] = history
-    if empty:
-        diags["empty_support_targets"] = sorted(empty)
-    return np.where(support, xi, 0.0), diags
+    diags: dict = {
+        "converged": converged,
+        "iterations": len(history),
+        "residual_history": history,
+    }
+    # supports only shrink, so a target empty at any iteration is empty now
+    empty = np.flatnonzero(~support.any(axis=0))
+    if empty.size:
+        diags["empty_support_targets"] = empty.tolist()
+    return xi, diags
 
 
 # ---------------------------------------------------------------------------
@@ -588,47 +589,34 @@ def _ssr_path(fac: _Factor, spec: SSR) -> tuple[list[tuple[int, np.ndarray]], di
     """Elimination path as (support size, reduced coefficients) pairs."""
     theta, Y = fac.theta, fac.targets
     p, n = theta.shape[1], Y.shape[1]
-    supports = [np.ones(p, dtype=bool) for _ in range(n)]
+    support = np.ones((p, n), dtype=bool)
     entries: list[tuple[int, np.ndarray]] = []
-    size = p
-    floor = min(spec.min_terms, p)
-    while size >= floor:
-        xi = np.zeros((p, n))
-        for j in range(n):
-            act = supports[j]
-            xi[act, j] = _lstsq(theta[:, act], Y[:, j])
-        entries.append((size, np.where(np.column_stack(supports), xi, 0.0)))
-        if size == floor:
-            break
-        for j in range(n):
-            act = supports[j]
-            mags = np.abs(xi[act, j])
-            drop = np.flatnonzero(act)[np.argmin(mags)]
-            supports[j] = act.copy()
-            supports[j][drop] = False
-        size -= 1
+    for size in range(p, min(spec.min_terms, p) - 1, -1):
+        xi = _refit(theta, Y, support)
+        entries.append((size, xi))
+        # drop each target's smallest active coefficient
+        drop = np.argmin(np.where(support, np.abs(xi), np.inf), axis=0)
+        support[drop, np.arange(n)] = False
     return entries, {}
 
 
 def _ssr_holdout(rows: _Rows, spec: SSR) -> tuple[_Factor, np.ndarray, dict]:
     """Path on the train rows, per-target selection by holdout residual, and
-    a refit of the selected supports on the factor of all rows."""
+    a refit of the selected supports on the factor of all rows.
+
+    Each target takes the sparsest path entry whose holdout residual is
+    within ``HOLDOUT_TIE_RTOL`` of the smallest."""
     train, hold = rows.split()
     train_fac = train.factor()
     path = np.stack([train_fac.embed(xi_n) for _, xi_n in _ssr_path(train_fac, spec)[0]])
     hold_res = hold.residual_norms(path)
-
-    fac = rows.factor()
+    near_min = hold_res <= hold_res.min(axis=0) * (1.0 + HOLDOUT_TIE_RTOL)
+    # entries run from dense to sparse: take the last near-minimal one
+    pick = len(path) - 1 - np.argmax(near_min[::-1], axis=0)
     n = path.shape[2]
-    xi = np.zeros((fac.index.size, n))
-    for j in range(n):
-        best, best_res = None, np.inf
-        for entry, res in zip(path, hold_res[:, j]):
-            if res < best_res * (1.0 - HOLDOUT_TIE_RTOL):
-                best, best_res = entry[:, j] != 0.0, res
-        act = np.isin(fac.index, np.flatnonzero(best))
-        if act.any():
-            xi[act, j] = _lstsq(fac.theta[:, act], fac.targets[:, j])
+    selected = path[pick, :, np.arange(n)].T != 0.0
+    fac = rows.factor()
+    xi = _refit(fac.theta, fac.targets, selected[fac.index])
     return fac, xi, {"holdout_rows": int(hold.counts.sum())}
 
 
@@ -684,14 +672,11 @@ def _frols_path(
     depth = max((len(sel) for sel, _ in orders), default=0)
     if depth == 0:
         raise FitError("FROLS selected no features (err_tol too large?)")
-    entries: list[tuple[int, np.ndarray]] = []
-    for size in range(1, depth + 1):
-        xi = np.zeros((p, n))
-        for j in range(n):
-            sel = orders[j][0][: min(size, len(orders[j][0]))]
-            if sel:
-                xi[sel, j] = _lstsq(theta[:, sel], Y[:, j])
-        entries.append((size, xi))
+    # rank[i, j]: when target j selected column i (p: never)
+    rank = np.full((p, n), p)
+    for j, (sel, _) in enumerate(orders):
+        rank[sel, j] = np.arange(len(sel))
+    entries = [(size, _refit(theta, Y, rank < size)) for size in range(1, depth + 1)]
     return entries, {"err_values": [errs for _, errs in orders]}
 
 

@@ -19,7 +19,7 @@ from .diff import DiffMethod, Spectral
 from .ensemble import derive_seed
 from .errors import FitError, SpecError
 from .library import PDE, GridPlan, LibrarySpec, Polynomial
-from .model import FittedModel, _predicted_and_actual
+from .model import FittedModel, _predicted_and_actual, _target_names
 from .optimize import Coefficients
 
 
@@ -242,8 +242,7 @@ def verify_residual(
         raise SpecError(
             "library feature names do not match the ground-truth names"
         )
-    target_names = tuple(f"q{j}_t" for j in range(dataset.n_states))
-    model = FittedModel(truth, library, diff, target_names)
+    model = FittedModel(truth, library, diff, _target_names(dataset.n_states))
     predicted, targets = _predicted_and_actual(model, dataset)
     norm = float(np.linalg.norm(targets))
     if norm == 0.0:

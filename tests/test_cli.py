@@ -183,27 +183,33 @@ class TestFit:
         assert "multiply_by must be a derivative-free library" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "overrides, message",
+        "overrides, where, message",
         [
-            ({"diff": {"method": "fd", "order": 4, "d": 2}}, "d=2"),
+            ({"diff": {"method": "fd", "order": 4, "d": 2}}, "config.diff", "d=2"),
             ({"library": {"type": "concat", "parts": [{"type": "polynomial", "degree": 1},
                                                       {"type": "polynomial", "degree": 1}]}},
-             "duplicate feature names"),
-            ({"diff": "fd:3"}, "finite-difference order must be even"),
+             "config.library", "duplicate feature names"),
+            ({"diff": "fd:3"}, "config.diff", "finite-difference order must be even"),
             ({"library": {"type": "pde", "derivative_order": 2, "axes": ["t"],
                           "diff": {"method": "sg", "window": 7, "poly_order": 1}}},
-             "poly_order must be >= 2"),
+             "config.library", "poly_order must be >= 2"),
+            ({"optimizer": {"type": "stlsq", "threshold": -1.0}}, "config.optimizer",
+             "invalid STLSQ spec"),
+            ({"ensemble": {"n_models": 1}}, "config.ensemble", "n_models must be >= 2"),
+            ({"data": {"benchmark": {"system": {"name": "ks", "n_grid": 100}}}},
+             "config.data.benchmark", "n_grid must be a power of two"),
         ],
         ids=["target-derivative-order", "duplicate-names", "diff-parameters",
-             "pde-diff-parameters"],
+             "pde-diff-parameters", "optimizer", "ensemble", "benchmark"],
     )
-    def test_exits_2_at_config_load(self, tmp_path, capsys, overrides, message):
-        # the data path does not exist, so reading the data first would exit 3
+    def test_exits_2_at_config_load(self, tmp_path, capsys, overrides, where, message):
+        # the data path does not exist, so reading the data first would exit 3;
+        # the error names where the bad value sits
         cfg = fit_config(tmp_path, tmp_path / "missing", **overrides)
         capsys.readouterr()
         assert main(["fit", "--config", str(cfg)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert err.startswith(f"error: {where}: ") and err.count("\n") == 1, err
         assert message in err
         assert not (tmp_path / "fit_out").exists()
 
