@@ -10,7 +10,6 @@ explicit form is recovered as the best-explained q1_t column.
 import argparse
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from sparsedyn import (
     Concat,
@@ -23,20 +22,20 @@ from sparsedyn import (
     equations,
     fit_implicit,
 )
+from sparsedyn.integrate import integrate
 
 
 def van_der_pol(mu: float, t_span: float, dt: float) -> Dataset:
     t = np.arange(0.0, t_span, dt)
-    sol = solve_ivp(
-        lambda _, q: [q[1], mu * (1 - q[0] ** 2) * q[1] - q[0]],
-        (t[0], t[-1]),
-        [2.0, 0.0],
-        t_eval=t,
+    sol = integrate(
+        lambda _, q: np.array([q[1], mu * (1 - q[0] ** 2) * q[1] - q[0]]),
+        t,
+        np.array([2.0, 0.0]),
         method="DOP853",
         rtol=1e-10,
         atol=1e-12,
     )
-    return Dataset(grid=Grid(t), states=sol.y.T)
+    return Dataset(grid=Grid(t), states=sol.y)
 
 
 def main() -> None:

@@ -288,8 +288,7 @@ def add_noise(
 #
 # meta.json     {"schema": 1, "n_states", "n_controls",
 #                "axes": [{"name", "values" | {"start","step","count"}}, ...],
-#                "dtype": "f64", "order": "time-major",
-#                optional "periodic": [bool per axis]}
+#                "dtype": "f64", "order": "time-major"}
 # states.f64    raw little-endian float64, C-order (*spatial, time, n_states)
 # controls.f64  optional, same sample dims x n_controls
 # derivs.f64    optional, same shape as states

@@ -202,12 +202,12 @@ def simulate(
     planned once; a weak-form model integrates its derivative-free inner
     library, whose columns its coefficients multiply.
     """
-    # imported here so that importing the package never loads scipy
-    from scipy.integrate import solve_ivp
+    # imported here so that importing the CLI loads no integrator
+    from .integrate import integrate
 
     t_eval = np.asarray(t_eval, dtype=float)
-    if t_eval.ndim != 1 or np.any(np.diff(t_eval) <= 0):
-        raise SpecError("t_eval must be strictly increasing")
+    if t_eval.ndim != 1 or t_eval.size == 0 or np.any(np.diff(t_eval) <= 0):
+        raise SpecError("t_eval must be a non-empty, strictly increasing 1-D array")
     q0 = np.atleast_1d(np.asarray(initial_state, dtype=float))
     n = len(model.target_names)
     if q0.shape != (n,):
@@ -236,25 +236,13 @@ def simulate(
     def blow_up(t: float, q: np.ndarray) -> float:
         return float(np.linalg.norm(q)) - BLOWUP_NORM
 
-    blow_up.terminal = True
-
-    sol = solve_ivp(
-        rhs,
-        (t_eval[0], t_eval[-1]),
-        q0,
-        method="RK45",
-        t_eval=t_eval,
-        rtol=1e-8,
-        atol=1e-10,
-        events=blow_up,
-        dense_output=False,
-    )
+    sol = integrate(rhs, t_eval, q0, method="RK45", rtol=1e-8, atol=1e-10, event=blow_up)
     blew_up = bool(sol.status == 1)
     if sol.status < 0:
         raise FitError(f"integration failed: {sol.message}")
     return SimulationResult(
         t=sol.t,
-        states=sol.y.T,
+        states=sol.y,
         blew_up=blew_up,
         message="state norm exceeded 1e8" if blew_up else "",
         n_rhs_evals=int(sol.nfev),

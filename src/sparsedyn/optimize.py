@@ -551,32 +551,37 @@ def _solve_sr3(fac: _Factor, spec: SR3) -> tuple[np.ndarray, dict]:
             Xi = np.linalg.solve(R_s, fit_part + coupling @ W)
         W_new = _sr3_prox(Xi, spec)
         gap = float(np.linalg.norm(Xi - W_new) / np.sqrt(p * n))
+        # with relaxation the gap stays finite at the fixed point; a W that
+        # repeats exactly repeats every later iterate, so the loop may stop
+        repeated = np.array_equal(W_new, W)
         W = W_new
-        if gap < spec.tol:
+        if gap < spec.tol or repeated:
             converged = True
             break
     diags["converged"] = converged
     diags["iterations"] = it + 1
     diags["xi_relaxed"] = fac.embed(Xi)
-
-    if not constrained:
-        return W, diags
-
-    # Debias on the sparse support while honoring the constraints (off-support
-    # entries are pinned to zero, so the constraint rhs is unchanged); if the
-    # support cannot satisfy them, fall back to the dense constrained solve.
-    mask = (W != 0.0).T.ravel()
-    C_s = C[:, mask]
-    aug_rank = np.linalg.matrix_rank(np.column_stack([C_s, d]), tol=1e-10)
-    if C_s.size and aug_rank == np.linalg.matrix_rank(C_s, tol=1e-10):
-        H_s = np.kron(np.eye(n), theta.T @ theta)[np.ix_(mask, mask)]
-        rhs_s = thY.T.ravel()[mask]
-        vec = np.zeros(p * n)
-        vec[mask] = _constrained_quadratic(H_s, rhs_s, C_s, d)
-        xi = vec.reshape(n, p).T
-    else:
-        diags["constrained_support_infeasible"] = True
-        xi = Xi
+    xi = W
+    if constrained:
+        # Debias on the sparse support while honoring the constraints
+        # (off-support entries are pinned to zero, so the constraint rhs is
+        # unchanged); if the support cannot satisfy them, fall back to the
+        # dense constrained solve.
+        mask = (W != 0.0).T.ravel()
+        C_s = C[:, mask]
+        aug_rank = np.linalg.matrix_rank(np.column_stack([C_s, d]), tol=1e-10)
+        if C_s.size and aug_rank == np.linalg.matrix_rank(C_s, tol=1e-10):
+            H_s = np.kron(np.eye(n), theta.T @ theta)[np.ix_(mask, mask)]
+            rhs_s = thY.T.ravel()[mask]
+            vec = np.zeros(p * n)
+            vec[mask] = _constrained_quadratic(H_s, rhs_s, C_s, d)
+            xi = vec.reshape(n, p).T
+        else:
+            diags["constrained_support_infeasible"] = True
+            xi = Xi
+    empty = np.flatnonzero(~(xi != 0.0).any(axis=0))
+    if empty.size:
+        diags["empty_support_targets"] = empty.tolist()
     return xi, diags
 
 

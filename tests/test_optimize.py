@@ -6,8 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sparsedyn import optimize
+from sparsedyn.data import split_train_test
+from sparsedyn.diff import SavitzkyGolay
 from sparsedyn.ensemble import EnsembleSpec, fit_ensemble
 from sparsedyn.errors import DataError, FitError, SpecError
+from sparsedyn.model import fit
 from sparsedyn.optimize import (
     FROLS,
     SR3,
@@ -21,6 +24,7 @@ from sparsedyn.optimize import (
     solve,
     solve_path,
 )
+from sparsedyn.systems import KS, BenchmarkSpec, canonical_library, generate
 
 
 def planted_problem(seed=123, noise=0.0, normalize=False):
@@ -959,3 +963,89 @@ class TestPlantedSupportRecovery:
         c = solve(prob, spec)
         np.testing.assert_array_equal(c.support, xi != 0.0)
         np.testing.assert_allclose(c.xi, xi, rtol=0.0, atol=1e-8)
+
+
+# ---------------------------------------------------------------------------
+# SR3 stops, converged, where its sparse iterate repeats exactly
+# ---------------------------------------------------------------------------
+
+
+def former_solve_sr3(fac, spec):
+    """SR3's loop before the repeated-iterate stop (unconstrained)."""
+    theta, Y = fac.theta, fac.targets
+    p, n = theta.shape[1], Y.shape[1]
+    nu = spec.relaxation
+    Q, R_s = np.linalg.qr(np.vstack((theta, np.eye(p) / np.sqrt(nu))))
+    fit_part = Q[: theta.shape[0]].T @ Y
+    coupling = Q[theta.shape[0]:].T / np.sqrt(nu)
+    W = np.zeros((p, n))
+    Xi = W
+    converged = False
+    for it in range(spec.max_iter):
+        Xi = np.linalg.solve(R_s, fit_part + coupling @ W)
+        W_new = optimize._sr3_prox(Xi, spec)
+        gap = float(np.linalg.norm(Xi - W_new) / np.sqrt(p * n))
+        W = W_new
+        if gap < spec.tol:
+            converged = True
+            break
+    return W, {"converged": converged, "iterations": it + 1,
+               "xi_relaxed": fac.embed(Xi)}
+
+
+def with_former_sr3(run):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(optimize, "_SOLVERS", {**optimize._SOLVERS, SR3: former_solve_sr3})
+        return run()
+
+
+class TestSR3Convergence:
+    @given(
+        prob=problems,
+        regularizer=st.sampled_from(["l0", "l1"]),
+        relaxation=st.sampled_from([1.0, 0.1]),
+        threshold=st.sampled_from([0.01, 0.1, 1.0]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_answers_match_the_full_loop(self, prob, regularizer, relaxation, threshold):
+        spec = SR3(threshold=threshold, relaxation=relaxation, regularizer=regularizer)
+        new = solve(prob, spec)
+        old = with_former_sr3(lambda: solve(prob, spec))
+        np.testing.assert_array_equal(new.xi, old.xi)
+        np.testing.assert_array_equal(new.diagnostics["xi_relaxed"],
+                                      old.diagnostics["xi_relaxed"])
+        assert new.diagnostics["iterations"] <= old.diagnostics["iterations"]
+        assert new.diagnostics["converged"] or not old.diagnostics["converged"]
+
+    def test_converges_on_the_ks_problem(self):
+        dataset, _ = generate(BenchmarkSpec(system=KS(), seed=0))
+        train, _ = split_train_test(dataset, 0.6)
+        model = fit(train, canonical_library(KS()),
+                    diff=SavitzkyGolay(window=5, poly_order=3), opt=SR3())
+        diags = model.coefficients.diagnostics
+        assert diags["converged"]
+        assert diags["iterations"] < SR3().max_iter
+        assert set(np.array(model.feature_names)[model.xi[:, 0] != 0.0]) == {
+            "q0 q0_x", "q0_xx", "q0_xxxx"}
+
+    @pytest.mark.parametrize("noise", [0.0, 1e-3])
+    def test_converges_on_the_planted_problem(self, noise):
+        prob, xi = planted_problem(noise=noise)
+        c = solve(prob, SR3(threshold=0.1))
+        assert c.diagnostics["converged"]
+        np.testing.assert_array_equal(c.support[:, 0], xi != 0.0)
+
+    @given(seed=st.integers(0, 100_000))
+    @settings(max_examples=25, deadline=None)
+    def test_converges_on_noiseless_planted_problems(self, seed):
+        prob, xi = noiseless_planted(seed)
+        c = solve(prob, SR3(threshold=0.1))
+        assert c.diagnostics["converged"]
+        np.testing.assert_array_equal(c.support, xi != 0.0)
+
+    def test_all_zero_fixed_point_reports_its_empty_targets(self):
+        prob, _ = planted_problem()
+        c = solve(prob, SR3(threshold=100.0))
+        assert c.n_terms == 0
+        assert c.diagnostics["converged"] and c.diagnostics["iterations"] == 1
+        assert c.diagnostics["empty_support_targets"] == [0]
