@@ -351,16 +351,32 @@ class GridPlan:
         self.names = tuple(names)
         _check_unique(self.names)
 
-    def apply(self, X: np.ndarray, fields: list | tuple = ()) -> np.ndarray:
-        """Feature values ``(m, width)`` of an ``(m, n_inputs)`` matrix;
-        ``fields`` holds each block's derivative fields on the same samples."""
+    def apply(self, X: np.ndarray, fields: list | tuple = (), out: np.ndarray | None = None):
+        """Feature values ``(m, width)`` of an ``(m, n_inputs)`` matrix, into
+        ``out`` when given; ``fields`` holds each block's derivative fields on
+        the same samples."""
         if len(fields) != len(self.blocks):
             raise SpecError("pointwise evaluation is undefined for derivative features")
         if X.ndim != 2 or X.shape[1] != self.n_inputs:
             raise SpecError(f"expected (m, {self.n_inputs}) inputs, got {X.shape}")
-        out = np.empty((X.shape[0], len(self.names)))
+        if out is None:
+            out = np.empty((X.shape[0], len(self.names)))
         self._fill(X, fields, out)
         return out
+
+    def n_rows(self, dataset: Dataset) -> int:
+        """One row per subdomain of a weak form, else per flattened sample."""
+        return dataset.n_samples if self.weak is None else self.weak.n_subdomains
+
+    def write(self, dataset: Dataset, diff_method: DiffMethod, out: np.ndarray,
+              weak_lhs: np.ndarray | None = None) -> None:
+        """Write the values on ``dataset`` into ``out`` (``n_rows`` rows), and
+        a weak form's left-hand side into ``weak_lhs`` unless it is None."""
+        if self.weak is not None:
+            _weak_columns(self, dataset, diff_method, out, weak_lhs)
+        else:
+            fields = [block.fields(dataset, diff_method) for block in self.blocks]
+            self.apply(_grid_inputs(dataset), fields, out)
 
     def _walk(self, spec: LibrarySpec, names: tuple[str, ...]) -> tuple[list[str], _Fill]:
         """Column names of ``spec`` on inputs ``names``, and its fill."""
@@ -537,11 +553,9 @@ def evaluate(
     supplies derivatives unless the spec embeds its own override.
     """
     plan = GridPlan(spec, dataset.n_states, dataset.n_controls)
-    if plan.weak is not None:
-        values, lhs = _weak_columns(plan, dataset, diff_method)
-    else:
-        fields = [block.fields(dataset, diff_method) for block in plan.blocks]
-        values, lhs = plan.apply(_grid_inputs(dataset), fields), None
+    values = np.empty((plan.n_rows(dataset), len(plan.names)))
+    lhs = None if plan.weak is None else np.empty((values.shape[0], dataset.n_states))
+    plan.write(dataset, diff_method, values, lhs)
     return FeatureMatrix(values=values, names=plan.names, provenance=spec, weak_lhs=lhs)
 
 
@@ -587,9 +601,8 @@ def _weak_axis_vectors(
     return w, vectors
 
 
-def _weak_columns(
-    plan: GridPlan, dataset: Dataset, diff_method: DiffMethod
-) -> tuple[np.ndarray, np.ndarray]:
+def _weak_columns(plan: GridPlan, dataset: Dataset, diff_method: DiffMethod,
+                  values: np.ndarray, lhs: np.ndarray | None) -> None:
     spec = plan.weak
     grid = dataset.grid
     n = dataset.n_states
@@ -642,8 +655,6 @@ def _weak_columns(
     grid_axes = list(range(n_axes))
 
     rng = np.random.default_rng(spec.seed)
-    values = np.empty((spec.n_subdomains, len(plan.names)))
-    lhs = np.empty((spec.n_subdomains, n))
 
     states = dataset.states
     for k in range(spec.n_subdomains):
@@ -687,7 +698,5 @@ def _weak_columns(
             ).ravel()
             col += n_f * n
         values[k, col : col + n_f] = np.tensordot(f_block, w_phi, axes=n_axes)
-
-        lhs[k] = -np.tensordot(weight_field({n_axes - 1: 1}), state_block, axes=n_axes)
-
-    return values, lhs
+        if lhs is not None:
+            lhs[k] = -np.tensordot(weight_field({n_axes - 1: 1}), state_block, axes=n_axes)

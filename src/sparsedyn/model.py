@@ -1,6 +1,6 @@
 """Fit / predict / simulate / score orchestration.
 
-``fit`` turns trajectories into one stacked regression problem: differential
+Every path from data to a solver reads one design, ``[theta Y]``: differential
 libraries pair feature rows with numerically computed time derivatives, weak
 libraries pair subdomain rows with the integrated left-hand side.  Rows are
 stacked across trajectories in input order and never differenced across
@@ -18,7 +18,7 @@ from .data import Dataset, SampleIndexMap, as_collection, unflatten
 from .diff import DiffMethod, FiniteDifference, differentiate_dataset
 from .ensemble import EnsembleReport, EnsembleSpec, fit_ensemble
 from .errors import DataError, FitError, SpecError
-from .library import FeatureMatrix, GridPlan, LibrarySpec, WeakPDE, evaluate, validate
+from .library import GridPlan, LibrarySpec, WeakPDE
 from .optimize import STLSQ, Coefficients, OptimizerSpec, Problem, solve
 from .optimize import _finish, _fit_rows, _Rows
 
@@ -67,34 +67,31 @@ def _target_names(n_states: int) -> tuple[str, ...]:
     return tuple(f"q{j}_t" for j in range(n_states))
 
 
-def regression_targets(
-    fm: FeatureMatrix, dataset: Dataset, diff: DiffMethod
-) -> np.ndarray:
-    """The ``(rows, n_states)`` targets of the rows of ``fm``, evaluated on
-    ``dataset``: the weak left-hand side of a weak library, else the
-    flattened first time derivatives of the states."""
-    _check_target_diff(diff)
-    if fm.weak_lhs is not None:
-        return fm.weak_lhs
-    return differentiate_dataset(dataset, diff, "t").reshape(-1, dataset.n_states)
+def _design(data, library: LibrarySpec, diff: DiffMethod, normalize: bool = False,
+            targets: bool = True, names: tuple[str, ...] | None = None) -> Problem:
+    """The problem of ``library`` on one or more trajectories, planned once.
 
-
-def _assemble(
-    collection, library: LibrarySpec, diff: DiffMethod, with_targets: bool = True
-) -> tuple[np.ndarray, np.ndarray, tuple[str, ...]]:
-    """Stacked (theta, targets, names) across trajectories, the targets
-    ``(rows, 0)`` without ``with_targets``; a single trajectory's blocks are
-    returned as they are."""
-    blocks, targets = [], []
-    for ds in collection:
-        # names depend only on the spec and the state and control counts,
-        # which every trajectory of a collection shares
-        fm = evaluate(library, ds, diff)
-        blocks.append(fm.values)
-        targets.append(regression_targets(fm, ds, diff) if with_targets else fm.values[:, :0])
-    if len(blocks) == 1:
-        return blocks[0], targets[0], fm.names
-    return np.vstack(blocks), np.vstack(targets), fm.names
+    Each trajectory's library columns and (with ``targets``) targets, the
+    weak left-hand side of a weak library or else the first time derivatives,
+    are written into its rows of one C-ordered ``(m, p + n)`` array; theta
+    and targets are its two column blocks.  ``names`` are a model's columns.
+    """
+    collection = as_collection(data)
+    plan = GridPlan(library, collection.n_states, collection.n_controls)
+    if targets:
+        _check_target_diff(diff)
+    if names is not None and plan.names != names:
+        raise SpecError(f"the data give library columns {plan.names}, the model {names}")
+    p, n = len(plan.names), collection.n_states if targets else 0
+    counts = [plan.n_rows(ds) for ds in collection]
+    design = np.empty((sum(counts), p + n))
+    for ds, end, count in zip(collection, np.cumsum(counts), counts):
+        block = design[end - count : end]
+        plan.write(ds, diff, block[:, :p], block[:, p:] if targets else None)
+        if targets and plan.weak is None:
+            block[:, p:] = differentiate_dataset(ds, diff, "t").reshape(-1, n)
+    return Problem(design[:, :p], design[:, p:], normalize_columns=normalize,
+                   feature_names=plan.names)
 
 
 def fit(
@@ -114,28 +111,10 @@ def fit(
     """
     if opt is None:
         opt = STLSQ()
-    collection = as_collection(data)
-    validate(library)
-    theta, targets, names = _assemble(collection, library, diff)
-    problem = Problem(
-        theta=theta,
-        targets=targets,
-        normalize_columns=normalize_columns,
-        feature_names=names,
-    )
-    report = None
-    if ensemble is not None:
-        report = fit_ensemble(problem, opt, ensemble)
-        coefficients = report.coefficients
-    else:
-        coefficients = solve(problem, opt)
-    return FittedModel(
-        coefficients=coefficients,
-        library=library,
-        diff=diff,
-        target_names=_target_names(collection.n_states),
-        ensemble=report,
-    )
+    problem = _design(data, library, diff, normalize_columns)
+    report = None if ensemble is None else fit_ensemble(problem, opt, ensemble)
+    coefficients = solve(problem, opt) if report is None else report.coefficients
+    return FittedModel(coefficients, library, diff, _target_names(problem.n_targets), report)
 
 
 def predict(model: FittedModel, dataset: Dataset) -> np.ndarray:
@@ -144,20 +123,21 @@ def predict(model: FittedModel, dataset: Dataset) -> np.ndarray:
     Differential models return the dataset's sample layout
     ``(*spatial, time, n)``; weak models return one row per subdomain.
     """
-    fm = evaluate(model.library, dataset, model.diff)
-    pred = fm.values @ model.xi
+    pred = _design(dataset, model.library, model.diff, targets=False,
+                   names=model.feature_names).theta @ model.xi
     if isinstance(model.library, WeakPDE):
         return pred
     return unflatten(pred, SampleIndexMap(dataset.grid.sample_shape))
 
 
-def _predicted_and_actual(
-    model: FittedModel, dataset: Dataset
-) -> tuple[np.ndarray, np.ndarray]:
-    """Flat ``(rows, n)`` predictions and computed targets of one dataset,
-    from a single library evaluation."""
-    fm = evaluate(model.library, dataset, model.diff)
-    return fm.values @ model.xi, regression_targets(fm, dataset, model.diff)
+def _predicted_and_actual(model: FittedModel, data) -> tuple[np.ndarray, np.ndarray]:
+    """Flat ``(rows, n)`` predictions and computed targets of one or more
+    trajectories; the targets are copied, so the design is freed on return."""
+    problem = _design(data, model.library, model.diff, names=model.feature_names)
+    if problem.n_targets != len(model.target_names):
+        raise SpecError(f"the data have {problem.n_targets} states, the model "
+                        f"{len(model.target_names)} targets")
+    return problem.theta @ model.xi, problem.targets.copy()
 
 
 def _metric(pred: np.ndarray, actual: np.ndarray, metric: str) -> float:
@@ -172,9 +152,10 @@ def _metric(pred: np.ndarray, actual: np.ndarray, metric: str) -> float:
     raise SpecError(f"unknown metric {metric!r} (use r2 or rmse)")
 
 
-def score(model: FittedModel, dataset: Dataset, metric: str = "r2") -> float:
-    """Pooled r2 or rmse of predictions against computed target derivatives."""
-    return _metric(*_predicted_and_actual(model, dataset), metric)
+def score(model: FittedModel, data, metric: str = "r2") -> float:
+    """Pooled r2 or rmse of predictions against computed targets, over one
+    dataset or the stacked rows of several trajectories."""
+    return _metric(*_predicted_and_actual(model, data), metric)
 
 
 @dataclass(frozen=True)
@@ -206,18 +187,24 @@ def simulate(
     from .integrate import integrate
 
     t_eval = np.asarray(t_eval, dtype=float)
-    if t_eval.ndim != 1 or t_eval.size == 0 or np.any(np.diff(t_eval) <= 0):
-        raise SpecError("t_eval must be a non-empty, strictly increasing 1-D array")
+    # a NaN passes the increasing check, and an infinite end is never reached
+    finite = np.isfinite(t_eval).all()
+    if t_eval.ndim != 1 or t_eval.size == 0 or not finite or np.any(np.diff(t_eval) <= 0):
+        raise SpecError("t_eval must be a non-empty, strictly increasing 1-D array of finite times")
     q0 = np.atleast_1d(np.asarray(initial_state, dtype=float))
     n = len(model.target_names)
     if q0.shape != (n,):
         raise SpecError(f"initial state has shape {q0.shape}, expected ({n},)")
+    if not np.isfinite(q0).all():
+        raise SpecError("initial state must be finite")
     xi = model.xi
 
     if controls is not None:
         controls = np.atleast_2d(np.asarray(controls, dtype=float))
         if controls.shape[0] != t_eval.size:
             raise SpecError("controls must provide one row per t_eval entry")
+        if not np.isfinite(controls).all():
+            raise SpecError("controls must be finite")
     plan = GridPlan(model.library, n, 0 if controls is None else controls.shape[1])
     if plan.names != model.feature_names:
         raise SpecError("model coefficients do not match its library's columns")
@@ -272,45 +259,40 @@ def fit_implicit(
     its regression (a duplicated column would explain itself); residuals are
     normalized by the candidate's norm and the list is sorted ascending, with
     near-zero residuals flagged as degenerate.  Every candidate is a view of
-    the one assembled library with that column as its target.
+    the one library design with that column as its target.
     """
-    collection = as_collection(data)
-    validate(library)
-    theta, _, names = _assemble(collection, library, diff, with_targets=False)
-    library_rows = _Rows.of(Problem(theta=theta, targets=theta[:, :0], feature_names=names))
+    problem = _design(data, library, diff, targets=False)
+    theta, names = problem.theta, problem.feature_names
+    library_rows = _Rows.of(problem)
+    first = _first_equal_columns(theta)
     results = []
     for cand in candidate_lhs:
         if cand not in names:
             raise SpecError(f"candidate LHS {cand!r} is not a library column")
         j = names.index(cand)
-        target = theta[:, j]
-        keep = [
-            i
-            for i in range(theta.shape[1])
-            if i != j and not np.array_equal(theta[:, i], target)
-        ]
-        if not keep:
+        keep = np.flatnonzero(first != first[j])
+        if not keep.size:
             raise SpecError(f"no features left to explain {cand!r}")
-        rows = replace(library_rows, features=np.array(keep), targets=np.array([j]))
+        rows = replace(library_rows, features=keep, targets=np.array([j]))
         coefficients = _finish(rows, *_fit_rows(rows, opt))
-        norm = float(np.linalg.norm(target))
+        norm = float(np.linalg.norm(theta[:, j]))
         residual = float(coefficients.residuals[0]) / norm if norm > 0 else 0.0
-        model = FittedModel(
-            coefficients=coefficients,
-            library=library,
-            diff=diff,
-            target_names=(cand,),
-        )
-        results.append(
-            ImplicitCandidate(
-                lhs_name=cand,
-                model=model,
-                residual=residual,
-                degenerate=residual < 1e-12,
-            )
-        )
+        model = FittedModel(coefficients, library, diff, target_names=(cand,))
+        results.append(ImplicitCandidate(cand, model, residual, degenerate=residual < 1e-12))
     results.sort(key=lambda r: r.residual)
     return results
+
+
+def _first_equal_columns(theta: np.ndarray) -> np.ndarray:
+    """For each column, the first column equal to it value for value, in one
+    pass that buckets columns by the hash of their bytes (``+ 0.0`` turns
+    -0.0 into 0.0, which compares equal)."""
+    first, buckets = np.arange(theta.shape[1]), {}
+    for i in range(theta.shape[1]):
+        bucket = buckets.setdefault(hash((theta[:, i] + 0.0).tobytes()), [])
+        first[i] = next((k for k in bucket if np.array_equal(theta[:, k], theta[:, i])), i)
+        bucket.append(i)
+    return first
 
 
 def _format_coefficient(value: float, precision: int) -> str:

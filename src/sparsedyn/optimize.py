@@ -322,11 +322,19 @@ class _Rows:
 
     @classmethod
     def of(cls, problem: Problem) -> "_Rows":
-        # C order whatever theta's layout: members gather whole rows of it
-        p = problem.n_features
-        data = np.empty((problem.theta.shape[0], p + problem.n_targets))
-        data[:, :p] = problem.theta
-        data[:, p:] = problem.targets
+        """The rows of ``problem``, read in place when its theta and targets
+        are the first p and last n columns of one C-ordered array (the
+        layout of a model's design), else copied into one."""
+        theta, targets, p = problem.theta, problem.targets, problem.n_features
+        data = theta.base
+        views = (theta.__array_interface__, targets.__array_interface__)
+        if not (isinstance(data, np.ndarray) and data.flags.c_contiguous
+                and data.shape == (theta.shape[0], p + problem.n_targets)
+                and views == (data[:, :p].__array_interface__, data[:, p:].__array_interface__)):
+            # C order whatever theta's layout: members gather whole rows of it
+            data = np.empty((theta.shape[0], p + problem.n_targets))
+            data[:, :p] = theta
+            data[:, p:] = targets
         return cls(
             data=data,
             n_features=p,

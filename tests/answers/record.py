@@ -26,6 +26,7 @@ import json
 import math
 import sys
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -76,7 +77,7 @@ ATOL_SHARE = 1e-14
 # Every PRED_STEP-th row of a prediction is recorded.
 PRED_STEP = 37
 
-CASES: dict[str, tuple[tuple, callable]] = {}
+CASES: dict[str, tuple[tuple, Callable]] = {}
 
 
 def case(*specs):

@@ -1,7 +1,13 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+import sparsedyn
 from sparsedyn.data import (
     Dataset,
     Grid,
@@ -15,6 +21,7 @@ from sparsedyn.library import (
     Concat,
     Custom,
     Fourier,
+    InputSubset,
     PDE,
     Polynomial,
     Tensor,
@@ -25,7 +32,9 @@ from sparsedyn.library import (
 from sparsedyn.model import (
     BLOWUP_NORM,
     FittedModel,
-    _assemble,
+    _design,
+    _metric,
+    _predicted_and_actual,
     equations,
     fit,
     fit_implicit,
@@ -34,10 +43,11 @@ from sparsedyn.model import (
     score,
     simulate,
 )
-from sparsedyn.optimize import FROLS, SR3, SSR, STLSQ, Coefficients, Problem, solve
+from sparsedyn.optimize import FROLS, SR3, SSR, STLSQ, Coefficients, Problem, _Rows, solve
 from sparsedyn.systems import BenchmarkSpec, Lorenz, generate
 
 FD4 = FiniteDifference(order=4)
+SRC = str(Path(sparsedyn.__file__).resolve().parents[1])
 
 
 def rotation_dataset(T=2000, t_max=10.0, analytic_derivs=False):
@@ -266,6 +276,42 @@ class TestSimulate:
         with pytest.raises(SpecError):
             simulate(m, [1.0], np.linspace(0, 1, 5))
 
+    @pytest.mark.parametrize(
+        "q0, t_eval, u0",
+        [([1.0], [0.0, np.nan, 1.0], 0.0), ([np.nan], [0.0, 1.0], 0.0),
+         ([1.0], [0.0, 1.0], np.nan)],
+        ids=["nan-time", "nan-state", "nan-control"],
+    )
+    def test_non_finite_input_rejected(self, q0, t_eval, u0):
+        m = make_model(np.zeros((3, 1)), ("1", "q0", "u0"), ("q0_t",))
+        with pytest.raises(SpecError, match="finite"):
+            simulate(m, q0, t_eval, controls=np.full((len(t_eval), 1), u0))
+
+    def test_infinite_time_rejected(self):
+        # in a fresh interpreter with a timeout: integrating a decaying
+        # state towards an infinite end never returns
+        probe = (
+            "import numpy as np\n"
+            "from sparsedyn import Coefficients, FiniteDifference, FittedModel, Polynomial\n"
+            "from sparsedyn import SpecError, simulate\n"
+            "xi = np.array([[0.0], [-1.0]])\n"
+            "c = Coefficients(xi, xi != 0, ('1', 'q0'), np.zeros(1))\n"
+            "m = FittedModel(c, Polynomial(1), FiniteDifference(), ('q0_t',))\n"
+            "try:\n"
+            "    simulate(m, [1.0], [0.0, 1.0, np.inf])\n"
+            "except SpecError as exc:\n"
+            "    print('SpecError:', exc)\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+        try:
+            proc = subprocess.run([sys.executable, "-c", probe], env=env,
+                                  capture_output=True, text=True, timeout=60)
+        except subprocess.TimeoutExpired:
+            pytest.fail("simulate with an infinite t_eval entry did not return")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("SpecError:") and "finite" in proc.stdout
+
     def test_fitted_lorenz_short_horizon(self):
         # the discovered model's trajectory stays within 1e-2 RMS of the
         # generating system's over one time unit
@@ -389,22 +435,117 @@ class TestPlannedSimulate:
 class TestAssemble:
     def test_single_trajectory_block_is_the_evaluation(self):
         ds = rotation_dataset(T=200)
-        theta, targets, names = _assemble(
+        problem = _design(
             TrajectoryCollection((ds,)), Tensor(Polynomial(1), Polynomial(1)), FD4
         )
         fm = evaluate(Tensor(Polynomial(1), Polynomial(1)), ds, FD4)
-        assert theta.flags.c_contiguous and names == fm.names
-        np.testing.assert_array_equal(theta, fm.values)
-        assert targets.shape == (200, 2)
+        assert problem.feature_names == fm.names
+        np.testing.assert_array_equal(problem.theta, fm.values)
+        assert problem.targets.shape == (200, 2)
 
     def test_trajectories_are_stacked(self):
         a, b = rotation_dataset(T=100), rotation_dataset(T=150, t_max=5.0)
-        theta, targets, _ = _assemble(TrajectoryCollection((a, b)), Polynomial(2), FD4)
+        problem = _design(TrajectoryCollection((a, b)), Polynomial(2), FD4)
         np.testing.assert_array_equal(
-            theta,
+            problem.theta,
             np.vstack([evaluate(Polynomial(2), ds, FD4).values for ds in (a, b)]),
         )
-        assert targets.shape == (250, 2)
+        assert problem.targets.shape == (250, 2)
+
+    @pytest.mark.parametrize("targets", [True, False])
+    def test_blocks_of_one_c_ordered_array(self, targets):
+        a, b = rotation_dataset(T=100), rotation_dataset(T=150, t_max=5.0)
+        problem = _design([a, b], Polynomial(2), FD4, targets=targets)
+        design = problem.theta.base
+        assert design.flags.c_contiguous and problem.targets.base is design
+        assert design.shape == (250, 6 + 2 * targets)
+        np.testing.assert_array_equal(design[:, :6], problem.theta)
+
+    def test_solvers_read_the_design_in_place(self):
+        problem = _design(rotation_dataset(T=100), Polynomial(2), FD4)
+        design = problem.theta.base
+        assert _Rows.of(problem).data is design
+        # any other layout is copied into one C-ordered [theta Y]
+        for other in (
+            Problem(theta=problem.theta.copy(), targets=problem.targets.copy()),
+            Problem(theta=design[:, :6], targets=design[:, 7:]),
+            Problem(theta=np.asfortranarray(design)[:, :6], targets=problem.targets),
+        ):
+            rows = _Rows.of(other)
+            assert rows.data is not design and rows.data.flags.c_contiguous
+            np.testing.assert_array_equal(rows.data[:, :6], problem.theta)
+
+    def test_weak_targets_are_the_weak_lhs(self):
+        ds = rotation_dataset(T=300)
+        library = WeakPDE(inner=Polynomial(2), n_subdomains=12, subdomain_size=41, seed=2)
+        problem = _design([ds, ds], library, FD4)
+        fm = evaluate(library, ds, FD4)
+        np.testing.assert_array_equal(problem.theta, np.vstack([fm.values, fm.values]))
+        np.testing.assert_array_equal(problem.targets, np.vstack([fm.weak_lhs, fm.weak_lhs]))
+
+    def test_library_is_planned_once(self, monkeypatch):
+        import sparsedyn.model as model_module
+
+        plans = []
+
+        class CountingPlan(model_module.GridPlan):
+            def __init__(self, *args, **kwargs):
+                plans.append(args)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(model_module, "GridPlan", CountingPlan)
+        a, b = rotation_dataset(T=100), rotation_dataset(T=150, t_max=5.0)
+        fit([a, b, a], Polynomial(2), FD4)
+        assert len(plans) == 1
+
+
+class TestScoreData:
+    """``score`` takes whatever ``fit`` takes, and refuses data whose
+    library columns are not the model's."""
+
+    def test_list_of_one_equals_the_dataset(self):
+        ds = rotation_dataset(T=300)
+        model = fit(ds, Polynomial(2), FD4, STLSQ(threshold=0.05))
+        assert score(model, [ds]) == score(model, ds)
+        assert score(model, TrajectoryCollection((ds,)), "rmse") == score(model, ds, "rmse")
+
+    def test_trajectories_pool_their_rows(self):
+        a, b = rotation_dataset(T=300), rotation_dataset(T=200, t_max=3.0)
+        model = fit(a, Polynomial(2), FD4, STLSQ(threshold=0.05))
+        parts = [_predicted_and_actual(model, ds) for ds in (a, b)]
+        pred, actual = (np.vstack(blocks) for blocks in zip(*parts))
+        for metric in ("r2", "rmse"):
+            assert score(model, [a, b], metric) == _metric(pred, actual, metric)
+
+    def test_state_count_mismatch(self):
+        model = fit(rotation_dataset(T=300), Polynomial(2), FD4)
+        t = np.linspace(0.0, 5.0, 100)
+        one_state = Dataset(grid=Grid(t), states=np.sin(t)[:, None])
+        with pytest.raises(SpecError, match="columns"):
+            score(model, one_state)
+        with pytest.raises(SpecError, match="columns"):
+            predict(model, one_state)
+
+    def test_controls_mismatch(self):
+        t = np.linspace(0.0, 5.0, 200)
+        plain = Dataset(grid=Grid(t), states=np.sin(t)[:, None])
+        forced = Dataset(grid=Grid(t), states=np.sin(t)[:, None], controls=np.cos(t)[:, None])
+        with_controls = fit(forced, Polynomial(1), FD4)
+        without = fit(plain, Polynomial(1), FD4)
+        for model, data in ((with_controls, plain), (without, forced)):
+            with pytest.raises(SpecError, match="columns"):
+                score(model, data)
+            with pytest.raises(SpecError, match="columns"):
+                predict(model, data)
+
+    def test_target_count_mismatch(self):
+        # an input subset leaves the columns alone but not the targets
+        library = InputSubset(Polynomial(1), (0,))
+        t = np.linspace(0.0, 5.0, 200)
+        model = fit(Dataset(grid=Grid(t), states=np.sin(t)[:, None]), library, FD4)
+        two = Dataset(grid=Grid(t), states=np.column_stack([np.sin(t), np.cos(t)]))
+        with pytest.raises(SpecError, match="2 states"):
+            score(model, two)
 
 
 class TestImplicit:
@@ -495,8 +636,8 @@ def oracle_fit_implicit(data, library, opt, candidate_lhs, diff=FiniteDifference
     """Implicit candidates as separate problems: each candidate's regression
     copies the library without the candidate and its duplicates, solves it
     and re-embeds the coefficients at full library width."""
-    collection = as_collection(data)
-    theta, _, names = _assemble(collection, library, diff)
+    fms = [evaluate(library, ds, diff) for ds in as_collection(data)]
+    theta, names = np.vstack([fm.values for fm in fms]), fms[0].names
     results = []
     for cand in candidate_lhs:
         j = names.index(cand)
