@@ -253,7 +253,7 @@ def cmd_score(args) -> int:
         "schema": SCHEMA_VERSION,
         "r2": _metric(pred, actual, "r2"),
         "rmse": _metric(pred, actual, "rmse"),
-        "n_samples": dataset.n_samples,
+        "n_samples": pred.shape[0],
     }
     text = _dump_json(result)
     if args.out:

@@ -8,7 +8,11 @@ and keeps its arithmetic in the same order: the initial step (Hairer, Norsett
 controller, the extra stages and dense output at the output times, and the
 event's root (Brent's method as in ``scipy.optimize.brentq``).  Trajectories
 and evaluation counts therefore equal solve_ivp's bit for bit; the tests hold
-it to that with solve_ivp as the oracle.  Two departures: a NaN step size
+it to that with solve_ivp as the oracle.  The output times are evaluated in
+one pass after the last step: each step that has outputs keeps its dense
+output coefficients, and DOP853's Horner recurrence then runs once over all
+output times (elementwise, so with the bits of one step at a time; RK45's
+matrix product stays one per step).  Two departures: a NaN step size
 fails as "step too small", where solve_ivp loops forever (a right-hand side
 that is NaN at the initial state), and a single output time returns the
 initial state, where solve_ivp returns no sample.
@@ -68,10 +72,13 @@ def _dense_rows(pairs, shape) -> np.ndarray:
     return M
 
 
+# A scheme's ``dense(K, h, y_old, y, f)`` gives the dense-output coefficients
+# of a step from its stages ``K`` (the extra ones evaluated); ``at`` evaluates
+# them at one time, and ``evaluate`` gives y at ``t_eval[:end]`` from the
+# ``(first, end, t_old, h, y_old, coefficients)`` records of the steps.
 class _RK45:
     n_stages = 6
     error_order = 4  # the error estimate is of this order
-    extra_stages = 0  # evaluations made by the dense output
     C = np.array([0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1])
     A = np.array([
         [0, 0, 0, 0, 0],
@@ -103,26 +110,29 @@ class _RK45:
     def error_norm(self, K, h, scale):
         return _rms(np.dot(K.T, self.E) * h / scale)
 
-    def dense(self, fun, K, t_old, h, y_old, y, f):
-        Q = K.T.dot(self.P)
+    def dense(self, K, h, y_old, y, f):
+        return K.T.dot(self.P)
 
-        def sol(t):
-            x = (t - t_old) / h
-            if np.ndim(t) == 0:
-                p = np.cumprod(np.tile(x, 4))
-                return h * np.dot(Q, p) + y_old
+    def at(self, Q, t_old, h, y_old, t):
+        p = np.cumprod(np.tile((t - t_old) / h, 4))
+        return h * np.dot(Q, p) + y_old
+
+    def evaluate(self, steps, t_eval):
+        # step by step: a matrix product's rounding may depend on its shape;
+        # filled as (n, m) and returned transposed, like solve_ivp's y.T
+        out = np.empty((steps[0][4].size, steps[-1][1]))
+        for first, stop, t_old, h, y_old, Q in steps:
+            x = (t_eval[first:stop] - t_old) / h
             p = np.cumprod(np.tile(x, (4, 1)), axis=0)
-            out = h * np.dot(Q, p)
-            out += y_old[:, None]
-            return out
-
-        return sol
+            y = h * np.dot(Q, p)
+            y += y_old[:, None]
+            out[:, first:stop] = y
+        return out.T
 
 
 class _DOP853:
     n_stages = 12
     error_order = 7
-    extra_stages = 3
     n_rows = 16
     C = np.array([
         0.0, 0.526001519587677318785587544488e-01,
@@ -222,17 +232,14 @@ class _DOP853:
     def error_norm(self, K, h, scale):
         err5 = np.dot(K.T, self.E5) / scale
         err3 = np.dot(K.T, self.E3) / scale
-        err5_norm_2 = np.linalg.norm(err5) ** 2
-        err3_norm_2 = np.linalg.norm(err3) ** 2
+        err5_norm_2 = math.sqrt(err5.dot(err5)) ** 2
+        err3_norm_2 = math.sqrt(err3.dot(err3)) ** 2
         if err5_norm_2 == 0 and err3_norm_2 == 0:
             return 0.0
         denom = err5_norm_2 + 0.01 * err3_norm_2
-        return np.abs(h) * err5_norm_2 / np.sqrt(denom * len(scale))
+        return abs(h) * err5_norm_2 / math.sqrt(denom * len(scale))
 
-    def dense(self, fun, K, t_old, h, y_old, y, f):
-        for s in range(self.n_stages + 1, self.n_rows):
-            dy = np.dot(K[:s].T, self.A[s, :s]) * h
-            K[s] = fun(t_old + self.C[s] * h, y_old + dy)
+    def dense(self, K, h, y_old, y, f):
         F = np.empty((7, y.size))
         f_old = K[0]
         delta_y = y - y_old
@@ -240,23 +247,25 @@ class _DOP853:
         F[1] = h * f_old - delta_y
         F[2] = 2 * delta_y - h * (f + f_old)
         F[3:] = h * np.dot(self.D, K)
-        F_reversed = F[::-1]
+        return F
 
-        def sol(t):
-            x = (t - t_old) / h
-            if np.ndim(t) == 0:
-                out = np.zeros_like(y_old)
-            else:
-                x = x[:, None]
-                out = np.zeros((len(x), len(y_old)))
-            one_minus_x = 1 - x
-            for i, row in enumerate(F_reversed):
-                out += row
-                out *= one_minus_x if i % 2 else x
-            out += y_old
-            return out.T
+    def at(self, F, t_old, h, y_old, t):
+        return self.evaluate([(0, 1, t_old, h, y_old, F)], np.array([t]))[0]
 
-        return sol
+    def evaluate(self, steps, t_eval):
+        # Horner's rule over all output times at once, one coefficient row at
+        # a time; each operation is elementwise, so the bits are those of
+        # evaluating one step at a time
+        first, stop, t_old, h, y_old, F = map(np.array, zip(*steps))
+        index = np.repeat(np.arange(len(steps)), stop - first)
+        x = (t_eval[: stop[-1], None] - t_old[index, None]) / h[index, None]
+        one_minus_x = 1 - x
+        out = np.zeros((index.size, y_old.shape[1]))
+        for i in range(7):
+            out += F[index, 6 - i]
+            out *= one_minus_x if i % 2 else x
+        out += y_old[index]
+        return out
 
 
 _METHODS = {"RK45": _RK45(), "DOP853": _DOP853()}
@@ -330,6 +339,14 @@ def _brentq(f, xa: float, xb: float) -> float:
     raise RuntimeError(f"event root did not converge in {maxiter} iterations")
 
 
+def _dense(dense, fun, K, extra, t_old, h, y_old, y, f):
+    """Evaluate the extra stages into ``K``, then return the step's dense
+    output coefficients."""
+    for s, c, a, K_s in extra:
+        K[s] = fun(t_old + c * h, y_old + np.dot(K_s, a) * h)
+    return dense(K, h, y_old, y, f)
+
+
 def integrate(
     fun: Callable[[float, np.ndarray], np.ndarray],
     t_eval: np.ndarray,
@@ -365,12 +382,14 @@ def integrate(
     exponent = -1 / (scheme.error_order + 1)
     K = np.empty((scheme.n_rows, y.size))
     stages = [(s, float(scheme.C[s]), scheme.A[s, :s], K[:s].T) for s in range(1, n_stages)]
+    extra = [(s, float(scheme.C[s]), scheme.A[s, :s], K[:s].T)
+             for s in range(n_stages + 1, scheme.n_rows)]
     K_b, B = K[:n_stages].T, scheme.B
     K_err = K[: n_stages + 1]
     error_norm, dense = scheme.error_norm, scheme.dense
 
     times = t_eval.tolist()
-    outputs: list[np.ndarray] = []
+    steps: list[tuple] = []  # the records of the steps with outputs
     n_out = 0
     g = None if event is None else event(t, y)
     status, message = None, ""
@@ -414,22 +433,24 @@ def integrate(
         t, y, f = t_new, y_new, f_new
         if t - t_bound >= 0:
             status = 0
-        sol = None
+        coefficients = None
         if event is not None:
             g_new = event(t, y)
             if (g <= 0 and g_new >= 0) or (g >= 0 and g_new <= 0):
-                sol = dense(fun, K, t_old, h, y_old, y, f)
-                nfev += scheme.extra_stages
-                t = _brentq(lambda s: event(s, sol(s)), t_old, t)
+                coefficients = _dense(dense, fun, K, extra, t_old, h, y_old, y, f)
+                nfev += len(extra)
+                t = _brentq(
+                    lambda s: event(s, scheme.at(coefficients, t_old, h, y_old, s)), t_old, t
+                )
                 status = 1
             g = g_new
         n_new = bisect_right(times, t)
         if n_new > n_out:
-            if sol is None:
-                sol = dense(fun, K, t_old, h, y_old, y, f)
-                nfev += scheme.extra_stages
-            outputs.append(sol(t_eval[n_out:n_new]))
+            if coefficients is None:
+                coefficients = _dense(dense, fun, K, extra, t_old, h, y_old, y, f)
+                nfev += len(extra)
+            steps.append((n_out, n_new, t_old, h, y_old, coefficients))
             n_out = n_new
 
-    states = np.hstack(outputs).T if outputs else np.empty((0, y.size))
+    states = scheme.evaluate(steps, t_eval) if steps else np.empty((0, y.size))
     return Trajectory(t_eval[:n_out].copy(), states, nfev, status, message)

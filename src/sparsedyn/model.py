@@ -10,7 +10,7 @@ trajectory boundaries.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from math import floor, log10
+from math import floor, log10, sqrt
 
 import numpy as np
 
@@ -211,17 +211,18 @@ def simulate(
     if plan.blocks:
         raise SpecError("a model with derivative features cannot be simulated")
     apply = plan.apply
+    row = np.empty((1, len(plan.names)))  # the feature row each right-hand side fills
 
     if controls is None:
         def rhs(t: float, q: np.ndarray) -> np.ndarray:
-            return apply(q[None, :])[0] @ xi
+            return apply(q[None, :], out=row)[0] @ xi
     else:
         def rhs(t: float, q: np.ndarray) -> np.ndarray:
             u = [np.interp(t, t_eval, controls[:, j]) for j in range(controls.shape[1])]
-            return apply(np.concatenate([q, u])[None, :])[0] @ xi
+            return apply(np.concatenate([q, u])[None, :], out=row)[0] @ xi
 
     def blow_up(t: float, q: np.ndarray) -> float:
-        return float(np.linalg.norm(q)) - BLOWUP_NORM
+        return sqrt(q.dot(q)) - BLOWUP_NORM  # the bits of np.linalg.norm(q)
 
     sol = integrate(rhs, t_eval, q0, method="RK45", rtol=1e-8, atol=1e-10, event=blow_up)
     blew_up = bool(sol.status == 1)

@@ -10,7 +10,7 @@ its canonical discovery library for direct comparison with fits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -21,6 +21,15 @@ from .errors import FitError, SpecError
 from .library import PDE, GridPlan, LibrarySpec, Polynomial
 from .model import FittedModel, _predicted_and_actual, _target_names
 from .optimize import Coefficients
+
+
+def _check_finite(system) -> None:
+    """Reject a NaN or infinite parameter: NaN passes every range check, and
+    either one fails later with a misleading error."""
+    for field in fields(system):
+        value = getattr(system, field.name)
+        if not np.isfinite(value).all():
+            raise SpecError(f"{type(system).__name__} {field.name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -36,6 +45,7 @@ class Lorenz:
     dt: float = 0.002
 
     def validate(self) -> None:
+        _check_finite(self)
         if self.dt <= 0 or self.t_span <= self.dt:
             raise SpecError(f"invalid Lorenz time grid (dt={self.dt}, span={self.t_span})")
 
@@ -60,6 +70,7 @@ class KS:
     init_amplitude: float = 0.5
 
     def validate(self) -> None:
+        _check_finite(self)
         if self.n_grid < 8 or self.n_grid & (self.n_grid - 1) != 0:
             raise SpecError(f"n_grid must be a power of two >= 8, got {self.n_grid}")
         if self.dt <= 0 or self.dt_save <= 0 or self.t_span <= 0:
@@ -83,8 +94,8 @@ class BenchmarkSpec:
 
     def validate(self) -> None:
         self.system.validate()
-        if self.noise_level < 0:
-            raise SpecError(f"noise level must be >= 0, got {self.noise_level}")
+        if not (np.isfinite(self.noise_level) and self.noise_level >= 0):
+            raise SpecError(f"noise level must be finite and >= 0, got {self.noise_level}")
 
 
 def canonical_library(system: Lorenz | KS) -> LibrarySpec:

@@ -95,6 +95,22 @@ class TestGenerate:
         spec = write_json(tmp_path / "s.json", {"system": {"name": "rossler"}})
         assert main(["generate", "--config", str(spec), "--out", str(tmp_path / "x")]) == 2
 
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            {"system": {"name": "lorenz"}, "noise_level": float("nan")},
+            {"system": {"name": "lorenz", "dt": float("inf")}},
+            {"system": {"name": "ks", "burn_in": float("nan")}},
+        ],
+        ids=["noise-nan", "lorenz-dt-inf", "ks-burn-in-nan"],
+    )
+    def test_non_finite_spec_exits_2(self, tmp_path, capsys, spec):
+        path = write_json(tmp_path / "s.json", {"schema": 1, **spec})
+        out = tmp_path / "x"
+        assert main(["generate", "--config", str(path), "--out", str(out)]) == 2
+        assert "must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestFit:
     def test_end_to_end_outputs(self, tmp_path, lorenz_dataset):
@@ -407,6 +423,20 @@ class TestScore:
         assert result["r2"] == score(model, dataset, "r2")
         assert result["rmse"] == score(model, dataset, "rmse")
         assert result["n_samples"] == dataset.n_samples
+
+    def test_weak_score_counts_the_scored_subdomains(self, tmp_path, lorenz_dataset):
+        weak = {"type": "weak", "inner": {"type": "polynomial", "degree": 2},
+                "n_subdomains": 40, "subdomain_size": [101], "seed": 3}
+        cfg = fit_config(tmp_path, lorenz_dataset, library=weak)
+        assert main(["fit", "--config", str(cfg)]) == 0
+        report_path = tmp_path / "fit_out" / "report.json"
+        out = tmp_path / "scored"
+        argv = ["score", "--config", str(report_path), "--data", str(lorenz_dataset)]
+        assert main([*argv, "--out", str(out)]) == 0
+        result = json.loads((out / "score.json").read_text())
+        model = model_from_report(json.loads(report_path.read_text()))
+        assert result["r2"] == score(model, load_dataset(lorenz_dataset), "r2")
+        assert result["n_samples"] == 40  # the rows scored, not the 1001 samples
 
     def test_mismatched_state_count_exits_2(self, tmp_path, lorenz_dataset):
         cfg = fit_config(tmp_path, lorenz_dataset)

@@ -118,6 +118,57 @@ class TestMatchesSolveIvp:
         assert ours.t.size == 50  # up to t = 0.49
 
 
+def lorenz_rhs(_, q):
+    x, y, z = q.tolist()
+    return np.array([10.0 * (y - x), x * (28.0 - z) - y, x * y - 8.0 / 3.0 * z])
+
+
+def step_ends(fun, t_span, y0, method, rtol, atol):
+    """The ends of solve_ivp's accepted steps; output times do not move them."""
+    return solve_ivp(fun, t_span, y0, method=method, rtol=rtol, atol=atol).t[1:]
+
+
+class TestOutputTimes:
+    """Every output time is evaluated after the last step, from the dense
+    output of the step it falls in; these place the output times against
+    the steps in the ways that could go wrong."""
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_far_sparser_than_the_steps(self, method):
+        t, y0 = np.array([0.0, 0.731, 2.5, 6.02, 10.0]), np.array([-8.0, 8.0, 27.0])
+        ours = assert_matches_oracle(lorenz_rhs, t, y0, method, 1e-9, 1e-12)
+        assert ours.status == 0 and ours.t.size == 5
+        assert step_ends(lorenz_rhs, (0.0, 10.0), y0, method, 1e-9, 1e-12).size > 100
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_far_denser_than_the_steps(self, method):
+        fun, y0 = random_system(5, 3, quadratic=False)
+        t = np.linspace(0.0, 4.0, 40001)
+        ours = assert_matches_oracle(fun, t, y0, method, 1e-3, 1e-6)
+        assert ours.status == 0 and ours.t.size == t.size
+        assert t.size / step_ends(fun, (0.0, 4.0), y0, method, 1e-3, 1e-6).size >= 50
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_event_after_outputs_of_earlier_steps(self, method):
+        # y' = y from 1 crosses 5 at t = ln 5, after many steps with outputs
+        def event(t, y):
+            return float(y[0]) - 5.0
+
+        t = np.linspace(0.0, 3.0, 301)
+        ours = assert_matches_oracle(lambda t, y: y, t, np.array([1.0]), method,
+                                     1e-8, 1e-10, event)
+        assert ours.status == 1 and ours.t[-1] == t[160]  # the last one before 1.609
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_output_time_on_a_step_end(self, method):
+        fun, y0 = random_system(11, 2, quadratic=False)
+        ends = step_ends(fun, (0.0, 3.0), y0, method, 1e-9, 1e-12)
+        assert ends.size > 10
+        t = np.union1d(np.linspace(0.0, 3.0, 31), ends[::2])
+        ours = assert_matches_oracle(fun, t, y0, method, 1e-9, 1e-12)
+        assert np.isin(ends[::2], ours.t).all()
+
+
 class TestBrent:
     @given(
         root=st.floats(-3.0, 3.0),

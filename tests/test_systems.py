@@ -128,6 +128,32 @@ class TestKS:
         assert abs(diff.std() / (0.05 * rms) - 1.0) < 0.05
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        (BenchmarkSpec(Lorenz(), noise_level=NAN), "noise level must be finite"),
+        (BenchmarkSpec(SMALL_KS, noise_level=INF), "noise level must be finite"),
+        (BenchmarkSpec(Lorenz(dt=NAN)), "Lorenz dt must be finite"),
+        (BenchmarkSpec(Lorenz(t_span=INF)), "Lorenz t_span must be finite"),
+        (BenchmarkSpec(Lorenz(t_span=NAN)), "Lorenz t_span must be finite"),
+        (BenchmarkSpec(Lorenz(initial_state=(1.0, NAN, 0.0))), "Lorenz initial_state"),
+        (BenchmarkSpec(Lorenz(sigma=NAN)), "Lorenz sigma must be finite"),
+        (BenchmarkSpec(Lorenz(beta=-INF)), "Lorenz beta must be finite"),
+        (BenchmarkSpec(KS(dt=NAN)), "KS dt must be finite"),
+        (BenchmarkSpec(KS(burn_in=NAN)), "KS burn_in must be finite"),
+        (BenchmarkSpec(KS(length=NAN)), "KS length must be finite"),
+        (BenchmarkSpec(KS(init_amplitude=INF)), "KS init_amplitude must be finite"),
+        (BenchmarkSpec(KS(t_span=INF)), "KS t_span must be finite"),
+    ],
+)
+def test_non_finite_parameters_are_spec_errors(spec, message):
+    with pytest.raises(SpecError, match=message):
+        generate(spec)
+
+
 class TestTruthTables:
     """The ground truth's names come from the canonical library's plan;
     these literal tables pin them and the coefficients."""
