@@ -19,7 +19,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .data import Dataset, _is_uniform
-from .errors import DataError, SpecError
+from .errors import DataError, SpecError, check_finite
 
 
 @dataclass(frozen=True)
@@ -77,6 +77,7 @@ class Spectral:
     d: int = 1
 
     def validate(self, d: int) -> None:
+        check_finite(self)
         if self.filter_strength < 0:
             raise SpecError(
                 f"filter_strength must be >= 0, got {self.filter_strength}"

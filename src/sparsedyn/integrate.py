@@ -5,15 +5,19 @@ Runge-Kutta pair, returns y at the requested output times, and can stop at a
 terminal event.  It ports ``scipy.integrate.solve_ivp`` for these two methods
 and keeps its arithmetic in the same order: the initial step (Hairer, Norsett
 & Wanner, *Solving ODEs I*, Sec. II.4), each stage, both error norms, the step
-controller, the extra stages and dense output at the output times, and the
-event's root (Brent's method as in ``scipy.optimize.brentq``).  Trajectories
-and evaluation counts therefore equal solve_ivp's bit for bit; the tests hold
-it to that with solve_ivp as the oracle.  The output times are evaluated in
-one pass after the last step: each step that has outputs keeps its dense
-output coefficients, and DOP853's Horner recurrence then runs once over all
-output times (elementwise, so with the bits of one step at a time; RK45's
-matrix product stays one per step).  Two departures: a NaN step size
-fails as "step too small", where solve_ivp loops forever (a right-hand side
+controller, and the extra stages and dense output at the output times.
+Trajectories and evaluation counts therefore equal solve_ivp's bit for bit;
+the tests hold it to that with solve_ivp as the oracle.  A terminal event is
+checked at step ends, as solve_ivp does; in the step where it changes sign,
+no root is sought: the output ends before the first of that step's output
+times at which the event has left its sign (an output where it is exactly 0
+is kept).  When the event crosses once in the step, these are the outputs
+solve_ivp keeps up to its root.  The output times are evaluated in one pass
+after the last step: each step that has outputs keeps its dense output
+coefficients, and DOP853's Horner recurrence then runs once over all output
+times (elementwise, so with the bits of one step at a time; RK45's matrix
+product stays one per step).  Two departures: a NaN step size fails as
+"step too small", where solve_ivp loops forever (a right-hand side
 that is NaN at the initial state), and a single output time returns the
 initial state, where solve_ivp returns no sample.
 
@@ -38,7 +42,6 @@ import numpy as np
 SAFETY = 0.9  # multiplies the asymptotic step-size estimate
 MIN_FACTOR = 0.2  # largest decrease of the step size in one rejection
 MAX_FACTOR = 10  # largest increase of the step size after one step
-EPS = np.finfo(float).eps
 TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
 
 
@@ -47,7 +50,8 @@ class Trajectory:
     """``y[i]`` is the state at ``t[i]``; ``nfev`` counts right-hand sides.
 
     ``status`` is 0 when the end was reached, 1 when the event stopped the
-    integration (``t`` then ends at the last output time before its root),
+    integration (``t`` then ends before the first output time at which the
+    event has left its sign; one where it is exactly 0 is the last kept),
     and -1 when the step size fell below the float spacing at the current
     time (``message`` says so).
     """
@@ -73,9 +77,9 @@ def _dense_rows(pairs, shape) -> np.ndarray:
 
 
 # A scheme's ``dense(K, h, y_old, y, f)`` gives the dense-output coefficients
-# of a step from its stages ``K`` (the extra ones evaluated); ``at`` evaluates
-# them at one time, and ``evaluate`` gives y at ``t_eval[:end]`` from the
-# ``(first, end, t_old, h, y_old, coefficients)`` records of the steps.
+# of a step from its stages ``K`` (the extra ones evaluated), and ``evaluate``
+# gives y at ``t_eval[:end]`` from the ``(first, end, t_old, h, y_old,
+# coefficients)`` records of the steps.
 class _RK45:
     n_stages = 6
     error_order = 4  # the error estimate is of this order
@@ -112,10 +116,6 @@ class _RK45:
 
     def dense(self, K, h, y_old, y, f):
         return K.T.dot(self.P)
-
-    def at(self, Q, t_old, h, y_old, t):
-        p = np.cumprod(np.tile((t - t_old) / h, 4))
-        return h * np.dot(Q, p) + y_old
 
     def evaluate(self, steps, t_eval):
         # step by step: a matrix product's rounding may depend on its shape;
@@ -249,9 +249,6 @@ class _DOP853:
         F[3:] = h * np.dot(self.D, K)
         return F
 
-    def at(self, F, t_old, h, y_old, t):
-        return self.evaluate([(0, 1, t_old, h, y_old, F)], np.array([t]))[0]
-
     def evaluate(self, steps, t_eval):
         # Horner's rule over all output times at once, one coefficient row at
         # a time; each operation is elementwise, so the bits are those of
@@ -292,59 +289,16 @@ def _initial_step(fun, t0, y0, t_bound, f0, error_order, rtol, atol) -> float:
     return min(100 * h0, h1, interval_length)
 
 
-def _brentq(f, xa: float, xb: float) -> float:
-    """A root of ``f`` in the bracket [xa, xb] by Brent's method, step for
-    step as scipy's C ``brentq`` with xtol = rtol = 4 eps."""
-    xtol = rtol = 4 * EPS
-    maxiter = 100
-    xpre, xcur = xa, xb
-    xblk = fblk = spre = scur = 0.0
-    fpre, fcur = f(xpre), f(xcur)
-    if fpre == 0:
-        return xpre
-    if fcur == 0:
-        return xcur
-    if (fpre < 0) == (fcur < 0):
-        raise ValueError("f(a) and f(b) must have different signs")
-    for _ in range(maxiter):
-        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:  # interpolate
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:  # extrapolate
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-                spre, scur = scur, stry  # a good short step
-            else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0 else -delta
-        fcur = f(xcur)
-    raise RuntimeError(f"event root did not converge in {maxiter} iterations")
-
-
-def _dense(dense, fun, K, extra, t_old, h, y_old, y, f):
-    """Evaluate the extra stages into ``K``, then return the step's dense
-    output coefficients."""
-    for s, c, a, K_s in extra:
-        K[s] = fun(t_old + c * h, y_old + np.dot(K_s, a) * h)
-    return dense(K, h, y_old, y, f)
+def _kept_before_event(event, g, t_out: np.ndarray, y_out: np.ndarray) -> int:
+    """How many of the outputs ``(t_out, y_out)`` of the step in which the
+    event changed sign come before it leaves ``g``'s strict sign; the first
+    output at which it is exactly 0 is the last one kept."""
+    sign = (g > 0, g < 0)
+    for k, (t, y) in enumerate(zip(t_out.tolist(), y_out)):
+        e = event(t, y)
+        if e == 0 or (e > 0, e < 0) != sign:
+            return k + 1 if e == 0 else k
+    return len(t_out)
 
 
 def integrate(
@@ -360,11 +314,12 @@ def integrate(
     return y at each entry of the strictly increasing ``t_eval``.
 
     ``fun`` returns a float array of y's shape (n,).  ``event(t, y)``, if
-    given, is terminal: the integration stops at its first sign change, and
-    the output ends at the last ``t_eval`` entry up to its root.  The result
-    is that of ``solve_ivp(fun, (t_eval[0], t_eval[-1]), y0, method,
-    t_eval=t_eval, rtol=rtol, atol=atol, events=event)`` with the event
-    marked terminal.
+    given, is terminal: the integration stops at the first step over which it
+    changes sign, and the output ends before the first of that step's
+    ``t_eval`` entries at which it has left its sign, or at the first where it
+    is exactly 0.  The result is that of ``solve_ivp(fun, (t_eval[0],
+    t_eval[-1]), y0, method, t_eval=t_eval, rtol=rtol, atol=atol,
+    events=event)`` with the event marked terminal.
     """
     scheme = _METHODS[method]
     t_eval = np.asarray(t_eval, dtype=float)
@@ -429,28 +384,30 @@ def integrate(
         if status is not None:
             break
 
-        t_old, y_old = t, y
+        t_old, y_old, g_old = t, y, g
         t, y, f = t_new, y_new, f_new
         if t - t_bound >= 0:
             status = 0
-        coefficients = None
         if event is not None:
-            g_new = event(t, y)
-            if (g <= 0 and g_new >= 0) or (g >= 0 and g_new <= 0):
-                coefficients = _dense(dense, fun, K, extra, t_old, h, y_old, y, f)
-                nfev += len(extra)
-                t = _brentq(
-                    lambda s: event(s, scheme.at(coefficients, t_old, h, y_old, s)), t_old, t
-                )
+            g = event(t, y)
+            if (g_old <= 0 and g >= 0) or (g_old >= 0 and g <= 0):
                 status = 1
-            g = g_new
         n_new = bisect_right(times, t)
-        if n_new > n_out:
-            if coefficients is None:
-                coefficients = _dense(dense, fun, K, extra, t_old, h, y_old, y, f)
-                nfev += len(extra)
-            steps.append((n_out, n_new, t_old, h, y_old, coefficients))
-            n_out = n_new
+        # like solve_ivp, evaluate (and count) the extra stages of the event's
+        # step even when it holds no output time
+        if n_new > n_out or status == 1:
+            for s, c, a, K_s in extra:
+                K[s] = fun(t_old + c * h, y_old + np.dot(K_s, a) * h)
+            nfev += len(extra)
+            coefficients = dense(K, h, y_old, y, f)
+            if status == 1 and n_new > n_out:
+                # the step's own outputs, evaluated once, say where to cut
+                t_out = t_eval[n_out:n_new]
+                y_out = scheme.evaluate([(0, t_out.size, t_old, h, y_old, coefficients)], t_out)
+                n_new = n_out + _kept_before_event(event, g_old, t_out, y_out)
+            if n_new > n_out:
+                steps.append((n_out, n_new, t_old, h, y_old, coefficients))
+                n_out = n_new
 
     states = scheme.evaluate(steps, t_eval) if steps else np.empty((0, y.size))
     return Trajectory(t_eval[:n_out].copy(), states, nfev, status, message)

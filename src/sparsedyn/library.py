@@ -185,6 +185,8 @@ class WeakPDE(_Spec):
         )
         if any(s < 3 for s in sizes):
             raise SpecError("subdomains need at least 3 grid points per axis")
+        if self.seed < 0:
+            raise SpecError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)

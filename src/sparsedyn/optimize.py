@@ -30,7 +30,7 @@ from typing import Literal, NamedTuple, Union
 
 import numpy as np
 
-from .errors import DataError, FitError, SpecError
+from .errors import DataError, FitError, SpecError, check_finite
 
 HOLDOUT_FRACTION = 0.25
 HOLDOUT_SEED = 7919
@@ -139,6 +139,7 @@ class STLSQ:
     max_iter: int = 20
 
     def validate(self) -> None:
+        check_finite(self)
         if self.threshold < 0 or self.ridge < 0 or self.max_iter < 1:
             raise SpecError(f"invalid STLSQ spec {self}")
 
@@ -153,6 +154,7 @@ class SR3:
     constraints: tuple[np.ndarray, np.ndarray] | None = None
 
     def validate(self) -> None:
+        check_finite(self, "threshold", "relaxation", "max_iter", "tol")
         if self.threshold < 0 or self.relaxation <= 0 or self.max_iter < 1:
             raise SpecError(f"invalid SR3 spec {self}")
         if self.regularizer not in ("l0", "l1"):
@@ -163,6 +165,8 @@ class SR3:
             d = np.atleast_1d(np.asarray(d, dtype=float))
             if C.shape[0] != d.shape[0]:
                 raise SpecError("constraint matrix and rhs row counts differ")
+            if not (np.isfinite(C).all() and np.isfinite(d).all()):
+                raise SpecError("SR3 constraints must be finite")
 
 
 @dataclass(frozen=True)
@@ -186,6 +190,7 @@ class FROLS:
     err_tol: float = 1e-6
 
     def validate(self) -> None:
+        check_finite(self)
         if self.max_terms is not None and self.max_terms < 1:
             raise SpecError(f"max_terms must be >= 1, got {self.max_terms}")
         if self.err_tol < 0:
@@ -405,7 +410,10 @@ class _Rows:
 
 def _finish(rows: _Rows, xi: np.ndarray, diags: dict) -> Coefficients:
     """Coefficients in library indexing, with residuals taken on all of
-    ``rows``."""
+    ``rows``; ``diags`` gains the indices of all-zero targets, if any."""
+    empty = np.flatnonzero(~(xi != 0.0).any(axis=0))
+    if empty.size:
+        diags = {**diags, "empty_support_targets": empty.tolist()}
     return Coefficients(
         xi=xi,
         support=xi != 0.0,
@@ -471,10 +479,6 @@ def _solve_stlsq(fac: _Factor, spec: STLSQ) -> tuple[np.ndarray, dict]:
         "iterations": len(history),
         "residual_history": history,
     }
-    # supports only shrink, so a target empty at any iteration is empty now
-    empty = np.flatnonzero(~support.any(axis=0))
-    if empty.size:
-        diags["empty_support_targets"] = empty.tolist()
     return xi, diags
 
 
@@ -587,9 +591,6 @@ def _solve_sr3(fac: _Factor, spec: SR3) -> tuple[np.ndarray, dict]:
         else:
             diags["constrained_support_infeasible"] = True
             xi = Xi
-    empty = np.flatnonzero(~(xi != 0.0).any(axis=0))
-    if empty.size:
-        diags["empty_support_targets"] = empty.tolist()
     return xi, diags
 
 

@@ -10,26 +10,17 @@ its canonical discovery library for direct comparison with fits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
 from .data import Dataset, Grid, add_noise
 from .diff import DiffMethod, Spectral
 from .ensemble import derive_seed
-from .errors import FitError, SpecError
+from .errors import FitError, SpecError, check_finite
 from .library import PDE, GridPlan, LibrarySpec, Polynomial
 from .model import FittedModel, _predicted_and_actual, _target_names
 from .optimize import Coefficients
-
-
-def _check_finite(system) -> None:
-    """Reject a NaN or infinite parameter: NaN passes every range check, and
-    either one fails later with a misleading error."""
-    for field in fields(system):
-        value = getattr(system, field.name)
-        if not np.isfinite(value).all():
-            raise SpecError(f"{type(system).__name__} {field.name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -45,7 +36,7 @@ class Lorenz:
     dt: float = 0.002
 
     def validate(self) -> None:
-        _check_finite(self)
+        check_finite(self)
         if self.dt <= 0 or self.t_span <= self.dt:
             raise SpecError(f"invalid Lorenz time grid (dt={self.dt}, span={self.t_span})")
 
@@ -70,11 +61,18 @@ class KS:
     init_amplitude: float = 0.5
 
     def validate(self) -> None:
-        _check_finite(self)
+        check_finite(self)
         if self.n_grid < 8 or self.n_grid & (self.n_grid - 1) != 0:
             raise SpecError(f"n_grid must be a power of two >= 8, got {self.n_grid}")
+        if self.length <= 0:
+            raise SpecError(f"KS length must be positive, got {self.length}")
         if self.dt <= 0 or self.dt_save <= 0 or self.t_span <= 0:
             raise SpecError("KS time parameters must be positive")
+        if self.t_span < self.dt_save:
+            raise SpecError(
+                f"KS t_span={self.t_span} must be >= dt_save={self.dt_save} "
+                "to save at least 2 samples"
+            )
         ratio = self.dt_save / self.dt
         if abs(ratio - round(ratio)) > 1e-9:
             raise SpecError(

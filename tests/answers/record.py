@@ -219,6 +219,16 @@ def nonuniform_time(library, diff, opt):
     return model_answers(fit(rotation(t=t), library, diff, opt))
 
 
+@case(Polynomial(2), Spectral(), STLSQ(threshold=0.05, ridge=0.0))
+def spectral_targets(library, diff, opt):
+    # q = (cos t + 0.3 cos 3t, sin t) over exactly one period, the right
+    # endpoint left out: periodic as sampled, and q0_t is not in the library
+    t = np.linspace(0.0, 2 * np.pi, 128, endpoint=False)
+    states = np.column_stack([np.cos(t) + 0.3 * np.cos(3 * t), np.sin(t)])
+    data = Dataset(grid=Grid(t), states=states)
+    return scored(fit(data, library, diff, opt), data)
+
+
 @case(
     PDE(2, ("x", "y"), multiply_by=Polynomial(1, include_bias=False), diff=Spectral()),
     FiniteDifference(order=4),
@@ -321,6 +331,18 @@ def tensor_subset(library, diff, opt):
 )
 def ensemble_drop_mean(data, library, diff, opt, ensemble):
     return model_answers(fit(generated(data)[0], library, diff, opt, ensemble=ensemble))
+
+
+@case(
+    LORENZ,
+    Polynomial(2),
+    SavitzkyGolay(window=21, poly_order=3),
+    STLSQ(threshold=0.3),
+    EnsembleSpec(n_models=6, row_fraction=0.7, replace=False, seed=11),
+)
+def ensemble_without_replacement(data, library, diff, opt, ensemble):
+    train, test = split_train_test(generated(data)[0], 0.6)
+    return scored(fit(train, library, diff, opt, ensemble=ensemble), test)
 
 
 @case(

@@ -111,6 +111,22 @@ class TestGenerate:
         assert "must be finite" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "system, message",
+        [
+            ({"name": "ks", "length": 0.0}, "KS length must be positive"),
+            ({"name": "ks", "length": -50.0}, "KS length must be positive"),
+            ({"name": "ks", "t_span": 0.2, "dt_save": 0.4}, "must be >= dt_save"),
+        ],
+        ids=["ks-length-zero", "ks-length-negative", "ks-t-span-below-dt-save"],
+    )
+    def test_invalid_ks_grid_exits_2(self, tmp_path, capsys, system, message):
+        path = write_json(tmp_path / "s.json", {"schema": 1, "system": system})
+        out = tmp_path / "x"
+        assert main(["generate", "--config", str(path), "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestFit:
     def test_end_to_end_outputs(self, tmp_path, lorenz_dataset):
@@ -127,6 +143,17 @@ class TestFit:
         assert "q0_t" in eq_text
         header = (out / "prediction_vs_truth.csv").read_text().splitlines()[0]
         assert header.split(",")[:3] == ["sample", "predicted_q0_t", "computed_q0_t"]
+
+    def test_nan_threshold_exits_2(self, tmp_path, capsys, lorenz_dataset):
+        # it used to exit 0 with an all-zero model
+        cfg = fit_config(tmp_path, lorenz_dataset,
+                         optimizer={"type": "stlsq", "threshold": float("nan")})
+        assert "NaN" in cfg.read_text()
+        capsys.readouterr()
+        assert main(["fit", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: config.optimizer: STLSQ threshold must be finite, got nan\n"
+        assert not (tmp_path / "fit_out").exists()
 
     def test_deterministic_reports(self, tmp_path, lorenz_dataset):
         cfg_a = fit_config(tmp_path, lorenz_dataset, out_name="out_a")

@@ -346,6 +346,12 @@ class TestSpectral:
             plain - np.cos(self.x)
         ).max()
 
+    @pytest.mark.parametrize("strength", [float("nan"), float("inf")])
+    def test_non_finite_filter_strength_rejected(self, strength):
+        # a NaN strength used to drop the filter silently
+        with pytest.raises(SpecError, match="Spectral filter_strength must be finite"):
+            differentiate(np.sin(self.x), self.x, Spectral(filter_strength=strength))
+
     def test_nonuniform_rejected(self):
         x = np.sort(np.random.default_rng(0).uniform(0, 1, 32))
         with pytest.raises(DataError):

@@ -149,6 +149,19 @@ class TestFitEnsemble:
         )
 
 
+    def test_aggregate_reports_its_empty_targets(self):
+        # each target rests on one column; every member drops one of the
+        # three columns, so with support_threshold 1 the aggregate keeps only
+        # columns that no member dropped
+        rng = np.random.default_rng(0)
+        theta = rng.standard_normal((100, 3))
+        prob = Problem(theta=theta, targets=theta[:, [0, 1]] * [2.0, -3.0])
+        spec = EnsembleSpec(n_models=5, n_library_drop=1, support_threshold=1.0, seed=6)
+        report = fit_ensemble(prob, STLSQ(threshold=0.5), spec)
+        np.testing.assert_array_equal(report.coefficients.support.any(axis=0), [True, False])
+        assert report.coefficients.diagnostics["empty_support_targets"] == [1]
+
+
 def row_copied_members(problem, opt, spec):
     """Members refit on explicitly row-copied problems, drawing the same rows
     and dropped columns from the same per-member generators."""

@@ -6,11 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
-from scipy.optimize import brentq
 
 from sparsedyn.diff import SavitzkyGolay
 from sparsedyn.errors import FitError, SpecError
-from sparsedyn.integrate import EPS, TOO_SMALL_STEP, _brentq, integrate
+from sparsedyn.integrate import TOO_SMALL_STEP, integrate
 from sparsedyn.library import Custom, GridPlan, Polynomial
 from sparsedyn.model import FittedModel, fit, simulate
 from sparsedyn.optimize import STLSQ, Coefficients
@@ -160,6 +159,36 @@ class TestOutputTimes:
         assert ours.status == 1 and ours.t[-1] == t[160]  # the last one before 1.609
 
     @pytest.mark.parametrize("method", METHODS)
+    def test_event_inside_a_step_with_many_outputs(self, method):
+        # y' = y from 1 crosses 5 at t = ln 5 inside a step holding at least
+        # 20 output times; the output ends at the last one before the crossing
+        def event(t, y):
+            return float(y[0]) - 5.0
+
+        t = np.linspace(0.0, 3.0, 3001)
+        ours = assert_matches_oracle(lambda t, y: y, t, np.array([1.0]), method,
+                                     1e-3, 1e-6, event)
+        assert ours.status == 1 and ours.t[-1] == t[1609]  # ln 5 = 1.6094...
+        ends = np.concatenate(([0.0], step_ends(lambda t, y: y, (0.0, 3.0), np.array([1.0]),
+                                                method, 1e-3, 1e-6)))
+        step = np.searchsorted(ends, np.log(5.0))
+        assert np.count_nonzero((t > ends[step - 1]) & (t <= ends[step])) >= 20
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_event_zero_at_an_output_time_keeps_it(self, method):
+        # the event t - t[k] is exactly 0 at t[k]: the output ends there
+        fun, y0 = random_system(3, 2, quadratic=False)
+        t = np.linspace(0.0, 2.0, 401)
+        k = 237
+        ours = integrate(fun, t, y0, method=method, rtol=1e-6, atol=1e-9,
+                         event=lambda s, y: s - t[k])
+        assert ours.status == 1
+        np.testing.assert_array_equal(ours.t, t[: k + 1])
+        assert not np.isin(t[k], step_ends(fun, (0.0, 2.0), y0, method, 1e-6, 1e-9))
+        free = integrate(fun, t, y0, method=method, rtol=1e-6, atol=1e-9)
+        np.testing.assert_allclose(ours.y, free.y[: k + 1], rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("method", METHODS)
     def test_output_time_on_a_step_end(self, method):
         fun, y0 = random_system(11, 2, quadratic=False)
         ends = step_ends(fun, (0.0, 3.0), y0, method, 1e-9, 1e-12)
@@ -167,23 +196,6 @@ class TestOutputTimes:
         t = np.union1d(np.linspace(0.0, 3.0, 31), ends[::2])
         ours = assert_matches_oracle(fun, t, y0, method, 1e-9, 1e-12)
         assert np.isin(ends[::2], ours.t).all()
-
-
-class TestBrent:
-    @given(
-        root=st.floats(-3.0, 3.0),
-        k=st.floats(0.1, 5.0),
-        c=st.floats(0.0, 10.0),
-        a=st.floats(-4.0, -3.5),
-        b=st.floats(3.5, 4.0),
-    )
-    @settings(max_examples=200, deadline=None)
-    def test_root_equals_brentq(self, root, k, c, a, b):
-        # increasing, with its one root at ``root``
-        def f(x):
-            return float(np.expm1(k * (x - root))) + c * (x - root) ** 3
-
-        assert _brentq(f, a, b) == brentq(f, a, b, xtol=4 * EPS, rtol=4 * EPS)
 
 
 class TestFailures:

@@ -160,6 +160,11 @@ class TestCombinators:
         with pytest.raises(SpecError):
             InputSubset(PDE(1, ("x",)), (0,)).validate()
 
+    def test_negative_weak_seed_rejected(self):
+        # it used to reach numpy's generator as a bare ValueError
+        with pytest.raises(SpecError, match="seed must be >= 0, got -1"):
+            WeakPDE(inner=Polynomial(1), subdomain_size=5, seed=-1).validate()
+
     def test_weak_cannot_nest(self):
         weak = WeakPDE(inner=Polynomial(1), subdomain_size=5)
         with pytest.raises(SpecError):

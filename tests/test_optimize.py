@@ -98,6 +98,46 @@ class TestCoefficients:
             )
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "spec, field",
+    [
+        (STLSQ(threshold=NAN), "threshold"),
+        (STLSQ(threshold=INF), "threshold"),
+        (STLSQ(ridge=NAN), "ridge"),
+        (STLSQ(ridge=INF), "ridge"),
+        (SR3(threshold=NAN), "threshold"),
+        (SR3(threshold=INF), "threshold"),
+        (SR3(relaxation=NAN), "relaxation"),
+        (SR3(relaxation=INF), "relaxation"),
+        (SR3(tol=NAN), "tol"),
+        (FROLS(err_tol=NAN), "err_tol"),
+        (FROLS(err_tol=INF), "err_tol"),
+    ],
+    ids=["stlsq-threshold-nan", "stlsq-threshold-inf", "stlsq-ridge-nan", "stlsq-ridge-inf",
+         "sr3-threshold-nan", "sr3-threshold-inf", "sr3-relaxation-nan", "sr3-relaxation-inf",
+         "sr3-tol-nan", "frols-err-tol-nan", "frols-err-tol-inf"],
+)
+def test_non_finite_numbers_are_spec_errors(spec, field):
+    # NaN passes every range check: STLSQ and SR3 then returned all zeros,
+    # SR3 with a NaN tol reported converged, FROLS with a NaN err_tol
+    # selected every column
+    problem, _ = planted_problem()
+    with pytest.raises(SpecError, match=f"^{type(spec).__name__} {field} must be finite"):
+        solve(problem, spec)
+
+
+@pytest.mark.parametrize("matrix, rhs", [([[NAN] + [0.0] * 9], [1.0]), ([[1.0] + [0.0] * 9], [INF])],
+                         ids=["matrix-nan", "rhs-inf"])
+def test_non_finite_constraints_are_spec_errors(matrix, rhs):
+    # they used to end in numpy's LinAlgError ("SVD did not converge")
+    problem, _ = planted_problem()
+    with pytest.raises(SpecError, match="^SR3 constraints must be finite$"):
+        solve(problem, SR3(constraints=(np.array(matrix), np.array(rhs))))
+
+
 class TestSTLSQ:
     def test_zero_threshold_is_ols(self):
         c = solve(Problem(theta=np.eye(2), targets=np.array([3.0, 5.0])),

@@ -154,6 +154,22 @@ def test_non_finite_parameters_are_spec_errors(spec, message):
         generate(spec)
 
 
+@pytest.mark.parametrize(
+    "system, message",
+    [
+        (KS(length=0.0), "KS length must be positive, got 0.0"),
+        (KS(length=-50.0), "KS length must be positive, got -50.0"),
+        (KS(t_span=0.3, dt_save=0.4), "KS t_span=0.3 must be >= dt_save=0.4"),
+    ],
+    ids=["length-zero", "length-negative", "t-span-below-dt-save"],
+)
+def test_ks_grid_holes_are_spec_errors(system, message):
+    # length 0 was a ZeroDivisionError; a negative length and a t_span that
+    # saves fewer than 2 samples failed the dataset's axis checks (exit 3)
+    with pytest.raises(SpecError, match=message):
+        generate(BenchmarkSpec(system))
+
+
 class TestTruthTables:
     """The ground truth's names come from the canonical library's plan;
     these literal tables pin them and the coefficients."""
