@@ -3,10 +3,13 @@
 Each member solves on a compressed factor of its resampled rows: the bootstrap
 draws become row counts C, and the member's factor has R'R = [theta Y]' C W
 [theta Y] (W the sample weights).  No member builds its own problem or copies
-a drawn row twice: one scaled temporary of its distinct rows, over the feature
-columns it keeps (a member may drop a few, their coefficients pinned to zero),
-becomes the (p + n)-square factor.  Aggregation is a per-entry median or mean;
-inclusion probability is the exact fraction of members retaining a term.
+its rows: the factor streams the drawn rows through one block of at most
+``optimize.BLOCK_BYTES`` at a time, gathered over the feature columns the
+member keeps (a member may drop a few, their coefficients pinned to zero) and
+scaled by sqrt(count * weight).  A member holds its row counts, one block and
+the (p + n)-square factor; theta itself is still held whole.  Aggregation is a
+per-entry median or mean; inclusion probability is the exact fraction of
+members retaining a term.
 """
 
 from __future__ import annotations
@@ -105,17 +108,16 @@ def fit_ensemble(
     failures: list[str] = []
     for i in range(spec.n_models):
         rng = np.random.default_rng(derive_seed(spec.seed, i))
-        if spec.replace:
-            rows = rng.integers(0, m, size=n_rows)
-        else:
-            rows = rng.permutation(m)[:n_rows]
+        # the drawn positions live only while they are counted
+        counts = np.bincount(
+            rng.integers(0, m, size=n_rows) if spec.replace else rng.permutation(m)[:n_rows],
+            minlength=m,
+        )
         features = base.features
         if spec.n_library_drop:
             dropped = rng.choice(p, size=spec.n_library_drop, replace=False)
             features = np.setdiff1d(np.arange(p), dropped)
-        member = replace(
-            base, counts=np.bincount(rows, minlength=m), features=features
-        )
+        member = replace(base, counts=counts, features=features)
         try:
             members.append(_fit_rows(member, opt)[0])
         except (FitError, SpecError, np.linalg.LinAlgError) as exc:

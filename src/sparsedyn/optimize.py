@@ -13,10 +13,13 @@ term, differing in how sparsity is reached:
 All four read the data only through inner products, so they run on one
 compressed factor of ``[theta Y]``: an upper-triangular R of p + n rows with
 R'R = [theta Y]' W [theta Y] (W the sample weights), from Cholesky of the Gram
-matrix when that is well conditioned and Householder QR of the rows otherwise.
-Bagging ensembles reuse it with row counts folded into W.  Only the returned
-residuals are taken on the full rows.  Every solver reports the factor's
-``cond_estimate`` and ``rank_deficient``.
+matrix when that is well conditioned and TSQR (blockwise Householder QR) of
+the rows otherwise.  Bagging ensembles and SSR's holdout split reuse it with
+row counts folded into W.  The factor and the returned residuals stream the
+rows of nonzero weight in blocks of at most ``BLOCK_BYTES``, each gathered and
+scaled by sqrt(W) on its own, so a weighted or resampled fit copies no more
+than one block of rows; theta itself is still held whole.  Every solver
+reports the factor's ``cond_estimate`` and ``rank_deficient``.
 
 Solvers are deterministic given their inputs.  Zero feature columns are
 dropped before solving and reported in diagnostics; coefficients keep the
@@ -231,9 +234,25 @@ CHOLESKY_MIN_PIVOT = 1e-3
 RANK_RTOL = 1e-10
 
 
-def _triangular_factor(rows: np.ndarray, n_features: int) -> np.ndarray:
-    """Upper-triangular R with R'R = rows'rows."""
-    gram = rows.T @ rows
+# A factor or residual pass gathers and scales the rows it reads one block at
+# a time; a block holds at most this many bytes of rows.
+BLOCK_BYTES = 1 << 20
+
+
+def _triangular_factor(blocks, width: int, n_features: int) -> np.ndarray:
+    """Upper-triangular R with R'R = rows'rows summed over the row blocks of
+    ``blocks()``, each ``width`` columns wide: Cholesky of the summed Gram
+    while that is well conditioned, else TSQR (Householder QR of each block
+    stacked under the R of the blocks before it)."""
+    gram = None
+    # a streamed block does not outlive its Gram, so TSQR gathers into free memory
+    for part in (rows.T @ rows for rows in blocks()):
+        if gram is None:
+            gram = part
+        else:
+            gram += part
+    if gram is None:
+        return np.zeros((0, width))
     try:
         R = np.linalg.cholesky(gram).T
     except np.linalg.LinAlgError:
@@ -242,7 +261,14 @@ def _triangular_factor(rows: np.ndarray, n_features: int) -> np.ndarray:
         pivots = np.diagonal(R)[:n_features] ** 2 / np.diagonal(gram)[:n_features]
         if pivots.min() >= CHOLESKY_MIN_PIVOT:
             return R
-    return np.linalg.qr(rows, mode="r")
+    return _tsqr(blocks())
+
+
+def _tsqr(blocks) -> np.ndarray:
+    R = None
+    for rows in blocks:
+        R = np.linalg.qr(rows if R is None else np.vstack((R, rows)), mode="r")
+    return R
 
 
 class _Factor:
@@ -312,8 +338,9 @@ class _Rows:
     library alone with one of its columns as the target of an implicit
     candidate.  ``n_features`` is the library's width.  A row takes part with
     weight count * sample weight (``counts``: None, every row once); rows of
-    weight 0 are left out.  Factors, holdout splits and residuals read
-    ``data`` in place, so variants copy no rows of it.
+    weight 0 are left out.  Variants (ensemble members, holdout splits,
+    candidates) share ``data``; factors and residuals read it one block of
+    rows at a time (``_blocks``), so none copies more than a block of it.
     """
 
     data: np.ndarray
@@ -350,20 +377,34 @@ class _Rows:
             targets=slice(p, None),
         )
 
-    def _weighted(self, columns: np.ndarray | None = None):
-        """The rows of nonzero weight, restricted to ``columns`` (None: all),
-        and their weights (None: every row, weight 1).  Only when both are
-        None is the result ``data`` itself rather than a copy."""
-        weight = self.weights
-        if self.counts is not None:
-            weight = self.counts if weight is None else self.counts * weight
-        if weight is None:
-            rows = self.data if columns is None else np.take(self.data, columns, axis=1)
-            return rows, None
-        nz = np.flatnonzero(weight)
-        if columns is None:
-            return np.take(self.data, nz, axis=0), weight[nz]
-        return self.data[np.ix_(nz, columns)], weight[nz]
+    def _blocks(self, columns: np.ndarray | None = None):
+        """The rows of nonzero weight in order, over ``columns`` (None: all),
+        as (rows, sqrt(weight)) blocks; the root is None where every weight
+        is 1.  Each block comes from the next range of ``data``'s rows that
+        fills ``BLOCK_BYTES`` in those columns, so it holds at most that.
+        Weighted blocks are gathered copies; unweighted ones may be views of
+        ``data``."""
+        data = self.data
+        width = data.shape[1] if columns is None else columns.size
+        step = max(1, BLOCK_BYTES // (width * data.itemsize))
+        for start in range(0, data.shape[0], step):
+            part = data[start : start + step]
+            weight = self._weight(slice(start, start + step))
+            if weight is None:
+                yield (part if columns is None else np.take(part, columns, axis=1)), None
+                continue
+            nz = np.flatnonzero(weight)
+            if nz.size:
+                rows = np.take(part, nz, axis=0) if columns is None else part[np.ix_(nz, columns)]
+                yield rows, np.sqrt(weight[nz])
+
+    def _weight(self, rows: slice) -> np.ndarray | None:
+        """count * sample weight of ``rows`` (None: every weight is 1)."""
+        counts = None if self.counts is None else self.counts[rows]
+        weights = None if self.weights is None else self.weights[rows]
+        if counts is None:
+            return weights
+        return counts if weights is None else counts * weights
 
     def factor(self) -> _Factor:
         """Factor of the rows of nonzero weight, scaled by sqrt(weight), over
@@ -371,11 +412,20 @@ class _Rows:
         every = np.arange(self.data.shape[1])
         features = every[self.features]
         columns = np.concatenate((features, every[self.targets]))
-        rows, weight = self._weighted(None if np.array_equal(columns, every) else columns)
-        if weight is not None:
-            rows *= np.sqrt(weight)[:, None]
+        gather = None if np.array_equal(columns, every) else columns
+
+        def scaled():
+            for rows, root in self._blocks(gather):
+                if root is not None:
+                    rows *= root[:, None]
+                yield rows
+
+        blocks = scaled
+        if self.data.shape[0] * columns.size * self.data.itemsize <= BLOCK_BYTES:
+            # one block: gathered once, for the Gram and for QR alike
+            blocks = list(scaled()).__iter__
         return _Factor(
-            _triangular_factor(rows, features.size),
+            _triangular_factor(blocks, columns.size, features.size),
             features,
             self.n_features,
             self.normalize,
@@ -385,27 +435,30 @@ class _Rows:
     def split(self) -> tuple["_Rows", "_Rows"]:
         """Seeded (train, holdout) split of the row multiset."""
         m = self.data.shape[0]
-        positions = (
-            np.arange(m) if self.counts is None
-            else np.repeat(np.arange(m), self.counts)
-        )
-        perm = np.random.default_rng(HOLDOUT_SEED).permutation(positions.size)
-        n_hold = max(1, int(round(HOLDOUT_FRACTION * positions.size)))
-        if positions.size - n_hold < 1:
-            raise SpecError(f"{positions.size} rows are too few for a holdout split")
-        hold = np.bincount(positions[perm[:n_hold]], minlength=m)
-        total = np.ones(m, dtype=hold.dtype) if self.counts is None else self.counts
+        size = m if self.counts is None else int(self.counts.sum())
+        n_hold = max(1, int(round(HOLDOUT_FRACTION * size)))
+        if size - n_hold < 1:
+            raise SpecError(f"{size} rows are too few for a holdout split")
+        drawn = np.random.default_rng(HOLDOUT_SEED).permutation(size)[:n_hold]
+        if self.counts is not None:
+            drawn = np.repeat(np.arange(m), self.counts)[drawn]
+        hold = np.bincount(drawn, minlength=m)
+        total = 1 if self.counts is None else self.counts
         return replace(self, counts=total - hold), replace(self, counts=hold)
 
     def residual_norms(self, xis: np.ndarray) -> np.ndarray:
         """Per-target residual norms over the rows of nonzero weight, each
         scaled by sqrt(weight), of every (p, n) coefficient matrix in ``xis``
-        (library indexing); returns (len(xis), n)."""
-        rows, weight = self._weighted()
-        resid = rows[:, self.targets] - rows[:, self.features] @ xis[:, self.features]
-        if weight is not None:
-            resid *= np.sqrt(weight)[:, None]
-        return np.linalg.norm(resid, axis=1)
+        (library indexing); returns (len(xis), n).  Squares are summed block
+        by block, as ``np.linalg.norm`` sums them, with one square root."""
+        xis_in_play = xis[:, self.features]
+        total = np.zeros((len(xis), xis.shape[2]))
+        for rows, root in self._blocks():
+            resid = rows[:, self.targets] - rows[:, self.features] @ xis_in_play
+            if root is not None:
+                resid *= root[:, None]
+            total += np.add.reduce(resid * resid, axis=1)
+        return np.sqrt(total)
 
 
 def _finish(rows: _Rows, xi: np.ndarray, diags: dict) -> Coefficients:

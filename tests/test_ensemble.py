@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sparsedyn import optimize
 from sparsedyn.ensemble import (
     EnsembleSpec,
     aggregate_members,
@@ -74,6 +75,13 @@ class TestFitEnsemble:
         plain = solve(prob, STLSQ())
         np.testing.assert_array_equal(report.coefficients.xi, plain.xi)
         np.testing.assert_array_equal(report.coefficients.residuals, plain.residuals)
+
+    def test_exactness_holds_over_many_blocks(self, monkeypatch):
+        # 16 of the 200 rows per block: the plain solve reads views of the
+        # rows, members gather theirs, and both stream the same blocks
+        monkeypatch.setattr(optimize, "BLOCK_BYTES", 16 * 11 * 8)
+        self.test_degenerate_ensemble_equals_plain_solve()
+        self.test_weighted_residuals_match_plain_solve()
 
     def test_all_zero_member_counts_as_failed(self):
         # rows 0-9 carry the only nonzero entries of the design; a member
