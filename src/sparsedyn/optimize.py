@@ -420,12 +420,8 @@ class _Rows:
                     rows *= root[:, None]
                 yield rows
 
-        blocks = scaled
-        if self.data.shape[0] * columns.size * self.data.itemsize <= BLOCK_BYTES:
-            # one block: gathered once, for the Gram and for QR alike
-            blocks = list(scaled()).__iter__
         return _Factor(
-            _triangular_factor(blocks, columns.size, features.size),
+            _triangular_factor(scaled, columns.size, features.size),
             features,
             self.n_features,
             self.normalize,
