@@ -31,7 +31,6 @@ def van_der_pol(mu: float, t_span: float, dt: float) -> Dataset:
         lambda _, q: np.array([q[1], mu * (1 - q[0] ** 2) * q[1] - q[0]]),
         t,
         np.array([2.0, 0.0]),
-        method="DOP853",
         rtol=1e-10,
         atol=1e-12,
     )

@@ -1,8 +1,9 @@
 """Command-line front end: generate benchmark data, fit models, score reports.
 
 Exit codes: 0 success, 2 configuration/spec errors, 3 data errors,
-4 fit errors.  Output files are written to a temporary name and atomically
-renamed, so failures never leave partial files behind.
+4 fit errors (a fit whose every target is empty is one).  Output files are
+written to a temporary name and atomically renamed, so failures never leave
+partial files behind.
 """
 
 from __future__ import annotations
@@ -168,6 +169,8 @@ def cmd_fit(args) -> int:
         ensemble=cfg.ensemble,
         normalize_columns=cfg.normalize_columns,
     )
+    if not model.coefficients.support.any():
+        raise FitError("the fitted model is all zero: every target has an empty support")
     pred, actual = _predicted_and_actual(model, test)
     test_score = _metric(pred, actual, "r2")
     _log(args.verbose, f"test r2 = {test_score:.6f}")

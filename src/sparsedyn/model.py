@@ -175,7 +175,7 @@ def simulate(
     t_eval: np.ndarray,
     controls: np.ndarray | None = None,
 ) -> SimulationResult:
-    """Integrate dq/dt = features(q, u) @ xi with adaptive Runge-Kutta (4/5).
+    """Integrate dq/dt = features(q, u) @ xi with adaptive Runge-Kutta (DOP853).
 
     Tolerances are rtol 1e-8 / atol 1e-10.  ``controls`` rows align with
     ``t_eval`` and are interpolated linearly in time.  If the state norm
@@ -224,7 +224,7 @@ def simulate(
     def blow_up(t: float, q: np.ndarray) -> float:
         return sqrt(q.dot(q)) - BLOWUP_NORM  # the bits of np.linalg.norm(q)
 
-    sol = integrate(rhs, t_eval, q0, method="RK45", rtol=1e-8, atol=1e-10, event=blow_up)
+    sol = integrate(rhs, t_eval, q0, rtol=1e-8, atol=1e-10, event=blow_up)
     blew_up = bool(sol.status == 1)
     if sol.status < 0:
         raise FitError(f"integration failed: {sol.message}")

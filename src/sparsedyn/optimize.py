@@ -245,12 +245,12 @@ def _triangular_factor(blocks, width: int, n_features: int) -> np.ndarray:
     while that is well conditioned, else TSQR (Householder QR of each block
     stacked under the R of the blocks before it)."""
     gram = None
-    # a streamed block does not outlive its Gram, so TSQR gathers into free memory
-    for part in (rows.T @ rows for rows in blocks()):
+    for rows in blocks():
         if gram is None:
-            gram = part
+            gram = rows.T @ rows
         else:
-            gram += part
+            gram += rows.T @ rows
+        del rows  # each block is freed before the next is gathered
     if gram is None:
         return np.zeros((0, width))
     try:
@@ -268,6 +268,7 @@ def _tsqr(blocks) -> np.ndarray:
     R = None
     for rows in blocks:
         R = np.linalg.qr(rows if R is None else np.vstack((R, rows)), mode="r")
+        del rows
     return R
 
 
@@ -383,7 +384,8 @@ class _Rows:
         is 1.  Each block comes from the next range of ``data``'s rows that
         fills ``BLOCK_BYTES`` in those columns, so it holds at most that.
         Weighted blocks are gathered copies; unweighted ones may be views of
-        ``data``."""
+        ``data``.  A block is released before the next is gathered, so a
+        consumer that drops it too holds one block at a time."""
         data = self.data
         width = data.shape[1] if columns is None else columns.size
         step = max(1, BLOCK_BYTES // (width * data.itemsize))
@@ -397,6 +399,7 @@ class _Rows:
             if nz.size:
                 rows = np.take(part, nz, axis=0) if columns is None else part[np.ix_(nz, columns)]
                 yield rows, np.sqrt(weight[nz])
+                del rows
 
     def _weight(self, rows: slice) -> np.ndarray | None:
         """count * sample weight of ``rows`` (None: every weight is 1)."""
@@ -419,6 +422,7 @@ class _Rows:
                 if root is not None:
                     rows *= root[:, None]
                 yield rows
+                del rows, root
 
         return _Factor(
             _triangular_factor(scaled, columns.size, features.size),
@@ -454,6 +458,7 @@ class _Rows:
             if root is not None:
                 resid *= root[:, None]
             total += np.add.reduce(resid * resid, axis=1)
+            del rows, root, resid
         return np.sqrt(total)
 
 

@@ -140,10 +140,8 @@ def _generate_lorenz(system: Lorenz) -> Dataset:
         x, y, z = q.tolist()  # Python floats: the same bits as numpy scalars, faster
         return np.array([sigma * (y - x), x * (rho - z) - y, x * y - beta * z])
 
-    sol = integrate(
-        rhs, t, np.asarray(system.initial_state, dtype=float),
-        method="DOP853", rtol=1e-10, atol=1e-12,
-    )
+    q0 = np.asarray(system.initial_state, dtype=float)
+    sol = integrate(rhs, t, q0, rtol=1e-10, atol=1e-12)
     if sol.status < 0:
         raise FitError(f"Lorenz integration failed: {sol.message}")
     return Dataset(grid=Grid(t), states=sol.y)

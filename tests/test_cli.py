@@ -279,18 +279,23 @@ class TestFit:
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert not (tmp_path / "fit_out").exists()
 
-    def test_fit_failure_exits_4_without_partial_files(self, tmp_path, lorenz_dataset):
-        cfg = fit_config(
-            tmp_path,
-            lorenz_dataset,
-            out_name="failed",
-            optimizer={"type": "frols", "err_tol": 2.0},
-        )
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"optimizer": {"type": "frols", "err_tol": 2.0}},
+            # thresholds far above every coefficient fit an all-zero model
+            {"optimizer": "stlsq:1000000,0.05"},
+            {"optimizer": {"type": "sr3", "threshold": 1e6}},
+            {"optimizer": "stlsq:1000000,0.05", "ensemble": "n=3,seed=0"},
+        ],
+        ids=["frols", "stlsq", "sr3", "stlsq-ensemble"],
+    )
+    def test_fit_failure_exits_4_without_partial_files(self, tmp_path, capsys,
+                                                       lorenz_dataset, overrides):
+        cfg = fit_config(tmp_path, lorenz_dataset, out_name="failed", **overrides)
         assert main(["fit", "--config", str(cfg)]) == 4
-        out = tmp_path / "failed"
-        assert not (out / "report.json").exists()
-        assert not (out / "equations.txt").exists()
-        assert not list(out.glob("*.tmp")) if out.exists() else True
+        assert capsys.readouterr().err.startswith("fit error: ")
+        assert not (tmp_path / "failed").exists()
 
     def test_cli_overrides(self, tmp_path, lorenz_dataset):
         cfg = fit_config(tmp_path, lorenz_dataset, out_name="ovr")
@@ -323,6 +328,76 @@ class TestFit:
         incl = np.asarray(report["ensemble"]["inclusion_probability"])
         assert incl.shape == (10, 3)
         assert incl.min() >= 0.0 and incl.max() <= 1.0
+
+
+LORENZ_BENCHMARK = {"system": {"name": "lorenz", "t_span": 2.0, "dt": 0.004},
+                    "noise_level": 0.01, "seed": 1}
+FIT_FILES = ("report.json", "equations.txt", "prediction_vs_truth.csv")
+
+
+class TestCommandLineOverrides:
+    """``--seed``, ``--out``, ``--ensemble`` and ``--verbose``, and a fit on
+    an inline ``data.benchmark``."""
+
+    def run(self, capsys, *argv):
+        capsys.readouterr()
+        assert main(list(argv)) == 0
+        return capsys.readouterr()
+
+    def test_seed_reseeds_the_benchmark_data_and_the_report(self, tmp_path, capsys):
+        def config(name, seed):
+            return fit_config(tmp_path, None, out_name=name, seed=seed,
+                              data={"benchmark": {**LORENZ_BENCHMARK, "seed": seed}})
+
+        self.run(capsys, "fit", "--config", str(config("plain", 0)))
+        self.run(capsys, "fit", "--config", str(config("seeded", 0)), "--seed", "5")
+        self.run(capsys, "fit", "--config", str(config("five", 5)))
+        plain, seeded, five = (json.loads((tmp_path / name / "report.json").read_text())
+                               for name in ("plain", "seeded", "five"))
+        assert plain["diagnostics"]["seed"] == 0 and seeded["diagnostics"]["seed"] == 5
+        # other noise, so other coefficients: those of the config seeded with 5
+        assert seeded["coefficients"] != plain["coefficients"]
+        assert seeded == five
+
+    def test_out_redirects_every_file(self, tmp_path, capsys, lorenz_dataset):
+        cfg = fit_config(tmp_path, lorenz_dataset, out_name="configured")
+        self.run(capsys, "fit", "--config", str(cfg), "--out", str(tmp_path / "elsewhere"))
+        assert not (tmp_path / "configured").exists()
+        assert sorted(p.name for p in (tmp_path / "elsewhere").iterdir()) == sorted(FIT_FILES)
+
+    def test_ensemble_adds_the_report_block(self, tmp_path, capsys, lorenz_dataset):
+        cfg = fit_config(tmp_path, lorenz_dataset, out_name="plain")
+        self.run(capsys, "fit", "--config", str(cfg))
+        self.run(capsys, "fit", "--config", str(cfg), "--out", str(tmp_path / "ens"),
+                 "--ensemble", "n=3,seed=0")
+        plain = json.loads((tmp_path / "plain" / "report.json").read_text())
+        ens = json.loads((tmp_path / "ens" / "report.json").read_text())
+        assert "ensemble" not in plain
+        assert set(ens["ensemble"]) == {"inclusion_probability", "iqr", "n_failed"}
+        assert ens["diagnostics"]["ensemble_members"] == 3
+
+    def test_verbose_writes_only_to_stderr(self, tmp_path, capsys):
+        cfg = fit_config(tmp_path, None, out_name="quiet", data={"benchmark": LORENZ_BENCHMARK})
+        quiet = self.run(capsys, "fit", "--config", str(cfg))
+        loud = self.run(capsys, "fit", "--config", str(cfg), "--out", str(tmp_path / "loud"),
+                        "--verbose")
+        assert quiet.err == "" and loud.out == quiet.out
+        assert "generating benchmark data" in loud.err and "test r2 = " in loud.err
+        for name in FIT_FILES:
+            loud_file, quiet_file = tmp_path / "loud" / name, tmp_path / "quiet" / name
+            assert loud_file.read_bytes() == quiet_file.read_bytes()
+
+    def test_generate_seed_overrides_the_spec(self, tmp_path, capsys):
+        def generate(name, seed, *argv):
+            spec = write_json(tmp_path / f"{name}.json",
+                              {"schema": 1, **LORENZ_BENCHMARK, "seed": seed})
+            self.run(capsys, "generate", "--config", str(spec), "--out", str(tmp_path / name),
+                     *argv)
+            return (tmp_path / name / "states.f64").read_bytes()
+
+        seeded = generate("seeded", 1, "--seed", "7")
+        assert seeded == generate("seven", 7)
+        assert seeded != generate("one", 1)
 
 
 def per_cell_csv(names, pred, actual):

@@ -209,6 +209,57 @@ class TestDiscoveryConfig:
             from_json(DiscoveryConfig, obj)
 
 
+# One case per range check of a spec's own values: each is a SpecError
+# that names the fault.
+INVALID_VALUES = [
+    pytest.param(EnsembleSpec(row_fraction=0.0), "row_fraction must be in", id="row_fraction"),
+    pytest.param(EnsembleSpec(n_library_drop=-1), "n_library_drop must be >= 0",
+                 id="n_library_drop"),
+    pytest.param(EnsembleSpec(aggregator="mode"), "aggregator must be median or mean",
+                 id="aggregator"),
+    pytest.param(EnsembleSpec(support_threshold=0.0), "support_threshold must be in",
+                 id="support_threshold"),
+    pytest.param(SSR(min_terms=0), "min_terms must be >= 1", id="ssr-min_terms"),
+    pytest.param(FROLS(max_terms=0), "max_terms must be >= 1", id="frols-max_terms"),
+    pytest.param(FROLS(err_tol=-1.0), "err_tol must be >= 0", id="frols-err_tol"),
+    pytest.param(SR3(regularizer="l2"), "regularizer must be l0 or l1", id="sr3-regularizer"),
+    pytest.param(SR3(relaxation=0.0), "invalid SR3 spec", id="sr3-relaxation"),
+    pytest.param(SR3(constraints=(np.zeros((2, 4)), np.zeros(1))),
+                 "constraint matrix and rhs row counts differ", id="sr3-constraint-rows"),
+    pytest.param(Lorenz(dt=0.0), "invalid Lorenz time grid", id="lorenz-dt"),
+    pytest.param(KS(dt=-0.05), "KS time parameters must be positive", id="ks-time"),
+    pytest.param(KS(burn_in=-1.0), "invalid KS initial-condition", id="ks-burn_in"),
+    pytest.param(KS(n_init_modes=0), "invalid KS initial-condition", id="ks-modes"),
+    pytest.param(Polynomial(degree=-1), "polynomial degree must be >= 0", id="polynomial"),
+    pytest.param(Fourier(n_frequencies=0), "n_frequencies must be >= 1",
+                 id="fourier-frequencies"),
+    pytest.param(Fourier(include_sin=False, include_cos=False), "needs sin or cos",
+                 id="fourier-terms"),
+    pytest.param(PDE(derivative_order=0), "derivative_order must be >= 1", id="pde-order"),
+    pytest.param(PDE(axes=()), "needs at least one axis", id="pde-no-axis"),
+    pytest.param(PDE(axes=("w",)), "unknown axis id 'w'", id="pde-axis"),
+    pytest.param(PDE(axes=("x", "x")), "duplicate axis", id="pde-duplicate-axis"),
+    pytest.param(WeakPDE(Polynomial(1), n_subdomains=0), "n_subdomains must be >= 1",
+                 id="weak-subdomains"),
+    pytest.param(WeakPDE(Polynomial(1), test_poly_order=1), "test_poly_order must be >= 2",
+                 id="weak-test-order"),
+    pytest.param(WeakPDE(Polynomial(1), subdomain_size=2), "at least 3 grid points",
+                 id="weak-size"),
+    pytest.param(Concat(()), "Concat needs at least one part", id="concat"),
+    pytest.param(InputSubset(Polynomial(1), (0, 0)), "nonempty and unique",
+                 id="subset-repeated"),
+    pytest.param(InputSubset(Polynomial(1), (-1,)), "non-negative", id="subset-negative"),
+    pytest.param(DiscoveryConfig(data_path="data", library=Polynomial(), precision=0),
+                 "precision must be >= 1", id="config-precision"),
+]
+
+
+@pytest.mark.parametrize("spec, message", INVALID_VALUES)
+def test_invalid_value_is_a_spec_error(spec, message):
+    with pytest.raises(SpecError, match=message):
+        spec.validate()
+
+
 # One instance of every tagged class plus the untagged specs, each with its
 # JSON exactly as written to disk (key order included).  report.json stores
 # the library and diff blocks, so ``score`` reads old reports only while

@@ -15,7 +15,7 @@ from sparsedyn.model import FittedModel, fit, simulate
 from sparsedyn.optimize import STLSQ, Coefficients
 from sparsedyn.systems import BenchmarkSpec, Lorenz, generate
 
-METHODS = ["RK45", "DOP853"]
+METHODS = ["DOP853"]
 
 
 def oracle(fun, t_eval, y0, method, rtol, atol, event=None):
@@ -26,7 +26,7 @@ def oracle(fun, t_eval, y0, method, rtol, atol, event=None):
 
 
 def assert_matches_oracle(fun, t_eval, y0, method, rtol, atol, event=None):
-    ours = integrate(fun, t_eval, y0, method=method, rtol=rtol, atol=atol, event=event)
+    ours = integrate(fun, t_eval, y0, rtol=rtol, atol=atol, event=event)
     ref = oracle(fun, t_eval, y0, method, rtol, atol, event)
     np.testing.assert_array_equal(ours.t, ref.t, strict=True)
     np.testing.assert_array_equal(ours.y, ref.y.T, strict=True)
@@ -98,8 +98,7 @@ class TestMatchesSolveIvp:
     @pytest.mark.parametrize("method", METHODS)
     def test_single_output_time(self, method):
         # solve_ivp returns no sample here, and simulate failed on that
-        ours = integrate(lambda t, y: -y, np.array([0.5]), np.array([1.0, 2.0]),
-                         method=method)
+        ours = integrate(lambda t, y: -y, np.array([0.5]), np.array([1.0, 2.0]))
         np.testing.assert_array_equal(ours.t, [0.5])
         np.testing.assert_array_equal(ours.y, [[1.0, 2.0]])
         assert ours.nfev == 1 and ours.status == 0
@@ -180,12 +179,11 @@ class TestOutputTimes:
         fun, y0 = random_system(3, 2, quadratic=False)
         t = np.linspace(0.0, 2.0, 401)
         k = 237
-        ours = integrate(fun, t, y0, method=method, rtol=1e-6, atol=1e-9,
-                         event=lambda s, y: s - t[k])
+        ours = integrate(fun, t, y0, rtol=1e-6, atol=1e-9, event=lambda s, y: s - t[k])
         assert ours.status == 1
         np.testing.assert_array_equal(ours.t, t[: k + 1])
         assert not np.isin(t[k], step_ends(fun, (0.0, 2.0), y0, method, 1e-6, 1e-9))
-        free = integrate(fun, t, y0, method=method, rtol=1e-6, atol=1e-9)
+        free = integrate(fun, t, y0, rtol=1e-6, atol=1e-9)
         np.testing.assert_allclose(ours.y, free.y[: k + 1], rtol=1e-14, atol=0.0)
 
     @pytest.mark.parametrize("method", METHODS)
@@ -229,7 +227,7 @@ def simulate_oracle(model, q0, t_eval, controls=None):
     def event(t, q):
         return float(np.linalg.norm(q)) - 1e8
 
-    return oracle(rhs, t_eval, np.asarray(q0, dtype=float), "RK45", 1e-8, 1e-10, event)
+    return oracle(rhs, t_eval, np.asarray(q0, dtype=float), "DOP853", 1e-8, 1e-10, event)
 
 
 def assert_simulation_matches(model, q0, t_eval, controls=None):

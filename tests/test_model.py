@@ -355,7 +355,7 @@ def per_step_simulation(model, q0, t_eval, controls=None):
 
     blow_up.terminal = True
     sol = solve_ivp(rhs, (t_eval[0], t_eval[-1]), np.asarray(q0, dtype=float),
-                    method="RK45", t_eval=t_eval, rtol=1e-8, atol=1e-10,
+                    method="DOP853", t_eval=t_eval, rtol=1e-8, atol=1e-10,
                     events=blow_up, dense_output=False)
     return sol.y.T, sol.nfev
 

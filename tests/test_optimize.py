@@ -220,6 +220,20 @@ class TestSR3:
         vec = c.xi.T.ravel()
         assert np.abs(C @ vec - d).max() <= 1e-8
 
+    def test_infeasible_support_falls_back_to_the_relaxed_solution(self):
+        # xi[2, 0] = 0.5 is pinned below the l0 threshold sqrt(2 * 0.5) = 1,
+        # so the thresholded support leaves out the one entry the constraint
+        # needs; the relaxed coefficients, which meet it, are returned
+        rng = np.random.default_rng(6)
+        theta = rng.standard_normal((60, 3))
+        y = theta @ np.array([2.0, -3.0, 0.0])
+        C, d = np.array([[0.0, 0.0, 1.0]]), np.array([0.5])
+        spec = SR3(threshold=0.5, constraints=(C, d), max_iter=100, tol=1e-10)
+        c = solve(Problem(theta=theta, targets=y), spec)
+        assert c.diagnostics["constrained_support_infeasible"]
+        np.testing.assert_array_equal(c.xi, c.diagnostics["xi_relaxed"])
+        assert abs(C @ c.xi.T.ravel() - d).max() <= 1e-10
+
     def test_rank_deficient_constraints_rejected(self):
         C = np.vstack([np.eye(2, 4), np.eye(2, 4)])  # duplicated rows
         d = np.zeros(4)

@@ -357,3 +357,21 @@ class TestMemory:
             "ensemble": lambda: fit_ensemble(prob, STLSQ(), EnsembleSpec(n_models=5)),
         }[fit]
         assert traced_peak(run) < data.nbytes / 4
+
+    @pytest.mark.parametrize("stage", ["residual_norms", "factor"])
+    def test_a_streamed_pass_holds_one_block(self, stage):
+        # 120 000 weighted rows of 6 columns (5.5 MiB): each 1 MiB block is
+        # gathered only after the one before it, with its root and residual,
+        # is released; two blocks at once would peak above 2 MiB
+        rng = np.random.default_rng(0)
+        data = rng.standard_normal((120_000, 6))
+        data[:, 5] = data[:, :5] @ rng.uniform(-1.0, 1.0, 5)
+        data[:, 5] += 0.01 * rng.standard_normal(data.shape[0])
+        weights = rng.uniform(0.5, 2.0, data.shape[0])
+        rows = _Rows.of(Problem(theta=data[:, :5], targets=data[:, 5:], sample_weights=weights))
+        run = {
+            "residual_norms": lambda: rows.residual_norms(np.ones((1, 5, 1))),
+            "factor": rows.factor,
+        }[stage]
+        assert optimize.BLOCK_BYTES == 1 << 20
+        assert traced_peak(run) < 2 << 20
