@@ -161,10 +161,7 @@ def _decode_functions(value, where: str):
 
 def _encode_constraints(constraints) -> dict:
     C, d = constraints
-    return {
-        "matrix": np.asarray(C, dtype=float).tolist(),
-        "rhs": np.asarray(d, dtype=float).tolist(),
-    }
+    return {"matrix": [list(row) for row in C], "rhs": list(d)}
 
 
 def _decode_constraints(value, where: str):
@@ -176,7 +173,7 @@ def _decode_constraints(value, where: str):
     if len({len(row) for row in matrix}) > 1:
         raise SpecError(f"{where}.matrix: rows differ in length")
     rhs = from_json(tuple[float, ...], value["rhs"], f"{where}.rhs")
-    return np.array(matrix, dtype=float), np.array(rhs, dtype=float)
+    return matrix, rhs
 
 
 # (class, field) -> (encode, decode) for fields the type-driven codec cannot

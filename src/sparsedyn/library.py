@@ -178,15 +178,16 @@ class WeakPDE(_Spec):
             raise SpecError(
                 f"test_poly_order must be >= 2, got {self.test_poly_order}"
             )
-        sizes = (
-            (self.subdomain_size,)
-            if isinstance(self.subdomain_size, int)
-            else tuple(self.subdomain_size)
-        )
-        if any(s < 3 for s in sizes):
+        if any(s < 3 for s in self.axis_sizes(1)):
             raise SpecError("subdomains need at least 3 grid points per axis")
         if self.seed < 0:
             raise SpecError(f"seed must be >= 0, got {self.seed}")
+
+    def axis_sizes(self, n_axes: int) -> tuple[int, ...]:
+        """``subdomain_size`` per axis; a single int stands for ``n_axes``."""
+        if isinstance(self.subdomain_size, int):
+            return (self.subdomain_size,) * n_axes
+        return tuple(self.subdomain_size)
 
 
 @dataclass(frozen=True)
@@ -611,11 +612,7 @@ def _weak_columns(plan: GridPlan, dataset: Dataset, diff_method: DiffMethod,
     axes_coords = list(grid.spatial_axes) + [grid.time_axis]
     n_axes = len(axes_coords)
 
-    sizes = (
-        (spec.subdomain_size,) * n_axes
-        if isinstance(spec.subdomain_size, int)
-        else tuple(spec.subdomain_size)
-    )
+    sizes = spec.axis_sizes(n_axes)
     if len(sizes) != n_axes:
         raise SpecError(
             f"subdomain_size has {len(sizes)} entries for {n_axes} axes "

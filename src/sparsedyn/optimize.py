@@ -154,7 +154,19 @@ class SR3:
     regularizer: Literal["l0", "l1"] = "l0"
     max_iter: int = 30
     tol: float = 1e-5
-    constraints: tuple[np.ndarray, np.ndarray] | None = None
+    # C vec(xi) = d as (rows of C, d), tuples of floats: specs are plain values
+    constraints: tuple[tuple[tuple[float, ...], ...], tuple[float, ...]] | None = None
+
+    def __post_init__(self):
+        if self.constraints is not None:
+            try:
+                C, d = (np.asarray(part, dtype=float) for part in self.constraints)
+            except (TypeError, ValueError) as exc:
+                raise SpecError(f"malformed SR3 constraints: {exc}") from None
+            if C.ndim != 2 or d.ndim != 1 or C.size == 0:
+                raise SpecError(f"malformed SR3 constraints: shapes {C.shape}, {d.shape}")
+            rows = tuple(map(tuple, C.tolist()))
+            object.__setattr__(self, "constraints", (rows, tuple(d.tolist())))
 
     def validate(self) -> None:
         check_finite(self, "threshold", "relaxation", "max_iter", "tol")
@@ -164,9 +176,7 @@ class SR3:
             raise SpecError(f"SR3 regularizer must be l0 or l1, got {self.regularizer}")
         if self.constraints is not None:
             C, d = self.constraints
-            C = np.atleast_2d(np.asarray(C, dtype=float))
-            d = np.atleast_1d(np.asarray(d, dtype=float))
-            if C.shape[0] != d.shape[0]:
+            if len(C) != len(d):
                 raise SpecError("constraint matrix and rhs row counts differ")
             if not (np.isfinite(C).all() and np.isfinite(d).all()):
                 raise SpecError("SR3 constraints must be finite")
@@ -174,17 +184,14 @@ class SR3:
 
 @dataclass(frozen=True)
 class SSR:
-    """Backward elimination; path runs from the full support down to
-    ``min_terms``.  ``solve`` picks the holdout-selected path entry."""
+    """Backward elimination from the full support to ``min_terms`` terms;
+    ``solve`` refits each target's holdout pick, ``solve_path`` gives all."""
 
     min_terms: int = 1
-    selection: Literal["holdout", "path"] = "holdout"
 
     def validate(self) -> None:
         if self.min_terms < 1:
             raise SpecError(f"min_terms must be >= 1, got {self.min_terms}")
-        if self.selection not in ("holdout", "path"):
-            raise SpecError(f"unknown SSR selection {self.selection!r}")
 
 
 @dataclass(frozen=True)
@@ -548,10 +555,7 @@ def _sr3_prox(xi: np.ndarray, spec: SR3) -> np.ndarray:
     return soft_threshold(xi, lam * nu)
 
 
-def _check_constraints(spec: SR3, p: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    C, d = spec.constraints
-    C = np.atleast_2d(np.asarray(C, dtype=float))
-    d = np.atleast_1d(np.asarray(d, dtype=float))
+def _check_constraints(C: np.ndarray, p: int, n: int) -> None:
     k = C.shape[0]
     if C.shape[1] != p * n:
         raise SpecError(
@@ -561,9 +565,8 @@ def _check_constraints(spec: SR3, p: int, n: int) -> tuple[np.ndarray, np.ndarra
     if k > p * n:
         raise SpecError(f"{k} constraints exceed {p * n} coefficients")
     s = np.linalg.svd(C, compute_uv=False)
-    if s.size == 0 or s[-1] <= 1e-10 * s[0]:
+    if s[-1] <= 1e-10 * s[0]:
         raise SpecError("constraint matrix is not full row rank (tol 1e-10)")
-    return C, d
 
 
 def _constrained_quadratic(
@@ -593,7 +596,8 @@ def _solve_sr3(fac: _Factor, spec: SR3) -> tuple[np.ndarray, dict]:
                 "equality constraints require the original column indexing; "
                 "disable normalization and remove zero columns first"
             )
-        C, d = _check_constraints(spec, p, n)
+        C, d = (np.array(part) for part in spec.constraints)
+        _check_constraints(C, p, n)
         thY = theta.T @ Y
         H_big = np.kron(np.eye(n), theta.T @ theta + np.eye(p) / nu)
     else:
@@ -754,62 +758,48 @@ def _frols_path(
 
 
 # Each solver on a factor returns its coefficients (a greedy solver: its
-# path) and its diagnostics.
+# path, as (support size, coefficients) pairs) and its diagnostics.
 _SOLVERS = {STLSQ: _solve_stlsq, SR3: _solve_sr3, SSR: _ssr_path, FROLS: _frols_path}
 
 
-def _fit_rows(rows: _Rows, spec: OptimizerSpec, path: bool = False):
-    """Validate ``spec`` and solve on the factor of ``rows``.
-
-    Returns the chosen coefficients in library indexing and the diagnostics,
-    the factor's included.  With ``path`` a greedy solver returns its whole
-    model path instead of the coefficients, as (support size, coefficients)
-    pairs.
-    """
-    spec.validate()
+def _fit_rows(rows: _Rows, spec: OptimizerSpec):
+    """Validate ``spec`` and fit one model on the factor of ``rows``, for
+    ``solve``, ensemble members and implicit candidates: SSR's holdout pick,
+    FROLS's last path entry, else the solver's coefficients.  Returns them in
+    library indexing with the diagnostics, the factor's included."""
     solver = _SOLVERS.get(type(spec))
     if solver is None:
         raise SpecError(f"unknown optimizer spec {spec!r}")
-    greedy = isinstance(spec, (SSR, FROLS))
-    if path and not greedy:
-        raise SpecError(f"solve_path requires SSR or FROLS, got {type(spec).__name__}")
-    if isinstance(spec, SSR) and not path:
-        if spec.selection == "path":
-            raise SpecError(
-                "SSR selection='path' leaves model choice to the caller; "
-                "use solve_path"
-            )
+    spec.validate()
+    if isinstance(spec, SSR):
         fac, xi_n, diags = _ssr_holdout(rows, spec)
     else:
         fac = rows.factor()
         xi_n, diags = solver(fac, spec)
-        if path:
-            entries = [(size, fac.embed(xi)) for size, xi in xi_n]
-            return entries, {**fac.diagnostics, **diags}
-        if greedy:
+        if isinstance(spec, FROLS):
             xi_n = xi_n[-1][1]
     return fac.embed(xi_n), {**fac.diagnostics, **diags}
 
 
 def solve(problem: Problem, spec: OptimizerSpec) -> Coefficients:
-    """Solve the sparse regression problem with the chosen algorithm.
-
-    SSR with holdout selection fits its elimination path on a seeded 75% row
-    split, picks the sparsest path entry within a whisker of the minimum
-    holdout residual, and refits that support on all rows.
-    """
+    """Fit one sparse model.  SSR refits on all rows each target's sparsest
+    path entry within a whisker of the least residual on a seeded 25% holdout
+    split; FROLS fits the last entry of its forward path."""
     rows = _Rows.of(problem)
     return _finish(rows, *_fit_rows(rows, spec))
 
 
-def solve_path(problem: Problem, spec: OptimizerSpec) -> list[PathEntry]:
-    """Model path for the greedy algorithms (SSR descending, FROLS ascending)."""
+def solve_path(problem: Problem, spec: SSR | FROLS) -> list[PathEntry]:
+    """Whole model path of a greedy algorithm on one factor of all rows:
+    SSR's from every term down to ``min_terms``, FROLS's from one term up."""
+    if not isinstance(spec, (SSR, FROLS)):
+        raise SpecError(f"solve_path requires SSR or FROLS, got {type(spec).__name__}")
+    spec.validate()
     rows = _Rows.of(problem)
-    path, diags = _fit_rows(rows, spec, path=True)
+    fac = rows.factor()
+    path, diags = _SOLVERS[type(spec)](fac, spec)
     entries = []
     for size, xi in path:
-        coefficients = _finish(rows, xi, dict(diags))
-        entries.append(
-            PathEntry(coefficients, size, float(np.linalg.norm(coefficients.residuals)))
-        )
+        c = _finish(rows, fac.embed(xi), {**fac.diagnostics, **diags})
+        entries.append(PathEntry(c, size, float(np.linalg.norm(c.residuals))))
     return entries

@@ -375,7 +375,7 @@ def implicit_derivatives(library, diff, opt):
     ]
 
 
-@case(SSR(selection="path"), FROLS())
+@case(SSR(), FROLS())
 def solve_paths(ssr, frols):
     rng = np.random.default_rng(11)
     theta = rng.standard_normal((120, 6))

@@ -158,7 +158,7 @@ def test_criterion_5_greedy_support_recovery():
         problem = Problem(theta=theta, targets=y)
 
         ssr_two = next(
-            e for e in solve_path(problem, SSR(selection="path")) if e.support_size == 2
+            e for e in solve_path(problem, SSR()) if e.support_size == 2
         )
         ssr_ok = set(np.flatnonzero(ssr_two.coefficients.support[:, 0])) == {1, 3}
 

@@ -256,6 +256,16 @@ class TestFit:
         assert message in err
         assert not (tmp_path / "fit_out").exists()
 
+    def test_ssr_selection_exits_2(self, tmp_path, capsys):
+        # SSR has one selection rule and no option naming it
+        optimizer = {"type": "ssr", "selection": "holdout"}
+        cfg = fit_config(tmp_path, tmp_path / "missing", optimizer=optimizer)
+        capsys.readouterr()
+        assert main(["fit", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "config.optimizer: unknown field 'selection'; SSR takes min_terms" in err
+        assert not (tmp_path / "fit_out").exists()
+
     @pytest.mark.parametrize(
         "overrides",
         [

@@ -95,7 +95,7 @@ class TestOptimizerRoundTrip:
         [
             STLSQ(threshold=0.2, ridge=0.0, max_iter=5),
             SR3(threshold=0.3, relaxation=2.0, regularizer="l1"),
-            SSR(min_terms=2, selection="path"),
+            SSR(min_terms=2),
             FROLS(max_terms=4, err_tol=1e-4),
         ],
         ids=["stlsq", "sr3", "ssr", "frols"],
@@ -108,8 +108,24 @@ class TestOptimizerRoundTrip:
         d = np.array([1.0, 2.0])
         spec = SR3(constraints=(C, d))
         back = from_json(OptimizerSpec, to_json(spec))
+        assert back == spec
         np.testing.assert_array_equal(back.constraints[0], C)
         np.testing.assert_array_equal(back.constraints[1], d)
+
+    def test_equal_constrained_specs_hash_equal(self):
+        # the constraints used to be held as arrays: == raised numpy's
+        # ambiguous truth value and hash() raised TypeError
+        a = SR3(constraints=(np.eye(2, 6), np.array([1.0, 2.0])))
+        b = SR3(constraints=([[1, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0]], [1, 2]))
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b, SR3()}) == 2
+        configs = [DiscoveryConfig(data_path="d", library=Polynomial(), optimizer=spec)
+                   for spec in (a, b)]
+        assert configs[0] == configs[1]
+
+    def test_ssr_selection_is_an_unknown_field(self):
+        with pytest.raises(SpecError, match="unknown field 'selection'; SSR takes min_terms$"):
+            from_json(OptimizerSpec, {"type": "ssr", "selection": "holdout"})
 
     def test_compact_flags(self):
         assert from_json(OptimizerSpec, "stlsq:0.2,0.01") == STLSQ(threshold=0.2, ridge=0.01)
@@ -346,7 +362,7 @@ WIRE_FORMAT = [
          "max_iter": 30, "tol": 1e-5,
          "constraints": {"matrix": [[1.0, 0.0, 0.0]], "rhs": [1.5]}},
     ),
-    (SSR(min_terms=2, selection="path"), {"type": "ssr", "min_terms": 2, "selection": "path"}),
+    (SSR(min_terms=2), {"type": "ssr", "min_terms": 2}),
     (FROLS(), {"type": "frols", "max_terms": None, "err_tol": 1e-6}),
     (
         EnsembleSpec(n_models=12, row_fraction=0.8, replace=False, seed=7),
@@ -570,7 +586,7 @@ optimizers = st.one_of(
     st.builds(STLSQ, threshold=finite, ridge=finite, max_iter=small),
     st.builds(SR3, threshold=finite, relaxation=finite,
               regularizer=st.sampled_from(["l0", "l1"]), max_iter=small, tol=finite),
-    st.builds(SSR, min_terms=small, selection=st.sampled_from(["holdout", "path"])),
+    st.builds(SSR, min_terms=small),
     st.builds(FROLS, max_terms=st.none() | small, err_tol=finite),
 )
 ensembles = st.builds(

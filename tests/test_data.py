@@ -217,6 +217,18 @@ class TestStorage:
         np.testing.assert_array_equal(back.derivatives, ds.derivatives)
         np.testing.assert_allclose(back.grid.time_axis, ds.grid.time_axis)
 
+    def test_nonuniform_axes_round_trip(self, tmp_path):
+        # a nonuniform axis is stored as its values, not as start and step
+        grid = Grid(np.array([0.0, 0.1, 0.35, 0.4, 1.3]), (np.array([0.0, 0.2, 0.25, 1.0]),))
+        ds = Dataset(grid=grid, states=np.random.default_rng(3).standard_normal((4, 5, 2)))
+        save_dataset(ds, tmp_path / "d")
+        axes = json.loads((tmp_path / "d" / "meta.json").read_text())["axes"]
+        assert [sorted(axis) for axis in axes] == [["name", "values"]] * 2
+        back = load_dataset(tmp_path / "d")
+        np.testing.assert_array_equal(back.grid.time_axis, grid.time_axis)
+        np.testing.assert_array_equal(back.grid.spatial_axes[0], grid.spatial_axes[0])
+        np.testing.assert_array_equal(back.states, ds.states)
+
     def test_wrong_payload_size(self, tmp_path):
         ds = make_dataset((), 5, 1)
         save_dataset(ds, tmp_path / "d")

@@ -235,11 +235,16 @@ class TestSR3:
         assert abs(C @ c.xi.T.ravel() - d).max() <= 1e-10
 
     def test_rank_deficient_constraints_rejected(self):
-        C = np.vstack([np.eye(2, 4), np.eye(2, 4)])  # duplicated rows
-        d = np.zeros(4)
-        spec = SR3(constraints=(C, d))
-        with pytest.raises(SpecError):
-            solve(Problem(theta=np.eye(4)[:, :2], targets=np.zeros(4)), spec)
+        # p * n = 2 coefficients; the second row is twice the first
+        C = np.array([[1.0, 1.0], [2.0, 2.0]])
+        spec = SR3(constraints=(C, np.zeros(2)))
+        with pytest.raises(SpecError, match="not full row rank"):
+            solve(Problem(theta=np.eye(4)[:, :2], targets=np.ones(4)), spec)
+
+    def test_more_constraints_than_coefficients_rejected(self):
+        spec = SR3(constraints=(np.eye(3, 2), np.zeros(3)))
+        with pytest.raises(SpecError, match="3 constraints exceed 2 coefficients"):
+            solve(Problem(theta=np.eye(4)[:, :2], targets=np.ones(4)), spec)
 
     def test_xi_relaxed_in_original_indexing_and_scale(self):
         rng = np.random.default_rng(4)
@@ -266,13 +271,8 @@ class TestGreedy:
     def test_ssr_path_sizes(self):
         rng = np.random.default_rng(1)
         prob = Problem(theta=rng.standard_normal((30, 3)), targets=rng.standard_normal(30))
-        path = solve_path(prob, SSR(selection="path"))
+        path = solve_path(prob, SSR())
         assert [e.support_size for e in path] == [3, 2, 1]
-
-    def test_ssr_solve_requires_holdout(self):
-        prob, _ = planted_problem()
-        with pytest.raises(SpecError):
-            solve(prob, SSR(selection="path"))
 
     def test_ssr_holdout_selects_true_support(self):
         prob, _ = planted_problem()
@@ -314,8 +314,16 @@ class TestGreedy:
 
     def test_solve_path_rejects_non_greedy(self):
         prob, _ = planted_problem()
-        with pytest.raises(SpecError):
+        with pytest.raises(SpecError, match="^solve_path requires SSR or FROLS, got STLSQ$"):
             solve_path(prob, STLSQ())
+
+    def test_a_name_is_not_a_spec(self):
+        # both used to fail with AttributeError on str.validate
+        prob, _ = planted_problem()
+        with pytest.raises(SpecError, match="^unknown optimizer spec 'stlsq'$"):
+            solve(prob, "stlsq")
+        with pytest.raises(SpecError, match="^solve_path requires SSR or FROLS, got str$"):
+            solve_path(prob, "ssr")
 
 
 ALL_SPECS = [
@@ -595,7 +603,7 @@ class TestFactorParity:
     @given(prob=problems)
     @settings(max_examples=60)
     def test_ssr_path(self, prob):
-        spec = SSR(selection="path")
+        spec = SSR()
         path = solve_path(prob, spec)
         expected = oracle_ssr_path(prob, spec)
         assert len(path) == len(expected)

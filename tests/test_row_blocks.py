@@ -103,7 +103,7 @@ FITS = [
     ("solve", STLSQ()),
     ("solve", SR3(threshold=0.1)),
     ("solve", SSR()),
-    ("path", SSR(selection="path")),
+    ("path", SSR()),
     ("solve", FROLS()),
     ("path", FROLS()),
     ("ensemble", STLSQ(threshold=0.1, ridge=0.0)),
@@ -289,7 +289,7 @@ class TestNoRowsOfWeight:
         with pytest.raises(FitError, match="ensemble members failed"):
             fit_ensemble(prob, opt, EnsembleSpec(n_models=4, seed=0))
 
-    @pytest.mark.parametrize("opt", [SSR(selection="path"), FROLS()], ids=["ssr", "frols"])
+    @pytest.mark.parametrize("opt", [SSR(), FROLS()], ids=["ssr", "frols"])
     def test_all_zero_sample_weights_have_no_path(self, opt):
         prob = random_problem(0, 50, 4, 1, True, False, False)
         prob = Problem(theta=prob.theta, targets=prob.targets, sample_weights=np.zeros(50))
