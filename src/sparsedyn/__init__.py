@@ -29,7 +29,6 @@ from .errors import DataError, FitError, SpecError
 from .library import (
     Concat,
     Custom,
-    FeatureMatrix,
     Fourier,
     InputSubset,
     LibrarySpec,
@@ -37,13 +36,13 @@ from .library import (
     Polynomial,
     Tensor,
     WeakPDE,
-    evaluate,
     evaluate_pointwise,
     predict_width,
 )
 from .model import (
     FittedModel,
     SimulationResult,
+    design,
     equations,
     fit,
     fit_implicit,
@@ -78,7 +77,6 @@ __all__ = [
     "EnsembleReport",
     "EnsembleSpec",
     "FROLS",
-    "FeatureMatrix",
     "FiniteDifference",
     "FitError",
     "FittedModel",
@@ -104,10 +102,10 @@ __all__ = [
     "WeakPDE",
     "add_noise",
     "canonical_library",
+    "design",
     "differentiate",
     "differentiate_dataset",
     "equations",
-    "evaluate",
     "evaluate_pointwise",
     "fit",
     "fit_ensemble",

@@ -57,9 +57,13 @@ def _dump_json(obj) -> str:
 
 def _load_json(path: Path, what: str) -> dict:
     try:
-        obj = json.loads(path.read_text())
+        obj = json.loads(path.read_bytes().decode("utf-8"))
     except FileNotFoundError as exc:
         raise SpecError(f"{what} not found: {path}") from exc
+    except OSError as exc:
+        raise SpecError(f"cannot read {what} {path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise SpecError(f"{what} is not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
     except json.JSONDecodeError as exc:
         raise SpecError(f"{what} is not valid JSON: {exc}") from exc
     if not isinstance(obj, dict):

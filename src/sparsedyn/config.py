@@ -358,7 +358,7 @@ def jsonable(value):
     if isinstance(value, np.ndarray):
         return jsonable(value.tolist())
     if isinstance(value, (np.floating, np.integer, np.bool_)):
-        return value.item()
+        return jsonable(value.item())
     if isinstance(value, float) and not np.isfinite(value):
         return repr(value)
     return value

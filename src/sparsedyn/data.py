@@ -10,6 +10,7 @@ libraries and the dataset directory format.
 from __future__ import annotations
 
 import csv
+import io
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -368,8 +369,19 @@ def save_dataset(dataset: Dataset, directory: str | Path) -> Path:
     return directory
 
 
+def _read(path: Path, read):
+    """``read(path)``; a file that cannot be read or is not UTF-8 text is a
+    ``DataError`` naming it."""
+    try:
+        return read(path)
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path} is not UTF-8 text: {exc.reason} at byte {exc.start}") from None
+
+
 def _load_raw(path: Path, shape: tuple[int, ...], label: str) -> np.ndarray:
-    raw = np.fromfile(path, dtype="<f8")
+    raw = _read(path, lambda p: np.fromfile(p, dtype="<f8"))
     expected = int(np.prod(shape))
     if raw.size != expected:
         raise DataError(
@@ -393,7 +405,7 @@ def load_dataset(path: str | Path, allow_missing: bool = False) -> Dataset:
     if not meta_path.is_file():
         raise DataError(f"{path} is not a dataset directory (missing meta.json)")
     try:
-        meta = json.loads(meta_path.read_text())
+        meta = json.loads(_read(meta_path, lambda p: p.read_bytes().decode("utf-8")))
     except json.JSONDecodeError as exc:
         raise DataError(f"invalid meta.json: {exc}") from exc
 
@@ -421,7 +433,7 @@ def load_dataset(path: str | Path, allow_missing: bool = False) -> Dataset:
     if r > 0:
         controls = _load_raw(path / "controls.f64", shape + (r,), "controls.f64")
     derivs = None
-    if (path / "derivs.f64").is_file():
+    if (path / "derivs.f64").exists():
         derivs = _load_raw(path / "derivs.f64", shape + (n,), "derivs.f64")
 
     if allow_missing:
@@ -446,31 +458,31 @@ def _load_csv(path: Path, allow_missing: bool) -> Dataset:
     dataset.  The rows must hold every point of the tensor grid of their
     coordinates exactly once, in any order; an empty cell reads as NaN.
     """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise DataError(f"{path} is empty")
-        header = [h.strip() for h in header]
-        n_spatial = sum(h in AXIS_LETTERS for h in header)
-        n = sum(h.startswith("q") for h in header)
-        r = sum(h.startswith("u") for h in header)
-        expected = ["t", *AXIS_LETTERS[:n_spatial]] + [f"q{i + 1}" for i in range(n)]
-        expected += [f"u{i + 1}" for i in range(r)]
-        if header != expected:
-            raise DataError(
-                f"CSV header {','.join(header)!r} is not t[,x[,y[,z]]],q1..qn[,u1..ur]"
-            )
-        if not n:
-            raise DataError("CSV must contain at least one state column q1..qn")
-        rows = []
-        for row in reader:
-            try:
-                if len(row) != len(header):
-                    raise ValueError(f"{len(row)} values for {len(header)} columns")
-                rows.append([float(v) if v != "" else np.nan for v in row])
-            except ValueError as exc:
-                raise DataError(f"{path} line {reader.line_num}: {exc}") from None
+    text = _read(path, lambda p: p.read_bytes().decode("utf-8"))
+    reader = csv.reader(io.StringIO(text, newline=""))
+    header = next(reader, None)
+    if header is None:
+        raise DataError(f"{path} is empty")
+    header = [h.strip() for h in header]
+    n_spatial = sum(h in AXIS_LETTERS for h in header)
+    n = sum(h.startswith("q") for h in header)
+    r = sum(h.startswith("u") for h in header)
+    expected = ["t", *AXIS_LETTERS[:n_spatial]] + [f"q{i + 1}" for i in range(n)]
+    expected += [f"u{i + 1}" for i in range(r)]
+    if header != expected:
+        raise DataError(
+            f"CSV header {','.join(header)!r} is not t[,x[,y[,z]]],q1..qn[,u1..ur]"
+        )
+    if not n:
+        raise DataError("CSV must contain at least one state column q1..qn")
+    rows = []
+    for row in reader:
+        try:
+            if len(row) != len(header):
+                raise ValueError(f"{len(row)} values for {len(header)} columns")
+            rows.append([float(v) if v != "" else np.nan for v in row])
+        except ValueError as exc:
+            raise DataError(f"{path} line {reader.line_num}: {exc}") from None
     if not rows:
         raise DataError(f"{path} has a header but no data rows")
     table = np.asarray(rows, dtype=float)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .data import AXIS_LETTERS, Dataset, flatten
 from .diff import DiffMethod, _derivative_fields
-from .errors import DataError, SpecError
+from .errors import SpecError
 
 
 class _Spec:
@@ -226,37 +226,6 @@ class InputSubset(_Spec):
 LibrarySpec = Union[Polynomial, Fourier, Custom, PDE, WeakPDE, Concat, Tensor, InputSubset]
 
 
-@dataclass(frozen=True)
-class FeatureMatrix:
-    """Evaluated candidate library: values, symbolic names, provenance.
-
-    Weak-form evaluations additionally carry the left-hand-side vector
-    (one column per state) matching the rows of ``values``.
-    """
-
-    values: np.ndarray
-    names: tuple[str, ...]
-    provenance: LibrarySpec
-    weak_lhs: np.ndarray | None = None
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "names", tuple(self.names))
-        if values.ndim != 2 or values.shape[1] != len(self.names):
-            raise SpecError(
-                f"feature matrix shape {values.shape} does not match "
-                f"{len(self.names)} names"
-            )
-        _check_unique(self.names)
-        if not np.all(np.isfinite(values)):
-            raise DataError("feature matrix contains non-finite entries")
-
-    @property
-    def width(self) -> int:
-        return self.values.shape[1]
-
-
 def _check_unique(names: tuple[str, ...]) -> None:
     dupes = sorted(name for name, count in Counter(names).items() if count > 1)
     if dupes:
@@ -270,7 +239,7 @@ def validate(spec: LibrarySpec) -> None:
 
 
 def predict_width(spec: LibrarySpec, n_inputs: int, n_states: int | None = None) -> int:
-    """Exact number of columns ``evaluate`` will produce.
+    """Exact number of columns of ``spec`` on these inputs.
 
     ``n_inputs`` counts states plus controls; ``n_states`` (defaults to
     ``n_inputs``) is what derivative features apply to.
@@ -320,6 +289,12 @@ def _input_names(n_states: int, n_controls: int) -> tuple[str, ...]:
     return tuple(
         [f"q{i}" for i in range(n_states)] + [f"u{i}" for i in range(n_controls)]
     )
+
+
+def _grid_inputs(dataset: Dataset) -> np.ndarray:
+    """Flattened ``(samples, states + controls)`` library inputs."""
+    X, U, _ = flatten(dataset)
+    return X if U is None else np.hstack([X, U])
 
 
 class GridPlan:
@@ -532,34 +507,6 @@ def evaluate_pointwise(
     X = np.concatenate(rows)[None, :]
     plan = GridPlan(spec, rows[0].size, X.shape[1] - rows[0].size)
     return plan.apply(X)[0]
-
-
-# ---------------------------------------------------------------------------
-# Grid-aware evaluation
-# ---------------------------------------------------------------------------
-
-
-def _grid_inputs(dataset: Dataset) -> np.ndarray:
-    """Flattened ``(samples, states + controls)`` library inputs."""
-    X, U, _ = flatten(dataset)
-    return X if U is None else np.hstack([X, U])
-
-
-def evaluate(
-    spec: LibrarySpec, dataset: Dataset, diff_method: DiffMethod
-) -> FeatureMatrix:
-    """Evaluate a library on a dataset.
-
-    Differential libraries produce one row per flattened sample, written
-    into one preallocated C-ordered matrix; weak-form libraries produce one
-    row per subdomain and carry the weak left-hand side.  ``diff_method``
-    supplies derivatives unless the spec embeds its own override.
-    """
-    plan = GridPlan(spec, dataset.n_states, dataset.n_controls)
-    values = np.empty((plan.n_rows(dataset), len(plan.names)))
-    lhs = None if plan.weak is None else np.empty((values.shape[0], dataset.n_states))
-    plan.write(dataset, diff_method, values, lhs)
-    return FeatureMatrix(values=values, names=plan.names, provenance=spec, weak_lhs=lhs)
 
 
 # ---------------------------------------------------------------------------

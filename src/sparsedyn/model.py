@@ -1,6 +1,6 @@
 """Fit / predict / simulate / score orchestration.
 
-Every path from data to a solver reads one design, ``[theta Y]``: differential
+Every path from data to a solver reads one ``design``, ``[theta Y]``: differential
 libraries pair feature rows with numerically computed time derivatives, weak
 libraries pair subdomain rows with the integrated left-hand side.  Rows are
 stacked across trajectories in input order and never differenced across
@@ -67,14 +67,16 @@ def _target_names(n_states: int) -> tuple[str, ...]:
     return tuple(f"q{j}_t" for j in range(n_states))
 
 
-def _design(data, library: LibrarySpec, diff: DiffMethod, normalize: bool = False,
-            targets: bool = True, names: tuple[str, ...] | None = None) -> Problem:
+def design(data, library: LibrarySpec, diff: DiffMethod = FiniteDifference(), *,
+           targets: bool = True, normalize_columns: bool = False,
+           names: tuple[str, ...] | None = None) -> Problem:
     """The problem of ``library`` on one or more trajectories, planned once.
 
     Each trajectory's library columns and (with ``targets``) targets, the
     weak left-hand side of a weak library or else the first time derivatives,
     are written into its rows of one C-ordered ``(m, p + n)`` array; theta
-    and targets are its two column blocks.  ``names`` are a model's columns.
+    and targets are its two column blocks (targets has none without
+    ``targets``).  ``names``, a model's columns, must be the library's.
     """
     collection = as_collection(data)
     plan = GridPlan(library, collection.n_states, collection.n_controls)
@@ -84,13 +86,13 @@ def _design(data, library: LibrarySpec, diff: DiffMethod, normalize: bool = Fals
         raise SpecError(f"the data give library columns {plan.names}, the model {names}")
     p, n = len(plan.names), collection.n_states if targets else 0
     counts = [plan.n_rows(ds) for ds in collection]
-    design = np.empty((sum(counts), p + n))
+    rows = np.empty((sum(counts), p + n))
     for ds, end, count in zip(collection, np.cumsum(counts), counts):
-        block = design[end - count : end]
+        block = rows[end - count : end]
         plan.write(ds, diff, block[:, :p], block[:, p:] if targets else None)
         if targets and plan.weak is None:
             block[:, p:] = differentiate_dataset(ds, diff, "t").reshape(-1, n)
-    return Problem(design[:, :p], design[:, p:], normalize_columns=normalize,
+    return Problem(rows[:, :p], rows[:, p:], normalize_columns=normalize_columns,
                    feature_names=plan.names)
 
 
@@ -102,16 +104,16 @@ def fit(
     ensemble: EnsembleSpec | None = None,
     normalize_columns: bool = False,
 ) -> FittedModel:
-    """Discover sparse dynamics from one or more trajectories.
+    """Discover sparse dynamics from one or more trajectories: ``solve``, or
+    ``fit_ensemble`` with ``ensemble`` given, on the problem of ``design``.
 
     ``diff`` computes the time-derivative targets (and any library
-    derivatives that lack their own embedded method).  With ``ensemble``
-    given, the optimizer runs on sub-sampled problems and the aggregated
-    coefficients are returned alongside the full ensemble report.
+    derivatives that lack their own embedded method).  An ensemble's
+    aggregated coefficients are returned alongside its full report.
     """
     if opt is None:
         opt = STLSQ()
-    problem = _design(data, library, diff, normalize_columns)
+    problem = design(data, library, diff, normalize_columns=normalize_columns)
     report = None if ensemble is None else fit_ensemble(problem, opt, ensemble)
     coefficients = solve(problem, opt) if report is None else report.coefficients
     return FittedModel(coefficients, library, diff, _target_names(problem.n_targets), report)
@@ -123,8 +125,8 @@ def predict(model: FittedModel, dataset: Dataset) -> np.ndarray:
     Differential models return the dataset's sample layout
     ``(*spatial, time, n)``; weak models return one row per subdomain.
     """
-    pred = _design(dataset, model.library, model.diff, targets=False,
-                   names=model.feature_names).theta @ model.xi
+    pred = design(dataset, model.library, model.diff, targets=False,
+                  names=model.feature_names).theta @ model.xi
     if isinstance(model.library, WeakPDE):
         return pred
     return unflatten(pred, SampleIndexMap(dataset.grid.sample_shape))
@@ -133,7 +135,7 @@ def predict(model: FittedModel, dataset: Dataset) -> np.ndarray:
 def _predicted_and_actual(model: FittedModel, data) -> tuple[np.ndarray, np.ndarray]:
     """Flat ``(rows, n)`` predictions and computed targets of one or more
     trajectories; the targets are copied, so the design is freed on return."""
-    problem = _design(data, model.library, model.diff, names=model.feature_names)
+    problem = design(data, model.library, model.diff, names=model.feature_names)
     if problem.n_targets != len(model.target_names):
         raise SpecError(f"the data have {problem.n_targets} states, the model "
                         f"{len(model.target_names)} targets")
@@ -262,7 +264,7 @@ def fit_implicit(
     near-zero residuals flagged as degenerate.  Every candidate is a view of
     the one library design with that column as its target.
     """
-    problem = _design(data, library, diff, targets=False)
+    problem = design(data, library, diff, targets=False)
     theta, names = problem.theta, problem.feature_names
     library_rows = _Rows.of(problem)
     first = _first_equal_columns(theta)

@@ -7,8 +7,8 @@ import pytest
 from sparsedyn.cli import _prediction_csv, main, model_from_report
 from sparsedyn.data import Dataset, Grid, load_dataset, save_dataset, split_train_test
 from sparsedyn.diff import differentiate_dataset
-from sparsedyn.library import WeakPDE, evaluate
-from sparsedyn.model import predict, score
+from sparsedyn.library import WeakPDE
+from sparsedyn.model import design, predict, score
 
 
 def write_json(path: Path, obj) -> Path:
@@ -427,7 +427,7 @@ def per_cell_csv(names, pred, actual):
 
 def computed_targets(model, dataset):
     if isinstance(model.library, WeakPDE):
-        return evaluate(model.library, dataset, model.diff).weak_lhs
+        return design(dataset, model.library, model.diff).targets
     return differentiate_dataset(dataset, model.diff, "t").reshape(-1, dataset.n_states)
 
 
@@ -615,3 +615,72 @@ def test_misnamed_axis_exits_3(tmp_path, capsys):
     assert err.startswith("data error: ") and err.count("\n") == 1
     assert "banana" in err
     assert not (tmp_path / "fit_out").exists()
+
+
+def command_argv(command, lorenz_dataset, config, out):
+    """The argv of ``command`` run on ``config`` (for ``score``, a report)
+    and the Lorenz dataset, writing into ``out``."""
+    if command == "score":
+        return ["score", "--config", str(config), "--data", str(lorenz_dataset),
+                "--out", str(out)]
+    return [command, "--config", str(config), "--out", str(out)]
+
+
+@pytest.mark.parametrize("command", ["fit", "score"])
+@pytest.mark.parametrize(
+    "damage, name",
+    [("no-states", "states.f64"), ("states-directory", "states.f64"),
+     ("no-controls", "controls.f64"), ("derivs-directory", "derivs.f64")],
+)
+def test_unreadable_dataset_file_exits_3(tmp_path, lorenz_dataset, capsys, command,
+                                         damage, name):
+    config = fit_config(tmp_path, lorenz_dataset)
+    if command == "score":
+        assert main(["fit", "--config", str(config)]) == 0
+        config = tmp_path / "fit_out" / "report.json"
+    if damage == "no-controls":
+        meta = json.loads((lorenz_dataset / "meta.json").read_text())
+        write_json(lorenz_dataset / "meta.json", {**meta, "n_controls": 1})
+    elif damage == "derivs-directory":  # not skipped as if there were no file
+        (lorenz_dataset / "derivs.f64").mkdir()
+    else:
+        (lorenz_dataset / "states.f64").unlink()
+        if damage == "states-directory":
+            (lorenz_dataset / "states.f64").mkdir()
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main(command_argv(command, lorenz_dataset, config, out)) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error: cannot read ") and err.count("\n") == 1, err
+    assert name in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, spoiled, code",
+    [
+        ("fit", "data/meta.json", 3),
+        ("fit", "data/samples.csv", 3),
+        ("fit", "fit_out.json", 2),
+        ("generate", "spec.json", 2),
+        ("score", "fit_out/report.json", 2),
+    ],
+    ids=["meta", "csv", "config", "spec", "report"],
+)
+def test_non_utf8_byte_exits_with_its_error_class(tmp_path, lorenz_dataset, capsys,
+                                                  command, spoiled, code):
+    data = lorenz_dataset / "samples.csv" if spoiled.endswith(".csv") else lorenz_dataset
+    config = fit_config(tmp_path, data)
+    if command == "score":
+        assert main(["fit", "--config", str(config)]) == 0
+    path = tmp_path / spoiled
+    path.write_bytes(b"\xff" + path.read_bytes())
+    if command != "fit":
+        config = path
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main(command_argv(command, lorenz_dataset, config, out)) == code
+    err = capsys.readouterr().err
+    assert err.startswith("data error: " if code == 3 else "error: ") and err.count("\n") == 1
+    assert "is not UTF-8 text: invalid start byte at byte 0" in err, err
+    assert not out.exists()

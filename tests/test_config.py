@@ -10,6 +10,7 @@ from sparsedyn.config import (
     _TAGS,
     DiscoveryConfig,
     from_json,
+    jsonable,
     to_json,
 )
 from sparsedyn.diff import DiffMethod, FiniteDifference, SavitzkyGolay, Spectral
@@ -619,3 +620,20 @@ benchmarks = st.builds(BenchmarkSpec, system=systems, noise_level=finite, seed=s
 def test_round_trip_property(kind, specs, data):
     spec = data.draw(specs)
     assert from_json(kind, json.loads(json.dumps(to_json(spec)))) == spec
+
+
+class TestJsonable:
+    def test_numpy_scalars_become_python_values(self):
+        out = jsonable({"i": np.int64(3), "f": np.float32(1.5), "b": np.bool_(True),
+                        2: (np.float64(0.25),)})
+        assert out == {"i": 3, "f": 1.5, "b": True, "2": [0.25]}
+        assert [type(v) for v in (out["i"], out["f"], out["b"], out["2"][0])] == [
+            int, float, bool, float]
+
+    def test_non_finite_values_become_strings(self):
+        values = [float("inf"), -np.inf, np.float64("nan"), np.float64("-inf"),
+                  np.array([np.inf, 1.0])]
+        out = jsonable(values)
+        # a non-finite float would be written as Infinity or NaN, which is not JSON
+        assert out == ["inf", "-inf", "nan", "-inf", ["inf", 1.0]]
+        assert json.loads(json.dumps(out, allow_nan=False)) == out

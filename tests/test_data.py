@@ -237,6 +237,44 @@ class TestStorage:
         with pytest.raises(DataError):
             load_dataset(tmp_path / "d")
 
+    @staticmethod
+    def save_with_nans(directory, nan_times):
+        """A (3 x 6)-sample dataset with states, controls and derivatives,
+        saved with one NaN at each ``(file, time index)`` of ``nan_times``."""
+        rng = np.random.default_rng(5)
+        ds = Dataset(grid=Grid(np.linspace(0.0, 1.0, 6), (np.linspace(0.0, 1.0, 3),)),
+                     states=rng.standard_normal((3, 6, 2)),
+                     controls=rng.standard_normal((3, 6, 1)),
+                     derivatives=rng.standard_normal((3, 6, 2)))
+        save_dataset(ds, directory)
+        arrays = {"states.f64": ds.states, "controls.f64": ds.controls,
+                  "derivs.f64": ds.derivatives}
+        for name, time in nan_times:
+            spoiled = arrays[name].copy()
+            spoiled[2, time, 0] = np.nan  # at one spatial point only
+            spoiled.astype("<f8").tofile(directory / name)
+            arrays[name] = spoiled
+        return ds
+
+    def test_directory_allow_missing_drops_time_samples(self, tmp_path):
+        nan_times = [("states.f64", 1), ("controls.f64", 3), ("derivs.f64", 4)]
+        ds = self.save_with_nans(tmp_path / "d", nan_times)
+        with pytest.raises(DataError, match="non-finite"):
+            load_dataset(tmp_path / "d")
+        back = load_dataset(tmp_path / "d", allow_missing=True)
+        keep = [0, 2, 5]
+        np.testing.assert_array_equal(back.grid.time_axis, ds.grid.time_axis[keep])
+        np.testing.assert_array_equal(back.grid.spatial_axes[0], ds.grid.spatial_axes[0])
+        np.testing.assert_array_equal(back.states, ds.states[:, keep])
+        np.testing.assert_array_equal(back.controls, ds.controls[:, keep])
+        np.testing.assert_array_equal(back.derivatives, ds.derivatives[:, keep])
+
+    def test_allow_missing_needs_two_complete_time_samples(self, tmp_path):
+        nan_times = [("states.f64", t) for t in range(5)]
+        self.save_with_nans(tmp_path / "d", nan_times)
+        with pytest.raises(DataError, match="^fewer than 2 complete time samples"):
+            load_dataset(tmp_path / "d", allow_missing=True)
+
     def test_csv_round_trip(self, tmp_path):
         ds = make_dataset((), 8, 2, seed=4)
         save_csv(ds, tmp_path / "d.csv")

@@ -23,7 +23,7 @@ from sparsedyn.diff import (
 )
 from sparsedyn.errors import DataError, SpecError
 from sparsedyn.library import PDE, Polynomial
-from sparsedyn.model import _design
+from sparsedyn.model import design
 
 # Seed for the noisy-derivative benchmark shared with the acceptance suite.
 NOISE_BENCH_SEED = 4
@@ -644,5 +644,5 @@ class TestOneDerivativePath:
         ds, method = case
         method = replace(method, d=1)
         expected = oracle_differentiate_dataset(ds, method, "t").reshape(-1, ds.n_states)
-        targets = _design(ds, Polynomial(1, include_bias=False), method).targets
+        targets = design(ds, Polynomial(1, include_bias=False), method).targets
         np.testing.assert_array_equal(targets, expected)

@@ -1,17 +1,22 @@
 """Input checks across the package: each bad input raises the documented
 error class with a message that names the fault."""
 
+import json
+
 import numpy as np
 import pytest
 
-from sparsedyn.cli import main
-from sparsedyn.data import Dataset, Grid, load_dataset, save_csv, split_train_test
-from sparsedyn.diff import FiniteDifference
+from sparsedyn.cli import main, model_from_report
+from sparsedyn.config import from_json, to_json
+from sparsedyn.data import (Dataset, Grid, load_dataset, save_csv, save_dataset,
+                            split_train_test)
+from sparsedyn.diff import FiniteDifference, differentiate, fd_weights
 from sparsedyn.errors import DataError, SpecError
 from sparsedyn.integrate import integrate
-from sparsedyn.library import GridPlan, InputSubset, Polynomial, WeakPDE, evaluate
-from sparsedyn.model import equations, fit, parse_equation, score, simulate
-from sparsedyn.optimize import SR3, SSR, Problem, solve
+from sparsedyn.library import Custom, GridPlan, InputSubset, Polynomial, WeakPDE
+from sparsedyn.model import (design, equations, fit, fit_implicit, parse_equation, score,
+                             simulate)
+from sparsedyn.optimize import SR3, SSR, STLSQ, Coefficients, Problem, solve
 
 
 def decay_dataset():
@@ -42,6 +47,37 @@ def empty_csv(tmp_path):
     return load_dataset(path)
 
 
+def load_with_meta(tmp_path, edit):
+    """Load the decay dataset saved under ``tmp_path`` after ``edit`` turned
+    its meta.json object into another object or into text."""
+    directory = save_dataset(decay_dataset(), tmp_path / "d")
+    meta = edit(json.loads((directory / "meta.json").read_text()))
+    (directory / "meta.json").write_text(meta if isinstance(meta, str) else json.dumps(meta))
+    return load_dataset(directory)
+
+
+def load_csv(tmp_path, text):
+    path = tmp_path / "d.csv"
+    path.write_text(text)
+    return load_dataset(path)
+
+
+def report(model, **fields):
+    """``model`` as a report document, with ``fields`` replaced."""
+    return {"schema": 1, "coefficients": model.xi.tolist(),
+            "feature_names": list(model.feature_names),
+            "target_names": list(model.target_names),
+            "library": to_json(model.library), "diff": to_json(model.diff), **fields}
+
+
+def twin_states_implicit():
+    """An implicit fit whose candidate q0 equals the only other column, q1."""
+    t = np.linspace(0.0, 1.0, 40)
+    twins = Dataset(grid=Grid(t), states=np.column_stack([np.exp(-t), np.exp(-t)]))
+    return fit_implicit(twins, Polynomial(1, include_bias=False), STLSQ(), ["q0"])
+
+
+T40 = np.linspace(0.0, 1.0, 40)
 PAIR = (np.eye(1, 2), np.ones(1))
 WITH_ZERO_COLUMN = np.column_stack([np.arange(5.0), np.zeros(5)])
 
@@ -77,9 +113,11 @@ INPUT_CHECKS = [
     pytest.param(lambda tmp, m: GridPlan(InputSubset(Polynomial(1), (5,)), 2),
                  SpecError, "InputSubset index 5 out of range for 2 inputs",
                  id="subset-index"),
-    pytest.param(lambda tmp, m: evaluate(WeakPDE(Polynomial(1), subdomain_size=(5, 5)),
-                                         decay_dataset(), FiniteDifference()),
+    pytest.param(lambda tmp, m: design(decay_dataset(), WeakPDE(Polynomial(1), subdomain_size=(5, 5))),
                  SpecError, "subdomain_size has 2 entries for 1 axes", id="weak-size-count"),
+    pytest.param(lambda tmp, m: design(decay_dataset(), Custom((("inf", lambda x: x * np.inf),))),
+                 DataError, r"non-finite values in feature columns \['inf\(q0\)', 'inf\(q1\)'\]",
+                 id="design-non-finite-column"),
     pytest.param(lambda tmp, m: score(m, decay_dataset(), metric="mae"),
                  SpecError, "unknown metric 'mae'", id="score-metric"),
     pytest.param(lambda tmp, m: simulate(m, [1.0], np.linspace(0.0, 1.0, 5)),
@@ -101,6 +139,55 @@ INPUT_CHECKS = [
                  id="csv-spatial"),
     pytest.param(lambda tmp, m: empty_csv(tmp),
                  DataError, r".*empty\.csv is empty$", id="csv-empty"),
+    pytest.param(lambda tmp, m: Dataset(grid=Grid(T40), states=np.ones((40, 2)),
+                                        derivatives=np.ones((40, 1))),
+                 DataError, r"derivatives shape \(40, 1\) must equal states shape \(40, 2\)",
+                 id="dataset-derivatives-shape"),
+    pytest.param(lambda tmp, m: load_with_meta(tmp, lambda meta: {**meta, "axes": [
+                     {"name": "t", "count": 40}]}),
+                 DataError, "axis 't' needs 'values' or start/step/count",
+                 id="meta-axis-without-values"),
+    pytest.param(lambda tmp, m: load_with_meta(tmp, lambda meta: {**meta, "axes": [
+                     {"name": "t", "start": "0", "step": 0.1, "count": 40}]}),
+                 DataError, "axis 't': start and step must be numbers",
+                 id="meta-axis-start"),
+    pytest.param(lambda tmp, m: load_with_meta(tmp, lambda meta: "{"),
+                 DataError, "invalid meta.json: ", id="meta-not-json"),
+    pytest.param(lambda tmp, m: load_with_meta(tmp, lambda meta: {**meta, "axes": {}}),
+                 DataError, "meta.json axes must be a list", id="meta-axes-not-a-list"),
+    pytest.param(lambda tmp, m: load_csv(tmp, "t,u1\n0.0,1.0\n1.0,2.0\n"),
+                 DataError, r"CSV must contain at least one state column q1\.\.qn",
+                 id="csv-no-state-column"),
+    pytest.param(lambda tmp, m: differentiate(np.exp(T40), T40[:5], FiniteDifference()),
+                 DataError, r"axis values \(len 5\) do not match data axis -1 of shape \(40,\)",
+                 id="differentiate-axis-length"),
+    pytest.param(lambda tmp, m: differentiate(np.exp(T40), T40[::-1], FiniteDifference()),
+                 DataError, "axis values must be strictly increasing",
+                 id="differentiate-axis-order"),
+    pytest.param(lambda tmp, m: differentiate(np.exp(T40), T40, FiniteDifference(), d=0),
+                 SpecError, "derivative order must be >= 1, got 0", id="differentiate-d0"),
+    pytest.param(lambda tmp, m: fd_weights(np.array([0.0, 1.0]), 0.0, 2),
+                 SpecError, "need at least 3 nodes for derivative 2, got 2",
+                 id="fd-weights-nodes"),
+    pytest.param(lambda tmp, m: model_from_report(report(m, feature_names=["1", "q0"])),
+                 SpecError,
+                 r"report coefficients shape \(3, 2\) does not match 2 features x 2 targets",
+                 id="report-coefficient-shape"),
+    pytest.param(lambda tmp, m: twin_states_implicit(),
+                 SpecError, "no features left to explain 'q0'", id="implicit-no-features"),
+    pytest.param(lambda tmp, m: solve(problem(), SR3(constraints=(np.eye(1, 3), np.ones(1)))),
+                 SpecError, r"constraint matrix has 3 columns, expected p\*n = 2",
+                 id="sr3-constraint-columns"),
+    pytest.param(lambda tmp, m: SR3(constraints=(np.ones(3), np.ones(1))),
+                 SpecError, r"malformed SR3 constraints: shapes \(3,\), \(1,\)",
+                 id="sr3-constraints-malformed"),
+    pytest.param(lambda tmp, m: Coefficients(xi=np.zeros((2, 1)), support=np.zeros((1, 1), bool),
+                                             names=("a", "b"), residuals=np.zeros(1)),
+                 SpecError, "xi and support shapes differ", id="coefficients-support-shape"),
+    pytest.param(lambda tmp, m: GridPlan("polynomial", 1),
+                 SpecError, "unknown library spec 'polynomial'", id="plan-non-spec"),
+    pytest.param(lambda tmp, m: from_json(STLSQ, 3),
+                 SpecError, "spec: expected an object, got 3", id="from-json-non-object"),
 ]
 
 
@@ -122,3 +209,10 @@ def test_unreadable_config_exits_2(tmp_path, capsys, content, message):
     capsys.readouterr()
     assert main(["fit", "--config", str(path)]) == 2
     assert capsys.readouterr().err.startswith(f"error: {message}")
+
+
+def test_config_directory_exits_2(tmp_path, capsys):
+    capsys.readouterr()
+    assert main(["fit", "--config", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read config {tmp_path}: ") and err.count("\n") == 1

@@ -22,14 +22,20 @@ from sparsedyn.library import (
     WeakPDE,
     _bump_polynomials,
     _weak_axis_vectors,
-    evaluate,
     evaluate_pointwise,
     predict_width,
     validate,
 )
+from sparsedyn.model import design
 from sparsedyn.systems import KS, canonical_library
 
 FD = FiniteDifference(order=2)
+
+
+def library_design(spec, ds, diff=FD):
+    """The design of ``spec`` on ``ds``; a weak library's targets are its
+    left-hand side."""
+    return design(ds, spec, diff, targets=isinstance(spec, WeakPDE))
 
 
 def pointwise_dataset(X, controls=None):
@@ -79,9 +85,9 @@ class TestWidths:
     def test_width_matches_evaluation(self, spec):
         rng = np.random.default_rng(3)
         ds = pointwise_dataset(rng.standard_normal((7, 2)))
-        fm = evaluate(spec, ds, FD)
-        assert fm.width == predict_width(spec, 2)
-        assert len(set(fm.names)) == fm.width
+        got = library_design(spec, ds, FD)
+        assert got.n_features == predict_width(spec, 2)
+        assert len(set(got.feature_names)) == got.n_features
 
 
 class TestPointwise:
@@ -91,9 +97,9 @@ class TestPointwise:
 
     def test_polynomial_names(self):
         ds = pointwise_dataset(np.array([[2.0, 3.0], [2.0, 3.0]]))
-        fm = evaluate(Polynomial(2), ds, FD)
-        assert fm.names == ("1", "q0", "q1", "q0^2", "q0 q1", "q1^2")
-        np.testing.assert_array_equal(fm.values[0], [1.0, 2.0, 3.0, 4.0, 6.0, 9.0])
+        got = library_design(Polynomial(2), ds, FD)
+        assert got.feature_names == ("1", "q0", "q1", "q0^2", "q0 q1", "q1^2")
+        np.testing.assert_array_equal(got.theta[0], [1.0, 2.0, 3.0, 4.0, 6.0, 9.0])
 
     def test_poly_on_unit_vector(self):
         row = evaluate_pointwise(Polynomial(2), np.array([1.0, 0.0]))
@@ -108,10 +114,10 @@ class TestPointwise:
         rng = np.random.default_rng(11)
         X = rng.standard_normal((100, 3))
         spec = Concat((Polynomial(2), Fourier(2), Custom((("exp", np.exp),))))
-        fm = evaluate(spec, pointwise_dataset(X), FD)
+        got = library_design(spec, pointwise_dataset(X), FD)
         for i in range(X.shape[0]):
             row = evaluate_pointwise(spec, X[i])
-            np.testing.assert_array_equal(row, fm.values[i])
+            np.testing.assert_array_equal(row, got.theta[i])
 
     def test_rejects_derivative_specs(self):
         with pytest.raises(SpecError):
@@ -129,32 +135,32 @@ class TestCombinators:
         rng = np.random.default_rng(5)
         ds = pointwise_dataset(rng.standard_normal((9, 2)))
         a, b = Polynomial(2), Fourier(1)
-        fm = evaluate(Concat((a, b)), ds, FD)
-        fa, fb = evaluate(a, ds, FD), evaluate(b, ds, FD)
-        np.testing.assert_array_equal(fm.values, np.hstack([fa.values, fb.values]))
-        assert fm.names == fa.names + fb.names
+        got = library_design(Concat((a, b)), ds, FD)
+        fa, fb = library_design(a, ds, FD), library_design(b, ds, FD)
+        np.testing.assert_array_equal(got.theta, np.hstack([fa.theta, fb.theta]))
+        assert got.feature_names == fa.feature_names + fb.feature_names
 
     def test_tensor_products(self):
         rng = np.random.default_rng(6)
         ds = pointwise_dataset(rng.standard_normal((8, 2)))
         left, right = Polynomial(1, include_bias=False), Fourier(1)
-        fm = evaluate(Tensor(left, right), ds, FD)
-        fl, fr = evaluate(left, ds, FD), evaluate(right, ds, FD)
+        got = library_design(Tensor(left, right), ds, FD)
+        fl, fr = library_design(left, ds, FD), library_design(right, ds, FD)
         k = 0
-        for i in range(fl.width):
-            for j in range(fr.width):
+        for i in range(fl.n_features):
+            for j in range(fr.n_features):
                 np.testing.assert_array_equal(
-                    fm.values[:, k], fl.values[:, i] * fr.values[:, j]
+                    got.theta[:, k], fl.theta[:, i] * fr.theta[:, j]
                 )
-                assert fm.names[k] == f"{fl.names[i]} {fr.names[j]}"
+                assert got.feature_names[k] == f"{fl.feature_names[i]} {fr.feature_names[j]}"
                 k += 1
 
     def test_input_subset_equals_restriction(self):
         rng = np.random.default_rng(7)
         X = rng.standard_normal((10, 3))
-        fm_sub = evaluate(InputSubset(Polynomial(2), (0, 2)), pointwise_dataset(X), FD)
-        fm_restricted = evaluate(Polynomial(2), pointwise_dataset(X[:, [0, 2]]), FD)
-        np.testing.assert_array_equal(fm_sub.values, fm_restricted.values)
+        got_sub = library_design(InputSubset(Polynomial(2), (0, 2)), pointwise_dataset(X), FD)
+        got_restricted = library_design(Polynomial(2), pointwise_dataset(X[:, [0, 2]]), FD)
+        np.testing.assert_array_equal(got_sub.theta, got_restricted.theta)
 
     def test_subset_of_pde_rejected(self):
         with pytest.raises(SpecError):
@@ -214,8 +220,8 @@ class TestPDELibrary:
         states = np.repeat(np.sin(x)[:, None], 3, axis=1)[:, :, None]
         ds = Dataset(grid=Grid(t, (x,)), states=states)
         spec = PDE(2, ("x",), Polynomial(1, include_bias=False), diff=Spectral())
-        fm = evaluate(spec, ds, FD)
-        col = fm.values[:, fm.names.index("q0_xx")]
+        got = library_design(spec, ds, FD)
+        col = got.theta[:, got.feature_names.index("q0_xx")]
         expected = np.repeat(-np.sin(x), 3)
         assert np.abs(col - expected).max() <= 1e-8
 
@@ -226,8 +232,8 @@ class TestPDELibrary:
             grid=Grid(np.arange(2.0), (x,)),
             states=np.random.default_rng(0).standard_normal((8, 2, 1)),
         )
-        fm = evaluate(spec, ds, FD)
-        assert fm.names == ("q0_x", "q0 q0_x", "q0_xx", "q0 q0_xx", "q0")
+        got = library_design(spec, ds, FD)
+        assert got.feature_names == ("q0_x", "q0 q0_x", "q0_xx", "q0 q0_xx", "q0")
 
     def test_bias_in_multiply_by_rejected(self):
         with pytest.raises(SpecError):
@@ -269,9 +275,9 @@ class TestPDELibrary:
         states = (t**2)[:, None]
         ds = Dataset(grid=Grid(t), states=states)
         spec = PDE(1, ("t",))
-        fm = evaluate(spec, ds, FiniteDifference(order=4))
-        assert fm.names == ("q0_t",)
-        np.testing.assert_allclose(fm.values[:, 0], 2 * t, atol=1e-9)
+        got = library_design(spec, ds, FiniteDifference(order=4))
+        assert got.feature_names == ("q0_t",)
+        np.testing.assert_allclose(got.theta[:, 0], 2 * t, atol=1e-9)
 
     def test_mixed_axes_names(self):
         x = np.linspace(0, 1, 6)
@@ -280,13 +286,13 @@ class TestPDELibrary:
             grid=Grid(np.arange(2.0), (x, y)),
             states=np.zeros((6, 7, 2, 1)) + 1.0,
         )
-        fm = evaluate(PDE(2, ("x", "y")), ds, FD)
-        assert fm.names == ("q0_x", "q0_y", "q0_xx", "q0_xy", "q0_yy")
+        got = library_design(PDE(2, ("x", "y")), ds, FD)
+        assert got.feature_names == ("q0_x", "q0_y", "q0_xx", "q0_xy", "q0_yy")
 
     def test_missing_spatial_axis(self):
         ds = Dataset(grid=Grid(np.arange(5.0)), states=np.ones((5, 1)))
         with pytest.raises(Exception):
-            evaluate(PDE(1, ("x",)), ds, FD)
+            library_design(PDE(1, ("x",)), ds, FD)
 
 
 class TestWeakForm:
@@ -301,11 +307,11 @@ class TestWeakForm:
             subdomain_size=(12, 9),
             seed=42,
         )
-        fm = evaluate(spec, ds, FD)
-        scale = np.abs(fm.values).max()
-        assert np.abs(fm.weak_lhs).max() <= 1e-12 * max(scale, 1.0)
-        for name in fm.names:
-            col = fm.values[:, fm.names.index(name)]
+        got = library_design(spec, ds, FD)
+        scale = np.abs(got.theta).max()
+        assert np.abs(got.targets).max() <= 1e-12 * max(scale, 1.0)
+        for name in got.feature_names:
+            col = got.theta[:, got.feature_names.index(name)]
             if "_x" in name:
                 assert np.abs(col).max() <= 1e-12 * max(scale, 1.0), name
 
@@ -330,9 +336,9 @@ class TestWeakForm:
         spec = WeakPDE(
             inner=Polynomial(2), n_subdomains=40, subdomain_size=(60,), seed=1
         )
-        fm = evaluate(spec, ds, FD)
-        assert fm.values.shape == (40, predict_width(Polynomial(2), 2))
-        assert fm.weak_lhs.shape == (40, 2)
+        got = library_design(spec, ds, FD)
+        assert got.theta.shape == (40, predict_width(Polynomial(2), 2))
+        assert got.targets.shape == (40, 2)
 
     def test_weak_lhs_matches_analytic_integral(self):
         # q(t) = sin(t): -integral(phi_t q) == integral(phi cos(t))
@@ -342,7 +348,7 @@ class TestWeakForm:
             inner=Polynomial(1), n_subdomains=5, test_poly_order=4,
             subdomain_size=(401,), seed=3,
         )
-        fm = evaluate(spec, ds, FD)
+        got = library_design(spec, ds, FD)
         # reproduce subdomain draws to integrate the analytic derivative
         rng = np.random.default_rng(3)
         for k in range(5):
@@ -350,7 +356,7 @@ class TestWeakForm:
             window = t[start : start + 401]
             _, vecs = _weak_axis_vectors(window, _bump_polynomials(4, 1))
             direct = vecs[0] @ np.cos(window)
-            assert abs(fm.weak_lhs[k, 0] - direct) < 1e-6
+            assert abs(got.targets[k, 0] - direct) < 1e-6
 
     def test_subdomain_too_small(self):
         with pytest.raises(SpecError):
@@ -361,29 +367,29 @@ class TestWeakForm:
         ds = Dataset(grid=Grid(t), states=np.ones((10, 1)))
         spec = WeakPDE(inner=Polynomial(1), subdomain_size=(50,))
         with pytest.raises(SpecError):
-            evaluate(spec, ds, FD)
+            library_design(spec, ds, FD)
 
     def test_determinism(self):
         rng = np.random.default_rng(0)
         t = np.linspace(0, 5, 200)
         ds = Dataset(grid=Grid(t), states=rng.standard_normal((200, 1)))
         spec = WeakPDE(inner=Polynomial(2), n_subdomains=11, subdomain_size=(31,), seed=9)
-        a = evaluate(spec, ds, FD)
-        b = evaluate(spec, ds, FD)
-        np.testing.assert_array_equal(a.values, b.values)
-        np.testing.assert_array_equal(a.weak_lhs, b.weak_lhs)
+        a = library_design(spec, ds, FD)
+        b = library_design(spec, ds, FD)
+        np.testing.assert_array_equal(a.theta, b.theta)
+        np.testing.assert_array_equal(a.targets, b.targets)
 
 
 class TestCustom:
     def test_registry_functions(self):
         X = np.array([[0.5, -1.0], [0.5, -1.0]])
-        fm = evaluate(
+        got = library_design(
             Custom((("exp", np.exp), ("abs", np.abs))), pointwise_dataset(X), FD
         )
         np.testing.assert_allclose(
-            fm.values[0], [np.exp(0.5), np.exp(-1.0), 0.5, 1.0]
+            got.theta[0], [np.exp(0.5), np.exp(-1.0), 0.5, 1.0]
         )
-        assert fm.names == ("exp(q0)", "exp(q1)", "abs(q0)", "abs(q1)")
+        assert got.feature_names == ("exp(q0)", "exp(q1)", "abs(q0)", "abs(q1)")
 
     def test_registry_contents(self):
         assert "tanh" in CUSTOM_REGISTRY
@@ -404,8 +410,12 @@ def test_polynomial_width_property(degree, bias, interactions, n):
     spec = Polynomial(degree, include_bias=bias, include_interactions=interactions)
     rng = np.random.default_rng(degree + n)
     ds = pointwise_dataset(rng.standard_normal((5, n)))
-    fm = evaluate(spec, ds, FiniteDifference())
-    assert fm.width == predict_width(spec, n)
+    width = predict_width(spec, n)
+    if width == 0:  # degree 0 without a bias column
+        with pytest.raises(SpecError, match="problem needs at least one row and one feature"):
+            library_design(spec, ds)
+    else:
+        assert library_design(spec, ds).n_features == width
 
 
 # ---------------------------------------------------------------------------
@@ -696,13 +706,14 @@ class TestPlanParity:
         names = tuple([f"q{i}" for i in range(n)] + [f"u{i}" for i in range(r)])
         expected, expected_names = oracle_columns(spec, X, names)
         assume(len(set(expected_names)) == len(expected_names))
+        assume(expected_names)  # a design needs a column (test_polynomial_width_property)
         controls = X[:, n:] if r else None
-        fm = evaluate(spec, pointwise_dataset(X[:, :n], controls), FD)
-        assert fm.names == tuple(expected_names)
-        np.testing.assert_array_equal(fm.values, expected)
+        got = library_design(spec, pointwise_dataset(X[:, :n], controls), FD)
+        assert got.feature_names == tuple(expected_names)
+        np.testing.assert_array_equal(got.theta, expected)
         for i in range(X.shape[0]):
             row = evaluate_pointwise(spec, X[i, :n], X[i, n:] if r else None)
-            np.testing.assert_array_equal(row, fm.values[i])
+            np.testing.assert_array_equal(row, got.theta[i])
 
     def test_weak_ode_library_plans_its_inner_library(self):
         row = np.array([0.5, -1.5, 2.0])
@@ -732,9 +743,9 @@ class TestPDEParity:
         x, t, states = periodic_field(64, 20, 1, seed=4)
         ds = Dataset(grid=Grid(t, (x,)), states=states)
         spec = canonical_library(KS())
-        fm = evaluate(spec, ds, FD)
-        assert fm.values.flags.c_contiguous
-        np.testing.assert_array_equal(fm.values, oracle_pde(spec, ds, spec.diff))
+        got = library_design(spec, ds, FD)
+        assert got.theta.flags.c_contiguous
+        np.testing.assert_array_equal(got.theta, oracle_pde(spec, ds, spec.diff))
 
     @pytest.mark.parametrize("method", [FiniteDifference(order=4), Spectral(2.0)])
     def test_mixed_axes_with_precomputed_time_derivatives(self, method):
@@ -751,8 +762,8 @@ class TestPDEParity:
             controls=rng.standard_normal((12, 10, 9, 1)),
         )
         spec = PDE(3, ("t", "y", "x"), Polynomial(2, include_bias=False), diff=method)
-        fm = evaluate(spec, ds, FD)
-        np.testing.assert_array_equal(fm.values, oracle_pde(spec, ds, method))
+        got = library_design(spec, ds, FD)
+        np.testing.assert_array_equal(got.theta, oracle_pde(spec, ds, method))
 
 
 class TestWeakProperties:
@@ -790,12 +801,12 @@ class TestWeakProperties:
             inner=PDE(order, ("x",), Polynomial(2, include_bias=False)),
             n_subdomains=5, test_poly_order=p, subdomain_size=sizes, seed=seed,
         )
-        fm = evaluate(spec, ds, FD)
-        scale = max(np.abs(fm.values).max(), 1.0)
-        assert np.abs(fm.weak_lhs).max() <= 1e-12 * scale
-        pure = [i for i, name in enumerate(fm.names) if " " not in name and "_" in name]
+        got = library_design(spec, ds, FD)
+        scale = max(np.abs(got.theta).max(), 1.0)
+        assert np.abs(got.targets).max() <= 1e-12 * scale
+        pure = [i for i, name in enumerate(got.feature_names) if " " not in name and "_" in name]
         assert len(pure) == order
-        assert np.abs(fm.values[:, pure]).max() <= 1e-12 * scale
+        assert np.abs(got.theta[:, pure]).max() <= 1e-12 * scale
 
 
 def random_dataset(rng, n_spatial, n, r, derivatives):
@@ -847,10 +858,11 @@ class TestWeakParity:
         assume(plannable(spec, ds.n_states + ds.n_controls, ds.n_states))
         values, names, lhs = oracle_weak(spec, ds, FD)
         assume(len(set(names)) == len(names))
-        fm = evaluate(spec, ds, FD)
-        assert fm.names == tuple(names)
-        np.testing.assert_array_equal(fm.values, values)
-        np.testing.assert_array_equal(fm.weak_lhs, lhs)
+        assume(names)  # a design needs a column (test_polynomial_width_property)
+        got = library_design(spec, ds, FD)
+        assert got.feature_names == tuple(names)
+        np.testing.assert_array_equal(got.theta, values)
+        np.testing.assert_array_equal(got.targets, lhs)
 
     def test_spectral_override_on_two_spatial_axes(self):
         x = np.linspace(0, 2 * np.pi, 12, endpoint=False)
@@ -862,10 +874,10 @@ class TestWeakParity:
         inner = PDE(2, ("y", "t", "x"), Polynomial(2, include_bias=False), diff=Spectral(2.0))
         spec = WeakPDE(inner, n_subdomains=6, subdomain_size=(5, 6, 4), seed=2)
         values, names, lhs = oracle_weak(spec, ds, FD)
-        fm = evaluate(spec, ds, FD)
-        assert fm.names == tuple(names)
-        np.testing.assert_array_equal(fm.values, values)
-        np.testing.assert_array_equal(fm.weak_lhs, lhs)
+        got = library_design(spec, ds, FD)
+        assert got.feature_names == tuple(names)
+        np.testing.assert_array_equal(got.theta, values)
+        np.testing.assert_array_equal(got.targets, lhs)
 
 
 @st.composite
@@ -901,4 +913,4 @@ def test_width_equals_closed_form_and_evaluation(case):
         assume("duplicate feature names" not in str(exc))
         raise
     assert planned == width
-    assert evaluate(spec, ds, FD).width == width
+    assert width == 0 or library_design(spec, ds, FD).n_features == width

@@ -26,15 +26,14 @@ from sparsedyn.library import (
     Polynomial,
     Tensor,
     WeakPDE,
-    evaluate,
     evaluate_pointwise,
 )
 from sparsedyn.model import (
     BLOWUP_NORM,
     FittedModel,
-    _design,
     _metric,
     _predicted_and_actual,
+    design,
     equations,
     fit,
     fit_implicit,
@@ -433,55 +432,55 @@ class TestPlannedSimulate:
 
 
 class TestAssemble:
-    def test_single_trajectory_block_is_the_evaluation(self):
+    def test_one_trajectory_collection_is_the_dataset(self):
         ds = rotation_dataset(T=200)
-        problem = _design(
-            TrajectoryCollection((ds,)), Tensor(Polynomial(1), Polynomial(1)), FD4
-        )
-        fm = evaluate(Tensor(Polynomial(1), Polynomial(1)), ds, FD4)
-        assert problem.feature_names == fm.names
-        np.testing.assert_array_equal(problem.theta, fm.values)
+        library = Tensor(Polynomial(1), Polynomial(1))
+        problem = design(TrajectoryCollection((ds,)), library, FD4)
+        alone = design(ds, library, FD4)
+        assert problem.feature_names == alone.feature_names
+        np.testing.assert_array_equal(problem.theta, alone.theta)
+        np.testing.assert_array_equal(problem.targets, alone.targets)
         assert problem.targets.shape == (200, 2)
 
     def test_trajectories_are_stacked(self):
         a, b = rotation_dataset(T=100), rotation_dataset(T=150, t_max=5.0)
-        problem = _design(TrajectoryCollection((a, b)), Polynomial(2), FD4)
-        np.testing.assert_array_equal(
-            problem.theta,
-            np.vstack([evaluate(Polynomial(2), ds, FD4).values for ds in (a, b)]),
-        )
+        problem = design(TrajectoryCollection((a, b)), Polynomial(2), FD4)
+        parts = [design(ds, Polynomial(2), FD4) for ds in (a, b)]
+        np.testing.assert_array_equal(problem.theta, np.vstack([p.theta for p in parts]))
+        np.testing.assert_array_equal(problem.targets, np.vstack([p.targets for p in parts]))
         assert problem.targets.shape == (250, 2)
 
     @pytest.mark.parametrize("targets", [True, False])
     def test_blocks_of_one_c_ordered_array(self, targets):
         a, b = rotation_dataset(T=100), rotation_dataset(T=150, t_max=5.0)
-        problem = _design([a, b], Polynomial(2), FD4, targets=targets)
-        design = problem.theta.base
-        assert design.flags.c_contiguous and problem.targets.base is design
-        assert design.shape == (250, 6 + 2 * targets)
-        np.testing.assert_array_equal(design[:, :6], problem.theta)
+        problem = design([a, b], Polynomial(2), FD4, targets=targets)
+        rows = problem.theta.base
+        assert rows.flags.c_contiguous and problem.targets.base is rows
+        assert rows.shape == (250, 6 + 2 * targets)
+        np.testing.assert_array_equal(rows[:, :6], problem.theta)
 
     def test_solvers_read_the_design_in_place(self):
-        problem = _design(rotation_dataset(T=100), Polynomial(2), FD4)
-        design = problem.theta.base
-        assert _Rows.of(problem).data is design
+        problem = design(rotation_dataset(T=100), Polynomial(2), FD4)
+        rows = problem.theta.base
+        assert _Rows.of(problem).data is rows
         # any other layout is copied into one C-ordered [theta Y]
         for other in (
             Problem(theta=problem.theta.copy(), targets=problem.targets.copy()),
-            Problem(theta=design[:, :6], targets=design[:, 7:]),
-            Problem(theta=np.asfortranarray(design)[:, :6], targets=problem.targets),
+            Problem(theta=rows[:, :6], targets=rows[:, 7:]),
+            Problem(theta=np.asfortranarray(rows)[:, :6], targets=problem.targets),
         ):
-            rows = _Rows.of(other)
-            assert rows.data is not design and rows.data.flags.c_contiguous
-            np.testing.assert_array_equal(rows.data[:, :6], problem.theta)
+            other_rows = _Rows.of(other)
+            assert other_rows.data is not rows and other_rows.data.flags.c_contiguous
+            np.testing.assert_array_equal(other_rows.data[:, :6], problem.theta)
 
     def test_weak_targets_are_the_weak_lhs(self):
         ds = rotation_dataset(T=300)
         library = WeakPDE(inner=Polynomial(2), n_subdomains=12, subdomain_size=41, seed=2)
-        problem = _design([ds, ds], library, FD4)
-        fm = evaluate(library, ds, FD4)
-        np.testing.assert_array_equal(problem.theta, np.vstack([fm.values, fm.values]))
-        np.testing.assert_array_equal(problem.targets, np.vstack([fm.weak_lhs, fm.weak_lhs]))
+        problem = design([ds, ds], library, FD4)
+        alone = design(ds, library, FD4)
+        assert problem.targets.shape == (24, 2)
+        np.testing.assert_array_equal(problem.theta, np.vstack([alone.theta, alone.theta]))
+        np.testing.assert_array_equal(problem.targets, np.vstack([alone.targets, alone.targets]))
 
     def test_library_is_planned_once(self, monkeypatch):
         import sparsedyn.model as model_module
@@ -497,6 +496,33 @@ class TestAssemble:
         a, b = rotation_dataset(T=100), rotation_dataset(T=150, t_max=5.0)
         fit([a, b, a], Polynomial(2), FD4)
         assert len(plans) == 1
+
+
+class TestFitIsDesignThenSolve:
+    """``fit`` is ``solve`` on the problem ``design`` builds, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "library, normalize_columns",
+        [
+            (Polynomial(2), False),
+            (Polynomial(2), True),
+            (WeakPDE(inner=Polynomial(2), n_subdomains=40, subdomain_size=101, seed=1), False),
+        ],
+        ids=["plain", "normalize-columns", "weak"],
+    )
+    def test_coefficients_are_equal(self, library, normalize_columns):
+        ds, opt = rotation_dataset(T=500), STLSQ(threshold=0.05)
+        model = fit(ds, library, FD4, opt, normalize_columns=normalize_columns)
+        problem = design(ds, library, FD4, normalize_columns=normalize_columns)
+        coefficients = solve(problem, opt)
+        np.testing.assert_array_equal(model.xi, coefficients.xi)
+        np.testing.assert_array_equal(model.coefficients.support, coefficients.support)
+        assert model.feature_names == problem.feature_names
+        assert model.coefficients.support.any()
+
+    def test_package_exports_design(self):
+        assert sparsedyn.design is design
+        assert {"FeatureMatrix", "evaluate"}.isdisjoint(sparsedyn.__all__)
 
 
 class TestScoreData:
@@ -636,8 +662,8 @@ def oracle_fit_implicit(data, library, opt, candidate_lhs, diff=FiniteDifference
     """Implicit candidates as separate problems: each candidate's regression
     copies the library without the candidate and its duplicates, solves it
     and re-embeds the coefficients at full library width."""
-    fms = [evaluate(library, ds, diff) for ds in as_collection(data)]
-    theta, names = np.vstack([fm.values for fm in fms]), fms[0].names
+    parts = [design(ds, library, diff, targets=False) for ds in as_collection(data)]
+    theta, names = np.vstack([p.theta for p in parts]), parts[0].feature_names
     results = []
     for cand in candidate_lhs:
         j = names.index(cand)
@@ -745,3 +771,10 @@ class TestEquations:
         target, terms = parse_equation(line)
         assert target == "q0_t"
         assert terms == {"q0 q0_x": -0.98, "q0_xx": -1.0}
+
+    def test_empty_target_round_trips(self):
+        m = make_model(np.array([[0.0, 1.5], [0.0, 0.0]]), ("q0", "q1"), ("q0_t", "q1_t"))
+        lines = equations(m)
+        assert lines == ["q0_t = 0", "q1_t = 1.5 q0"]
+        assert parse_equation(lines[0]) == ("q0_t", {})
+        assert parse_equation(lines[1]) == ("q1_t", {"q0": 1.5})

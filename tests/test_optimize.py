@@ -312,6 +312,22 @@ class TestGreedy:
         with pytest.raises(FitError):
             solve(prob, FROLS(err_tol=2.0))
 
+    def test_frols_zero_target_gets_an_empty_support(self):
+        prob, _ = planted_problem()
+        y = prob.targets[:, 0]
+        both = Problem(theta=prob.theta, targets=np.column_stack([np.zeros_like(y), y]))
+        c = solve(both, FROLS(err_tol=1e-6))
+        alone = solve(prob, FROLS(err_tol=1e-6))
+        assert not c.support[:, 0].any() and not c.xi[:, 0].any()
+        np.testing.assert_array_equal(c.support[:, 1], alone.support[:, 0])
+        np.testing.assert_allclose(c.xi[:, 1], alone.xi[:, 0], rtol=1e-12, atol=1e-15)
+
+    def test_frols_every_target_zero(self):
+        prob, _ = planted_problem()
+        with pytest.raises(FitError, match="FROLS selected no features"):
+            solve(Problem(theta=prob.theta, targets=np.zeros((prob.theta.shape[0], 2))),
+                  FROLS())
+
     def test_solve_path_rejects_non_greedy(self):
         prob, _ = planted_problem()
         with pytest.raises(SpecError, match="^solve_path requires SSR or FROLS, got STLSQ$"):
