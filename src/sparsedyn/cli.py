@@ -237,12 +237,7 @@ def model_from_report(report: dict) -> FittedModel:
             f"report coefficients shape {xi.shape} does not match "
             f"{len(names)} features x {len(targets)} targets"
         )
-    coefficients = Coefficients(
-        xi=xi,
-        support=xi != 0.0,
-        names=names,
-        residuals=np.zeros(len(targets)),
-    )
+    coefficients = Coefficients(xi=xi, names=names, residuals=np.zeros(len(targets)))
     return FittedModel(
         coefficients=coefficients,
         library=from_json(LibrarySpec, report["library"], "report.library"),
@@ -283,18 +278,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, seed_help):
         p.add_argument("--config", required=True, help="JSON spec/config path")
         p.add_argument("--out", help="output directory (overrides config)")
-        p.add_argument("--seed", type=int, help="seed override")
+        p.add_argument("--seed", type=int, help=seed_help)
         p.add_argument("--verbose", action="store_true")
 
     gen = sub.add_parser("generate", help="write a benchmark dataset directory")
-    common(gen)
+    common(gen, "replaces the benchmark spec's seed")
     gen.set_defaults(func=cmd_generate)
 
     fit_p = sub.add_parser("fit", help="fit a model per a discovery config")
-    common(fit_p)
+    common(fit_p, "reseeds a data.benchmark and sets the report's diagnostics.seed; "
+           "ensemble and weak-form seeds are unchanged, and with data.path "
+           "nothing computed changes")
     fit_p.add_argument("--diff", help="override: fd:<order> | sg:<w>,<p> | spectral[:<f>]")
     fit_p.add_argument(
         "--optimizer", help="override: stlsq:<l>,<a> | sr3:<l>,<nu>,<reg> | ssr | frols"
@@ -303,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     fit_p.set_defaults(func=cmd_fit)
 
     score_p = sub.add_parser("score", help="score a saved report against a dataset")
-    common(score_p)
+    common(score_p, "ignored")
     score_p.add_argument("--data", required=True, help="dataset directory or CSV")
     score_p.set_defaults(func=cmd_score)
     return parser

@@ -33,7 +33,6 @@ from . import library as libmod
 from . import optimize as optmod
 from .ensemble import EnsembleSpec
 from .errors import SpecError
-from .model import _check_target_diff
 from .systems import KS, BenchmarkSpec, Lorenz
 
 SCHEMA_VERSION = 1
@@ -75,7 +74,7 @@ class DiscoveryConfig:
         if self.precision < 1:
             raise SpecError(f"precision must be >= 1, got {self.precision}")
         checks = {
-            "diff": lambda: _check_target_diff(self.diff),
+            "diff": lambda: self.diff.validate(1),
             "library": lambda: libmod.validate(self.library),
             "optimizer": self.optimizer.validate,
         }
@@ -314,6 +313,10 @@ def _decode_spec(cls, obj, where: str):
         got = obj.pop(key, tag)
         if got != tag:
             raise SpecError(f"{where}: expected {key} {tag!r}, got {got!r}")
+    if cls in typing.get_args(diffmod.DiffMethod) and type(obj.get("d")) is int and obj["d"] == 1:
+        # reports written while diff methods carried a derivative order "d"
+        # hold "d": 1, the only order a fit accepted
+        del obj["d"]
     if cls in (BenchmarkSpec, DiscoveryConfig):
         check_schema(obj, where)
         obj.pop("schema", None)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -42,15 +42,11 @@ def _check_axis(values: np.ndarray, name: str) -> np.ndarray:
 class Grid:
     """Sampling grid: one time axis plus zero or more spatial axes.
 
-    Axes must be strictly increasing.  ``time_uniform`` / ``spatial_uniform``
-    flag axes whose spacing is constant to relative tolerance 1e-10; several
-    differentiation methods are cheaper (or only valid) on uniform axes.
+    Axes must be strictly increasing.
     """
 
     time_axis: np.ndarray
     spatial_axes: tuple[np.ndarray, ...] = ()
-    time_uniform: bool = field(init=False)
-    spatial_uniform: tuple[bool, ...] = field(init=False)
 
     def __post_init__(self):
         time = _check_axis(self.time_axis, "t")
@@ -59,10 +55,6 @@ class Grid:
         )
         object.__setattr__(self, "time_axis", time)
         object.__setattr__(self, "spatial_axes", spatial)
-        object.__setattr__(self, "time_uniform", _is_uniform(time))
-        object.__setattr__(
-            self, "spatial_uniform", tuple(_is_uniform(ax) for ax in spatial)
-        )
 
     @property
     def n_spatial(self) -> int:
@@ -189,45 +181,29 @@ class TrajectoryCollection:
         return self.datasets[0].n_controls
 
 
-@dataclass(frozen=True)
-class SampleIndexMap:
-    """Inverse of `flatten`: maps flat row indices back to grid indices."""
-
-    sample_shape: tuple[int, ...]
-
-    def grid_indices(self, rows: np.ndarray) -> tuple[np.ndarray, ...]:
-        """Grid indices (spatial..., time) for the given flat row numbers."""
-        return np.unravel_index(np.asarray(rows), self.sample_shape)
-
-    def row(self, grid_index: tuple[int, ...]) -> int:
-        return int(np.ravel_multi_index(grid_index, self.sample_shape))
-
-
-def flatten(
-    dataset: Dataset,
-) -> tuple[np.ndarray, np.ndarray | None, SampleIndexMap]:
+def flatten(dataset: Dataset) -> tuple[np.ndarray, np.ndarray | None]:
     """Stack a dataset into regression rows.
 
-    Returns ``(samples, controls, index_map)`` where ``samples`` is
-    ``(m, n_states)`` with ``m`` the product of spatial and time lengths.
-    Rows are time-major within each spatial point; spatial points are ordered
-    lexicographically by axis index (plain C-order raveling).
+    Returns ``(samples, controls)`` where ``samples`` is ``(m, n_states)``
+    with ``m`` the product of spatial and time lengths.  Rows are time-major
+    within each spatial point; spatial points are ordered lexicographically by
+    axis index (plain C-order raveling).
     """
-    shape = dataset.grid.sample_shape
-    m = int(np.prod(shape))
+    m = dataset.n_samples
     samples = dataset.states.reshape(m, dataset.n_states)
     controls = None
     if dataset.controls is not None:
         controls = dataset.controls.reshape(m, dataset.n_controls)
-    return samples, controls, SampleIndexMap(shape)
+    return samples, controls
 
 
-def unflatten(rows: np.ndarray, index_map: SampleIndexMap) -> np.ndarray:
-    """Reshape flattened rows back into the ``(*spatial, time, k)`` layout."""
+def unflatten(rows: np.ndarray, sample_shape: tuple[int, ...]) -> np.ndarray:
+    """Reshape flattened rows back into the ``(*spatial, time, k)`` layout of
+    a grid's ``sample_shape``."""
     rows = np.asarray(rows)
     if rows.ndim == 1:
         rows = rows[:, None]
-    return rows.reshape(*index_map.sample_shape, rows.shape[-1])
+    return rows.reshape(*sample_shape, rows.shape[-1])
 
 
 def split_train_test(dataset: Dataset, fraction: float) -> tuple[Dataset, Dataset]:

@@ -33,7 +33,6 @@ class FiniteDifference:
     """
 
     order: int = 2
-    d: int = 1
 
     def validate(self, d: int) -> None:
         if self.order < 2 or self.order % 2 != 0:
@@ -48,7 +47,6 @@ class SavitzkyGolay:
 
     window: int = 11
     poly_order: int = 3
-    d: int = 1
 
     def validate(self, d: int) -> None:
         if self.window < 5 or self.window % 2 == 0:
@@ -74,7 +72,6 @@ class Spectral:
     """
 
     filter_strength: float = 0.0
-    d: int = 1
 
     def validate(self, d: int) -> None:
         check_finite(self)
@@ -248,16 +245,14 @@ def differentiate(
     values: np.ndarray,
     axis_values: np.ndarray,
     method: DiffMethod,
-    d: int | None = None,
+    d: int = 1,
     axis: int = -1,
 ) -> np.ndarray:
     """d-th derivative of ``values`` along ``axis`` sampled at ``axis_values``.
 
-    ``d`` defaults to the method's own derivative order.  The output has the
-    same shape as the input; see the method classes for boundary behavior.
+    The output has the same shape as the input; see the method classes for
+    boundary behavior.
     """
-    if d is None:
-        d = method.d
     return _differentiate_orders(values, axis_values, method, (d,), axis)[0]
 
 
@@ -303,23 +298,12 @@ def _derivative_fields(
 
 
 def differentiate_dataset(
-    dataset: Dataset, method: DiffMethod, axis_id: int | str = "t"
+    dataset: Dataset, method: DiffMethod, axis: str = "t", d: int = 1
 ) -> np.ndarray:
-    """Derivative of order ``method.d`` of every state variable along one
-    grid axis.
+    """d-th derivative of every state variable along the grid axis named
+    ``axis`` ("x", "y", "z" or "t", as ``Grid.axis`` names them).
 
-    ``axis_id`` is ``"t"``/``"time"`` for the time axis, a spatial axis index,
-    or a spatial axis letter (``"x"``, ``"y"``, ``"z"``).  When the dataset
-    carries precomputed time derivatives and a first time derivative is
-    requested, they are returned verbatim.
+    When the dataset carries precomputed time derivatives and a first time
+    derivative is requested, they are returned verbatim.
     """
-    if not isinstance(axis_id, str):
-        if not 0 <= int(axis_id) < dataset.grid.n_spatial:
-            raise DataError(
-                f"spatial axis {axis_id!r} out of range for "
-                f"{dataset.grid.n_spatial} spatial axes"
-            )
-        axis_id = dataset.grid.axis_names[int(axis_id)]
-    elif axis_id == "time":
-        axis_id = "t"
-    return _derivative_fields(dataset, (axis_id,), [(method.d,)], method)[0]
+    return _derivative_fields(dataset, (axis,), [(d,)], method)[0]

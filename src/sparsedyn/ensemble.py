@@ -72,8 +72,11 @@ class EnsembleReport:
     coefficients: Coefficients
     inclusion_probability: np.ndarray  # (p, n)
     iqr: np.ndarray  # (p, n)
-    n_failed: int = 0
     failures: tuple[str, ...] = field(default_factory=tuple)
+
+    @property
+    def n_failed(self) -> int:
+        return len(self.failures)
 
 
 def fit_ensemble(
@@ -137,7 +140,6 @@ def fit_ensemble(
         coefficients=_finish(base, xi, diags),
         inclusion_probability=inclusion,
         iqr=iqr,
-        n_failed=len(failures),
         failures=tuple(failures),
     )
 

@@ -49,6 +49,8 @@ class Polynomial(_Spec):
     def _check(self) -> None:
         if self.degree < 0:
             raise SpecError(f"polynomial degree must be >= 0, got {self.degree}")
+        if self.degree == 0 and not self.include_bias:
+            raise SpecError("a polynomial of degree 0 without its bias has no columns")
 
 
 @dataclass(frozen=True)
@@ -293,7 +295,7 @@ def _input_names(n_states: int, n_controls: int) -> tuple[str, ...]:
 
 def _grid_inputs(dataset: Dataset) -> np.ndarray:
     """Flattened ``(samples, states + controls)`` library inputs."""
-    X, U, _ = flatten(dataset)
+    X, U = flatten(dataset)
     return X if U is None else np.hstack([X, U])
 
 

@@ -14,7 +14,7 @@ from math import floor, log10, sqrt
 
 import numpy as np
 
-from .data import Dataset, SampleIndexMap, as_collection, unflatten
+from .data import Dataset, as_collection, unflatten
 from .diff import DiffMethod, FiniteDifference, differentiate_dataset
 from .ensemble import EnsembleReport, EnsembleSpec, fit_ensemble
 from .errors import DataError, FitError, SpecError
@@ -55,13 +55,6 @@ class FittedModel:
         return self.coefficients.diagnostics
 
 
-def _check_target_diff(diff: DiffMethod) -> None:
-    """A fit's ``diff`` makes its targets, the first time derivatives."""
-    diff.validate(1)
-    if diff.d != 1:
-        raise SpecError(f"fit targets are first time derivatives; {diff!r} has d={diff.d}")
-
-
 def _target_names(n_states: int) -> tuple[str, ...]:
     """The names of a fit's targets, the states' first time derivatives."""
     return tuple(f"q{j}_t" for j in range(n_states))
@@ -81,7 +74,7 @@ def design(data, library: LibrarySpec, diff: DiffMethod = FiniteDifference(), *,
     collection = as_collection(data)
     plan = GridPlan(library, collection.n_states, collection.n_controls)
     if targets:
-        _check_target_diff(diff)
+        diff.validate(1)
     if names is not None and plan.names != names:
         raise SpecError(f"the data give library columns {plan.names}, the model {names}")
     p, n = len(plan.names), collection.n_states if targets else 0
@@ -91,7 +84,7 @@ def design(data, library: LibrarySpec, diff: DiffMethod = FiniteDifference(), *,
         block = rows[end - count : end]
         plan.write(ds, diff, block[:, :p], block[:, p:] if targets else None)
         if targets and plan.weak is None:
-            block[:, p:] = differentiate_dataset(ds, diff, "t").reshape(-1, n)
+            block[:, p:] = differentiate_dataset(ds, diff).reshape(-1, n)
     return Problem(rows[:, :p], rows[:, p:], normalize_columns=normalize_columns,
                    feature_names=plan.names)
 
@@ -129,7 +122,7 @@ def predict(model: FittedModel, dataset: Dataset) -> np.ndarray:
                   names=model.feature_names).theta @ model.xi
     if isinstance(model.library, WeakPDE):
         return pred
-    return unflatten(pred, SampleIndexMap(dataset.grid.sample_shape))
+    return unflatten(pred, dataset.grid.sample_shape)
 
 
 def _predicted_and_actual(model: FittedModel, data) -> tuple[np.ndarray, np.ndarray]:
@@ -314,12 +307,12 @@ def equations(model: FittedModel, precision: int = 3) -> list[str]:
     """
     if precision < 1:
         raise SpecError(f"precision must be >= 1, got {precision}")
-    out = []
+    out, support = [], model.coefficients.support
     for j, target in enumerate(model.target_names):
         terms = [
             f"{_format_coefficient(model.xi[i, j], precision)} {name}"
             for i, name in enumerate(model.feature_names)
-            if model.coefficients.support[i, j]
+            if support[i, j]
         ]
         rhs = " + ".join(terms) if terms else "0"
         out.append(f"{target} = {rhs}")

@@ -113,22 +113,19 @@ class Coefficients:
     """Sparse coefficient matrix (features x targets) with bookkeeping."""
 
     xi: np.ndarray
-    support: np.ndarray
     names: tuple[str, ...]
     residuals: np.ndarray
     diagnostics: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        xi = np.asarray(self.xi, dtype=float)
-        support = np.asarray(self.support, dtype=bool)
-        if xi.shape != support.shape:
-            raise SpecError("xi and support shapes differ")
-        if np.any(xi[~support] != 0.0):
-            raise SpecError("xi must be exactly zero off-support")
-        object.__setattr__(self, "xi", xi)
-        object.__setattr__(self, "support", support)
+        object.__setattr__(self, "xi", np.asarray(self.xi, dtype=float))
         object.__setattr__(self, "names", tuple(self.names))
         object.__setattr__(self, "residuals", np.asarray(self.residuals, dtype=float))
+
+    @property
+    def support(self) -> np.ndarray:
+        """The nonzero entries of ``xi``."""
+        return self.xi != 0.0
 
     @property
     def n_terms(self) -> int:
@@ -477,7 +474,6 @@ def _finish(rows: _Rows, xi: np.ndarray, diags: dict) -> Coefficients:
         diags = {**diags, "empty_support_targets": empty.tolist()}
     return Coefficients(
         xi=xi,
-        support=xi != 0.0,
         names=rows.names,
         residuals=rows.residual_norms(xi[None])[0],
         diagnostics=diags,

@@ -124,9 +124,7 @@ def _truth(system: Lorenz | KS) -> Coefficients:
     xi = np.zeros((len(names), n_states))
     for (name, target), value in terms.items():
         xi[names.index(name), target] = value
-    return Coefficients(
-        xi=xi, support=xi != 0.0, names=names, residuals=np.zeros(n_states)
-    )
+    return Coefficients(xi=xi, names=names, residuals=np.zeros(n_states))
 
 
 def _generate_lorenz(system: Lorenz) -> Dataset:

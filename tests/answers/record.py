@@ -412,7 +412,7 @@ def simulate_fit(data, library, diff, opt):
     sim = simulate(model, dataset.states[0], dataset.grid.time_axis[:200])
     # q_t = 1 + q + q^2 in every state leaves any bound in finite time
     names = ("1", "q0", "q1", "q0^2", "q0 q1", "q1^2")
-    ones = Coefficients(np.ones((6, 2)), np.ones((6, 2), bool), names, np.zeros(2))
+    ones = Coefficients(np.ones((6, 2)), names, np.zeros(2))
     unstable = FittedModel(ones, library, diff, ("q0_t", "q1_t"))
     blow = simulate(unstable, [1.0, 1.0], np.linspace(0.0, 5.0, 50))
     return {

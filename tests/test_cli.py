@@ -32,6 +32,17 @@ def lorenz_dataset(tmp_path):
     return out
 
 
+# a small KS field: 256 points in space, 21 in time
+SMALL_KS = {"schema": 1, "seed": 2,
+            "system": {"name": "ks", "n_grid": 256, "length": 50.0, "t_span": 8.0,
+                       "dt_save": 0.4, "dt": 0.05, "burn_in": 5.0}}
+
+# report.json of a fit on SMALL_KS (SG(5,3) in time, a spectral PDE block in
+# space) and its score.json, written while diff specs stored a derivative
+# order: both of its diff objects hold "d": 1
+LEGACY_REPORT = Path(__file__).with_name("legacy_report")
+
+
 def fit_config(tmp_path, data_dir, out_name="fit_out", **overrides):
     obj = {
         "schema": 1,
@@ -58,22 +69,7 @@ class TestGenerate:
         assert ds.states.shape == (1001, 3)
 
     def test_ks_shape(self, tmp_path):
-        spec = write_json(
-            tmp_path / "ks.json",
-            {
-                "schema": 1,
-                "system": {
-                    "name": "ks",
-                    "n_grid": 256,
-                    "length": 50.0,
-                    "t_span": 8.0,
-                    "dt_save": 0.4,
-                    "dt": 0.05,
-                    "burn_in": 5.0,
-                },
-                "seed": 2,
-            },
-        )
+        spec = write_json(tmp_path / "ks.json", SMALL_KS)
         out = tmp_path / "ks_data"
         assert main(["generate", "--config", str(spec), "--out", str(out)]) == 0
         ds = load_dataset(out)
@@ -228,7 +224,19 @@ class TestFit:
     @pytest.mark.parametrize(
         "overrides, where, message",
         [
-            ({"diff": {"method": "fd", "order": 4, "d": 2}}, "config.diff", "d=2"),
+            *[({"diff": {"method": "fd", "order": 4, "d": d}}, "config.diff",
+               "unknown field 'd'; FiniteDifference takes order") for d in (2, 3, True, 1.0)],
+            ({"library": {"type": "pde", "derivative_order": 2, "axes": ["x"],
+                          "diff": {"method": "spectral", "d": 2}}},
+             "config.library.diff", "unknown field 'd'; Spectral takes filter_strength"),
+            *[({"library": library}, "config.library", "has no columns") for library in (
+                {"type": "polynomial", "degree": 0, "include_bias": False},
+                {"type": "concat", "parts": [{"type": "polynomial", "degree": 1},
+                                             {"type": "polynomial", "degree": 0,
+                                              "include_bias": False}]},
+                {"type": "tensor", "left": {"type": "polynomial", "degree": 1},
+                 "right": {"type": "polynomial", "degree": 0, "include_bias": False}},
+            )],
             ({"library": {"type": "concat", "parts": [{"type": "polynomial", "degree": 1},
                                                       {"type": "polynomial", "degree": 1}]}},
              "config.library", "duplicate feature names"),
@@ -242,8 +250,10 @@ class TestFit:
             ({"data": {"benchmark": {"system": {"name": "ks", "n_grid": 100}}}},
              "config.data.benchmark", "n_grid must be a power of two"),
         ],
-        ids=["target-derivative-order", "duplicate-names", "diff-parameters",
-             "pde-diff-parameters", "optimizer", "ensemble", "benchmark"],
+        ids=["target-derivative-order", "diff-d-3", "diff-d-true", "diff-d-float",
+             "pde-diff-d-2", "no-columns", "concat-no-columns", "tensor-no-columns",
+             "duplicate-names", "diff-parameters", "pde-diff-parameters", "optimizer",
+             "ensemble", "benchmark"],
     )
     def test_exits_2_at_config_load(self, tmp_path, capsys, overrides, where, message):
         # the data path does not exist, so reading the data first would exit 3;
@@ -535,6 +545,29 @@ class TestScore:
         assert result["r2"] == score(model, dataset, "r2")
         assert result["rmse"] == score(model, dataset, "rmse")
         assert result["n_samples"] == dataset.n_samples
+
+    def test_report_with_legacy_diff_orders_scores_unchanged(self, tmp_path):
+        data = tmp_path / "ks_data"
+        spec = write_json(tmp_path / "ks.json", SMALL_KS)
+        assert main(["generate", "--config", str(spec), "--out", str(data)]) == 0
+        legacy = json.loads((LEGACY_REPORT / "report.json").read_text())
+        assert legacy["diff"]["d"] == legacy["library"]["diff"]["d"] == 1
+        plain = json.loads(json.dumps(legacy))
+        del plain["diff"]["d"], plain["library"]["diff"]["d"]
+        scored = {}
+        for name, report in (("legacy", LEGACY_REPORT / "report.json"),
+                             ("plain", write_json(tmp_path / "plain.json", plain))):
+            argv = ["score", "--config", str(report), "--data", str(data)]
+            assert main([*argv, "--out", str(tmp_path / name)]) == 0
+            scored[name] = (tmp_path / name / "score.json").read_bytes()
+        assert scored["legacy"] == scored["plain"]
+        # the score written with the report, to the corpus's 1e-10 relative
+        # (the KS data are regenerated, and FFT rounding may differ by platform)
+        got, recorded = json.loads(scored["legacy"]), json.loads(
+            (LEGACY_REPORT / "score.json").read_text())
+        assert list(got) == list(recorded) and got["n_samples"] == recorded["n_samples"]
+        for key in ("r2", "rmse"):
+            assert got[key] == pytest.approx(recorded[key], rel=1e-10, abs=0.0)
 
     def test_weak_score_counts_the_scored_subdomains(self, tmp_path, lorenz_dataset):
         weak = {"type": "weak", "inner": {"type": "polynomial", "degree": 2},

@@ -37,7 +37,7 @@ class TestDiffRoundTrip:
         "method",
         [
             FiniteDifference(order=4),
-            SavitzkyGolay(window=9, poly_order=4, d=2),
+            SavitzkyGolay(window=9, poly_order=4),
             Spectral(filter_strength=0.5),
         ],
     )
@@ -202,8 +202,19 @@ class TestDiscoveryConfig:
         assert cfg.ensemble.n_models == 8
 
     def test_diff_of_another_derivative_order_rejected(self):
-        with pytest.raises(SpecError, match="d=2"):
-            from_json(DiscoveryConfig, {**self.base(), "diff": {"method": "fd", "d": 2}})
+        # a diff method holds no derivative order; only a legacy "d": 1 passes
+        with pytest.raises(SpecError, match="config.diff: unknown field 'd'"):
+            from_json(DiscoveryConfig, {**self.base(), "diff": {"method": "fd", "d": 2}},
+                      "config")
+
+    def test_legacy_first_derivative_order_is_dropped(self):
+        # reports written while diff methods carried an order hold "d": 1
+        pde = {"type": "pde", "derivative_order": 2, "axes": ["x"],
+               "diff": {"method": "spectral", "filter_strength": 0.5}}
+        plain = {**self.base(), "diff": {"method": "fd", "order": 4}, "library": pde}
+        legacy = {**plain, "diff": {"method": "fd", "order": 4, "d": 1},
+                  "library": {**pde, "diff": {**pde["diff"], "d": 1}}}
+        assert from_json(DiscoveryConfig, legacy) == from_json(DiscoveryConfig, plain)
 
     def test_exactly_one_data_source(self):
         obj = self.base()
@@ -248,6 +259,11 @@ INVALID_VALUES = [
     pytest.param(KS(burn_in=-1.0), "invalid KS initial-condition", id="ks-burn_in"),
     pytest.param(KS(n_init_modes=0), "invalid KS initial-condition", id="ks-modes"),
     pytest.param(Polynomial(degree=-1), "polynomial degree must be >= 0", id="polynomial"),
+    pytest.param(Polynomial(0, include_bias=False), "has no columns", id="polynomial-empty"),
+    pytest.param(Concat((Polynomial(1), Polynomial(0, include_bias=False))), "has no columns",
+                 id="concat-empty-part"),
+    pytest.param(Tensor(Polynomial(1), Polynomial(0, include_bias=False)), "has no columns",
+                 id="tensor-empty-factor"),
     pytest.param(Fourier(n_frequencies=0), "n_frequencies must be >= 1",
                  id="fourier-frequencies"),
     pytest.param(Fourier(include_sin=False, include_cos=False), "needs sin or cos",
@@ -282,12 +298,12 @@ def test_invalid_value_is_a_spec_error(spec, message):
 # the library and diff blocks, so ``score`` reads old reports only while
 # these stay fixed.
 WIRE_FORMAT = [
-    (FiniteDifference(order=4), {"method": "fd", "order": 4, "d": 1}),
+    (FiniteDifference(order=4), {"method": "fd", "order": 4}),
     (
-        SavitzkyGolay(window=9, poly_order=4, d=2),
-        {"method": "sg", "window": 9, "poly_order": 4, "d": 2},
+        SavitzkyGolay(window=9, poly_order=4),
+        {"method": "sg", "window": 9, "poly_order": 4},
     ),
-    (Spectral(0.5), {"method": "spectral", "filter_strength": 0.5, "d": 1}),
+    (Spectral(0.5), {"method": "spectral", "filter_strength": 0.5}),
     (
         Polynomial(3, include_bias=False),
         {"type": "polynomial", "degree": 3, "include_bias": False,
@@ -307,7 +323,7 @@ WIRE_FORMAT = [
         {"type": "pde", "derivative_order": 4, "axes": ["x"],
          "multiply_by": {"type": "polynomial", "degree": 2, "include_bias": False,
                          "include_interactions": True},
-         "diff": {"method": "spectral", "filter_strength": 0.0, "d": 1}},
+         "diff": {"method": "spectral", "filter_strength": 0.0}},
     ),
     (
         WeakPDE(inner=PDE(2, ("x", "t")), n_subdomains=50, test_poly_order=3,
@@ -395,7 +411,7 @@ WIRE_FORMAT = [
             normalize_columns=True,
         ),
         {"schema": 1, "data": {"path": "ks_data"}, "train_fraction": 0.6,
-         "diff": {"method": "sg", "window": 5, "poly_order": 3, "d": 1},
+         "diff": {"method": "sg", "window": 5, "poly_order": 3},
          "library": {"type": "polynomial", "degree": 2, "include_bias": True,
                      "include_interactions": True},
          "optimizer": {"type": "frols", "max_terms": 3, "err_tol": 1e-6},
@@ -553,9 +569,9 @@ class TestDecodeChecks:
 finite = st.floats(allow_nan=False, allow_infinity=False)
 small = st.integers(0, 50)
 diffs = st.one_of(
-    st.builds(FiniteDifference, order=small, d=small),
-    st.builds(SavitzkyGolay, window=small, poly_order=small, d=small),
-    st.builds(Spectral, filter_strength=finite, d=small),
+    st.builds(FiniteDifference, order=small),
+    st.builds(SavitzkyGolay, window=small, poly_order=small),
+    st.builds(Spectral, filter_strength=finite),
 )
 leaves = st.one_of(
     st.builds(Polynomial, degree=small, include_bias=st.booleans(),

@@ -9,6 +9,7 @@ from sparsedyn.data import (
     Dataset,
     Grid,
     TrajectoryCollection,
+    _is_uniform,
     add_noise,
     flatten,
     load_dataset,
@@ -31,9 +32,10 @@ def make_dataset(spatial_shape, T, n, fill=None, seed=0):
 
 class TestGrid:
     def test_uniform_flags(self):
+        # no flag is stored: each user of an axis asks whether it is uniform
         g = Grid(np.linspace(0, 1, 11), (np.array([0.0, 0.1, 0.4]),))
-        assert g.time_uniform
-        assert g.spatial_uniform == (False,)
+        assert _is_uniform(g.time_axis)
+        assert not _is_uniform(g.spatial_axes[0])
 
     def test_rejects_non_increasing(self):
         with pytest.raises(DataError):
@@ -89,7 +91,7 @@ class TestFlatten:
             grid=Grid(np.array([0.0, 1.0, 2.0])),
             states=np.array([[5.0], [6.0], [7.0]]),
         )
-        X, U, _ = flatten(ds)
+        X, U = flatten(ds)
         assert U is None
         np.testing.assert_array_equal(X, [[5.0], [6.0], [7.0]])
 
@@ -99,19 +101,15 @@ class TestFlatten:
         ds = Dataset(
             grid=Grid(np.array([0.0, 1.0]), (np.array([0.0, 1.0]),)), states=states
         )
-        X, _, index_map = flatten(ds)
+        X, _ = flatten(ds)
         np.testing.assert_array_equal(X.ravel(), [0.0, 1.0, 10.0, 11.0])
-        assert index_map.row((1, 0)) == 2
-        xs, ts = index_map.grid_indices(np.arange(4))
-        np.testing.assert_array_equal(xs, [0, 0, 1, 1])
-        np.testing.assert_array_equal(ts, [0, 1, 0, 1])
 
     @given(seed=st.integers(0, 2**31))
     @settings(max_examples=25, deadline=None)
     def test_round_trip_3x4x2(self, seed):
         ds = make_dataset((3,), 4, 2, seed=seed)
-        X, _, index_map = flatten(ds)
-        np.testing.assert_array_equal(unflatten(X, index_map), ds.states)
+        X, _ = flatten(ds)
+        np.testing.assert_array_equal(unflatten(X, ds.grid.sample_shape), ds.states)
 
     @given(
         spatial=st.lists(st.integers(2, 4), min_size=0, max_size=2),
@@ -121,9 +119,9 @@ class TestFlatten:
     @settings(max_examples=40, deadline=None)
     def test_round_trip_all_shapes(self, spatial, T, n):
         ds = make_dataset(tuple(spatial), T, n, seed=1)
-        X, _, index_map = flatten(ds)
+        X, _ = flatten(ds)
         assert X.shape == (np.prod(tuple(spatial) + (T,), dtype=int), n)
-        np.testing.assert_array_equal(unflatten(X, index_map), ds.states)
+        np.testing.assert_array_equal(unflatten(X, ds.grid.sample_shape), ds.states)
 
 
 class TestSplit:

@@ -1,4 +1,3 @@
-from dataclasses import replace
 from fractions import Fraction
 from math import factorial
 from types import SimpleNamespace
@@ -168,7 +167,7 @@ class TestSavitzkyGolayReference:
         t = 0.3 + h * np.arange(L)
         impulses = np.eye(L)  # row i is the filter's response to sample i
         for d in range(poly_order + 1):
-            ours = differentiate(impulses, t, SavitzkyGolay(window, poly_order, d), d=d)
+            ours = differentiate(impulses, t, SavitzkyGolay(window, poly_order), d=d)
             ref = savgol_filter(impulses, window, poly_order, deriv=d,
                                 delta=h, axis=-1, mode="interp")
             # scipy's interior weights come from an unscaled integer
@@ -202,7 +201,7 @@ class TestSavitzkyGolayReference:
         polys = [np.polynomial.Polynomial(c) for c in coef]
         values = np.stack([p(t) for p in polys])
         expected = np.stack([p.deriv(d)(t) for p in polys])
-        out = differentiate(values, t, SavitzkyGolay(window, poly_order, d), d=d)
+        out = differentiate(values, t, SavitzkyGolay(window, poly_order), d=d)
         assert np.abs(out - expected).max() <= 1e-8 * np.abs(expected).max()
 
 
@@ -461,13 +460,13 @@ class TestDifferentiateDataset:
         t = np.arange(3.0)
         states = np.repeat(np.sin(x)[:, None], 3, axis=1)[:, :, None]
         ds = Dataset(grid=Grid(t, (x,)), states=states)
-        out = differentiate_dataset(ds, Spectral(d=2), 0)
+        out = differentiate_dataset(ds, Spectral(), "x", d=2)
         assert np.abs(out[:, 0, 0] + np.sin(x)).max() <= 1e-8
 
     def test_unknown_axis(self):
         ds = Dataset(grid=Grid(np.arange(4.0)), states=np.zeros((4, 1)))
         with pytest.raises(DataError):
-            differentiate_dataset(ds, FiniteDifference(), 0)
+            differentiate_dataset(ds, FiniteDifference(), "x")
 
 
 # ---------------------------------------------------------------------------
@@ -475,30 +474,27 @@ class TestDifferentiateDataset:
 # ---------------------------------------------------------------------------
 
 
-def oracle_differentiate_dataset(dataset, method, axis_id="t"):
+def oracle_differentiate_dataset(dataset, method, axis_id="t", d=1):
     """``differentiate_dataset`` as written before it went through the
     request function: its own letter table and precomputed-q_t rule."""
-    if isinstance(axis_id, str) and axis_id in ("t", "time"):
-        if dataset.derivatives is not None and method.d == 1:
+    if axis_id == "t":
+        if dataset.derivatives is not None and d == 1:
             return dataset.derivatives
         axis_values = dataset.grid.time_axis
         array_axis = dataset.states.ndim - 2
     else:
         letters = {"x": 0, "y": 1, "z": 2}
-        if isinstance(axis_id, str):
-            if axis_id not in letters:
-                raise DataError(f"unknown axis id {axis_id!r} (use t, x, y, z or an index)")
-            idx = letters[axis_id]
-        else:
-            idx = int(axis_id)
-        if not 0 <= idx < dataset.grid.n_spatial:
+        if axis_id not in letters:
+            raise DataError(f"unknown axis id {axis_id!r} (use t, x, y or z)")
+        idx = letters[axis_id]
+        if idx >= dataset.grid.n_spatial:
             raise DataError(
                 f"spatial axis {axis_id!r} out of range for "
                 f"{dataset.grid.n_spatial} spatial axes"
             )
         axis_values = dataset.grid.spatial_axes[idx]
         array_axis = idx
-    return differentiate(dataset.states, axis_values, method, axis=array_axis)
+    return differentiate(dataset.states, axis_values, method, d=d, axis=array_axis)
 
 
 ORACLE_AXIS_LETTERS = ("x", "y", "z")
@@ -572,18 +568,18 @@ def assert_same_field(got, expected, dataset):
 @st.composite
 def derivative_cases(draw):
     """A dataset on 0-3 spatial axes (each uniform or not; all uniform for
-    spectral methods), with or without precomputed time derivatives, and a
-    method of derivative order 1-3."""
+    spectral methods), with or without precomputed time derivatives, a
+    method and a derivative order 1-3."""
     n_spatial, n = draw(st.integers(0, 3)), draw(st.integers(1, 2))
     kind = draw(st.sampled_from(["fd", "sg", "spectral"]))
     d = draw(st.integers(1, 3))
     if kind == "fd":
-        method = FiniteDifference(order=draw(st.sampled_from([2, 4])), d=d)
+        method = FiniteDifference(order=draw(st.sampled_from([2, 4])))
     elif kind == "sg":
         method = SavitzkyGolay(window=draw(st.sampled_from([5, 7])),
-                               poly_order=draw(st.integers(3, 4)), d=d)
+                               poly_order=draw(st.integers(3, 4)))
     else:
-        method = Spectral(filter_strength=draw(st.sampled_from([0.0, 2.0])), d=d)
+        method = Spectral(filter_strength=draw(st.sampled_from([0.0, 2.0])))
     rng = np.random.default_rng(draw(st.integers(0, 10_000)))
     axes = []
     for _ in range(n_spatial + 1):
@@ -596,7 +592,7 @@ def derivative_cases(draw):
     shape = grid.sample_shape + (n,)
     derivatives = rng.standard_normal(shape) if draw(st.booleans()) else None
     ds = Dataset(grid=grid, states=rng.standard_normal(shape), derivatives=derivatives)
-    return ds, method
+    return ds, method, d
 
 
 class TestOneDerivativePath:
@@ -606,19 +602,16 @@ class TestOneDerivativePath:
     @given(case=derivative_cases(), data=st.data())
     @settings(max_examples=120)
     def test_differentiate_dataset_equals_former(self, case, data):
-        ds, method = case
-        n_spatial = ds.grid.n_spatial
-        axis_id = data.draw(st.sampled_from(
-            ["t", "time", *"xyz", "w", "x3", -1, np.int64(0), *range(n_spatial + 1)]
-        ))
-        expected = outcome(lambda: oracle_differentiate_dataset(ds, method, axis_id))
-        got = outcome(lambda: differentiate_dataset(ds, method, axis_id))
+        ds, method, d = case
+        axis_id = data.draw(st.sampled_from(["t", *"xyz", "w", "x3"]))
+        expected = outcome(lambda: oracle_differentiate_dataset(ds, method, axis_id, d))
+        got = outcome(lambda: differentiate_dataset(ds, method, axis_id, d))
         assert_same_field(got, expected, ds)
 
     @given(case=derivative_cases(), data=st.data())
     @settings(max_examples=120)
     def test_request_equals_former_block_fields(self, case, data):
-        ds, method = case
+        ds, method, _ = case
         letters = data.draw(st.lists(st.sampled_from("xyzt"), min_size=1, max_size=4,
                                      unique=True).map(tuple))
         order = data.draw(st.integers(1, 3 if len(letters) <= 2 else 2))
@@ -641,8 +634,7 @@ class TestOneDerivativePath:
     @given(case=derivative_cases())
     @settings(max_examples=40)
     def test_regression_targets_equal_former_time_derivative(self, case):
-        ds, method = case
-        method = replace(method, d=1)
-        expected = oracle_differentiate_dataset(ds, method, "t").reshape(-1, ds.n_states)
+        ds, method, _ = case
+        expected = oracle_differentiate_dataset(ds, method).reshape(-1, ds.n_states)
         targets = design(ds, Polynomial(1, include_bias=False), method).targets
         np.testing.assert_array_equal(targets, expected)

@@ -16,7 +16,7 @@ from sparsedyn.integrate import integrate
 from sparsedyn.library import Custom, GridPlan, InputSubset, Polynomial, WeakPDE
 from sparsedyn.model import (design, equations, fit, fit_implicit, parse_equation, score,
                              simulate)
-from sparsedyn.optimize import SR3, SSR, STLSQ, Coefficients, Problem, solve
+from sparsedyn.optimize import SR3, SSR, STLSQ, Problem, solve
 
 
 def decay_dataset():
@@ -181,9 +181,6 @@ INPUT_CHECKS = [
     pytest.param(lambda tmp, m: SR3(constraints=(np.ones(3), np.ones(1))),
                  SpecError, r"malformed SR3 constraints: shapes \(3,\), \(1,\)",
                  id="sr3-constraints-malformed"),
-    pytest.param(lambda tmp, m: Coefficients(xi=np.zeros((2, 1)), support=np.zeros((1, 1), bool),
-                                             names=("a", "b"), residuals=np.zeros(1)),
-                 SpecError, "xi and support shapes differ", id="coefficients-support-shape"),
     pytest.param(lambda tmp, m: GridPlan("polynomial", 1),
                  SpecError, "unknown library spec 'polynomial'", id="plan-non-spec"),
     pytest.param(lambda tmp, m: from_json(STLSQ, 3),

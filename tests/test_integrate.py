@@ -52,8 +52,7 @@ def one_state_model(names=("1", "q0"), coefficients=(0.0, -1.0), library=Polynom
     """A one-state model: q0_t is the sum of ``coefficients`` times ``names``."""
     xi = np.array(coefficients, dtype=float)[:, None]
     return FittedModel(
-        coefficients=Coefficients(xi=xi, support=xi != 0.0, names=tuple(names),
-                                  residuals=np.zeros(1)),
+        coefficients=Coefficients(xi=xi, names=tuple(names), residuals=np.zeros(1)),
         library=library, diff=SavitzkyGolay(), target_names=("q0_t",),
     )
 

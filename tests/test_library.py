@@ -162,6 +162,10 @@ class TestCombinators:
         got_restricted = library_design(Polynomial(2), pointwise_dataset(X[:, [0, 2]]), FD)
         np.testing.assert_array_equal(got_sub.theta, got_restricted.theta)
 
+    def test_subset_of_a_bias_free_polynomial_validates(self):
+        # it has no columns on no inputs, and one on the input it picks
+        validate(InputSubset(Polynomial(1, include_bias=False), (2,)))
+
     def test_subset_of_pde_rejected(self):
         with pytest.raises(SpecError):
             InputSubset(PDE(1, ("x",)), (0,)).validate()
@@ -410,12 +414,12 @@ def test_polynomial_width_property(degree, bias, interactions, n):
     spec = Polynomial(degree, include_bias=bias, include_interactions=interactions)
     rng = np.random.default_rng(degree + n)
     ds = pointwise_dataset(rng.standard_normal((5, n)))
-    width = predict_width(spec, n)
-    if width == 0:  # degree 0 without a bias column
-        with pytest.raises(SpecError, match="problem needs at least one row and one feature"):
-            library_design(spec, ds)
+    if degree == 0 and not bias:  # no columns on any inputs
+        for planned in (lambda: predict_width(spec, n), lambda: library_design(spec, ds)):
+            with pytest.raises(SpecError, match="has no columns"):
+                planned()
     else:
-        assert library_design(spec, ds).n_features == width
+        assert library_design(spec, ds).n_features == predict_width(spec, n)
 
 
 # ---------------------------------------------------------------------------
@@ -474,7 +478,7 @@ def oracle_columns(spec, X, names):
 
 def oracle_inputs(dataset):
     """Flattened states and controls, and their names."""
-    X, U, _ = flatten(dataset)
+    X, U = flatten(dataset)
     inputs = X if U is None else np.hstack([X, U])
     names = tuple([f"q{i}" for i in range(dataset.n_states)]
                   + [f"u{i}" for i in range(dataset.n_controls)])
@@ -612,8 +616,11 @@ def oracle_weak(spec, dataset, diff_method):
 
 def oracle_width(spec, n_inputs, n_states):
     """Closed-form column count of ``spec``, as ``predict_width`` computed
-    it before widths came from the plan."""
+    it before widths came from the plan, refusing a polynomial with no
+    columns as validation now does."""
     if isinstance(spec, Polynomial):
+        if spec.degree == 0 and not spec.include_bias:
+            raise SpecError("a polynomial of degree 0 without its bias has no columns")
         if spec.include_interactions:
             width = comb(n_inputs + spec.degree, spec.degree) - 1
         else:
@@ -687,7 +694,8 @@ def pointwise_cases(draw):
 
 
 def plannable(spec, n_inputs, n_states):
-    """Whether nested subsets of ``spec`` stay inside the inputs they get."""
+    """Whether nested subsets of ``spec`` stay inside the inputs they get and
+    each of its polynomials has a column."""
     try:
         oracle_width(spec, n_inputs, n_states)
     except SpecError:
@@ -700,13 +708,12 @@ class TestPlanParity:
     @settings(max_examples=150)
     def test_rows_equal_grid_and_former_columns(self, case):
         spec, n, r, seed = case
-        assume(plannable(spec, n + r, n))  # nested subsets may index past their inputs
+        assume(plannable(spec, n + r, n))
         rng = np.random.default_rng(seed)
         X = rng.standard_normal((9, n + r)) * rng.uniform(0.1, 3.0, n + r)
         names = tuple([f"q{i}" for i in range(n)] + [f"u{i}" for i in range(r)])
         expected, expected_names = oracle_columns(spec, X, names)
         assume(len(set(expected_names)) == len(expected_names))
-        assume(expected_names)  # a design needs a column (test_polynomial_width_property)
         controls = X[:, n:] if r else None
         got = library_design(spec, pointwise_dataset(X[:, :n], controls), FD)
         assert got.feature_names == tuple(expected_names)
@@ -858,7 +865,6 @@ class TestWeakParity:
         assume(plannable(spec, ds.n_states + ds.n_controls, ds.n_states))
         values, names, lhs = oracle_weak(spec, ds, FD)
         assume(len(set(names)) == len(names))
-        assume(names)  # a design needs a column (test_polynomial_width_property)
         got = library_design(spec, ds, FD)
         assert got.feature_names == tuple(names)
         np.testing.assert_array_equal(got.theta, values)

@@ -69,9 +69,7 @@ def rotation_dataset(T=2000, t_max=10.0, analytic_derivs=False):
 def make_model(xi, names, targets, library=None):
     library = library or Polynomial(1)
     return FittedModel(
-        coefficients=Coefficients(
-            xi=xi, support=xi != 0.0, names=names, residuals=np.zeros(len(targets))
-        ),
+        coefficients=Coefficients(xi=xi, names=names, residuals=np.zeros(len(targets))),
         library=library,
         diff=FD4,
         target_names=targets,
@@ -123,42 +121,6 @@ class TestFit:
         terms = dict(zip(m.feature_names, m.xi[:, 0]))
         assert abs(terms["q0"] + 1.0) < 1e-3
         assert abs(terms["u0"] - 2.0) < 1e-3
-
-
-class TestTargetDerivativeOrder:
-    """A fit's diff makes its targets, the first time derivatives; a method
-    of another derivative order would fit, say, q_tt labelled q_t."""
-
-    @pytest.mark.parametrize("d", [2, 3])
-    def test_fit_rejects_other_orders(self, d):
-        ds = rotation_dataset(T=200, t_max=5.0)
-        with pytest.raises(SpecError, match=f"FiniteDifference.*d={d}"):
-            fit(ds, Polynomial(1), diff=FiniteDifference(order=4, d=d))
-
-    def test_score_rejects_other_orders(self):
-        ds = rotation_dataset(T=200, t_max=5.0)
-        m = make_model(np.zeros((3, 2)), ("1", "q0", "q1"), ("q0_t", "q1_t"))
-        m = FittedModel(m.coefficients, m.library, FiniteDifference(order=4, d=2),
-                        m.target_names)
-        with pytest.raises(SpecError, match="d=2"):
-            score(m, ds)
-
-    def test_implicit_fit_keeps_any_order(self):
-        # an implicit fit regresses library columns on each other; its diff
-        # makes no time-derivative targets
-        ds = rotation_dataset(T=200, t_max=5.0)
-        library = Concat((PDE(1, ("t",)), Polynomial(1)))
-        (cand,) = fit_implicit(ds, library, STLSQ(), ["q0_t"],
-                               diff=FiniteDifference(order=4, d=2))
-        assert cand.lhs_name == "q0_t"
-
-    def test_pde_block_override_keeps_any_order(self):
-        x = np.linspace(0.0, 2 * np.pi, 16, endpoint=False)
-        t = np.linspace(0.0, 1.0, 12)
-        states = np.sin(x)[:, None, None] * np.exp(-t)[None, :, None]
-        ds = Dataset(grid=Grid(t, (x,)), states=states)
-        spec = PDE(2, ("x",), diff=FiniteDifference(order=4, d=3))
-        assert fit(ds, spec, diff=FD4).feature_names == ("q0_x", "q0_xx")
 
 
 class TestPredictScore:
@@ -294,7 +256,7 @@ class TestSimulate:
             "from sparsedyn import Coefficients, FiniteDifference, FittedModel, Polynomial\n"
             "from sparsedyn import SpecError, simulate\n"
             "xi = np.array([[0.0], [-1.0]])\n"
-            "c = Coefficients(xi, xi != 0, ('1', 'q0'), np.zeros(1))\n"
+            "c = Coefficients(xi, ('1', 'q0'), np.zeros(1))\n"
             "m = FittedModel(c, Polynomial(1), FiniteDifference(), ('q0_t',))\n"
             "try:\n"
             "    simulate(m, [1.0], [0.0, 1.0, np.inf])\n"

@@ -16,7 +16,6 @@ from sparsedyn.optimize import (
     SR3,
     SSR,
     STLSQ,
-    Coefficients,
     Problem,
     _Rows,
     hard_threshold,
@@ -85,17 +84,6 @@ class TestProblem:
         theta = np.zeros((8, 3))
         with pytest.raises(FitError):
             solve(Problem(theta=theta, targets=np.ones((8, 2))), opt)
-
-
-class TestCoefficients:
-    def test_off_support_must_be_zero(self):
-        with pytest.raises(SpecError):
-            Coefficients(
-                xi=np.array([[1.0]]),
-                support=np.array([[False]]),
-                names=("a",),
-                residuals=np.zeros(1),
-            )
 
 
 NAN, INF = float("nan"), float("inf")

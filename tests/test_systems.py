@@ -49,7 +49,6 @@ class TestLorenz:
 
         zero = Coefficients(
             xi=np.zeros_like(truth.xi),
-            support=np.zeros_like(truth.support),
             names=truth.names,
             residuals=truth.residuals,
         )
