@@ -45,9 +45,12 @@ def _log(verbose: bool, message: str) -> None:
         print(message, file=sys.stderr)
 
 
-def _write_atomic(path: Path, text: str) -> None:
+def _write_atomic(path: Path, text) -> None:
+    """Write ``text``, a string or an iterable of them, to a temporary name
+    and rename it to ``path``."""
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
+    with open(tmp, "w") as f:
+        f.writelines([text] if isinstance(text, str) else text)
     os.replace(tmp, path)
 
 
@@ -133,18 +136,24 @@ def _resolve_config(args):
     return cfg
 
 
-def _prediction_csv(
-    target_names: tuple[str, ...], pred: np.ndarray, actual: np.ndarray
-) -> str:
-    """One row per sample: its index, then predicted and computed values of
-    each target, as shortest round-trip floats."""
+# prediction_vs_truth.csv is formatted this many rows at a time
+CSV_ROWS = 4096
+
+
+def _prediction_csv(target_names: tuple[str, ...], pred: np.ndarray, actual: np.ndarray):
+    """The text of prediction_vs_truth.csv, its header and then a chunk per
+    ``CSV_ROWS`` rows: one row per sample, its index, then predicted and
+    computed values of each target, as shortest round-trip floats."""
     header = ["sample"]
-    columns = [map(str, range(pred.shape[0]))]
-    for j, name in enumerate(target_names):
+    for name in target_names:
         header += [f"predicted_{name}", f"computed_{name}"]
-        columns += [map(repr, pred[:, j].tolist()), map(repr, actual[:, j].tolist())]
-    rows = [",".join(header), *map(",".join, zip(*columns))]
-    return "\n".join(rows) + "\n"
+    yield ",".join(header) + "\n"
+    for start in range(0, pred.shape[0], CSV_ROWS):
+        rows = slice(start, start + CSV_ROWS)
+        columns = [map(str, range(start, start + pred[rows].shape[0]))]
+        for j in range(len(target_names)):
+            columns += [map(repr, pred[rows, j].tolist()), map(repr, actual[rows, j].tolist())]
+        yield "".join(",".join(row) + "\n" for row in zip(*columns))
 
 
 def cmd_fit(args) -> int:

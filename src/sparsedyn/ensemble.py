@@ -3,11 +3,15 @@
 Each member solves on a compressed factor of its resampled rows: the bootstrap
 draws become row counts C, and the member's factor has R'R = [theta Y]' C W
 [theta Y] (W the sample weights).  No member builds its own problem or copies
-its rows: the factor streams the drawn rows through one block of at most
-``optimize.BLOCK_BYTES`` at a time, gathered over the feature columns the
-member keeps (a member may drop a few, their coefficients pinned to zero) and
-scaled by sqrt(count * weight).  A member holds its row counts, one block and
-the (p + n)-square factor; theta itself is still held whole.  Aggregation is a
+its rows.  All members read ``[theta Y]`` in one pass of blocks of at most
+``optimize.BLOCK_BYTES``, so a model's design fills each block once for them
+all; from each block every member gathers its drawn rows over the feature
+columns it keeps (a member may drop a few, their coefficients pinned to zero),
+scales them by sqrt(count * weight) and adds them to its Gram.  A member holds
+its row counts, in the narrowest unsigned type that holds them, and its
+(p + n)-square Gram; a member whose Gram is ill conditioned streams its rows
+once more for TSQR.  SSR members stream their own passes instead (train
+split, holdout and all their rows), one member at a time.  Aggregation is a
 per-entry median or mean; inclusion probability is the exact fraction of
 members retaining a term.
 """
@@ -16,11 +20,11 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field, replace
-
 import numpy as np
 
 from .errors import FitError, SpecError
-from .optimize import Coefficients, OptimizerSpec, Problem, _finish, _fit_rows, _Rows
+from .optimize import SSR, Coefficients, OptimizerSpec, Problem, _finish, _fit_rows, _Rows
+from .optimize import _grams, _narrow_counts
 
 _MASK64 = (1 << 64) - 1
 
@@ -80,9 +84,10 @@ class EnsembleReport:
 
 
 def fit_ensemble(
-    problem: Problem, opt: OptimizerSpec, spec: EnsembleSpec
+    problem: Problem | _Rows, opt: OptimizerSpec, spec: EnsembleSpec
 ) -> EnsembleReport:
-    """Fit ``spec.n_models`` members and aggregate.
+    """Fit ``spec.n_models`` members and aggregate, on a problem or on the
+    rows of a model's design (``model.fit`` passes them).
 
     Each member solves on the factor of its count-weighted rows (a row drawn
     c times enters the Gram with weight c), so full-fraction sampling without
@@ -93,7 +98,8 @@ def fit_ensemble(
     error.
     """
     spec.validate()
-    m, p = problem.theta.shape
+    base = _Rows.of(problem)
+    m, p = base.data.shape[0], base.n_features
     if spec.n_library_drop >= p:
         raise SpecError(
             f"cannot drop {spec.n_library_drop} of {p} library columns"
@@ -106,9 +112,7 @@ def fit_ensemble(
             stacklevel=2,
         )
 
-    base = _Rows.of(problem)
-    members: list[np.ndarray] = []
-    failures: list[str] = []
+    draws = []
     for i in range(spec.n_models):
         rng = np.random.default_rng(derive_seed(spec.seed, i))
         # the drawn positions live only while they are counted
@@ -120,9 +124,15 @@ def fit_ensemble(
         if spec.n_library_drop:
             dropped = rng.choice(p, size=spec.n_library_drop, replace=False)
             features = np.setdiff1d(np.arange(p), dropped)
-        member = replace(base, counts=counts, features=features)
+        draws.append(replace(base, counts=_narrow_counts(counts), features=features))
+    # one pass sums every member's Gram; SSR members read their own splits
+    grams = [None] * len(draws) if isinstance(opt, SSR) else _grams(draws)
+
+    members: list[np.ndarray] = []
+    failures: list[str] = []
+    for i, (draw, gram) in enumerate(zip(draws, grams)):
         try:
-            members.append(_fit_rows(member, opt)[0])
+            members.append(_fit_rows(draw, opt, gram)[0])
         except (FitError, SpecError, np.linalg.LinAlgError) as exc:
             failures.append(f"member {i}: {exc}")
 

@@ -86,7 +86,10 @@ class Custom(_Spec):
     """Named scalar functions, each applied to every input variable.
 
     ``functions`` holds (name, callable) pairs; names from ``CUSTOM_REGISTRY``
-    round-trip through JSON, arbitrary callables are code-only.
+    round-trip through JSON, arbitrary callables are code-only.  A function
+    must act elementwise: ``fit``, ``score`` and ``predict`` fill the design
+    a block of rows at a time, so one whose value in a row depends on other
+    rows is unsupported (those calls would disagree with ``design``).
     """
 
     functions: tuple[tuple[str, Callable], ...]
@@ -344,19 +347,21 @@ class GridPlan:
         self._fill(X, fields, out)
         return out
 
-    def n_rows(self, dataset: Dataset) -> int:
-        """One row per subdomain of a weak form, else per flattened sample."""
-        return dataset.n_samples if self.weak is None else self.weak.n_subdomains
+    def inputs(self, dataset: Dataset, diff_method: DiffMethod) -> tuple[np.ndarray, list]:
+        """What ``apply`` reads on ``dataset``'s grid: the ``(samples,
+        inputs)`` matrix and each block's derivative fields as ``(samples,
+        n_states)`` matrices, whose rows are the samples of ``flatten``."""
+        fields = [
+            [field.reshape(-1, self.n_states) for field in block.fields(dataset, diff_method)]
+            for block in self.blocks
+        ]
+        return _grid_inputs(dataset), fields
 
-    def write(self, dataset: Dataset, diff_method: DiffMethod, out: np.ndarray,
-              weak_lhs: np.ndarray | None = None) -> None:
-        """Write the values on ``dataset`` into ``out`` (``n_rows`` rows), and
-        a weak form's left-hand side into ``weak_lhs`` unless it is None."""
-        if self.weak is not None:
-            _weak_columns(self, dataset, diff_method, out, weak_lhs)
-        else:
-            fields = [block.fields(dataset, diff_method) for block in self.blocks]
-            self.apply(_grid_inputs(dataset), fields, out)
+    def write_weak(self, dataset: Dataset, diff_method: DiffMethod, out: np.ndarray,
+                   lhs: np.ndarray | None = None) -> None:
+        """Write a weak form's values on ``dataset`` into ``out``, one row per
+        subdomain, and its left-hand side into ``lhs`` unless it is None."""
+        _weak_columns(self, dataset, diff_method, out, lhs)
 
     def _walk(self, spec: LibrarySpec, names: tuple[str, ...]) -> tuple[list[str], _Fill]:
         """Column names of ``spec`` on inputs ``names``, and its fill."""

@@ -1,10 +1,14 @@
 """Fit / predict / simulate / score orchestration.
 
-Every path from data to a solver reads one ``design``, ``[theta Y]``: differential
+Every path from data to a solver reads one design, ``[theta Y]``: differential
 libraries pair feature rows with numerically computed time derivatives, weak
 libraries pair subdomain rows with the integrated left-hand side.  Rows are
 stacked across trajectories in input order and never differenced across
-trajectory boundaries.
+trajectory boundaries.  ``fit``, ``score`` and ``predict`` read the design a
+block of rows at a time: each block is filled from narrow inputs computed
+once (a grid library's states, derivative fields and targets; a weak form's
+rows), checked finite, used and dropped, so theta is never held whole.
+``design`` fills the same rows into one array.
 """
 
 from __future__ import annotations
@@ -19,8 +23,8 @@ from .diff import DiffMethod, FiniteDifference, differentiate_dataset
 from .ensemble import EnsembleReport, EnsembleSpec, fit_ensemble
 from .errors import DataError, FitError, SpecError
 from .library import GridPlan, LibrarySpec, WeakPDE
-from .optimize import STLSQ, Coefficients, OptimizerSpec, Problem, solve
-from .optimize import _finish, _fit_rows, _Rows
+from .optimize import STLSQ, Coefficients, OptimizerSpec, Problem
+from .optimize import PRODUCT_ROWS, _block_rows, _finish, _fit_rows, _non_finite_error, _Rows, _stream
 
 BLOWUP_NORM = 1e8
 
@@ -60,6 +64,93 @@ def _target_names(n_states: int) -> tuple[str, ...]:
     return tuple(f"q{j}_t" for j in range(n_states))
 
 
+class _Design:
+    """The rows ``[theta Y]`` of a design, filled a block at a time.
+
+    The narrow inputs are computed once per trajectory, whole: a grid
+    library's states and controls, each PDE block's derivative fields as
+    ``(samples, n)`` and, with targets, the first time derivatives; or a weak
+    form's rows, one per subdomain, with its left-hand side.  ``design[a:b]``
+    fills rows a..b-1 of the stacked trajectories from them into a new
+    C-ordered block and checks it finite.  A grid library's value in a row
+    depends on that row's inputs alone, so a block holds the bits of the same
+    rows of the whole design.
+    """
+
+    def __init__(self, data, library: LibrarySpec, diff: DiffMethod, targets: bool = True,
+                 names: tuple[str, ...] | None = None):
+        """The design of ``library`` on one or more trajectories, planned
+        once; ``names``, a model's columns, must be the library's."""
+        collection = as_collection(data)
+        plan = GridPlan(library, collection.n_states, collection.n_controls)
+        if targets:
+            diff.validate(1)
+        if names is not None and plan.names != names:
+            raise SpecError(f"the data give library columns {plan.names}, the model {names}")
+        self.plan, self.p = plan, len(plan.names)
+        width = self.p + (collection.n_states if targets else 0)
+        self.parts, m = [], 0
+        for ds in collection:
+            if plan.weak is None:
+                count, fill = self._grid_part(ds, diff, targets)
+            else:
+                count, fill = self._weak_part(ds, diff, width, targets)
+            self.parts.append((m, count, fill))
+            m += count
+        self.shape = (m, width)
+
+    def _grid_part(self, ds: Dataset, diff: DiffMethod, targets: bool):
+        # the fill refers to the plan, not to the design, so that dropping
+        # the design frees its inputs at once
+        plan, p = self.plan, self.p
+        X, fields = plan.inputs(ds, diff)
+        Y = differentiate_dataset(ds, diff).reshape(-1, ds.n_states) if targets else None
+
+        def fill(rows: slice, out: np.ndarray) -> None:
+            plan.apply(X[rows], [[f[rows] for f in block] for block in fields], out[:, :p])
+            if Y is not None:
+                out[:, p:] = Y[rows]
+
+        return X.shape[0], fill
+
+    def _weak_part(self, ds: Dataset, diff: DiffMethod, width: int, targets: bool):
+        whole = np.empty((self.plan.weak.n_subdomains, width))
+        self.plan.write_weak(ds, diff, whole[:, : self.p], whole[:, self.p :] if targets else None)
+
+        def fill(rows: slice, out: np.ndarray) -> None:
+            out[...] = whole[rows]
+
+        return whole.shape[0], fill
+
+    def fill(self, at: slice) -> np.ndarray:
+        """Rows ``at`` as a new C-ordered array, unchecked."""
+        start, stop, _ = at.indices(self.shape[0])
+        out = np.empty((max(stop - start, 0), self.shape[1]))
+        for first, count, fill in self.parts:
+            lo, hi = max(first, start), min(first + count, stop)
+            if lo < hi:
+                fill(slice(lo - first, hi - first), out[lo - start : hi - start])
+        return out
+
+    def __getitem__(self, at: slice) -> np.ndarray:
+        block = self.fill(at)
+        if not np.isfinite(block).all():
+            # name every bad feature column, as ``Problem`` does
+            finite = np.ones(self.shape[1], dtype=bool)
+            step = _block_rows(self.shape[1])
+            for start in range(0, self.shape[0], step):
+                finite &= np.isfinite(self.fill(slice(start, start + step))).all(axis=0)
+            bad = np.flatnonzero(~finite[: self.p])
+            raise _non_finite_error([self.plan.names[i] for i in bad])
+        return block
+
+    def rows(self, normalize_columns: bool) -> _Rows:
+        """The solvers' view: every library column in play, then the targets."""
+        return _Rows(data=self, n_features=self.p, weights=None, normalize=normalize_columns,
+                     names=self.plan.names, features=slice(0, self.p),
+                     targets=slice(self.p, None))
+
+
 def design(data, library: LibrarySpec, diff: DiffMethod = FiniteDifference(), *,
            targets: bool = True, normalize_columns: bool = False,
            names: tuple[str, ...] | None = None) -> Problem:
@@ -69,24 +160,14 @@ def design(data, library: LibrarySpec, diff: DiffMethod = FiniteDifference(), *,
     weak left-hand side of a weak library or else the first time derivatives,
     are written into its rows of one C-ordered ``(m, p + n)`` array; theta
     and targets are its two column blocks (targets has none without
-    ``targets``).  ``names``, a model's columns, must be the library's.
+    ``targets``).  ``names``, a model's columns, must be the library's.  The
+    array is filled as ``fit`` fills its blocks, so ``fit`` is ``solve`` (or
+    ``fit_ensemble``) on this problem, bit for bit.
     """
-    collection = as_collection(data)
-    plan = GridPlan(library, collection.n_states, collection.n_controls)
-    if targets:
-        diff.validate(1)
-    if names is not None and plan.names != names:
-        raise SpecError(f"the data give library columns {plan.names}, the model {names}")
-    p, n = len(plan.names), collection.n_states if targets else 0
-    counts = [plan.n_rows(ds) for ds in collection]
-    rows = np.empty((sum(counts), p + n))
-    for ds, end, count in zip(collection, np.cumsum(counts), counts):
-        block = rows[end - count : end]
-        plan.write(ds, diff, block[:, :p], block[:, p:] if targets else None)
-        if targets and plan.weak is None:
-            block[:, p:] = differentiate_dataset(ds, diff).reshape(-1, n)
+    source = _Design(data, library, diff, targets, names)
+    rows, p = source.fill(slice(None)), source.p
     return Problem(rows[:, :p], rows[:, p:], normalize_columns=normalize_columns,
-                   feature_names=plan.names)
+                   feature_names=source.plan.names)
 
 
 def fit(
@@ -100,16 +181,35 @@ def fit(
     """Discover sparse dynamics from one or more trajectories: ``solve``, or
     ``fit_ensemble`` with ``ensemble`` given, on the problem of ``design``.
 
+    The design is read a block of rows at a time (the factor, then the
+    residuals; an ensemble's members share each block, and SSR members pass
+    over their own splits), so a grid library's theta is never held whole;
+    the answers are those of ``solve`` on ``design``'s problem.
     ``diff`` computes the time-derivative targets (and any library
     derivatives that lack their own embedded method).  An ensemble's
     aggregated coefficients are returned alongside its full report.
     """
     if opt is None:
         opt = STLSQ()
-    problem = design(data, library, diff, normalize_columns=normalize_columns)
-    report = None if ensemble is None else fit_ensemble(problem, opt, ensemble)
-    coefficients = solve(problem, opt) if report is None else report.coefficients
-    return FittedModel(coefficients, library, diff, _target_names(problem.n_targets), report)
+    source = _Design(data, library, diff)
+    rows = source.rows(normalize_columns)
+    report = None if ensemble is None else fit_ensemble(rows, opt, ensemble)
+    coefficients = _finish(rows, *_fit_rows(rows, opt)) if report is None else report.coefficients
+    n_targets = source.shape[1] - source.p
+    return FittedModel(coefficients, library, diff, _target_names(n_targets), report)
+
+
+def _products(source: _Design, xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``theta @ xi`` and the targets of the design ``source``, from one pass
+    over blocks of whole ``PRODUCT_ROWS`` groups, so that the product has the
+    bits of one product over all rows."""
+    (m, width), p = source.shape, source.p
+    pred, actual = np.empty((m, xi.shape[1])), np.empty((m, width - p))
+    for at, block in _stream(source, PRODUCT_ROWS):
+        pred[at] = block[:, :p] @ xi
+        actual[at] = block[:, p:]
+        del block
+    return pred, actual
 
 
 def predict(model: FittedModel, dataset: Dataset) -> np.ndarray:
@@ -118,8 +218,8 @@ def predict(model: FittedModel, dataset: Dataset) -> np.ndarray:
     Differential models return the dataset's sample layout
     ``(*spatial, time, n)``; weak models return one row per subdomain.
     """
-    pred = design(dataset, model.library, model.diff, targets=False,
-                  names=model.feature_names).theta @ model.xi
+    source = _Design(dataset, model.library, model.diff, targets=False, names=model.feature_names)
+    pred = _products(source, model.xi)[0]
     if isinstance(model.library, WeakPDE):
         return pred
     return unflatten(pred, dataset.grid.sample_shape)
@@ -127,22 +227,28 @@ def predict(model: FittedModel, dataset: Dataset) -> np.ndarray:
 
 def _predicted_and_actual(model: FittedModel, data) -> tuple[np.ndarray, np.ndarray]:
     """Flat ``(rows, n)`` predictions and computed targets of one or more
-    trajectories; the targets are copied, so the design is freed on return."""
-    problem = design(data, model.library, model.diff, names=model.feature_names)
-    if problem.n_targets != len(model.target_names):
-        raise SpecError(f"the data have {problem.n_targets} states, the model "
+    trajectories, from one pass over the design's blocks."""
+    pred, actual = _products(_Design(data, model.library, model.diff, names=model.feature_names),
+                             model.xi)
+    if actual.shape[1] != len(model.target_names):
+        raise SpecError(f"the data have {actual.shape[1]} states, the model "
                         f"{len(model.target_names)} targets")
-    return problem.theta @ model.xi, problem.targets.copy()
+    return pred, actual
+
+
+def _squares(x: np.ndarray) -> np.ndarray:
+    """``x ** 2``, in place of the temporary ``x``."""
+    return np.multiply(x, x, out=x)
 
 
 def _metric(pred: np.ndarray, actual: np.ndarray, metric: str) -> float:
     if metric == "rmse":
-        return float(np.sqrt(np.mean((pred - actual) ** 2)))
+        return float(np.sqrt(np.mean(_squares(pred - actual))))
     if metric == "r2":
-        ss_tot = float(np.sum((actual - actual.mean()) ** 2))
+        ss_tot = float(np.sum(_squares(actual - actual.mean())))
         if ss_tot == 0.0:
             raise DataError("r2 is undefined for a constant target")
-        ss_res = float(np.sum((pred - actual) ** 2))
+        ss_res = float(np.sum(_squares(pred - actual)))
         return 1.0 - ss_res / ss_tot
     raise SpecError(f"unknown metric {metric!r} (use r2 or rmse)")
 

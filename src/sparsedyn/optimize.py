@@ -15,11 +15,14 @@ compressed factor of ``[theta Y]``: an upper-triangular R of p + n rows with
 R'R = [theta Y]' W [theta Y] (W the sample weights), from Cholesky of the Gram
 matrix when that is well conditioned and TSQR (blockwise Householder QR) of
 the rows otherwise.  Bagging ensembles and SSR's holdout split reuse it with
-row counts folded into W.  The factor and the returned residuals stream the
-rows of nonzero weight in blocks of at most ``BLOCK_BYTES``, each gathered and
-scaled by sqrt(W) on its own, so a weighted or resampled fit copies no more
-than one block of rows; theta itself is still held whole.  Every solver
-reports the factor's ``cond_estimate`` and ``rank_deficient``.
+row counts folded into W.  The factor and the returned residuals read
+``[theta Y]`` in blocks of ``BLOCK_BYTES`` of its full rows, one partition
+for every pass, and gather and scale by sqrt(W) the rows of nonzero weight of
+each block on its own, so a weighted or resampled fit copies no more than one
+block of rows.  The rows are an array, or a model's design, which fills each
+block from its narrow inputs when a pass reads it, so that no fit of a grid
+library holds theta whole.  Every solver reports the factor's
+``cond_estimate`` and ``rank_deficient``.
 
 Solvers are deterministic given their inputs.  Zero feature columns are
 dropped before solving and reported in diagnostics; coefficients keep the
@@ -82,10 +85,9 @@ class Problem:
             object.__setattr__(self, "feature_names", names)
         if not np.isfinite(theta).all():
             bad = np.flatnonzero(~np.isfinite(theta).all(axis=0))
-            columns = [self.names()[i] for i in bad]
-            raise DataError(f"non-finite values in feature columns {columns}")
+            raise _non_finite_error([self.names()[i] for i in bad])
         if not np.isfinite(targets).all():
-            raise DataError("non-finite values in targets")
+            raise _non_finite_error([])
         if self.sample_weights is not None:
             w = np.asarray(self.sample_weights, dtype=float)
             if w.shape != (theta.shape[0],) or np.any(w < 0):
@@ -106,6 +108,14 @@ class Problem:
         if self.feature_names is not None:
             return self.feature_names
         return tuple(f"f{i}" for i in range(self.n_features))
+
+
+def _non_finite_error(columns: list[str]) -> DataError:
+    """The error of a problem with non-finite values: in the feature
+    ``columns`` named, or, if there are none, in the targets."""
+    if columns:
+        return DataError(f"non-finite values in feature columns {columns}")
+    return DataError("non-finite values in targets")
 
 
 @dataclass(frozen=True)
@@ -238,23 +248,46 @@ CHOLESKY_MIN_PIVOT = 1e-3
 RANK_RTOL = 1e-10
 
 
-# A factor or residual pass gathers and scales the rows it reads one block at
-# a time; a block holds at most this many bytes of rows.
+# A pass over the rows of [theta Y] reads them one block at a time; a block
+# holds this many bytes of full rows.
 BLOCK_BYTES = 1 << 20
 
 
-def _triangular_factor(blocks, width: int, n_features: int) -> np.ndarray:
-    """Upper-triangular R with R'R = rows'rows summed over the row blocks of
-    ``blocks()``, each ``width`` columns wide: Cholesky of the summed Gram
-    while that is well conditioned, else TSQR (Householder QR of each block
-    stacked under the R of the blocks before it)."""
-    gram = None
-    for rows in blocks():
-        if gram is None:
-            gram = rows.T @ rows
-        else:
-            gram += rows.T @ rows
-        del rows  # each block is freed before the next is gathered
+# A matrix product kernel may take rows in groups (OpenBLAS's dgemv takes
+# four at a time) and round a last, partial group otherwise; products over
+# blocks of whole groups of this many rows have the bits of one product over
+# all the rows.  A matrix-matrix product (several targets) can still round
+# otherwise: OpenBLAS's products of some sizes differed in the last bit.
+PRODUCT_ROWS = 64
+
+
+def _block_rows(width: int) -> int:
+    """Rows per block of float64 rows ``width`` wide."""
+    return max(1, BLOCK_BYTES // (width * 8))
+
+
+def _stream(data, multiple: int = 1):
+    """(row slice, block) for each block of ``data`` in order: the next
+    ``BLOCK_BYTES`` of its full float64 rows, whatever columns a reader
+    takes, so every pass over the same rows has the same partition.  With
+    ``multiple``, a block holds whole multiples of that many rows (at least
+    one), and the last one also any rows short of a multiple.  ``data`` is an
+    array (a block is a view of it) or a model's design, whose row slices
+    fill new blocks."""
+    m, step = data.shape[0], _block_rows(data.shape[1])
+    step, start = max(multiple, step - step % multiple), 0
+    while start < m:
+        stop = start + step if m - start - step >= multiple else m
+        yield slice(start, stop), data[start:stop]
+        start = stop
+
+
+def _triangular_factor(gram, blocks, width: int, n_features: int) -> np.ndarray:
+    """Upper-triangular R with R'R = rows'rows for the row blocks of
+    ``blocks()``, each ``width`` columns wide, whose summed Gram is ``gram``
+    (None: there are no rows): Cholesky of ``gram`` while that is well
+    conditioned, else TSQR (Householder QR of each block stacked under the R
+    of the blocks before it), which streams the blocks once more."""
     if gram is None:
         return np.zeros((0, width))
     try:
@@ -336,16 +369,18 @@ class _Factor:
 
 @dataclass(frozen=True)
 class _Rows:
-    """A weighted multiset of rows of an array of library columns and targets.
+    """A weighted multiset of rows of library columns and targets.
 
     ``data[:, features]`` are the library columns in play and
     ``data[:, targets]`` the targets: a problem's ``[theta Y]``, or the
     library alone with one of its columns as the target of an implicit
-    candidate.  ``n_features`` is the library's width.  A row takes part with
-    weight count * sample weight (``counts``: None, every row once); rows of
-    weight 0 are left out.  Variants (ensemble members, holdout splits,
-    candidates) share ``data``; factors and residuals read it one block of
-    rows at a time (``_blocks``), so none copies more than a block of it.
+    candidate.  ``data`` is an array, or a model's design, which fills the
+    rows of each block it is sliced for (``_stream``).  ``n_features`` is the
+    library's width.  A row takes part with weight count * sample weight
+    (``counts``: None, every row once); rows of weight 0 are left out.
+    Variants (ensemble members, holdout splits, candidates) share ``data``;
+    factors and residuals read it one block at a time, and gather from each
+    block the rows they weigh, so none copies more than a block of it.
     """
 
     data: np.ndarray
@@ -358,10 +393,13 @@ class _Rows:
     counts: np.ndarray | None = None
 
     @classmethod
-    def of(cls, problem: Problem) -> "_Rows":
+    def of(cls, problem: "Problem | _Rows") -> "_Rows":
         """The rows of ``problem``, read in place when its theta and targets
         are the first p and last n columns of one C-ordered array (the
-        layout of a model's design), else copied into one."""
+        layout of ``design``'s problems), else copied into one; rows are
+        themselves."""
+        if isinstance(problem, _Rows):
+            return problem
         theta, targets, p = problem.theta, problem.targets, problem.n_features
         data = theta.base
         views = (theta.__array_interface__, targets.__array_interface__)
@@ -382,59 +420,68 @@ class _Rows:
             targets=slice(p, None),
         )
 
-    def _blocks(self, columns: np.ndarray | None = None):
-        """The rows of nonzero weight in order, over ``columns`` (None: all),
-        as (rows, sqrt(weight)) blocks; the root is None where every weight
-        is 1.  Each block comes from the next range of ``data``'s rows that
-        fills ``BLOCK_BYTES`` in those columns, so it holds at most that.
-        Weighted blocks are gathered copies; unweighted ones may be views of
-        ``data``.  A block is released before the next is gathered, so a
-        consumer that drops it too holds one block at a time."""
-        data = self.data
-        width = data.shape[1] if columns is None else columns.size
-        step = max(1, BLOCK_BYTES // (width * data.itemsize))
-        for start in range(0, data.shape[0], step):
-            part = data[start : start + step]
-            weight = self._weight(slice(start, start + step))
-            if weight is None:
-                yield (part if columns is None else np.take(part, columns, axis=1)), None
-                continue
-            nz = np.flatnonzero(weight)
-            if nz.size:
-                rows = np.take(part, nz, axis=0) if columns is None else part[np.ix_(nz, columns)]
-                yield rows, np.sqrt(weight[nz])
-                del rows
+    def _gather(self, at: slice, part: np.ndarray, columns: np.ndarray | None = None):
+        """The rows of nonzero weight of ``part``, the block of ``data``'s
+        rows ``at``, over ``columns`` (None: all), and their sqrt(weight)
+        (None where every weight is 1); both None if no row has weight.
+        Weighted rows are gathered copies; unweighted ones may be ``part``."""
+        weight = self._weight(at)
+        if weight is None:
+            return (part if columns is None else np.take(part, columns, axis=1)), None
+        nz = np.flatnonzero(weight)
+        if not nz.size:
+            return None, None
+        rows = np.take(part, nz, axis=0) if columns is None else part[np.ix_(nz, columns)]
+        return rows, np.sqrt(weight[nz])
+
+    def _scaled(self, at: slice, part: np.ndarray, columns: np.ndarray | None):
+        """``_gather``'s rows, each scaled by sqrt(weight); None if none."""
+        rows, root = self._gather(at, part, columns)
+        if root is not None:
+            rows *= root[:, None]
+        return rows
 
     def _weight(self, rows: slice) -> np.ndarray | None:
-        """count * sample weight of ``rows`` (None: every weight is 1)."""
-        counts = None if self.counts is None else self.counts[rows]
+        """count * sample weight of ``rows`` (None: every weight is 1); the
+        narrow counts are taken as float64, so their square roots are."""
+        counts = None if self.counts is None else self.counts[rows].astype(np.float64)
         weights = None if self.weights is None else self.weights[rows]
         if counts is None:
             return weights
         return counts if weights is None else counts * weights
 
-    def factor(self) -> _Factor:
-        """Factor of the rows of nonzero weight, scaled by sqrt(weight), over
-        the library columns in play and the targets."""
+    def _columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+        """The library columns in play; the factor's columns, they and then
+        the targets; and the latter as a gather (None: every column)."""
         every = np.arange(self.data.shape[1])
         features = every[self.features]
         columns = np.concatenate((features, every[self.targets]))
-        gather = None if np.array_equal(columns, every) else columns
+        return features, columns, None if np.array_equal(columns, every) else columns
+
+    def _factor(self, gram: np.ndarray | None) -> _Factor:
+        """The factor of these rows, given their Gram from ``_grams``."""
+        features, columns, gather = self._columns()
 
         def scaled():
-            for rows, root in self._blocks(gather):
-                if root is not None:
-                    rows *= root[:, None]
-                yield rows
-                del rows, root
+            for at, part in _stream(self.data):
+                rows = self._scaled(at, part, gather)
+                del part  # each block is freed before the next is filled
+                if rows is not None:
+                    yield rows
+                del rows
 
         return _Factor(
-            _triangular_factor(scaled, columns.size, features.size),
+            _triangular_factor(gram, scaled, columns.size, features.size),
             features,
             self.n_features,
             self.normalize,
             self.names,
         )
+
+    def factor(self) -> _Factor:
+        """Factor of the rows of nonzero weight, scaled by sqrt(weight), over
+        the library columns in play and the targets."""
+        return self._factor(_grams([self])[0])
 
     def split(self) -> tuple["_Rows", "_Rows"]:
         """Seeded (train, holdout) split of the row multiset."""
@@ -448,7 +495,8 @@ class _Rows:
             drawn = np.repeat(np.arange(m), self.counts)[drawn]
         hold = np.bincount(drawn, minlength=m)
         total = 1 if self.counts is None else self.counts
-        return replace(self, counts=total - hold), replace(self, counts=hold)
+        return (replace(self, counts=_narrow_counts(total - hold)),
+                replace(self, counts=_narrow_counts(hold)))
 
     def residual_norms(self, xis: np.ndarray) -> np.ndarray:
         """Per-target residual norms over the rows of nonzero weight, each
@@ -457,13 +505,42 @@ class _Rows:
         by block, as ``np.linalg.norm`` sums them, with one square root."""
         xis_in_play = xis[:, self.features]
         total = np.zeros((len(xis), xis.shape[2]))
-        for rows, root in self._blocks():
+        for at, part in _stream(self.data):
+            rows, root = self._gather(at, part)
+            del part  # each block is freed before the next is filled
+            if rows is None:
+                continue
             resid = rows[:, self.targets] - rows[:, self.features] @ xis_in_play
             if root is not None:
                 resid *= root[:, None]
             total += np.add.reduce(resid * resid, axis=1)
             del rows, root, resid
         return np.sqrt(total)
+
+
+def _narrow_counts(counts: np.ndarray) -> np.ndarray:
+    """Row counts in the narrowest unsigned integer type that holds them."""
+    return counts.astype(np.min_scalar_type(counts.max()))
+
+
+def _grams(row_sets: list[_Rows]) -> list:
+    """The Gram of each row set's rows of nonzero weight, scaled by
+    sqrt(weight), over its factor's columns (None: no rows), from one pass
+    over the rows they share: each block is read (a design fills it) once."""
+    gathers = [rows._columns()[2] for rows in row_sets]
+    grams = [None] * len(row_sets)
+    for at, part in _stream(row_sets[0].data):
+        for k, (rows, gather) in enumerate(zip(row_sets, gathers)):
+            scaled = rows._scaled(at, part, gather)
+            if scaled is None:
+                continue
+            if grams[k] is None:
+                grams[k] = scaled.T @ scaled
+            else:
+                grams[k] += scaled.T @ scaled
+            del scaled
+        del part  # each block is freed before the next is filled
+    return grams
 
 
 def _finish(rows: _Rows, xi: np.ndarray, diags: dict) -> Coefficients:
@@ -758,11 +835,13 @@ def _frols_path(
 _SOLVERS = {STLSQ: _solve_stlsq, SR3: _solve_sr3, SSR: _ssr_path, FROLS: _frols_path}
 
 
-def _fit_rows(rows: _Rows, spec: OptimizerSpec):
+def _fit_rows(rows: _Rows, spec: OptimizerSpec, gram: np.ndarray | None = None):
     """Validate ``spec`` and fit one model on the factor of ``rows``, for
     ``solve``, ensemble members and implicit candidates: SSR's holdout pick,
     FROLS's last path entry, else the solver's coefficients.  Returns them in
-    library indexing with the diagnostics, the factor's included."""
+    library indexing with the diagnostics, the factor's included.  ``gram``,
+    when given, is the Gram of ``rows`` from a pass shared with other row
+    sets (SSR ignores it: its passes read its splits)."""
     solver = _SOLVERS.get(type(spec))
     if solver is None:
         raise SpecError(f"unknown optimizer spec {spec!r}")
@@ -770,7 +849,7 @@ def _fit_rows(rows: _Rows, spec: OptimizerSpec):
     if isinstance(spec, SSR):
         fac, xi_n, diags = _ssr_holdout(rows, spec)
     else:
-        fac = rows.factor()
+        fac = rows.factor() if gram is None else rows._factor(gram)
         xi_n, diags = solver(fac, spec)
         if isinstance(spec, FROLS):
             xi_n = xi_n[-1][1]

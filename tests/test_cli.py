@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sparsedyn.cli import _prediction_csv, main, model_from_report
+from sparsedyn.cli import CSV_ROWS, _prediction_csv, _write_atomic, main, model_from_report
 from sparsedyn.data import Dataset, Grid, load_dataset, save_dataset, split_train_test
 from sparsedyn.diff import differentiate_dataset
 from sparsedyn.library import WeakPDE
@@ -435,6 +435,17 @@ def per_cell_csv(names, pred, actual):
     return "\n".join(rows) + "\n"
 
 
+def whole_table_csv(target_names, pred, actual):
+    """The writer that formatted the whole table into one string."""
+    header = ["sample"]
+    columns = [map(str, range(pred.shape[0]))]
+    for j, name in enumerate(target_names):
+        header += [f"predicted_{name}", f"computed_{name}"]
+        columns += [map(repr, pred[:, j].tolist()), map(repr, actual[:, j].tolist())]
+    rows = [",".join(header), *map(",".join, zip(*columns))]
+    return "\n".join(rows) + "\n"
+
+
 def computed_targets(model, dataset):
     if isinstance(model.library, WeakPDE):
         return design(dataset, model.library, model.diff).targets
@@ -494,7 +505,21 @@ class TestPredictionCsv:
         pred[: len(special), 0] = special
         actual[-len(special) :, -1] = special
         names = tuple(f"q{j}_t" for j in range(n_targets))
-        assert _prediction_csv(names, pred, actual) == per_cell_csv(names, pred, actual)
+        assert "".join(_prediction_csv(names, pred, actual)) == per_cell_csv(names, pred, actual)
+
+    @pytest.mark.parametrize("n_targets", [1, 3])
+    @pytest.mark.parametrize("m", [0, 1, 7, CSV_ROWS, 2 * CSV_ROWS + 17])
+    def test_file_written_in_blocks_holds_the_whole_table(self, tmp_path, n_targets, m):
+        rng = np.random.default_rng(m + n_targets)
+        pred = rng.standard_normal((m, n_targets)) * 10.0 ** rng.integers(-300, 300, (m, n_targets))
+        actual = rng.standard_normal((m, n_targets))
+        if m:
+            pred[0, 0], actual[-1, -1] = -0.0, np.nan
+        names = tuple(f"q{j}_t" for j in range(n_targets))
+        path = tmp_path / "prediction_vs_truth.csv"
+        _write_atomic(path, _prediction_csv(names, pred, actual))
+        assert path.read_bytes() == whole_table_csv(names, pred, actual).encode()
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]
 
 
 class TestScore:

@@ -191,7 +191,11 @@ class TestManyBlocks:
 def former_weighted(rows, columns=None):
     weight = rows.weights
     if rows.counts is not None:
-        weight = rows.counts if weight is None else rows.counts * weight
+        # counts are held narrow (uint8 here), and the root of a uint8 array
+        # is float16: the former path read them as float64, the int64
+        # counts' values
+        counts = rows.counts.astype(np.float64)
+        weight = counts if weight is None else counts * weight
     if weight is None:
         gathered = rows.data if columns is None else np.take(rows.data, columns, axis=1)
         return gathered, None
@@ -237,6 +241,8 @@ def former_residual_norms(self, xis):
 def former_path():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(_Rows, "factor", former_factor)
+        # ensemble members factor a Gram summed in one shared pass
+        mp.setattr(_Rows, "_factor", lambda self, gram: former_factor(self))
         mp.setattr(_Rows, "residual_norms", former_residual_norms)
         yield
 
