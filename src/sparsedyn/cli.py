@@ -287,10 +287,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, seed_help):
+    def common(p, seed_help=None):
         p.add_argument("--config", required=True, help="JSON spec/config path")
         p.add_argument("--out", help="output directory (overrides config)")
-        p.add_argument("--seed", type=int, help=seed_help)
+        if seed_help is not None:
+            p.add_argument("--seed", type=int, help=seed_help)
         p.add_argument("--verbose", action="store_true")
 
     gen = sub.add_parser("generate", help="write a benchmark dataset directory")
@@ -309,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     fit_p.set_defaults(func=cmd_fit)
 
     score_p = sub.add_parser("score", help="score a saved report against a dataset")
-    common(score_p, "ignored")
+    common(score_p)
     score_p.add_argument("--data", required=True, help="dataset directory or CSV")
     score_p.set_defaults(func=cmd_score)
     return parser

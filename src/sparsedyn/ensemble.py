@@ -10,10 +10,10 @@ columns it keeps (a member may drop a few, their coefficients pinned to zero),
 scales them by sqrt(count * weight) and adds them to its Gram.  A member holds
 its row counts, in the narrowest unsigned type that holds them, and its
 (p + n)-square Gram; a member whose Gram is ill conditioned streams its rows
-once more for TSQR.  SSR members stream their own passes instead (train
-split, holdout and all their rows), one member at a time.  Aggregation is a
-per-entry median or mean; inclusion probability is the exact fraction of
-members retaining a term.
+once more for TSQR.  An SSR member also streams its train split's Gram and
+its holdout residuals, one member at a time.  Aggregation is a per-entry
+median or mean; inclusion probability is the exact fraction of members
+retaining a term.
 """
 
 from __future__ import annotations
@@ -23,8 +23,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import FitError, SpecError
-from .optimize import SSR, Coefficients, OptimizerSpec, Problem, _finish, _fit_rows, _Rows
-from .optimize import _grams, _narrow_counts
+from .optimize import Coefficients, OptimizerSpec, Problem, _checked_solver, _finish, _fit_rows
+from .optimize import NO_FEATURE, _grams, _narrow_counts, _Rows
 
 _MASK64 = (1 << 64) - 1
 
@@ -94,9 +94,10 @@ def fit_ensemble(
     replacement reproduces the plain solve exactly, residuals included.
     Fully deterministic given the spec seed: member seeds come from
     ``derive_seed`` and aggregation does not depend on completion order.
-    Members whose solve raises are excluded; more than half failing is an
-    error.
+    ``opt`` is checked once, before any member is drawn.  Members whose
+    solve raises are excluded; more than half failing is an error.
     """
+    _checked_solver(opt)
     spec.validate()
     base = _Rows.of(problem)
     m, p = base.data.shape[0], base.n_features
@@ -125,13 +126,14 @@ def fit_ensemble(
             dropped = rng.choice(p, size=spec.n_library_drop, replace=False)
             features = np.setdiff1d(np.arange(p), dropped)
         draws.append(replace(base, counts=_narrow_counts(counts), features=features))
-    # one pass sums every member's Gram; SSR members read their own splits
-    grams = [None] * len(draws) if isinstance(opt, SSR) else _grams(draws)
+    grams = _grams(draws)  # one pass sums every member's Gram
 
     members: list[np.ndarray] = []
     failures: list[str] = []
     for i, (draw, gram) in enumerate(zip(draws, grams)):
         try:
+            if gram is None:  # the member drew no row of nonzero weight
+                raise FitError(NO_FEATURE)
             members.append(_fit_rows(draw, opt, gram)[0])
         except (FitError, SpecError, np.linalg.LinAlgError) as exc:
             failures.append(f"member {i}: {exc}")

@@ -357,12 +357,6 @@ class GridPlan:
         ]
         return _grid_inputs(dataset), fields
 
-    def write_weak(self, dataset: Dataset, diff_method: DiffMethod, out: np.ndarray,
-                   lhs: np.ndarray | None = None) -> None:
-        """Write a weak form's values on ``dataset`` into ``out``, one row per
-        subdomain, and its left-hand side into ``lhs`` unless it is None."""
-        _weak_columns(self, dataset, diff_method, out, lhs)
-
     def _walk(self, spec: LibrarySpec, names: tuple[str, ...]) -> tuple[list[str], _Fill]:
         """Column names of ``spec`` on inputs ``names``, and its fill."""
         if isinstance(spec, WeakPDE):
@@ -558,8 +552,9 @@ def _weak_axis_vectors(
     return w, vectors
 
 
-def _weak_columns(plan: GridPlan, dataset: Dataset, diff_method: DiffMethod,
-                  values: np.ndarray, lhs: np.ndarray | None) -> None:
+def _weak_columns(plan: GridPlan, dataset: Dataset, diff_method: DiffMethod) -> np.ndarray:
+    """The weak form of ``plan`` on ``dataset``, one row per subdomain: its
+    library columns, then its left-hand side."""
     spec = plan.weak
     grid = dataset.grid
     n = dataset.n_states
@@ -609,7 +604,8 @@ def _weak_columns(plan: GridPlan, dataset: Dataset, diff_method: DiffMethod,
 
     rng = np.random.default_rng(spec.seed)
 
-    states = dataset.states
+    states, p = dataset.states, len(plan.names)
+    values = np.empty((spec.n_subdomains, p + n))
     for k in range(spec.n_subdomains):
         starts = [
             int(rng.integers(0, coords.size - size + 1))
@@ -651,5 +647,5 @@ def _weak_columns(plan: GridPlan, dataset: Dataset, diff_method: DiffMethod,
             ).ravel()
             col += n_f * n
         values[k, col : col + n_f] = np.tensordot(f_block, w_phi, axes=n_axes)
-        if lhs is not None:
-            lhs[k] = -np.tensordot(weight_field({n_axes - 1: 1}), state_block, axes=n_axes)
+        values[k, p:] = -np.tensordot(weight_field({n_axes - 1: 1}), state_block, axes=n_axes)
+    return values

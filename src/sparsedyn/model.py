@@ -22,7 +22,7 @@ from .data import Dataset, as_collection, unflatten
 from .diff import DiffMethod, FiniteDifference, differentiate_dataset
 from .ensemble import EnsembleReport, EnsembleSpec, fit_ensemble
 from .errors import DataError, FitError, SpecError
-from .library import GridPlan, LibrarySpec, WeakPDE
+from .library import GridPlan, LibrarySpec, WeakPDE, _weak_columns
 from .optimize import STLSQ, Coefficients, OptimizerSpec, Problem
 from .optimize import PRODUCT_ROWS, _block_rows, _finish, _fit_rows, _non_finite_error, _Rows, _stream
 
@@ -94,7 +94,7 @@ class _Design:
             if plan.weak is None:
                 count, fill = self._grid_part(ds, diff, targets)
             else:
-                count, fill = self._weak_part(ds, diff, width, targets)
+                count, fill = self._weak_part(ds, diff, width)
             self.parts.append((m, count, fill))
             m += count
         self.shape = (m, width)
@@ -113,9 +113,8 @@ class _Design:
 
         return X.shape[0], fill
 
-    def _weak_part(self, ds: Dataset, diff: DiffMethod, width: int, targets: bool):
-        whole = np.empty((self.plan.weak.n_subdomains, width))
-        self.plan.write_weak(ds, diff, whole[:, : self.p], whole[:, self.p :] if targets else None)
+    def _weak_part(self, ds: Dataset, diff: DiffMethod, width: int):
+        whole = _weak_columns(self.plan, ds, diff)[:, :width]
 
         def fill(rows: slice, out: np.ndarray) -> None:
             out[...] = whole[rows]
@@ -182,8 +181,9 @@ def fit(
     ``fit_ensemble`` with ``ensemble`` given, on the problem of ``design``.
 
     The design is read a block of rows at a time (the factor, then the
-    residuals; an ensemble's members share each block, and SSR members pass
-    over their own splits), so a grid library's theta is never held whole;
+    residuals; an ensemble's members share each block, and an SSR fit also
+    reads its train split and its holdout), so a grid library's theta is
+    never held whole;
     the answers are those of ``solve`` on ``design``'s problem.
     ``diff`` computes the time-derivative targets (and any library
     derivatives that lack their own embedded method).  An ensemble's

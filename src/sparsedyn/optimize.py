@@ -21,8 +21,9 @@ for every pass, and gather and scale by sqrt(W) the rows of nonzero weight of
 each block on its own, so a weighted or resampled fit copies no more than one
 block of rows.  The rows are an array, or a model's design, which fills each
 block from its narrow inputs when a pass reads it, so that no fit of a grid
-library holds theta whole.  Every solver reports the factor's
-``cond_estimate`` and ``rank_deficient``.
+library holds theta whole.  Row sets that share the rows (SSR's train split
+and all its rows, or every ensemble member) sum their Grams in one pass.
+Every solver reports the factor's ``cond_estimate`` and ``rank_deficient``.
 
 Solvers are deterministic given their inputs.  Zero feature columns are
 dropped before solving and reported in diagnostics; coefficients keep the
@@ -260,6 +261,10 @@ BLOCK_BYTES = 1 << 20
 # otherwise: OpenBLAS's products of some sizes differed in the last bit.
 PRODUCT_ROWS = 64
 
+# The failure of a fit on rows where every library column is zero (among
+# them, a row set with no row of nonzero weight)
+NO_FEATURE = "every library column is zero on the rows being fit; there is no feature to fit"
+
 
 def _block_rows(width: int) -> int:
     """Rows per block of float64 rows ``width`` wide."""
@@ -337,10 +342,7 @@ class _Factor:
         self.dropped = columns[~keep]
         k = self.index.size
         if k == 0:
-            raise FitError(
-                "every library column is zero on the rows being fit; "
-                "there is no feature to fit"
-            )
+            raise FitError(NO_FEATURE)
         if k < k0:
             kept = np.concatenate((np.flatnonzero(keep), np.arange(k0, R.shape[1])))
             R = np.linalg.qr(R[:, kept], mode="r")
@@ -745,14 +747,18 @@ def _ssr_path(fac: _Factor, spec: SSR) -> tuple[list[tuple[int, np.ndarray]], di
     return entries, {}
 
 
-def _ssr_holdout(rows: _Rows, spec: SSR) -> tuple[_Factor, np.ndarray, dict]:
+def _ssr_holdout(
+    rows: _Rows, spec: SSR, gram: np.ndarray | None
+) -> tuple[_Factor, np.ndarray, dict]:
     """Path on the train rows, per-target selection by holdout residual, and
-    a refit of the selected supports on the factor of all rows.
+    a refit of the selected supports on the factor of all rows, whose Gram
+    is ``gram`` (None: summed in the train rows' pass).
 
     Each target takes the sparsest path entry whose holdout residual is
     within ``HOLDOUT_TIE_RTOL`` of the smallest."""
     train, hold = rows.split()
-    train_fac = train.factor()
+    train_gram, gram = _grams([train, rows]) if gram is None else (_grams([train])[0], gram)
+    train_fac = train._factor(train_gram)
     path = np.stack([train_fac.embed(xi_n) for _, xi_n in _ssr_path(train_fac, spec)[0]])
     hold_res = hold.residual_norms(path)
     near_min = hold_res <= hold_res.min(axis=0) * (1.0 + HOLDOUT_TIE_RTOL)
@@ -760,7 +766,7 @@ def _ssr_holdout(rows: _Rows, spec: SSR) -> tuple[_Factor, np.ndarray, dict]:
     pick = len(path) - 1 - np.argmax(near_min[::-1], axis=0)
     n = path.shape[2]
     selected = path[pick, :, np.arange(n)].T != 0.0
-    fac = rows.factor()
+    fac = rows._factor(gram)
     xi = _refit(fac.theta, fac.targets, selected[fac.index])
     return fac, xi, {"holdout_rows": int(hold.counts.sum())}
 
@@ -835,19 +841,26 @@ def _frols_path(
 _SOLVERS = {STLSQ: _solve_stlsq, SR3: _solve_sr3, SSR: _ssr_path, FROLS: _frols_path}
 
 
+def _checked_solver(spec: OptimizerSpec):
+    """The solver of ``spec`` once the spec is known and valid: the one spec
+    check of every fit, made before any row is read."""
+    solver = _SOLVERS.get(type(spec))
+    if solver is None:
+        raise SpecError(f"unknown optimizer spec {spec!r}")
+    spec.validate()
+    return solver
+
+
 def _fit_rows(rows: _Rows, spec: OptimizerSpec, gram: np.ndarray | None = None):
     """Validate ``spec`` and fit one model on the factor of ``rows``, for
     ``solve``, ensemble members and implicit candidates: SSR's holdout pick,
     FROLS's last path entry, else the solver's coefficients.  Returns them in
     library indexing with the diagnostics, the factor's included.  ``gram``,
     when given, is the Gram of ``rows`` from a pass shared with other row
-    sets (SSR ignores it: its passes read its splits)."""
-    solver = _SOLVERS.get(type(spec))
-    if solver is None:
-        raise SpecError(f"unknown optimizer spec {spec!r}")
-    spec.validate()
+    sets."""
+    solver = _checked_solver(spec)
     if isinstance(spec, SSR):
-        fac, xi_n, diags = _ssr_holdout(rows, spec)
+        fac, xi_n, diags = _ssr_holdout(rows, spec, gram)
     else:
         fac = rows.factor() if gram is None else rows._factor(gram)
         xi_n, diags = solver(fac, spec)
@@ -869,10 +882,10 @@ def solve_path(problem: Problem, spec: SSR | FROLS) -> list[PathEntry]:
     SSR's from every term down to ``min_terms``, FROLS's from one term up."""
     if not isinstance(spec, (SSR, FROLS)):
         raise SpecError(f"solve_path requires SSR or FROLS, got {type(spec).__name__}")
-    spec.validate()
+    solver = _checked_solver(spec)
     rows = _Rows.of(problem)
     fac = rows.factor()
-    path, diags = _SOLVERS[type(spec)](fac, spec)
+    path, diags = solver(fac, spec)
     entries = []
     for size, xi in path:
         c = _finish(rows, fac.embed(xi), {**fac.diagnostics, **diags})

@@ -419,6 +419,25 @@ class TestCommandLineOverrides:
         assert seeded == generate("seven", 7)
         assert seeded != generate("one", 1)
 
+    @pytest.mark.parametrize("optimizer, diagnostic", [("ssr", "holdout_rows"),
+                                                       ("frols", "err_values")])
+    def test_optimizer_override_fits_a_greedy_solver(self, tmp_path, capsys, lorenz_dataset,
+                                                     optimizer, diagnostic):
+        cfg = fit_config(tmp_path, lorenz_dataset, out_name="greedy")
+        self.run(capsys, "fit", "--config", str(cfg), "--optimizer", optimizer)
+        report = json.loads((tmp_path / "greedy" / "report.json").read_text())
+        assert diagnostic in report["diagnostics"]
+
+    def test_score_takes_no_seed(self, tmp_path, capsys):
+        # score reads no randomness, so a seed is a usage error
+        out = tmp_path / "scored"
+        with pytest.raises(SystemExit) as exit_info:
+            main(["score", "--config", str(tmp_path / "report.json"), "--data",
+                  str(tmp_path / "data"), "--out", str(out), "--seed", "5"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --seed 5" in capsys.readouterr().err
+        assert not out.exists()
+
 
 def per_cell_csv(names, pred, actual):
     """The CSV writer as a per-cell loop: the reference the column-wise

@@ -134,6 +134,17 @@ class TestFitEnsemble:
         with pytest.raises(SpecError):
             fit_ensemble(prob, STLSQ(), EnsembleSpec(n_library_drop=10))
 
+    @pytest.mark.parametrize("opt", [STLSQ(threshold=-1), SSR(min_terms=0), FROLS(err_tol=-1),
+                                     "stlsq"], ids=["stlsq", "ssr", "frols", "not-a-spec"])
+    def test_invalid_optimizer_is_a_spec_error(self, opt):
+        # the one check solve makes, once, not a failure of every member
+        prob, _ = planted_problem()
+        with pytest.raises(SpecError) as solved:
+            solve(prob, opt)
+        with pytest.raises(SpecError) as ensembled:
+            fit_ensemble(prob, opt, EnsembleSpec(n_models=4, seed=0))
+        assert str(ensembled.value) == str(solved.value)
+
     def test_majority_failure_raises(self):
         prob, _ = planted_problem()
         # err_tol > 1 means FROLS never selects anything, failing every member

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.integrate import solve_ivp
 
 from sparsedyn.diff import SavitzkyGolay
 from sparsedyn.errors import FitError, SpecError
@@ -16,6 +15,12 @@ from sparsedyn.optimize import STLSQ, Coefficients
 from sparsedyn.systems import BenchmarkSpec, Lorenz, generate
 
 METHODS = ["DOP853"]
+
+
+def solve_ivp(*args, **kwargs):
+    """scipy's ``solve_ivp``, the oracle; a test that calls it skips where
+    scipy is not installed."""
+    return pytest.importorskip("scipy.integrate").solve_ivp(*args, **kwargs)
 
 
 def oracle(fun, t_eval, y0, method, rtol, atol, event=None):

@@ -5,7 +5,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.integrate import solve_ivp
 
 import sparsedyn
 from sparsedyn.data import (
@@ -17,6 +16,7 @@ from sparsedyn.data import (
 )
 from sparsedyn.diff import FiniteDifference
 from sparsedyn.errors import DataError, SpecError
+from sparsedyn.integrate import integrate
 from sparsedyn.library import (
     Concat,
     Custom,
@@ -49,19 +49,18 @@ FD4 = FiniteDifference(order=4)
 SRC = str(Path(sparsedyn.__file__).resolve().parents[1])
 
 
+def solve_ivp(*args, **kwargs):
+    """scipy's ``solve_ivp``, the oracle; a test that calls it skips where
+    scipy is not installed."""
+    return pytest.importorskip("scipy.integrate").solve_ivp(*args, **kwargs)
+
+
 def rotation_dataset(T=2000, t_max=10.0, analytic_derivs=False):
-    """dq0/dt = -q1, dq1/dt = q0 integrated by a high-accuracy RK oracle."""
+    """dq0/dt = -q1, dq1/dt = q0 integrated by DOP853 at a tolerance of 1e-12
+    (``integrate`` gives solve_ivp's bits, so these data need no scipy)."""
     t = np.linspace(0.0, t_max, T)
-    sol = solve_ivp(
-        lambda _, q: [-q[1], q[0]],
-        (0.0, t_max),
-        [1.0, 0.0],
-        t_eval=t,
-        method="DOP853",
-        rtol=1e-12,
-        atol=1e-12,
-    )
-    states = sol.y.T
+    states = integrate(lambda _, q: np.array([-q[1], q[0]]), t, [1.0, 0.0],
+                       rtol=1e-12, atol=1e-12).y
     derivs = np.column_stack([-states[:, 1], states[:, 0]]) if analytic_derivs else None
     return Dataset(grid=Grid(t), states=states, derivatives=derivs)
 
@@ -113,10 +112,10 @@ class TestFit:
         u = np.sin(t)
 
         def rhs(tt, q):
-            return [-q[0] + 2.0 * np.interp(tt, t, u)]
+            return np.array([-q[0] + 2.0 * np.interp(tt, t, u)])
 
-        sol = solve_ivp(rhs, (0, 20), [1.0], t_eval=t, rtol=1e-10, atol=1e-12)
-        ds = Dataset(grid=Grid(t), states=sol.y.T, controls=u[:, None])
+        states = integrate(rhs, t, [1.0], rtol=1e-10, atol=1e-12).y
+        ds = Dataset(grid=Grid(t), states=states, controls=u[:, None])
         m = fit(ds, Polynomial(1), diff=FD4, opt=STLSQ(threshold=0.05, ridge=0.0))
         terms = dict(zip(m.feature_names, m.xi[:, 0]))
         assert abs(terms["q0"] + 1.0) < 1e-3
@@ -220,6 +219,7 @@ class TestSimulate:
         res = simulate(m, [2.0], np.linspace(0, 1, 101))
         assert res.blew_up
         assert res.t[-1] < 1.0
+        assert res.t.size == 50  # the output times up to t = 0.49
 
     def test_controls_interpolated(self):
         # dq/dt = u with u = t -> q(t) = q0 + t^2/2

@@ -841,10 +841,11 @@ def former_ssr_path(fac, spec):
     return entries, {}
 
 
-def former_ssr_holdout(rows, spec):
+def former_ssr_holdout(rows, spec, gram):
     """The former holdout refit.  Its selection is the documented rule (the
     sparsest entry within HOLDOUT_TIE_RTOL of the minimum), written as a
-    scan; the former scan kept the densest near-tie instead."""
+    scan; the former scan kept the densest near-tie instead.  It factors all
+    rows from a pass of their own, so it ignores ``gram``, their shared Gram."""
     train, hold = rows.split()
     train_fac = train.factor()
     path = np.stack([train_fac.embed(xi_n) for _, xi_n in former_ssr_path(train_fac, spec)[0]])

@@ -22,10 +22,11 @@ from sparsedyn import optimize
 from sparsedyn.data import Dataset, Grid, TrajectoryCollection
 from sparsedyn.diff import FiniteDifference, Spectral
 from sparsedyn.ensemble import EnsembleSpec, fit_ensemble
-from sparsedyn.errors import DataError
+from sparsedyn.errors import DataError, SpecError
 from sparsedyn.library import PDE, Concat, Custom, Fourier, InputSubset, Polynomial
-from sparsedyn.model import _metric, design, fit, predict, score
+from sparsedyn.model import _Design, _metric, design, fit, predict, score
 from sparsedyn.optimize import FROLS, SR3, SSR, STLSQ, Problem, _fit_rows, _narrow_counts, _Rows, solve
+from sparsedyn.systems import KS, canonical_library
 
 FD4 = FiniteDifference(order=4)
 # 3 rows of the widest design below: every pass crosses many blocks, and a
@@ -76,6 +77,21 @@ def factor_branches():
         mp.setattr(optimize, "_triangular_factor", spy_factor)
         mp.setattr(optimize, "_tsqr", spy_tsqr)
         yield branches
+
+
+@contextmanager
+def filled_blocks():
+    """The (start, stop) of every block a design fills, in order."""
+    blocks = []
+    fill = _Design.fill
+
+    def spy(self, at):
+        blocks.append((at.start, at.stop))
+        return fill(self, at)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_Design, "fill", spy)
+        yield blocks
 
 
 def assert_fit_is_design_then_solve(data, library, diff, opt, ensemble=None,
@@ -222,6 +238,73 @@ class TestFitIsDesignThenSolve:
                 fit(data, Polynomial(1), FD4)
 
 
+class TestDesignPasses:
+    """Every pass fills each block of a streamed design once; row sets that
+    share the rows (SSR's train split and all its rows, ensemble members)
+    share a pass."""
+
+    @pytest.mark.parametrize("opt, ensemble, passes", [
+        # factor, residuals
+        (STLSQ(threshold=0.05), None, 2),
+        # the train split's and all rows' Grams, holdout residuals, residuals
+        (SSR(), None, 3),
+        # every member's Gram, the aggregate's residuals
+        (STLSQ(threshold=0.05), EnsembleSpec(n_models=3, seed=0), 2),
+        # every member's Gram, then each member's train split's Gram and
+        # holdout residuals (2n), the aggregate's residuals
+        (SSR(), EnsembleSpec(n_models=3, seed=0), 2 * 3 + 2),
+        (SSR(), EnsembleSpec(n_models=4, n_library_drop=1, seed=1), 2 * 4 + 2),
+    ], ids=["stlsq", "ssr", "stlsq-ensemble", "ssr-ensemble-3", "ssr-ensemble-4"])
+    def test_blocks_filled_per_fit(self, opt, ensemble, passes):
+        data = oscillator(600)
+        # 100 rows of the 13-wide design a block: 6 blocks
+        with block_bytes(100 * 13 * 8), filled_blocks() as blocks:
+            fit(data, Polynomial(2), FD4, opt, ensemble)
+        partition = [(start, start + 100) for start in range(0, 600, 100)]
+        assert blocks == partition * passes
+
+    @pytest.mark.parametrize("opt, passes_per_member", [(STLSQ(threshold=0.1, ridge=0.0), 0),
+                                                        (SSR(), 2)], ids=["stlsq", "ssr"])
+    def test_member_without_weighted_rows_reads_no_block(self, opt, passes_per_member):
+        # only rows 0-9 carry weight: a member that draws none of them has no
+        # Gram from the shared pass and fails without a pass of its own (a
+        # member that draws few takes TSQR, one more pass)
+        rng = np.random.default_rng(1)
+        theta = rng.standard_normal((200, 3))
+        weights = np.zeros(200)
+        weights[:10] = 1.0
+        targets = theta @ [1.0, 0.0, -2.0] + 0.05 * rng.standard_normal(200)
+        prob = Problem(theta=theta, targets=targets, sample_weights=weights)
+        spec = EnsembleSpec(n_models=40, row_fraction=0.1, seed=0)
+        passes = []
+        stream = optimize._stream
+
+        def spy(data):
+            passes.append(None)
+            return stream(data)
+
+        with pytest.MonkeyPatch.context() as mp, factor_branches() as branches:
+            mp.setattr(optimize, "_stream", spy)
+            report = fit_ensemble(prob, opt, spec)
+        assert 0 < report.n_failed < spec.n_models / 2
+        fitted = spec.n_models - report.n_failed
+        assert len(passes) == 1 + passes_per_member * fitted + branches.count("qr") + 1
+
+    @pytest.mark.parametrize("opt", [STLSQ(threshold=-1), SSR(min_terms=0), FROLS(err_tol=-1),
+                                     "stlsq"], ids=["stlsq", "ssr", "frols", "not-a-spec"])
+    @pytest.mark.parametrize("ensemble", [None, EnsembleSpec(n_models=4, seed=0)],
+                             ids=["plain", "ensemble"])
+    def test_invalid_optimizer_fills_no_block(self, opt, ensemble):
+        data = oscillator(600)
+        with filled_blocks() as blocks:
+            with pytest.raises(SpecError):
+                fit(data, Polynomial(2), FD4, opt, ensemble)
+            if ensemble is not None:
+                with pytest.raises(SpecError):
+                    fit_ensemble(_Design(data, Polynomial(2), FD4).rows(False), opt, ensemble)
+        assert blocks == []
+
+
 class TestNarrowCounts:
     def test_counts_are_held_in_the_narrowest_unsigned_type(self):
         assert _narrow_counts(np.array([0, 3, 255])).dtype == np.uint8
@@ -284,6 +367,30 @@ class TestMemory:
         model = fit(data, Polynomial(3), FD4, STLSQ(threshold=0.05))
         return data, model
 
+    @pytest.fixture(scope="class")
+    def field(self):
+        # a 512 x 300 field in the KS library: four derivative fields and
+        # their products with u and u^2 make 14 columns, so the design
+        # [theta Y] is 153 600 x 15, 18.4 MB
+        data = travelling_wave(nx=512, nt=300)
+        model = fit(data, canonical_library(KS()), FD4, STLSQ(threshold=0.05))
+        return data, model
+
+    @pytest.mark.parametrize("run", ["stlsq", "ssr", "score", "predict"])
+    def test_pde_peak_below_the_design(self, field, run):
+        # derivative fields are held as narrow inputs and their products
+        # filled a block at a time; the whole design peaks at about 27 MB
+        data, model = field
+        design_bytes = 512 * 300 * (14 + 1) * 8
+        library = canonical_library(KS())
+        call = {
+            "stlsq": lambda: fit(data, library, FD4, STLSQ(threshold=0.05)),
+            "ssr": lambda: fit(data, library, FD4, SSR()),
+            "score": lambda: score(model, data),
+            "predict": lambda: predict(model, data),
+        }[run]
+        assert traced_peak(call) < design_bytes
+
     @pytest.mark.parametrize("run", ["stlsq", "ssr", "ensemble", "ssr-ensemble", "score",
                                      "predict"])
     def test_peak_below_half_the_design(self, tall, run):
@@ -294,7 +401,7 @@ class TestMemory:
             "ssr": lambda: fit(data, Polynomial(3), FD4, SSR()),
             "ensemble": lambda: fit(data, Polynomial(3), FD4, STLSQ(threshold=0.05),
                                     EnsembleSpec(n_models=5)),
-            # SSR members stream their own splits, one member at a time
+            # SSR members stream their own train splits, one member at a time
             "ssr-ensemble": lambda: fit(data, Polynomial(3), FD4, SSR(),
                                         EnsembleSpec(n_models=3)),
             "score": lambda: score(model, data),
