@@ -88,9 +88,9 @@ class Dataset:
     """States (and optional controls / precomputed time derivatives) on a grid.
 
     ``states`` has shape ``(*spatial, time, n_states)``; ``controls`` and
-    ``derivatives`` share the sample dimensions.  All entries must be finite
-    unless loaded with an explicit allow-missing flag, in which case NaN rows
-    are dropped during flattening (see ``load_dataset``).
+    ``derivatives`` share the sample dimensions.  All entries must be finite;
+    ``load_dataset(allow_missing=True)`` drops the time samples that hold a
+    NaN when it loads them.
     """
 
     grid: Grid

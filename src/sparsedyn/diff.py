@@ -57,6 +57,8 @@ class SavitzkyGolay:
             raise SpecError(
                 f"poly_order {self.poly_order} must be < window {self.window}"
             )
+        if d < 0:  # d = 0 is the smoothing filter
+            raise SpecError(f"derivative order must be >= 0, got {d}")
         if self.poly_order < d:
             raise SpecError(
                 f"poly_order {self.poly_order} must be >= derivative order {d}"

@@ -94,10 +94,10 @@ def fit_ensemble(
     replacement reproduces the plain solve exactly, residuals included.
     Fully deterministic given the spec seed: member seeds come from
     ``derive_seed`` and aggregation does not depend on completion order.
-    ``opt`` is checked once, before any member is drawn.  Members whose
-    solve raises are excluded; more than half failing is an error.
+    ``opt`` is checked once, for the columns every member keeps, before any
+    member is drawn.  Members whose solve raises are excluded; more than
+    half failing is an error.
     """
-    _checked_solver(opt)
     spec.validate()
     base = _Rows.of(problem)
     m, p = base.data.shape[0], base.n_features
@@ -105,6 +105,7 @@ def fit_ensemble(
         raise SpecError(
             f"cannot drop {spec.n_library_drop} of {p} library columns"
         )
+    _checked_solver(opt, base, spec.n_library_drop)
     n_rows = max(1, int(round(spec.row_fraction * m)))
     if n_rows < p:
         warnings.warn(

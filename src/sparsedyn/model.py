@@ -151,19 +151,17 @@ class _Design:
 
 
 def design(data, library: LibrarySpec, diff: DiffMethod = FiniteDifference(), *,
-           targets: bool = True, normalize_columns: bool = False,
-           names: tuple[str, ...] | None = None) -> Problem:
+           targets: bool = True, normalize_columns: bool = False) -> Problem:
     """The problem of ``library`` on one or more trajectories, planned once.
 
     Each trajectory's library columns and (with ``targets``) targets, the
     weak left-hand side of a weak library or else the first time derivatives,
     are written into its rows of one C-ordered ``(m, p + n)`` array; theta
     and targets are its two column blocks (targets has none without
-    ``targets``).  ``names``, a model's columns, must be the library's.  The
-    array is filled as ``fit`` fills its blocks, so ``fit`` is ``solve`` (or
-    ``fit_ensemble``) on this problem, bit for bit.
+    ``targets``).  The array is filled as ``fit`` fills its blocks, so
+    ``fit`` is ``solve`` (or ``fit_ensemble``) on this problem, bit for bit.
     """
-    source = _Design(data, library, diff, targets, names)
+    source = _Design(data, library, diff, targets)
     rows, p = source.fill(slice(None)), source.p
     return Problem(rows[:, :p], rows[:, p:], normalize_columns=normalize_columns,
                    feature_names=source.plan.names)

@@ -188,6 +188,11 @@ class SR3:
                 raise SpecError("constraint matrix and rhs row counts differ")
             if not (np.isfinite(C).all() and np.isfinite(d).all()):
                 raise SpecError("SR3 constraints must be finite")
+            if len(C) > len(C[0]):
+                raise SpecError(f"{len(C)} constraints exceed {len(C[0])} coefficients")
+            s = np.linalg.svd(np.array(C), compute_uv=False)
+            if s[-1] <= 1e-10 * s[0]:
+                raise SpecError("constraint matrix is not full row rank (tol 1e-10)")
 
 
 @dataclass(frozen=True)
@@ -287,31 +292,16 @@ def _stream(data, multiple: int = 1):
         start = stop
 
 
-def _triangular_factor(gram, blocks, width: int, n_features: int) -> np.ndarray:
-    """Upper-triangular R with R'R = rows'rows for the row blocks of
-    ``blocks()``, each ``width`` columns wide, whose summed Gram is ``gram``
-    (None: there are no rows): Cholesky of ``gram`` while that is well
-    conditioned, else TSQR (Householder QR of each block stacked under the R
-    of the blocks before it), which streams the blocks once more."""
-    if gram is None:
-        return np.zeros((0, width))
+def _cholesky(gram: np.ndarray, n_features: int) -> np.ndarray | None:
+    """Upper-triangular R with R'R = ``gram``, or None where Cholesky fails
+    or the pivot test refuses it (min R_ii^2 / G_ii over the first
+    ``n_features`` columns below ``CHOLESKY_MIN_PIVOT``)."""
     try:
         R = np.linalg.cholesky(gram).T
     except np.linalg.LinAlgError:
-        pass
-    else:
-        pivots = np.diagonal(R)[:n_features] ** 2 / np.diagonal(gram)[:n_features]
-        if pivots.min() >= CHOLESKY_MIN_PIVOT:
-            return R
-    return _tsqr(blocks())
-
-
-def _tsqr(blocks) -> np.ndarray:
-    R = None
-    for rows in blocks:
-        R = np.linalg.qr(rows if R is None else np.vstack((R, rows)), mode="r")
-        del rows
-    return R
+        return None
+    pivots = np.diagonal(R)[:n_features] ** 2 / np.diagonal(gram)[:n_features]
+    return R if pivots.min() >= CHOLESKY_MIN_PIVOT else None
 
 
 class _Factor:
@@ -461,24 +451,24 @@ class _Rows:
         return features, columns, None if np.array_equal(columns, every) else columns
 
     def _factor(self, gram: np.ndarray | None) -> _Factor:
-        """The factor of these rows, given their Gram from ``_grams``."""
+        """The factor of these rows, given their Gram from ``_grams`` (None:
+        there are no rows): Cholesky of ``gram`` while that is well
+        conditioned, else TSQR, which streams the rows once more and takes
+        Householder QR of each block stacked under the R of the blocks
+        before it."""
         features, columns, gather = self._columns()
-
-        def scaled():
+        R = np.zeros((0, columns.size)) if gram is None else _cholesky(gram, features.size)
+        if R is None:
             for at, part in _stream(self.data):
                 rows = self._scaled(at, part, gather)
                 del part  # each block is freed before the next is filled
                 if rows is not None:
-                    yield rows
+                    # the gathered block is freed once stacked: only the stack
+                    # and qr's copy of it are held
+                    rows = rows if R is None else np.vstack((R, rows))
+                    R = np.linalg.qr(rows, mode="r")
                 del rows
-
-        return _Factor(
-            _triangular_factor(gram, scaled, columns.size, features.size),
-            features,
-            self.n_features,
-            self.normalize,
-            self.names,
-        )
+        return _Factor(R, features, self.n_features, self.normalize, self.names)
 
     def factor(self) -> _Factor:
         """Factor of the rows of nonzero weight, scaled by sqrt(weight), over
@@ -545,16 +535,18 @@ def _grams(row_sets: list[_Rows]) -> list:
     return grams
 
 
-def _finish(rows: _Rows, xi: np.ndarray, diags: dict) -> Coefficients:
-    """Coefficients in library indexing, with residuals taken on all of
-    ``rows``; ``diags`` gains the indices of all-zero targets, if any."""
+def _finish(rows: _Rows, xi: np.ndarray, diags: dict,
+            residuals: np.ndarray | None = None) -> Coefficients:
+    """Coefficients in library indexing, with ``residuals`` on all of
+    ``rows`` (None: taken here, in a pass of their own); ``diags`` gains the
+    indices of all-zero targets, if any."""
     empty = np.flatnonzero(~(xi != 0.0).any(axis=0))
     if empty.size:
         diags = {**diags, "empty_support_targets": empty.tolist()}
     return Coefficients(
         xi=xi,
         names=rows.names,
-        residuals=rows.residual_norms(xi[None])[0],
+        residuals=rows.residual_norms(xi[None])[0] if residuals is None else residuals,
         diagnostics=diags,
     )
 
@@ -630,20 +622,6 @@ def _sr3_prox(xi: np.ndarray, spec: SR3) -> np.ndarray:
     return soft_threshold(xi, lam * nu)
 
 
-def _check_constraints(C: np.ndarray, p: int, n: int) -> None:
-    k = C.shape[0]
-    if C.shape[1] != p * n:
-        raise SpecError(
-            f"constraint matrix has {C.shape[1]} columns, expected p*n = {p * n} "
-            "(vec(xi) in column-major / target-major order)"
-        )
-    if k > p * n:
-        raise SpecError(f"{k} constraints exceed {p * n} coefficients")
-    s = np.linalg.svd(C, compute_uv=False)
-    if s[-1] <= 1e-10 * s[0]:
-        raise SpecError("constraint matrix is not full row rank (tol 1e-10)")
-
-
 def _constrained_quadratic(
     H: np.ndarray, rhs_vec: np.ndarray, C: np.ndarray, d: np.ndarray
 ) -> np.ndarray:
@@ -666,13 +644,12 @@ def _solve_sr3(fac: _Factor, spec: SR3) -> tuple[np.ndarray, dict]:
 
     constrained = spec.constraints is not None
     if constrained:
-        if fac.dropped.size or fac.normalized:
+        if fac.dropped.size:
             raise SpecError(
                 "equality constraints require the original column indexing; "
-                "disable normalization and remove zero columns first"
+                "remove zero columns first"
             )
         C, d = (np.array(part) for part in spec.constraints)
-        _check_constraints(C, p, n)
         thY = theta.T @ Y
         H_big = np.kron(np.eye(n), theta.T @ theta + np.eye(p) / nu)
     else:
@@ -841,13 +818,28 @@ def _frols_path(
 _SOLVERS = {STLSQ: _solve_stlsq, SR3: _solve_sr3, SSR: _ssr_path, FROLS: _frols_path}
 
 
-def _checked_solver(spec: OptimizerSpec):
-    """The solver of ``spec`` once the spec is known and valid: the one spec
-    check of every fit, made before any row is read."""
+def _checked_solver(spec: OptimizerSpec, rows: _Rows, n_dropped: int = 0):
+    """The solver of ``spec`` once the spec is known, valid and fits
+    ``rows`` less ``n_dropped`` of their library columns: the one spec check
+    of every fit, made before any row is read."""
     solver = _SOLVERS.get(type(spec))
     if solver is None:
         raise SpecError(f"unknown optimizer spec {spec!r}")
     spec.validate()
+    if isinstance(spec, SR3) and spec.constraints is not None:
+        if rows.normalize:
+            raise SpecError(
+                "equality constraints require the original column indexing; "
+                "disable normalization first"
+            )
+        features, columns, _ = rows._columns()
+        p, n = features.size - n_dropped, columns.size - features.size
+        width = len(spec.constraints[0][0])
+        if width != p * n:
+            raise SpecError(
+                f"constraint matrix has {width} columns, expected p*n = {p * n} "
+                "(vec(xi) in column-major / target-major order)"
+            )
     return solver
 
 
@@ -858,7 +850,7 @@ def _fit_rows(rows: _Rows, spec: OptimizerSpec, gram: np.ndarray | None = None):
     library indexing with the diagnostics, the factor's included.  ``gram``,
     when given, is the Gram of ``rows`` from a pass shared with other row
     sets."""
-    solver = _checked_solver(spec)
+    solver = _checked_solver(spec, rows)
     if isinstance(spec, SSR):
         fac, xi_n, diags = _ssr_holdout(rows, spec, gram)
     else:
@@ -882,12 +874,14 @@ def solve_path(problem: Problem, spec: SSR | FROLS) -> list[PathEntry]:
     SSR's from every term down to ``min_terms``, FROLS's from one term up."""
     if not isinstance(spec, (SSR, FROLS)):
         raise SpecError(f"solve_path requires SSR or FROLS, got {type(spec).__name__}")
-    solver = _checked_solver(spec)
     rows = _Rows.of(problem)
+    solver = _checked_solver(spec, rows)
     fac = rows.factor()
     path, diags = solver(fac, spec)
+    diags = {**fac.diagnostics, **diags}
+    xis = np.stack([fac.embed(xi) for _, xi in path])
     entries = []
-    for size, xi in path:
-        c = _finish(rows, fac.embed(xi), {**fac.diagnostics, **diags})
-        entries.append(PathEntry(c, size, float(np.linalg.norm(c.residuals))))
+    for (size, _), xi, residuals in zip(path, xis, rows.residual_norms(xis)):
+        c = _finish(rows, xi, diags, residuals)
+        entries.append(PathEntry(c, size, float(np.linalg.norm(residuals))))
     return entries

@@ -246,6 +246,9 @@ class TestFit:
              "config.library", "poly_order must be >= 2"),
             ({"optimizer": {"type": "stlsq", "threshold": -1.0}}, "config.optimizer",
              "invalid STLSQ spec"),
+            ({"optimizer": {"type": "sr3", "constraints": {"matrix": [[1.0, 1.0], [2.0, 2.0]],
+                                                           "rhs": [0.0, 0.0]}}},
+             "config.optimizer", "constraint matrix is not full row rank"),
             ({"ensemble": {"n_models": 1}}, "config.ensemble", "n_models must be >= 2"),
             ({"data": {"benchmark": {"system": {"name": "ks", "n_grid": 100}}}},
              "config.data.benchmark", "n_grid must be a power of two"),
@@ -253,7 +256,7 @@ class TestFit:
         ids=["target-derivative-order", "diff-d-3", "diff-d-true", "diff-d-float",
              "pde-diff-d-2", "no-columns", "concat-no-columns", "tensor-no-columns",
              "duplicate-names", "diff-parameters", "pde-diff-parameters", "optimizer",
-             "ensemble", "benchmark"],
+             "sr3-rank-deficient", "ensemble", "benchmark"],
     )
     def test_exits_2_at_config_load(self, tmp_path, capsys, overrides, where, message):
         # the data path does not exist, so reading the data first would exit 3;

@@ -124,6 +124,17 @@ class TestSavitzkyGolay:
         with pytest.raises(SpecError):
             differentiate(t, t, SavitzkyGolay(window=5, poly_order=2), d=3)
 
+    @pytest.mark.parametrize("method", [FiniteDifference(), SavitzkyGolay(), Spectral()],
+                             ids=["fd", "sg", "spectral"])
+    def test_negative_derivative_order_is_a_spec_error(self, method):
+        # SG's d = 0 is its smoothing filter; d = -1 once returned all zeros
+        t = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
+        with pytest.raises(SpecError, match="derivative order must be >= [01], got -1"):
+            differentiate(np.sin(t), t, method, d=-1)
+        dataset = Dataset(grid=Grid(t), states=np.sin(t)[:, None])
+        with pytest.raises(SpecError, match="derivative order must be >= [01], got -1"):
+            differentiate_dataset(dataset, method, d=-1)
+
     def test_higher_derivative(self):
         t = np.linspace(0.0, 1.0, 200)
         out = differentiate(t**4, t, SavitzkyGolay(window=7, poly_order=4), d=2)

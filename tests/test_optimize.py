@@ -316,6 +316,34 @@ class TestGreedy:
             solve(Problem(theta=prob.theta, targets=np.zeros((prob.theta.shape[0], 2))),
                   FROLS())
 
+    @pytest.mark.parametrize("spec", [SSR(), FROLS(err_tol=0.0)], ids=["ssr", "frols"])
+    @pytest.mark.parametrize("nbytes", [optimize.BLOCK_BYTES, 40 * 8 * 8],
+                             ids=["one-block", "many-blocks"])
+    def test_solve_path_takes_every_residual_in_one_pass(self, spec, nbytes, monkeypatch):
+        rng = np.random.default_rng(3)
+        theta = rng.standard_normal((300, 6)) * rng.uniform(0.2, 5.0, 6)
+        targets = theta @ rng.uniform(-1.0, 1.0, (6, 2)) + 0.05 * rng.standard_normal((300, 2))
+        prob = Problem(theta=theta, targets=targets, sample_weights=rng.uniform(0.5, 2.0, 300))
+        monkeypatch.setattr(optimize, "BLOCK_BYTES", nbytes)
+        passes, residual_norms = [], _Rows.residual_norms
+
+        def spy(self, xis):
+            passes.append(len(xis))
+            return residual_norms(self, xis)
+
+        with monkeypatch.context() as mp:
+            mp.setattr(_Rows, "residual_norms", spy)
+            path = solve_path(prob, spec)
+        assert passes == [len(path)] and len(path) > 1
+        # each entry has the bits of its own residual pass
+        rows = _Rows.of(prob)
+        for entry in path:
+            c = entry.coefficients
+            alone = optimize._finish(rows, c.xi, c.diagnostics)
+            np.testing.assert_array_equal(c.residuals, alone.residuals)
+            assert entry.residual == float(np.linalg.norm(alone.residuals))
+            assert c.diagnostics == alone.diagnostics
+
     def test_solve_path_rejects_non_greedy(self):
         prob, _ = planted_problem()
         with pytest.raises(SpecError, match="^solve_path requires SSR or FROLS, got STLSQ$"):

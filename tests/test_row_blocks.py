@@ -53,28 +53,6 @@ def random_problem(seed, m, p, n, weighted, normalize, collinear):
                    normalize_columns=normalize)
 
 
-@contextmanager
-def blocks_of(nbytes):
-    """Run with ``BLOCK_BYTES = nbytes``; yields the list of factor branches
-    taken, "factor" for every factor and "qr" after it where TSQR ran."""
-    branches = []
-    factor, tsqr = optimize._triangular_factor, optimize._tsqr
-
-    def spy_factor(*args):
-        branches.append("factor")
-        return factor(*args)
-
-    def spy_tsqr(blocks):
-        branches.append("qr")
-        return tsqr(blocks)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(optimize, "BLOCK_BYTES", nbytes)
-        mp.setattr(optimize, "_triangular_factor", spy_factor)
-        mp.setattr(optimize, "_tsqr", spy_tsqr)
-        yield branches
-
-
 def outputs(prob, how, spec, ensemble=None):
     """Every array a fit returns, as (kind, array) pairs."""
     if how == "path":
@@ -129,7 +107,7 @@ class TestManyBlocks:
     )
     @settings(max_examples=20)
     def test_blocks_move_answers_only_by_rounding(
-        self, fit, seed, m, p, n, weighted, normalize, collinear, replace,
+        self, factor_branches, fit, seed, m, p, n, weighted, normalize, collinear, replace,
         n_library_drop, nbytes,
     ):
         how, spec = fit
@@ -138,10 +116,10 @@ class TestManyBlocks:
                                 n_library_drop=min(n_library_drop, p - 1), seed=seed)
         one = optimize.BLOCK_BYTES
         assert m * (p + n) * 8 <= one  # the default holds every row set in one block
-        with blocks_of(one) as one_branches:
+        with factor_branches() as one_branches:
             expected = outputs(prob, how, spec, ensemble)
         assert m * (p + n) * 8 > nbytes
-        with blocks_of(nbytes) as many_branches:
+        with factor_branches(nbytes) as many_branches:
             got = outputs(prob, how, spec, ensemble)
         assert many_branches == one_branches
         if collinear and how != "ensemble":
@@ -150,7 +128,7 @@ class TestManyBlocks:
 
     @pytest.mark.parametrize("opt", ALL_SPECS, ids=ALL_IDS)
     @pytest.mark.parametrize("nbytes", [1, 500])
-    def test_implicit_candidates(self, opt, nbytes):
+    def test_implicit_candidates(self, factor_branches, opt, nbytes):
         # each candidate factors a subset of the library columns; on a noisy
         # circle 1, q0^2 and q1^2 are nearly dependent, so some take QR
         t = np.linspace(0.0, 6.0, 300)
@@ -159,9 +137,9 @@ class TestManyBlocks:
         data = Dataset(grid=Grid(t), states=states + 1e-3 * rng.standard_normal(states.shape))
         args = (data, Polynomial(2), opt, ["q0", "q1", "q0^2", "q0 q1"])
         fd = FiniteDifference(order=4)
-        with blocks_of(optimize.BLOCK_BYTES) as one_branches:
+        with factor_branches() as one_branches:
             expected = {r.lhs_name: r.model.coefficients for r in fit_implicit(*args, diff=fd)}
-        with blocks_of(nbytes) as many_branches:
+        with factor_branches(nbytes) as many_branches:
             got = {r.lhs_name: r.model.coefficients for r in fit_implicit(*args, diff=fd)}
         assert many_branches == one_branches
         assert "qr" in one_branches
@@ -170,11 +148,11 @@ class TestManyBlocks:
                                  [("xi", c.xi), ("residual", c.residuals)])
 
     @pytest.mark.parametrize("collinear", [False, True], ids=["cholesky", "qr"])
-    def test_both_factor_branches(self, collinear):
+    def test_both_factor_branches(self, factor_branches, collinear):
         prob = random_problem(3, 120, 6, 2, True, False, collinear)
-        with blocks_of(optimize.BLOCK_BYTES) as one_branches:
+        with factor_branches() as one_branches:
             expected = outputs(prob, "solve", STLSQ(threshold=0.1, ridge=0.0))
-        with blocks_of(64) as many_branches:
+        with factor_branches(64) as many_branches:
             got = outputs(prob, "solve", STLSQ(threshold=0.1, ridge=0.0))
         assert one_branches == many_branches == (
             ["factor", "qr"] if collinear else ["factor"]
@@ -381,3 +359,21 @@ class TestMemory:
         }[stage]
         assert optimize.BLOCK_BYTES == 1 << 20
         assert traced_peak(run) < 2 << 20
+
+    def test_tsqr_holds_two_blocks(self, factor_branches):
+        # 120 000 weighted rows of 6 columns (5.5 MiB) whose column 4 repeats
+        # column 0 to 1e-9, so the pivot test refuses the Cholesky factor:
+        # each gathered block is freed once stacked under R, and only the
+        # stack and qr's copy of it are held (three blocks if the gathered
+        # one stayed alive)
+        rng = np.random.default_rng(0)
+        data = rng.standard_normal((120_000, 6))
+        data[:, 4] = data[:, 0] + 1e-9 * rng.standard_normal(data.shape[0])
+        data[:, 5] = data[:, :5] @ rng.uniform(-1.0, 1.0, 5)
+        weights = rng.uniform(0.5, 2.0, data.shape[0])
+        rows = _Rows.of(Problem(theta=data[:, :5], targets=data[:, 5:], sample_weights=weights))
+        assert optimize.BLOCK_BYTES == 1 << 20
+        with factor_branches() as branches:
+            peak = traced_peak(rows.factor)
+        assert branches == ["factor", "qr"]
+        assert peak < 2.5 * (1 << 20)

@@ -59,27 +59,6 @@ def block_bytes(nbytes):
 
 
 @contextmanager
-def factor_branches():
-    """The factor branches taken: "factor" per factor, then "qr" after it
-    where TSQR ran."""
-    branches = []
-    factor, tsqr = optimize._triangular_factor, optimize._tsqr
-
-    def spy_factor(*args):
-        branches.append("factor")
-        return factor(*args)
-
-    def spy_tsqr(blocks):
-        branches.append("qr")
-        return tsqr(blocks)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(optimize, "_triangular_factor", spy_factor)
-        mp.setattr(optimize, "_tsqr", spy_tsqr)
-        yield branches
-
-
-@contextmanager
 def filled_blocks():
     """The (start, stop) of every block a design fills, in order."""
     blocks = []
@@ -183,7 +162,7 @@ class TestFitIsDesignThenSolve:
         with block_bytes(nbytes):
             assert_fit_is_design_then_solve(data, Polynomial(2), FD4, opt, spec)
 
-    def test_near_collinear_library_takes_qr(self, nbytes):
+    def test_near_collinear_library_takes_qr(self, factor_branches, nbytes):
         data = oscillator(600, near_collinear=True)
         opt = STLSQ(threshold=0.05, ridge=0.0)
         with block_bytes(nbytes), factor_branches() as branches:
@@ -192,7 +171,7 @@ class TestFitIsDesignThenSolve:
         # the fit and the solve each factor once, by QR
         assert branches == ["factor", "qr"] * 2
 
-    def test_near_collinear_ensemble_members_take_qr(self, nbytes):
+    def test_near_collinear_ensemble_members_take_qr(self, factor_branches, nbytes):
         data = oscillator(600, near_collinear=True)
         spec = EnsembleSpec(n_models=4, seed=1)
         with block_bytes(nbytes), factor_branches() as branches:
@@ -265,7 +244,8 @@ class TestDesignPasses:
 
     @pytest.mark.parametrize("opt, passes_per_member", [(STLSQ(threshold=0.1, ridge=0.0), 0),
                                                         (SSR(), 2)], ids=["stlsq", "ssr"])
-    def test_member_without_weighted_rows_reads_no_block(self, opt, passes_per_member):
+    def test_member_without_weighted_rows_reads_no_block(self, factor_branches, opt,
+                                                          passes_per_member):
         # only rows 0-9 carry weight: a member that draws none of them has no
         # Gram from the shared pass and fails without a pass of its own (a
         # member that draws few takes TSQR, one more pass)
@@ -290,18 +270,40 @@ class TestDesignPasses:
         fitted = spec.n_models - report.n_failed
         assert len(passes) == 1 + passes_per_member * fitted + branches.count("qr") + 1
 
-    @pytest.mark.parametrize("opt", [STLSQ(threshold=-1), SSR(min_terms=0), FROLS(err_tol=-1),
-                                     "stlsq"], ids=["stlsq", "ssr", "frols", "not-a-spec"])
+    @pytest.mark.parametrize("opt, normalize", [
+        (STLSQ(threshold=-1), False), (SSR(min_terms=0), False), (FROLS(err_tol=-1), False),
+        ("stlsq", False),
+        # the design has 10 library columns and 3 targets: 30 coefficients
+        (SR3(constraints=(np.eye(1, 29), [1.0])), False),
+        (SR3(constraints=(np.eye(1, 30), [1.0])), True),
+        (SR3(constraints=(np.ones((2, 30)), [1.0, 2.0])), False),
+    ], ids=["stlsq", "ssr", "frols", "not-a-spec", "sr3-columns", "sr3-normalized",
+            "sr3-rank-deficient"])
     @pytest.mark.parametrize("ensemble", [None, EnsembleSpec(n_models=4, seed=0)],
                              ids=["plain", "ensemble"])
-    def test_invalid_optimizer_fills_no_block(self, opt, ensemble):
+    def test_invalid_optimizer_fills_no_block(self, opt, normalize, ensemble):
+        # the error is solve's, raised before any block is filled
         data = oscillator(600)
+        with pytest.raises(SpecError) as solved:
+            solve(design(data, Polynomial(2), FD4, normalize_columns=normalize), opt)
         with filled_blocks() as blocks:
-            with pytest.raises(SpecError):
-                fit(data, Polynomial(2), FD4, opt, ensemble)
+            with pytest.raises(SpecError) as fitted:
+                fit(data, Polynomial(2), FD4, opt, ensemble, normalize_columns=normalize)
+            assert str(fitted.value) == str(solved.value)
             if ensemble is not None:
-                with pytest.raises(SpecError):
-                    fit_ensemble(_Design(data, Polynomial(2), FD4).rows(False), opt, ensemble)
+                with pytest.raises(SpecError) as ensembled:
+                    fit_ensemble(_Design(data, Polynomial(2), FD4).rows(normalize), opt, ensemble)
+                assert str(ensembled.value) == str(solved.value)
+        assert blocks == []
+
+    def test_constraints_of_another_width_than_the_members_fill_no_block(self):
+        # members that drop one of the 10 library columns fit 27 coefficients
+        data = oscillator(600)
+        opt = SR3(constraints=(np.eye(1, 30), [1.0]))
+        spec = EnsembleSpec(n_models=4, n_library_drop=1, seed=0)
+        with filled_blocks() as blocks:
+            with pytest.raises(SpecError, match=r"30 columns, expected p\*n = 27"):
+                fit(data, Polynomial(2), FD4, opt, spec)
         assert blocks == []
 
 
