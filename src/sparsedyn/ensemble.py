@@ -5,9 +5,10 @@ draws become row counts C, and the member's factor has R'R = [theta Y]' C W
 [theta Y] (W the sample weights).  No member builds its own problem or copies
 its rows.  All members read ``[theta Y]`` in one pass of blocks of at most
 ``optimize.BLOCK_BYTES``, so a model's design fills each block once for them
-all; from each block every member gathers its drawn rows over the feature
-columns it keeps (a member may drop a few, their coefficients pinned to zero),
-scales them by sqrt(count * weight) and adds them to its Gram.  A member holds
+all; from each block every member gathers its drawn rows (a mask of its
+nonzero counts finds them) over the feature columns it keeps (a member may
+drop a few, their coefficients pinned to zero), scales them by
+sqrt(count * weight) and adds them to its Gram.  A member holds
 its row counts, in the narrowest unsigned type that holds them, and its
 (p + n)-square Gram; a member whose Gram is ill conditioned streams its rows
 once more for TSQR.  An SSR member also streams its train split's Gram and
@@ -94,9 +95,9 @@ def fit_ensemble(
     replacement reproduces the plain solve exactly, residuals included.
     Fully deterministic given the spec seed: member seeds come from
     ``derive_seed`` and aggregation does not depend on completion order.
-    ``opt`` is checked once, for the columns every member keeps, before any
-    member is drawn.  Members whose solve raises are excluded; more than
-    half failing is an error.
+    ``opt`` is checked once, for the columns and the number of rows every
+    member keeps, before any member is drawn.  Members whose solve raises
+    are excluded; more than half failing is an error.
     """
     spec.validate()
     base = _Rows.of(problem)
@@ -105,8 +106,8 @@ def fit_ensemble(
         raise SpecError(
             f"cannot drop {spec.n_library_drop} of {p} library columns"
         )
-    _checked_solver(opt, base, spec.n_library_drop)
     n_rows = max(1, int(round(spec.row_fraction * m)))
+    _checked_solver(opt, base, spec.n_library_drop, n_rows)
     if n_rows < p:
         warnings.warn(
             f"ensemble members see {n_rows} rows for {p} features; "

@@ -7,8 +7,10 @@ stacked across trajectories in input order and never differenced across
 trajectory boundaries.  ``fit``, ``score`` and ``predict`` read the design a
 block of rows at a time: each block is filled from narrow inputs computed
 once (a grid library's states, derivative fields and targets; a weak form's
-rows), checked finite, used and dropped, so theta is never held whole.
-``design`` fills the same rows into one array.
+rows), checked finite, used and dropped, so theta is never held whole.  A
+block is filled column-major, each column written contiguously: the Grams
+read it as filled, and the products read a row-major copy of it.  ``design``
+fills the same rows into one row-major array.
 """
 
 from __future__ import annotations
@@ -72,7 +74,7 @@ class _Design:
     ``(samples, n)`` and, with targets, the first time derivatives; or a weak
     form's rows, one per subdomain, with its left-hand side.  ``design[a:b]``
     fills rows a..b-1 of the stacked trajectories from them into a new
-    C-ordered block and checks it finite.  A grid library's value in a row
+    column-major block and checks it finite.  A grid library's value in a row
     depends on that row's inputs alone, so a block holds the bits of the same
     rows of the whole design.
     """
@@ -121,10 +123,10 @@ class _Design:
 
         return whole.shape[0], fill
 
-    def fill(self, at: slice) -> np.ndarray:
-        """Rows ``at`` as a new C-ordered array, unchecked."""
+    def fill(self, at: slice, order: str = "F") -> np.ndarray:
+        """Rows ``at`` as a new array of ``order``, unchecked."""
         start, stop, _ = at.indices(self.shape[0])
-        out = np.empty((max(stop - start, 0), self.shape[1]))
+        out = np.empty((max(stop - start, 0), self.shape[1]), order=order)
         for first, count, fill in self.parts:
             lo, hi = max(first, start), min(first + count, stop)
             if lo < hi:
@@ -162,7 +164,7 @@ def design(data, library: LibrarySpec, diff: DiffMethod = FiniteDifference(), *,
     ``fit`` is ``solve`` (or ``fit_ensemble``) on this problem, bit for bit.
     """
     source = _Design(data, library, diff, targets)
-    rows, p = source.fill(slice(None)), source.p
+    rows, p = source.fill(slice(None), order="C"), source.p
     return Problem(rows[:, :p], rows[:, p:], normalize_columns=normalize_columns,
                    feature_names=source.plan.names)
 
@@ -204,6 +206,9 @@ def _products(source: _Design, xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     (m, width), p = source.shape, source.p
     pred, actual = np.empty((m, xi.shape[1])), np.empty((m, width - p))
     for at, block in _stream(source, PRODUCT_ROWS):
+        # a product's bits depend on its operand's layout: take the row-major
+        # one of ``design``'s array, whose copy replaces the block
+        block = np.ascontiguousarray(block)
         pred[at] = block[:, :p] @ xi
         actual[at] = block[:, p:]
         del block

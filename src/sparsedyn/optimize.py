@@ -21,9 +21,15 @@ for every pass, and gather and scale by sqrt(W) the rows of nonzero weight of
 each block on its own, so a weighted or resampled fit copies no more than one
 block of rows.  The rows are an array, or a model's design, which fills each
 block from its narrow inputs when a pass reads it, so that no fit of a grid
-library holds theta whole.  Row sets that share the rows (SSR's train split
-and all its rows, or every ensemble member) sum their Grams in one pass.
-Every solver reports the factor's ``cond_estimate`` and ``rank_deficient``.
+library holds theta whole.  A design's blocks are column-major, so that the
+fill writes each column contiguously.  A Gram or a QR has the same bits in
+either layout, so they read such a block as filled, gathering and scaling
+rows along its columns.  A matrix product does not: its kernel sums in
+another order for the other layout, so the residuals read a row-major copy
+of each block, the layout of an array's rows.  Row sets that share the rows
+(SSR's train split and all its rows, or every ensemble member) sum their
+Grams in one pass.  Every solver reports the factor's ``cond_estimate`` and
+``rank_deficient``.
 
 Solvers are deterministic given their inputs.  Zero feature columns are
 dropped before solving and reported in diagnostics; coefficients keep the
@@ -245,10 +251,16 @@ def hard_threshold(x: np.ndarray, t: float) -> np.ndarray:
 
 # Cholesky of the Gram matrix is kept only while every feature column retains
 # at least this share of its squared norm once the columns before it are
-# projected out (min R_ii^2 / G_ii, a cheap condition estimate).  Below it the
-# normal equations would lose more than ~1e-12 relative accuracy, and the
-# factor comes from Householder QR of the rows instead.
+# projected out (min R_ii^2 / G_ii) ...
 CHOLESKY_MIN_PIVOT = 1e-3
+# ... and while the 2-norm condition number of the column-normalized feature
+# columns, read from the singular values of the factor's feature triangle, is
+# at most this.  The normal equations lose about cond^2 * eps, QR cond * eps:
+# up to 1e-8 relative here.  The pivot test alone passes designs whose
+# condition grows geometrically with their width (a Kahan-type triangle);
+# the factor then comes from Householder QR of the rows instead.  The number
+# read from Cholesky of the Gram is accurate up to about 1 / sqrt(eps).
+CHOLESKY_MAX_COND = 1e4
 # A feature column whose diagonal entry |R_ii| is at most this share of its
 # norm lies (numerically) in the span of the columns before it.
 RANK_RTOL = 1e-10
@@ -294,14 +306,18 @@ def _stream(data, multiple: int = 1):
 
 def _cholesky(gram: np.ndarray, n_features: int) -> np.ndarray | None:
     """Upper-triangular R with R'R = ``gram``, or None where Cholesky fails
-    or the pivot test refuses it (min R_ii^2 / G_ii over the first
-    ``n_features`` columns below ``CHOLESKY_MIN_PIVOT``)."""
+    or the first ``n_features`` columns are ill conditioned: min R_ii^2 /
+    G_ii below ``CHOLESKY_MIN_PIVOT``, or the condition number of their
+    column-normalized triangle above ``CHOLESKY_MAX_COND``."""
     try:
         R = np.linalg.cholesky(gram).T
     except np.linalg.LinAlgError:
         return None
-    pivots = np.diagonal(R)[:n_features] ** 2 / np.diagonal(gram)[:n_features]
-    return R if pivots.min() >= CHOLESKY_MIN_PIVOT else None
+    squares = np.diagonal(gram)[:n_features]
+    if (np.diagonal(R)[:n_features] ** 2 / squares).min() < CHOLESKY_MIN_PIVOT:
+        return None
+    s = np.linalg.svd(R[:n_features, :n_features] / np.sqrt(squares), compute_uv=False)
+    return R if s[0] <= CHOLESKY_MAX_COND * s[-1] else None
 
 
 class _Factor:
@@ -416,15 +432,19 @@ class _Rows:
         """The rows of nonzero weight of ``part``, the block of ``data``'s
         rows ``at``, over ``columns`` (None: all), and their sqrt(weight)
         (None where every weight is 1); both None if no row has weight.
-        Weighted rows are gathered copies; unweighted ones may be ``part``."""
-        weight = self._weight(at)
-        if weight is None:
-            return (part if columns is None else np.take(part, columns, axis=1)), None
-        nz = np.flatnonzero(weight)
+        Weighted rows are gathered copies in ``part``'s layout, row-major or
+        column-major; unweighted ones may be ``part``."""
+        nz, weight = self._weight(at)
+        if nz is None:
+            return (part if columns is None else part[:, columns]), None
         if not nz.size:
             return None, None
-        rows = np.take(part, nz, axis=0) if columns is None else part[np.ix_(nz, columns)]
-        return rows, np.sqrt(weight[nz])
+        if part.flags.c_contiguous:
+            rows = np.take(part, nz, axis=0) if columns is None else part[np.ix_(nz, columns)]
+        else:  # a design's column-major block: gather along each column
+            rows = (np.take(part.T, nz, axis=1) if columns is None
+                    else part.T[np.ix_(columns, nz)]).T
+        return rows, np.sqrt(weight)
 
     def _scaled(self, at: slice, part: np.ndarray, columns: np.ndarray | None):
         """``_gather``'s rows, each scaled by sqrt(weight); None if none."""
@@ -433,14 +453,21 @@ class _Rows:
             rows *= root[:, None]
         return rows
 
-    def _weight(self, rows: slice) -> np.ndarray | None:
-        """count * sample weight of ``rows`` (None: every weight is 1); the
-        narrow counts are taken as float64, so their square roots are."""
-        counts = None if self.counts is None else self.counts[rows].astype(np.float64)
+    def _weight(self, rows: slice) -> tuple[np.ndarray | None, np.ndarray | None]:
+        """The positions in ``rows`` of the rows of nonzero count and sample
+        weight, found from a boolean mask, and their count * sample weight
+        (both None: every weight is 1); the narrow counts are taken as
+        float64, so their square roots are."""
+        counts = None if self.counts is None else self.counts[rows]
         weights = None if self.weights is None else self.weights[rows]
+        if counts is None and weights is None:
+            return None, None
         if counts is None:
-            return weights
-        return counts if weights is None else counts * weights
+            nz = np.flatnonzero(weights != 0)
+            return nz, weights[nz]
+        nz = np.flatnonzero(counts != 0 if weights is None else (counts != 0) & (weights != 0))
+        weight = counts[nz].astype(np.float64)
+        return nz, weight if weights is None else weight * weights[nz]
 
     def _columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
         """The library columns in play; the factor's columns, they and then
@@ -479,10 +506,7 @@ class _Rows:
         """Seeded (train, holdout) split of the row multiset."""
         m = self.data.shape[0]
         size = m if self.counts is None else int(self.counts.sum())
-        n_hold = max(1, int(round(HOLDOUT_FRACTION * size)))
-        if size - n_hold < 1:
-            raise SpecError(f"{size} rows are too few for a holdout split")
-        drawn = np.random.default_rng(HOLDOUT_SEED).permutation(size)[:n_hold]
+        drawn = np.random.default_rng(HOLDOUT_SEED).permutation(size)[:_holdout_rows(size)]
         if self.counts is not None:
             drawn = np.repeat(np.arange(m), self.counts)[drawn]
         hold = np.bincount(drawn, minlength=m)
@@ -498,6 +522,10 @@ class _Rows:
         xis_in_play = xis[:, self.features]
         total = np.zeros((len(xis), xis.shape[2]))
         for at, part in _stream(self.data):
+            # a product's bits depend on its operand's layout: a design's
+            # column-major block is read as a problem's row-major rows, from
+            # a copy that replaces it
+            part = np.ascontiguousarray(part)
             rows, root = self._gather(at, part)
             del part  # each block is freed before the next is filled
             if rows is None:
@@ -508,6 +536,15 @@ class _Rows:
             total += np.add.reduce(resid * resid, axis=1)
             del rows, root, resid
         return np.sqrt(total)
+
+
+def _holdout_rows(size: int) -> int:
+    """The holdout's share of a split of ``size`` rows, leaving at least one
+    to train on."""
+    n_hold = max(1, int(round(HOLDOUT_FRACTION * size)))
+    if size - n_hold < 1:
+        raise SpecError(f"{size} rows are too few for a holdout split")
+    return n_hold
 
 
 def _narrow_counts(counts: np.ndarray) -> np.ndarray:
@@ -818,14 +855,18 @@ def _frols_path(
 _SOLVERS = {STLSQ: _solve_stlsq, SR3: _solve_sr3, SSR: _ssr_path, FROLS: _frols_path}
 
 
-def _checked_solver(spec: OptimizerSpec, rows: _Rows, n_dropped: int = 0):
+def _checked_solver(spec: OptimizerSpec, rows: _Rows, n_dropped: int = 0,
+                    n_drawn: int | None = None):
     """The solver of ``spec`` once the spec is known, valid and fits
-    ``rows`` less ``n_dropped`` of their library columns: the one spec check
-    of every fit, made before any row is read."""
+    ``rows`` less ``n_dropped`` of their library columns, or draws of
+    ``n_drawn`` of them, as ensemble members do: the one spec check of every
+    fit, made before any row is read."""
     solver = _SOLVERS.get(type(spec))
     if solver is None:
         raise SpecError(f"unknown optimizer spec {spec!r}")
     spec.validate()
+    if isinstance(spec, SSR) and n_drawn is not None:
+        _holdout_rows(n_drawn)  # a plain fit splits its rows before reading them
     if isinstance(spec, SR3) and spec.constraints is not None:
         if rows.normalize:
             raise SpecError(
@@ -839,6 +880,12 @@ def _checked_solver(spec: OptimizerSpec, rows: _Rows, n_dropped: int = 0):
             raise SpecError(
                 f"constraint matrix has {width} columns, expected p*n = {p * n} "
                 "(vec(xi) in column-major / target-major order)"
+            )
+        if n_dropped:
+            # each member would read the matrix in its own column indexing
+            raise SpecError(
+                "equality constraints require every library column in every fit; "
+                "set n_library_drop to 0"
             )
     return solver
 

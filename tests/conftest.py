@@ -1,13 +1,16 @@
 """Test-suite configuration: property tests draw the same examples on every
 machine and run, and are never failed for being slow.  ``factor_branches``
-is the one spy on the regression factor's branches."""
+is the one spy on the regression factor's branches, and ``filled_blocks``
+the one spy on the blocks a model's design fills."""
 
 from contextlib import contextmanager
+from typing import NamedTuple
 
 import pytest
 from hypothesis import settings
 
 from sparsedyn import optimize
+from sparsedyn.model import _Design
 
 settings.register_profile("sparsedyn", derandomize=True, deadline=None)
 settings.load_profile("sparsedyn")
@@ -44,3 +47,35 @@ def _factor_branches(nbytes=None):
 def factor_branches():
     """``with factor_branches(nbytes=None) as branches``: see ``_factor_branches``."""
     return _factor_branches
+
+
+class Filled(NamedTuple):
+    """A block a design filled: its rows as the (start, stop) of the slice
+    asked for, and its layout, "F" where column-major, else "C" (a block of
+    one row or column is both: "F")."""
+
+    rows: tuple
+    layout: str
+
+
+@contextmanager
+def _filled_blocks():
+    """Every block ``_Design.fill`` fills inside, in order, as ``Filled``;
+    the spy passes on whatever arguments the fill takes."""
+    blocks = []
+    fill = _Design.fill
+
+    def spy(self, at, *args, **kwargs):
+        block = fill(self, at, *args, **kwargs)
+        blocks.append(Filled((at.start, at.stop), "F" if block.flags.f_contiguous else "C"))
+        return block
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_Design, "fill", spy)
+        yield blocks
+
+
+@pytest.fixture(scope="session")
+def filled_blocks():
+    """``with filled_blocks() as blocks``: see ``_filled_blocks``."""
+    return _filled_blocks

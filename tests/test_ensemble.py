@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,7 +13,7 @@ from sparsedyn.ensemble import (
     fit_ensemble,
 )
 from sparsedyn.errors import FitError, SpecError
-from sparsedyn.optimize import FROLS, SR3, SSR, STLSQ, Problem, solve
+from sparsedyn.optimize import FROLS, SR3, SSR, STLSQ, Problem, _Rows, solve
 
 
 def planted_problem(seed=123, noise=0.0):
@@ -144,6 +146,33 @@ class TestFitEnsemble:
         with pytest.raises(SpecError) as ensembled:
             fit_ensemble(prob, opt, EnsembleSpec(n_models=4, seed=0))
         assert str(ensembled.value) == str(solved.value)
+
+    def test_ssr_draws_too_small_for_a_holdout_split_are_a_spec_error(self):
+        # each member draws round(0.03 * 40) = 1 row, and its split would
+        # leave none to train on: split's own error, before any member is drawn
+        rng = np.random.default_rng(0)
+        prob = Problem(theta=rng.standard_normal((40, 3)), targets=rng.standard_normal(40))
+        spec = EnsembleSpec(n_models=4, row_fraction=0.03)
+        with pytest.raises(SpecError, match="^1 rows are too few for a holdout split$"):
+            fit_ensemble(prob, SSR(), spec)
+        one_row = replace(_Rows.of(prob), counts=np.eye(1, 40, dtype=np.uint8)[0])
+        with pytest.raises(SpecError, match="^1 rows are too few for a holdout split$"):
+            one_row.split()
+        # two rows split into one to train on and one held out
+        with pytest.warns(UserWarning, match="see 2 rows for 3 features"):
+            fit_ensemble(prob, SSR(), replace(spec, row_fraction=0.05))
+
+    def test_sr3_constraints_with_dropped_library_columns_are_a_spec_error(self):
+        # a matrix as wide as the columns a member keeps would pin a
+        # different library column in a member that drops column 0
+        rng = np.random.default_rng(0)
+        prob = Problem(theta=rng.standard_normal((200, 3)), targets=rng.standard_normal(200))
+        opt = SR3(threshold=0.01, constraints=([[1.0, 0.0]], [5.0]))
+        with pytest.raises(SpecError, match="every library column in every fit"):
+            fit_ensemble(prob, opt, EnsembleSpec(n_models=6, n_library_drop=1, seed=0))
+        full = SR3(threshold=0.01, constraints=([[1.0, 0.0, 0.0]], [5.0]))
+        report = fit_ensemble(prob, full, EnsembleSpec(n_models=6, seed=0))
+        np.testing.assert_allclose(report.member_xi[:, 0, 0], 5.0)
 
     def test_majority_failure_raises(self):
         prob, _ = planted_problem()

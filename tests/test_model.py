@@ -5,6 +5,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sparsedyn
 from sparsedyn.data import (
@@ -740,3 +742,66 @@ class TestEquations:
         assert lines == ["q0_t = 0", "q1_t = 1.5 q0"]
         assert parse_equation(lines[0]) == ("q0_t", {})
         assert parse_equation(lines[1]) == ("q1_t", {"q0": 1.5})
+
+
+# ---------------------------------------------------------------------------
+# Metamorphic: reordering the parts of a Concat permutes the coefficients
+# ---------------------------------------------------------------------------
+
+# parts whose column names are disjoint, so that any of them concatenate
+CONCAT_PARTS = (
+    Polynomial(1),
+    Fourier(1),
+    Custom((("tanh", np.tanh),)),
+    Tensor(Polynomial(1, include_bias=False), Fourier(1, include_cos=False)),
+    InputSubset(Custom((("cube", np.cbrt), ("square", np.square))), (1,)),
+)
+
+
+@st.composite
+def planted_concats(draw):
+    """A Concat of 2-4 parts, another order of the same parts, and planted
+    data: random states and, as their precomputed time derivatives, the
+    library times a sparse coefficient matrix (entries 0.5-2 in magnitude, and
+    at least one for each target) plus optional noise."""
+    parts = draw(st.lists(st.sampled_from(CONCAT_PARTS), min_size=2, max_size=4, unique=True))
+    order = draw(st.permutations(range(len(parts))))
+    seed, noise = draw(st.integers(0, 10_000)), draw(st.sampled_from([0.0, 1e-3]))
+    rng = np.random.default_rng(seed)
+    states = rng.uniform(-2.0, 2.0, (200, 2))
+    library = Concat(tuple(parts))
+    theta = design(Dataset(grid=Grid(np.arange(200.0)), states=states), library,
+                   targets=False).theta
+    xi = rng.uniform(0.5, 2.0, (theta.shape[1], 2)) * rng.choice([-1.0, 1.0], (theta.shape[1], 2))
+    planted = rng.random(xi.shape) < 0.3
+    planted[rng.integers(0, xi.shape[0], 2), [0, 1]] = True  # every target has a term
+    xi *= planted
+    derivs = theta @ xi + noise * rng.standard_normal((200, 2))
+    data = Dataset(grid=Grid(np.arange(200.0)), states=states, derivatives=derivs)
+    return data, library, Concat(tuple(parts[i] for i in order))
+
+
+class TestConcatOrder:
+    @pytest.mark.parametrize("opt", [
+        STLSQ(threshold=0.2, ridge=0.0), STLSQ(threshold=0.2),
+        # on exact targets FROLS may select a term off the planted support
+        # whose refit coefficient is of rounding size, 0.0 in one column
+        # order and 1e-16 in another (about 1 draw in 700; none of these)
+        pytest.param(FROLS(max_terms=6), marks=pytest.mark.xfail(
+            strict=False, reason="FROLS keeps terms whose refit coefficient is rounding")),
+        # on exact targets every path entry that holds the planted support
+        # has a holdout residual of rounding size, so the relative tie rule
+        # picks among them by rounding, which the column order moves
+        pytest.param(SSR(), marks=pytest.mark.xfail(
+            strict=True, reason="SSR's holdout tie rule has no absolute floor")),
+    ], ids=["stlsq", "stlsq-ridge", "frols", "ssr"])
+    @given(case=planted_concats())
+    @settings(max_examples=25)
+    def test_reordering_parts_permutes_the_coefficients(self, opt, case):
+        data, library, reordered = case
+        a, b = fit(data, library, FD4, opt), fit(data, reordered, FD4, opt)
+        assert sorted(a.feature_names) == sorted(b.feature_names)
+        xi_b = b.xi[[b.feature_names.index(name) for name in a.feature_names]]
+        np.testing.assert_array_equal(xi_b != 0.0, a.xi != 0.0)
+        tol = 1e-10 * max(1.0, np.abs(a.xi).max())
+        np.testing.assert_allclose(xi_b, a.xi, rtol=0.0, atol=tol)

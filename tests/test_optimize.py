@@ -649,6 +649,46 @@ class TestFactorParity:
         assert_same_fit(solve(prob, spec).xi, oracle_frols(prob, spec))
 
 
+class TestConditionBound:
+    """A Kahan-type design passes the pivot test at every column, while its
+    condition number grows geometrically with its width: the bound on the
+    normalized condition number sends it to TSQR."""
+
+    @staticmethod
+    def kahan_problem(p, m=4000, min_pivot=1.2e-3, noise=0.0):
+        # Theta = Q R, R = diag(s^i) (I - c * strictly upper ones), s^2 + c^2
+        # = 1: column i keeps the share s^(2i) of its squared norm
+        s = min_pivot ** (1.0 / (2 * (p - 1)))
+        c = np.sqrt(1.0 - s * s)
+        R = np.diag(s ** np.arange(p)) @ (np.eye(p) - c * np.triu(np.ones((p, p)), 1))
+        rng = np.random.default_rng(0)
+        theta = np.linalg.qr(rng.standard_normal((m, p)))[0] @ R
+        targets = theta @ rng.uniform(-1.0, 1.0, (p, 1)) + noise * rng.standard_normal((m, 1))
+        return Problem(theta=theta, targets=targets)
+
+    def test_kahan_design_takes_tsqr(self, factor_branches):
+        # exact targets; Cholesky of the Gram of [theta Y] succeeds, and
+        # every feature pivot passes
+        prob = self.kahan_problem(30)
+        rows = np.hstack((prob.theta, prob.targets))
+        gram = rows.T @ rows
+        pivots = np.diagonal(np.linalg.cholesky(gram)) ** 2 / np.diagonal(gram)
+        assert pivots[:30].min() >= optimize.CHOLESKY_MIN_PIVOT
+        assert np.linalg.cond(prob.theta / np.linalg.norm(prob.theta, axis=0)) > 1e6
+        with factor_branches() as branches:
+            xi = solve(prob, STLSQ(threshold=0.0, ridge=0.0)).xi
+        assert branches == ["factor", "qr"]
+        expected = np.linalg.lstsq(prob.theta, prob.targets, rcond=None)[0]
+        assert np.abs(xi - expected).max() <= 1e-8 * np.abs(expected).max()
+
+    def test_narrower_kahan_design_keeps_cholesky(self, factor_branches):
+        # normalized condition number about 2400
+        prob = self.kahan_problem(8, noise=1e-3)
+        with factor_branches() as branches:
+            solve(prob, STLSQ(threshold=0.0, ridge=0.0))
+        assert branches == ["factor"]
+
+
 class TestSR3Conditioning:
     """SR3 on a near-collinear design (columns 1e-3 apart, scales spread over
     1e3) where the normal equations of its relaxed update lose ~1e-9."""

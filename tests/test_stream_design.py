@@ -16,6 +16,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sparsedyn.ensemble as ensemble_module
 from sparsedyn import optimize
@@ -24,7 +26,7 @@ from sparsedyn.diff import FiniteDifference, Spectral
 from sparsedyn.ensemble import EnsembleSpec, fit_ensemble
 from sparsedyn.errors import DataError, SpecError
 from sparsedyn.library import PDE, Concat, Custom, Fourier, InputSubset, Polynomial
-from sparsedyn.model import _Design, _metric, design, fit, predict, score
+from sparsedyn.model import _Design, _metric, _products, design, fit, predict, score
 from sparsedyn.optimize import FROLS, SR3, SSR, STLSQ, Problem, _fit_rows, _narrow_counts, _Rows, solve
 from sparsedyn.systems import KS, canonical_library
 
@@ -56,21 +58,6 @@ def block_bytes(nbytes):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(optimize, "BLOCK_BYTES", nbytes)
         yield
-
-
-@contextmanager
-def filled_blocks():
-    """The (start, stop) of every block a design fills, in order."""
-    blocks = []
-    fill = _Design.fill
-
-    def spy(self, at):
-        blocks.append((at.start, at.stop))
-        return fill(self, at)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(_Design, "fill", spy)
-        yield blocks
 
 
 def assert_fit_is_design_then_solve(data, library, diff, opt, ensemble=None,
@@ -234,13 +221,13 @@ class TestDesignPasses:
         (SSR(), EnsembleSpec(n_models=3, seed=0), 2 * 3 + 2),
         (SSR(), EnsembleSpec(n_models=4, n_library_drop=1, seed=1), 2 * 4 + 2),
     ], ids=["stlsq", "ssr", "stlsq-ensemble", "ssr-ensemble-3", "ssr-ensemble-4"])
-    def test_blocks_filled_per_fit(self, opt, ensemble, passes):
+    def test_blocks_filled_per_fit(self, filled_blocks, opt, ensemble, passes):
         data = oscillator(600)
         # 100 rows of the 13-wide design a block: 6 blocks
         with block_bytes(100 * 13 * 8), filled_blocks() as blocks:
             fit(data, Polynomial(2), FD4, opt, ensemble)
         partition = [(start, start + 100) for start in range(0, 600, 100)]
-        assert blocks == partition * passes
+        assert [block.rows for block in blocks] == partition * passes
 
     @pytest.mark.parametrize("opt, passes_per_member", [(STLSQ(threshold=0.1, ridge=0.0), 0),
                                                         (SSR(), 2)], ids=["stlsq", "ssr"])
@@ -281,7 +268,7 @@ class TestDesignPasses:
             "sr3-rank-deficient"])
     @pytest.mark.parametrize("ensemble", [None, EnsembleSpec(n_models=4, seed=0)],
                              ids=["plain", "ensemble"])
-    def test_invalid_optimizer_fills_no_block(self, opt, normalize, ensemble):
+    def test_invalid_optimizer_fills_no_block(self, filled_blocks, opt, normalize, ensemble):
         # the error is solve's, raised before any block is filled
         data = oscillator(600)
         with pytest.raises(SpecError) as solved:
@@ -296,7 +283,7 @@ class TestDesignPasses:
                 assert str(ensembled.value) == str(solved.value)
         assert blocks == []
 
-    def test_constraints_of_another_width_than_the_members_fill_no_block(self):
+    def test_constraints_of_another_width_than_the_members_fill_no_block(self, filled_blocks):
         # members that drop one of the 10 library columns fit 27 coefficients
         data = oscillator(600)
         opt = SR3(constraints=(np.eye(1, 30), [1.0]))
@@ -305,6 +292,88 @@ class TestDesignPasses:
             with pytest.raises(SpecError, match=r"30 columns, expected p\*n = 27"):
                 fit(data, Polynomial(2), FD4, opt, spec)
         assert blocks == []
+
+
+    def test_ssr_draws_too_small_for_a_holdout_split_fill_no_block(self, filled_blocks):
+        # each member draws round(0.001 * 600) = 1 row
+        spec = EnsembleSpec(n_models=4, row_fraction=0.001, seed=0)
+        with filled_blocks() as blocks:
+            with pytest.raises(SpecError, match="^1 rows are too few for a holdout split$"):
+                fit(oscillator(600), Polynomial(2), FD4, SSR(), spec)
+        assert blocks == []
+
+    def test_constraints_with_dropped_library_columns_fill_no_block(self, filled_blocks):
+        # the matrix fits the 27 coefficients of a member that drops one of
+        # the 10 library columns, but each member drops another
+        opt = SR3(constraints=(np.eye(1, 27), [1.0]))
+        spec = EnsembleSpec(n_models=4, n_library_drop=1, seed=0)
+        with filled_blocks() as blocks:
+            with pytest.raises(SpecError, match="^equality constraints require every library "
+                                                "column in every fit; set n_library_drop to 0$"):
+                fit(oscillator(600), Polynomial(2), FD4, opt, spec)
+        assert blocks == []
+
+
+class ColumnMajor:
+    """The rows of an array, each slice read into a new column-major block,
+    as a model's design fills them."""
+
+    def __init__(self, array):
+        self.array, self.shape = array, array.shape
+
+    def __getitem__(self, at):
+        return np.asfortranarray(self.array[at])
+
+
+class TestColumnMajorBlocks:
+    """A design fills column-major blocks, which every Gram reads as filled;
+    ``design``'s one array is row-major."""
+
+    @given(
+        seed=st.integers(0, 10_000),
+        m=st.integers(1, 300),
+        p=st.integers(1, 8),
+        n=st.integers(1, 3),
+        weighted=st.booleans(),
+        counted=st.booleans(),
+        n_dropped=st.integers(0, 2),
+        nbytes=st.sampled_from([1, 64, 500, 4096, optimize.BLOCK_BYTES]),
+    )
+    @settings(max_examples=60)
+    def test_grams_and_tsqr_do_not_see_the_block_layout(self, seed, m, p, n, weighted, counted,
+                                                         n_dropped, nbytes):
+        rng = np.random.default_rng(seed)
+        data = rng.standard_normal((m, p + n)) * rng.uniform(0.1, 10.0, p + n)
+        features = slice(0, p)
+        if n_dropped:
+            features = np.sort(rng.choice(p, p - min(n_dropped, p - 1), replace=False))
+        rows = _Rows(data=data, n_features=p, normalize=False, names=tuple(map(str, range(p))),
+                     features=features, targets=slice(p, None),
+                     weights=rng.uniform(0.0, 2.0, m) * (rng.random(m) < 0.8) if weighted else None,
+                     counts=_narrow_counts(rng.integers(0, 4, m)) if counted else None)
+        column_major = replace(rows, data=ColumnMajor(data))
+        with block_bytes(nbytes):
+            gram, = optimize._grams([rows])
+            assert_identical(optimize._grams([column_major])[0], gram)
+            if gram is not None:
+                # TSQR: every factor streams its rows once more
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(optimize, "_cholesky", lambda gram, n_features: None)
+                    expected, got = rows._factor(gram), column_major._factor(gram)
+                assert_identical((got.theta, got.targets), (expected.theta, expected.targets))
+
+    def test_a_design_fills_column_major_blocks(self, filled_blocks):
+        data = oscillator(600)
+        with block_bytes(100 * 13 * 8), filled_blocks() as blocks:
+            model = fit(data, Polynomial(2), FD4, SSR(), EnsembleSpec(n_models=3, seed=0))
+            score(model, data)
+            predict(model, data)
+        assert len(blocks) > 6 and {block.layout for block in blocks} == {"F"}
+        with filled_blocks() as blocks:
+            problem = design(data, Polynomial(2), FD4)
+        assert blocks == [((None, None), "C")]
+        assert problem.theta.base.flags.c_contiguous
+        assert _Rows.of(problem).data is problem.theta.base
 
 
 class TestNarrowCounts:
@@ -410,3 +479,23 @@ class TestMemory:
             "predict": lambda: predict(model, data),
         }[run]
         assert traced_peak(call) < design_bytes / 2
+
+    @pytest.mark.parametrize("weighted", [False, True], ids=["unweighted", "weighted"])
+    def test_a_product_pass_holds_two_blocks_of_a_design_and_one_of_a_problem(self, weighted):
+        # 100 000 rows of the 13-wide Polynomial(2) design (9.9 MiB, ten
+        # 1 MiB blocks): a product reads a design's column-major block from a
+        # row-major copy that replaces it, so the pass holds the two at once;
+        # a problem's rows are read in place, and a weighted pass holds one
+        # gathered copy
+        data = oscillator(100_000, t_max=100.0)
+        source = _Design(data, Polynomial(2), FD4)
+        weights = np.random.default_rng(0).uniform(0.5, 2.0, 100_000) if weighted else None
+        xis = np.ones((1, 10, 3))
+        block = optimize.BLOCK_BYTES
+        assert block == 1 << 20
+        rows = replace(source.rows(False), weights=weights)
+        assert traced_peak(lambda: rows.residual_norms(xis)) < 2.5 * block
+        outputs = 100_000 * (3 + 3) * 8  # the predictions and targets _products returns
+        assert traced_peak(lambda: _products(source, xis[0])) - outputs < 2.5 * block
+        rows = replace(_Rows.of(design(data, Polynomial(2), FD4)), weights=weights)
+        assert traced_peak(lambda: rows.residual_norms(xis)) < (2 if weighted else 1) * block
