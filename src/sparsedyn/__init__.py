@@ -37,7 +37,6 @@ from .library import (
     Tensor,
     WeakPDE,
     evaluate_pointwise,
-    predict_width,
 )
 from .model import (
     FittedModel,
@@ -46,7 +45,6 @@ from .model import (
     equations,
     fit,
     fit_implicit,
-    parse_equation,
     predict,
     score,
     simulate,
@@ -113,9 +111,7 @@ __all__ = [
     "flatten",
     "generate",
     "load_dataset",
-    "parse_equation",
     "predict",
-    "predict_width",
     "save_dataset",
     "score",
     "simulate",

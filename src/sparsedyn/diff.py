@@ -140,12 +140,12 @@ def _sg_weights(nodes: np.ndarray, at: np.ndarray, d: int, poly_order: int) -> n
 
 
 def _stencil_along_last(
-    values: np.ndarray, axis: np.ndarray, size: int, edge: int, weights
-) -> np.ndarray:
-    """Windowed derivative along the last axis.  Interior points sit at the
-    center of their ``size``-point window; the first and last ``size // 2``
-    points share one ``edge``-point window per end (one weight matrix per
-    end, like scipy's savgol_filter mode="interp").
+    values: np.ndarray, axis: np.ndarray, size: int, edge: int, weights, out: np.ndarray
+) -> None:
+    """Windowed derivative along the last axis, written into ``out``.
+    Interior points sit at the center of their ``size``-point window; the
+    first and last ``size // 2`` points share one ``edge``-point window per
+    end (one weight matrix per end, like scipy's savgol_filter mode="interp").
 
     ``weights(nodes, at)`` maps window nodes ``(..., w)`` and points
     ``(..., k)`` to weights ``(..., k, w)``; leading axes are a batch of
@@ -155,7 +155,6 @@ def _stencil_along_last(
     if L < edge:
         raise DataError(f"axis length {L} too short to differentiate (needs >= {edge} points)")
     half = size // 2
-    out = np.empty_like(values, dtype=float)
     windows = sliding_window_view(values, size, axis=-1)
     if _is_uniform(axis):
         h = (axis[-1] - axis[0]) / (L - 1)
@@ -168,7 +167,6 @@ def _stencil_along_last(
     for block, points in ((slice(0, edge), slice(0, half)),
                           (slice(L - edge, L), slice(L - half, L))):
         out[..., points] = values[..., block] @ weights(axis[block], axis[points]).T
-    return out
 
 
 # fd_weights over a batch: nodes (..., 1, w) and points (..., k) -> (..., k, w)
@@ -188,8 +186,9 @@ def _stencil(method: FiniteDifference | SavitzkyGolay, d: int):
 
 
 def _spectral_along_last(
-    values: np.ndarray, axis: np.ndarray, orders: tuple[int, ...], filter_strength: float
-) -> list[np.ndarray]:
+    values: np.ndarray, axis: np.ndarray, orders: tuple[int, ...], filter_strength: float,
+    outs: list[np.ndarray],
+) -> None:
     # one forward transform serves every requested order
     L = axis.size
     if not _is_uniform(axis):
@@ -197,16 +196,14 @@ def _spectral_along_last(
     h = (axis[-1] - axis[0]) / (L - 1)
     k = 2.0 * np.pi * np.fft.rfftfreq(L, d=h)
     spec = np.fft.rfft(values, axis=-1)
-    out = []
-    for d in orders:
+    for d, out in zip(orders, outs):
         mult = (1j * k) ** d
         if d % 2 == 1 and L % 2 == 0:
             mult[-1] = 0.0  # Nyquist mode carries no sign information for odd d
         if filter_strength > 0:
             kmax = k[-1] if k[-1] > 0 else 1.0
             mult = mult * np.exp(-filter_strength * (k / kmax) ** 8)
-        out.append(np.fft.irfft(spec * mult, n=L, axis=-1))
-    return out
+        np.fft.irfft(spec * mult, n=L, axis=-1, out=out)
 
 
 def _differentiate_orders(
@@ -218,7 +215,9 @@ def _differentiate_orders(
 ) -> list[np.ndarray]:
     """Derivatives of ``values`` along ``axis`` for each of ``orders``, each
     identical to its own ``differentiate`` call; spectral derivatives share
-    one forward transform."""
+    one forward transform.  Each comes back C-ordered in the axis order of
+    ``values``, whatever the layout of ``values``, so that flattening its
+    leading axes is a view."""
     values = np.asarray(values, dtype=float)
     axis_values = np.asarray(axis_values, dtype=float)
     for d in orders:
@@ -232,15 +231,16 @@ def _differentiate_orders(
         raise DataError("axis values must be strictly increasing")
 
     moved = np.moveaxis(values, axis, -1)
+    results = [np.empty(values.shape) for _ in orders]
+    outs = [np.moveaxis(r, axis, -1) for r in results]
     if isinstance(method, (FiniteDifference, SavitzkyGolay)):
-        results = [_stencil_along_last(moved, axis_values, *_stencil(method, d)) for d in orders]
+        for d, out in zip(orders, outs):
+            _stencil_along_last(moved, axis_values, *_stencil(method, d), out)
     elif isinstance(method, Spectral):
-        results = _spectral_along_last(
-            moved, axis_values, orders, method.filter_strength
-        )
+        _spectral_along_last(moved, axis_values, orders, method.filter_strength, outs)
     else:
         raise SpecError(f"unknown differentiation method {method!r}")
-    return [np.moveaxis(r, -1, axis) for r in results]
+    return results
 
 
 def differentiate(

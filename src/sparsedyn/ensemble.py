@@ -118,16 +118,17 @@ def fit_ensemble(
     draws = []
     for i in range(spec.n_models):
         rng = np.random.default_rng(derive_seed(spec.seed, i))
-        # the drawn positions live only while they are counted
-        counts = np.bincount(
+        # the drawn positions and their int64 counts live only while they
+        # are counted and narrowed
+        counts = _narrow_counts(np.bincount(
             rng.integers(0, m, size=n_rows) if spec.replace else rng.permutation(m)[:n_rows],
             minlength=m,
-        )
+        ))
         features = base.features
         if spec.n_library_drop:
             dropped = rng.choice(p, size=spec.n_library_drop, replace=False)
             features = np.setdiff1d(np.arange(p), dropped)
-        draws.append(replace(base, counts=_narrow_counts(counts), features=features))
+        draws.append(replace(base, counts=counts, features=features))
     grams = _grams(draws)  # one pass sums every member's Gram
 
     members: list[np.ndarray] = []

@@ -16,7 +16,9 @@ from itertools import combinations_with_replacement, product as iproduct
 from typing import Callable, Union
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
+from . import optimize
 from .data import AXIS_LETTERS, Dataset, flatten
 from .diff import DiffMethod, _derivative_fields
 from .errors import SpecError
@@ -167,7 +169,11 @@ class WeakPDE(_Spec):
     Evaluation also produces the matching left-hand side -integral(phi_t q).
 
     ``subdomain_size`` counts grid points per axis (spatial axes first, then
-    time); a single int applies to every axis.
+    time); a single int applies to every axis.  Subdomain starts are drawn
+    from ``seed``, one integer per axis and subdomain, in subdomain order.
+    The rows are computed a chunk of subdomains at a time, within
+    ``BLOCK_BYTES`` of temporaries, and each has the bits of its subdomain
+    computed alone.
     """
 
     inner: "LibrarySpec"
@@ -241,19 +247,6 @@ def validate(spec: LibrarySpec) -> None:
     """Raise ``SpecError`` if ``spec`` is malformed whatever its inputs: it is
     planned on no inputs, so ``InputSubset`` indices into them go unchecked."""
     GridPlan(spec, 0)
-
-
-def predict_width(spec: LibrarySpec, n_inputs: int, n_states: int | None = None) -> int:
-    """Exact number of columns of ``spec`` on these inputs.
-
-    ``n_inputs`` counts states plus controls; ``n_states`` (defaults to
-    ``n_inputs``) is what derivative features apply to.
-    """
-    if n_states is None:
-        n_states = n_inputs
-    if not 0 <= n_states <= n_inputs or n_inputs < 1:
-        raise SpecError(f"cannot plan {n_states} states among {n_inputs} inputs")
-    return len(GridPlan(spec, n_states, n_inputs - n_states).names)
 
 
 # ---------------------------------------------------------------------------
@@ -516,10 +509,11 @@ def evaluate_pointwise(
 
 
 def _trapezoid_weights(coords: np.ndarray) -> np.ndarray:
+    """Trapezoid weights of the nodes along the last axis of ``coords``."""
     w = np.zeros_like(coords)
-    dif = np.diff(coords)
-    w[:-1] += dif / 2
-    w[1:] += dif / 2
+    dif = np.diff(coords, axis=-1)
+    w[..., :-1] += dif / 2
+    w[..., 1:] += dif / 2
     return w
 
 
@@ -532,29 +526,70 @@ def _bump_polynomials(p: int, max_order: int) -> list[np.polynomial.Polynomial]:
 def _weak_axis_vectors(
     coords: np.ndarray, bumps: list[np.polynomial.Polynomial]
 ) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Trapezoid weights and phi-derivative weight vectors for one axis.
+    """Trapezoid weights and phi-derivative weight vectors along one axis of
+    each subdomain, whose nodes are the last axis of ``coords``.
 
     ``bumps`` comes from ``_bump_polynomials``.  Returns (w, [w*phi, w*phi',
-    w*phi'', ...]) with derivative vectors mean-corrected so that a constant
-    field integrates to exactly zero, as in the continuous
-    integration-by-parts identity.
+    w*phi'', ...]), each shaped like ``coords``, with derivative vectors
+    mean-corrected so that a constant field integrates to exactly zero, as
+    in the continuous integration-by-parts identity.  A subdomain's vectors
+    have the same bits whichever subdomains share the call.
     """
-    a, b = coords[0], coords[-1]
+    a, b = coords[..., :1], coords[..., -1:]
     zeta = 2.0 * (coords - a) / (b - a) - 1.0
     scale = 2.0 / (b - a)
     w = _trapezoid_weights(coords)
     vectors = []
     for r, bump in enumerate(bumps):
-        v = w * bump(zeta) * scale**r
+        v = w * bump(zeta)  # scale**0 is 1
         if r >= 1:
-            v = v - (v.sum() / w.sum()) * w
+            # scale**r as each subdomain's scalar power (pow(s, 1) is s): an
+            # array power may take another kernel (s*s for r = 2) and round
+            # differently
+            powers = scale if r == 1 else np.array([s**r for s in scale.flat])
+            v = v * powers.reshape(scale.shape)
+            v = v - (v.sum(axis=-1, keepdims=True) / w.sum(axis=-1, keepdims=True)) * w
         vectors.append(v)
     return w, vectors
 
 
+def _windows(field: np.ndarray, sizes: tuple[int, ...], values_last: bool) -> np.ndarray:
+    """Every subdomain window of ``field`` ``(*sample_shape, c)``, a view
+    indexed by the window's first point: ``(*starts, *sizes, c)``, or
+    ``(*starts, c, *sizes)`` without ``values_last``."""
+    n_axes = len(sizes)
+    view = sliding_window_view(field, sizes, axis=tuple(range(n_axes)))
+    return np.moveaxis(view, n_axes, -1) if values_last else view
+
+
+def _subdomain_bytes(plan: GridPlan, volume: int) -> int:
+    """What a subdomain of ``volume`` grid points adds to a chunk of the weak
+    form of ``plan``: its windows of the multiply_by fields and the states,
+    for products those of one derivative field and its integrands, and two
+    weight fields."""
+    n = plan.n_states
+    if plan.blocks:
+        n_f = len(plan.blocks[0].f_names)
+        products = n + n_f * n if n_f else 0
+    else:
+        n_f, products = len(plan.names), 0
+    return 8 * volume * (n_f + n + products + 2)
+
+
 def _weak_columns(plan: GridPlan, dataset: Dataset, diff_method: DiffMethod) -> np.ndarray:
     """The weak form of ``plan`` on ``dataset``, one row per subdomain: its
-    library columns, then its left-hand side."""
+    library columns, then its left-hand side.
+
+    Subdomains are computed a chunk at a time, as many as keep the chunk's
+    temporaries (``_subdomain_bytes`` each) within ``optimize.BLOCK_BYTES``,
+    and at least one.  A chunk evaluates its test functions in one pass per
+    axis, gathers its windows of each field into one C-ordered array, and
+    takes each column group in one batched ``matmul`` whose per-subdomain
+    operands have the layout and shapes a per-subdomain ``tensordot`` gives
+    ``dot``, so every row has the bits of its subdomain computed alone.
+    The rows are returned whole: a fit reads them more than once, and they
+    are ``p + n`` values per subdomain.
+    """
     spec = plan.weak
     grid = dataset.grid
     n = dataset.n_states
@@ -588,7 +623,7 @@ def _weak_columns(plan: GridPlan, dataset: Dataset, diff_method: DiffMethod) -> 
     f_fields = np.empty((n_f, grid.n_samples))
     if n_f:
         f_fill(_grid_inputs(dataset), (), f_fields.T)
-    f_fields = f_fields.reshape(-1, *grid.sample_shape)
+    f_fields = np.moveaxis(f_fields.reshape(-1, *grid.sample_shape), 0, -1)
 
     # The numerically differentiated fields feed only the product columns;
     # pure derivative columns are handled by parts and never need them.
@@ -600,52 +635,71 @@ def _weak_columns(plan: GridPlan, dataset: Dataset, diff_method: DiffMethod) -> 
     max_order = max((max(mu) for mu in mus), default=0)
     max_order = max(max_order, 1)  # phi_t needed for the left-hand side
     bumps = _bump_polynomials(spec.test_poly_order, max_order)
-    grid_axes = list(range(n_axes))
 
     rng = np.random.default_rng(spec.seed)
+    # one scalar draw per axis and subdomain, in subdomain order
+    highs = [coords.size - size + 1 for coords, size in zip(axes_coords, sizes)]
+    starts = np.array(
+        [int(rng.integers(0, high)) for _ in range(spec.n_subdomains) for high in highs]
+    ).reshape(spec.n_subdomains, n_axes)
 
-    states, p = dataset.states, len(plan.names)
-    values = np.empty((spec.n_subdomains, p + n))
-    for k in range(spec.n_subdomains):
-        starts = [
-            int(rng.integers(0, coords.size - size + 1))
-            for coords, size in zip(axes_coords, sizes)
-        ]
-        block = tuple(
-            slice(start, start + size) for start, size in zip(starts, sizes)
-        )
+    # read BLOCK_BYTES now, so that tests can shrink it
+    volume = int(np.prod(sizes))
+    chunk = max(1, optimize.BLOCK_BYTES // _subdomain_bytes(plan, volume))
+
+    p = len(plan.names)
+    state_windows = _windows(dataset.states, sizes, True)
+    f_windows = _windows(f_fields, sizes, False)
+    deriv_windows = [None if f is None else _windows(f, sizes, False) for f in deriv_fields]
+
+    def fill(rows: np.ndarray, at: np.ndarray) -> None:
+        """The rows of the subdomains whose first points are the rows of
+        ``at``; a chunk's temporaries end with the call."""
+        k, index = at.shape[0], tuple(at.T)
+
+        def gather(windows: np.ndarray) -> np.ndarray:
+            """The chunk's windows as one C-ordered array."""
+            return np.ascontiguousarray(windows[index])
+
         axis_vecs = [
-            _weak_axis_vectors(coords[sl], bumps)
-            for coords, sl in zip(axes_coords, block)
+            _weak_axis_vectors(coords[at[:, a, None] + np.arange(size)], bumps)[1]
+            for a, (coords, size) in enumerate(zip(axes_coords, sizes))
         ]
 
         def weight_field(orders: dict[int, int]) -> np.ndarray:
-            out = np.array(1.0)
-            for a, (_, vectors) in enumerate(axis_vecs):
-                out = np.multiply.outer(out, vectors[orders.get(a, 0)])
-            return out
+            """(k, volume): each subdomain's outer product of its axis
+            vectors of ``orders``, multiplied left to right."""
+            out = axis_vecs[0][orders.get(0, 0)]
+            for a in range(1, n_axes):
+                vec = axis_vecs[a][orders.get(a, 0)]
+                out = out[..., None] * vec.reshape(k, *(1,) * a, sizes[a])
+            return out.reshape(k, volume)
 
-        w_phi = weight_field({})
-        state_block = states[block]  # (*sizes, n)
-        f_block = f_fields[(slice(None), *block)]  # (n_f, *sizes)
+        w_phi = weight_field({})[:, :, None]  # (k, volume, 1)
+        state_win = gather(state_windows).reshape(k, volume, n)
+        f_win = gather(f_windows).reshape(k, n_f, volume)
         col = 0
-        for orders, field in zip(mu_orders, deriv_fields):
+        for orders, windows in zip(mu_orders, deriv_windows):
             sign = (-1) ** sum(orders.values())
-            w_mu = weight_field(orders)
             # pure derivatives, integrated by parts
-            values[k, col : col + n] = sign * np.tensordot(
-                w_mu, state_block, axes=n_axes
-            )
+            rows[:, col : col + n] = sign * np.matmul(
+                weight_field(orders)[:, None, :], state_win
+            )[:, 0]
             col += n
-            if field is None:
+            if windows is None:
                 continue
             # products keep the numerical derivative, smoothed by phi; all
-            # multiply_by fields in one contraction, feature-major
-            integrand = f_block[..., None] * field[block]  # (n_f, *sizes, n)
-            values[k, col : col + n_f * n] = np.tensordot(
-                integrand, w_phi, axes=([a + 1 for a in grid_axes], grid_axes)
-            ).ravel()
+            # multiply_by fields in one contraction, feature-major; no
+            # window or integrand outlives its product
+            d_win = gather(windows).reshape(k, 1, n, volume)
+            integrands = (f_win[:, :, None] * d_win).reshape(k, n_f * n, volume)
+            rows[:, col : col + n_f * n] = np.matmul(integrands, w_phi)[..., 0]
+            del d_win, integrands
             col += n_f * n
-        values[k, col : col + n_f] = np.tensordot(f_block, w_phi, axes=n_axes)
-        values[k, p:] = -np.tensordot(weight_field({n_axes - 1: 1}), state_block, axes=n_axes)
+        rows[:, col : col + n_f] = np.matmul(f_win, w_phi)[..., 0]
+        rows[:, p:] = -np.matmul(weight_field({n_axes - 1: 1})[:, None, :], state_win)[:, 0]
+
+    values = np.empty((spec.n_subdomains, p + n))
+    for first in range(0, spec.n_subdomains, chunk):
+        fill(values[first : first + chunk], starts[first : first + chunk])
     return values

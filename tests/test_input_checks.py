@@ -14,8 +14,7 @@ from sparsedyn.diff import FiniteDifference, differentiate, fd_weights
 from sparsedyn.errors import DataError, SpecError
 from sparsedyn.integrate import integrate
 from sparsedyn.library import Custom, GridPlan, InputSubset, Polynomial, WeakPDE
-from sparsedyn.model import (design, equations, fit, fit_implicit, parse_equation, score,
-                             simulate)
+from sparsedyn.model import design, equations, fit, fit_implicit, score, simulate
 from sparsedyn.optimize import SR3, SSR, STLSQ, Problem, solve
 
 
@@ -129,8 +128,6 @@ INPUT_CHECKS = [
                  id="simulate-control-rows"),
     pytest.param(lambda tmp, m: equations(m, precision=0),
                  SpecError, "precision must be >= 1, got 0", id="equations-precision"),
-    pytest.param(lambda tmp, m: parse_equation("q0_t"),
-                 SpecError, "not an equation string: 'q0_t'", id="parse-equation"),
     pytest.param(lambda tmp, m: split_train_test(decay_dataset(), 1.0),
                  DataError, r"train fraction must lie in \(0, 1\), got 1.0",
                  id="split-fraction"),

@@ -1,3 +1,5 @@
+import tracemalloc
+from dataclasses import replace
 from itertools import combinations_with_replacement
 from math import comb
 
@@ -6,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from sparsedyn import library, optimize
 from sparsedyn.data import Dataset, Grid, flatten
 from sparsedyn.diff import FiniteDifference, SavitzkyGolay, Spectral, differentiate
 from sparsedyn.errors import SpecError
@@ -15,15 +18,17 @@ from sparsedyn.library import (
     Concat,
     Custom,
     Fourier,
+    GridPlan,
     InputSubset,
     PDE,
     Polynomial,
     Tensor,
     WeakPDE,
     _bump_polynomials,
+    _subdomain_bytes,
     _weak_axis_vectors,
+    _weak_columns,
     evaluate_pointwise,
-    predict_width,
     validate,
 )
 from sparsedyn.model import design
@@ -47,28 +52,24 @@ def pointwise_dataset(X, controls=None):
 
 class TestWidths:
     def test_polynomial(self):
-        assert predict_width(Polynomial(degree=2), 2) == 6
+        assert len(GridPlan(Polynomial(degree=2), 2).names) == 6
 
     def test_fourier(self):
-        assert predict_width(Fourier(n_frequencies=2), 1) == 4
+        assert len(GridPlan(Fourier(n_frequencies=2), 1).names) == 4
 
     def test_tensor_product_rule(self):
         spec = Tensor(Polynomial(1), InputSubset(Fourier(1), (0,)))
-        assert predict_width(Polynomial(1), 2) == 3
-        assert predict_width(InputSubset(Fourier(1), (0,)), 2) == 2
-        assert predict_width(spec, 2) == 6
+        assert len(GridPlan(Polynomial(1), 2).names) == 3
+        assert len(GridPlan(InputSubset(Fourier(1), (0,)), 2).names) == 2
+        assert len(GridPlan(spec, 2).names) == 6
 
     def test_polynomial_no_interactions(self):
-        assert predict_width(Polynomial(3, include_interactions=False), 2) == 7
+        assert len(GridPlan(Polynomial(3, include_interactions=False), 2).names) == 7
 
     def test_pde(self):
         spec = PDE(4, ("x",), Polynomial(2, include_bias=False))
         # 4 derivative orders x 1 state x (1 + 2 functions) + 2 functions
-        assert predict_width(spec, 1) == 14
-
-    def test_more_states_than_inputs_rejected(self):
-        with pytest.raises(SpecError):
-            predict_width(Polynomial(1), 1, 2)
+        assert len(GridPlan(spec, 1).names) == 14
 
     @pytest.mark.parametrize(
         "spec",
@@ -86,7 +87,7 @@ class TestWidths:
         rng = np.random.default_rng(3)
         ds = pointwise_dataset(rng.standard_normal((7, 2)))
         got = library_design(spec, ds, FD)
-        assert got.n_features == predict_width(spec, 2)
+        assert got.n_features == len(GridPlan(spec, 2).names)
         assert len(set(got.feature_names)) == got.n_features
 
 
@@ -206,15 +207,15 @@ class TestDuplicateNames:
         with pytest.raises(SpecError, match="duplicate feature names"):
             validate(Concat((Polynomial(1), Polynomial(1))))
 
-    def test_predict_width(self):
+    def test_grid_plan(self):
         with pytest.raises(SpecError, match=r"duplicate feature names: \['1', 'q0'\]"):
-            predict_width(Concat((Polynomial(1), Polynomial(1))), 1)
+            GridPlan(Concat((Polynomial(1), Polynomial(1))), 1)
 
     def test_names_that_repeat_only_on_inputs(self):
         spec = Concat((Polynomial(1, include_bias=False), Fourier(1), Polynomial(1, False)))
         validate(spec)  # on no inputs the parts name no columns
         with pytest.raises(SpecError, match="duplicate feature names"):
-            predict_width(spec, 2)
+            GridPlan(spec, 2)
 
 
 class TestPDELibrary:
@@ -251,7 +252,7 @@ class TestPDELibrary:
         with pytest.raises(SpecError):
             validate(PDE(2, ("t",), diff=method))
         with pytest.raises(SpecError):
-            predict_width(PDE(2, ("t",), diff=method), 1)
+            GridPlan(PDE(2, ("t",), diff=method), 1)
 
     def test_diff_override_checked_at_the_block_order(self):
         # a degree-2 fit cannot give the third derivative the block asks for
@@ -272,7 +273,7 @@ class TestPDELibrary:
         with pytest.raises(SpecError, match="derivative-free"):
             validate(spec)
         with pytest.raises(SpecError, match="derivative-free"):
-            predict_width(spec, 1)
+            GridPlan(spec, 1)
 
     def test_time_axis_derivatives_for_implicit_libraries(self):
         t = np.linspace(0.0, 1.0, 50)
@@ -341,7 +342,7 @@ class TestWeakForm:
             inner=Polynomial(2), n_subdomains=40, subdomain_size=(60,), seed=1
         )
         got = library_design(spec, ds, FD)
-        assert got.theta.shape == (40, predict_width(Polynomial(2), 2))
+        assert got.theta.shape == (40, len(GridPlan(Polynomial(2), 2).names))
         assert got.targets.shape == (40, 2)
 
     def test_weak_lhs_matches_analytic_integral(self):
@@ -415,11 +416,11 @@ def test_polynomial_width_property(degree, bias, interactions, n):
     rng = np.random.default_rng(degree + n)
     ds = pointwise_dataset(rng.standard_normal((5, n)))
     if degree == 0 and not bias:  # no columns on any inputs
-        for planned in (lambda: predict_width(spec, n), lambda: library_design(spec, ds)):
+        for planned in (lambda: GridPlan(spec, n), lambda: library_design(spec, ds)):
             with pytest.raises(SpecError, match="has no columns"):
                 planned()
     else:
-        assert library_design(spec, ds).n_features == predict_width(spec, n)
+        assert library_design(spec, ds).n_features == len(GridPlan(spec, n).names)
 
 
 # ---------------------------------------------------------------------------
@@ -615,8 +616,8 @@ def oracle_weak(spec, dataset, diff_method):
 
 
 def oracle_width(spec, n_inputs, n_states):
-    """Closed-form column count of ``spec``, as ``predict_width`` computed
-    it before widths came from the plan, refusing a polynomial with no
+    """Closed-form column count of ``spec``, as the package computed it
+    before widths came from the plan, refusing a polynomial with no
     columns as validation now does."""
     if isinstance(spec, Polynomial):
         if spec.degree == 0 and not spec.include_bias:
@@ -887,6 +888,69 @@ class TestWeakParity:
 
 
 @st.composite
+def chunked_weak_cases(draw):
+    """A weak case of ``weak_cases`` with 7-12 subdomains, and how many
+    subdomains a chunk holds: one to three, or None for the default
+    ``BLOCK_BYTES``."""
+    spec, ds = draw(weak_cases())
+    spec = replace(spec, n_subdomains=draw(st.integers(7, 12)))
+    return spec, ds, draw(st.sampled_from([1, 2, 3, None]))
+
+
+class TestWeakChunks:
+    """The weak form is computed a chunk of subdomains at a time; every row
+    has the bits of its subdomain computed alone, whatever the chunk."""
+
+    @given(case=chunked_weak_cases())
+    @settings(max_examples=120)
+    def test_rows_equal_former_weak_form_for_any_chunk(self, case):
+        spec, ds, per_chunk = case
+        assume(plannable(spec, ds.n_states + ds.n_controls, ds.n_states))
+        values, names, lhs = oracle_weak(spec, ds, FD)
+        assume(len(set(names)) == len(names))
+        plan = GridPlan(spec, ds.n_states, ds.n_controls)
+        nbytes = optimize.BLOCK_BYTES
+        if per_chunk is not None:
+            nbytes = per_chunk * _subdomain_bytes(plan, int(np.prod(spec.subdomain_size)))
+        chunks = []
+        axis_vectors = library._weak_axis_vectors
+
+        def spy(coords, bumps):
+            chunks.append(coords.shape[0])
+            return axis_vectors(coords, bumps)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(optimize, "BLOCK_BYTES", nbytes)
+            mp.setattr(library, "_weak_axis_vectors", spy)
+            got = _weak_columns(plan, ds, FD)
+        n_axes = len(spec.subdomain_size)
+        assert sum(chunks[::n_axes]) == spec.n_subdomains
+        if per_chunk is not None:
+            assert max(chunks) == per_chunk
+        np.testing.assert_array_equal(got, np.hstack([values, lhs]))
+
+    def test_peak_below_the_rows_and_two_chunks(self):
+        # 2000 subdomains of 301 points of a Polynomial(2) weak form on three
+        # states: computed at once, their windows would take 72 MB
+        t = np.linspace(0.0, 20.0, 2001)
+        states = np.column_stack([np.sin(t), np.cos(1.3 * t), np.sin(0.7 * t) ** 2])
+        ds = Dataset(grid=Grid(t), states=states)
+        spec = WeakPDE(Polynomial(2), n_subdomains=2000, subdomain_size=(301,), seed=4)
+        plan = GridPlan(spec, 3)
+        assert 2000 * _subdomain_bytes(plan, 301) > 70e6
+        rows_bytes = 2000 * (10 + 3) * 8
+        _weak_columns(plan, ds, FD)  # first-call set-up is not the design's
+        tracemalloc.start()
+        try:
+            held = tracemalloc.get_traced_memory()[0]
+            _weak_columns(plan, ds, FD)
+            peak = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        assert peak < rows_bytes + 2 * optimize.BLOCK_BYTES
+
+
+@st.composite
 def width_cases(draw):
     """A spec of any kind, derivative factors included, on an x-t grid."""
     n, r = draw(st.integers(1, 2)), draw(st.integers(0, 1))
@@ -914,7 +978,7 @@ def test_width_equals_closed_form_and_evaluation(case):
     assume(plannable(spec, k, n))
     width = oracle_width(spec, k, n)
     try:
-        planned = predict_width(spec, k, n)
+        planned = len(GridPlan(spec, n, k - n).names)
     except SpecError as exc:  # the spec repeats a column
         assume("duplicate feature names" not in str(exc))
         raise

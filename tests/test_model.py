@@ -39,13 +39,14 @@ from sparsedyn.model import (
     equations,
     fit,
     fit_implicit,
-    parse_equation,
     predict,
     score,
     simulate,
 )
 from sparsedyn.optimize import FROLS, SR3, SSR, STLSQ, Coefficients, Problem, _Rows, solve
 from sparsedyn.systems import BenchmarkSpec, Lorenz, generate
+
+from equation_text import parse_equation
 
 FD4 = FiniteDifference(order=4)
 SRC = str(Path(sparsedyn.__file__).resolve().parents[1])

@@ -9,7 +9,8 @@ from pathlib import Path
 import pytest
 
 import sparsedyn
-from sparsedyn.model import parse_equation
+
+from equation_text import parse_equation
 
 SRC = str(Path(sparsedyn.__file__).resolve().parents[1])
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"

@@ -20,12 +20,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sparsedyn.ensemble as ensemble_module
+from sparsedyn import library as library_module
 from sparsedyn import optimize
 from sparsedyn.data import Dataset, Grid, TrajectoryCollection
 from sparsedyn.diff import FiniteDifference, Spectral
 from sparsedyn.ensemble import EnsembleSpec, fit_ensemble
 from sparsedyn.errors import DataError, SpecError
-from sparsedyn.library import PDE, Concat, Custom, Fourier, InputSubset, Polynomial
+from sparsedyn.library import PDE, Concat, Custom, Fourier, GridPlan, InputSubset, Polynomial
 from sparsedyn.model import _Design, _metric, _products, design, fit, predict, score
 from sparsedyn.optimize import FROLS, SR3, SSR, STLSQ, Problem, _fit_rows, _narrow_counts, _Rows, solve
 from sparsedyn.systems import KS, canonical_library
@@ -499,3 +500,53 @@ class TestMemory:
         assert traced_peak(lambda: _products(source, xis[0])) - outputs < 2.5 * block
         rows = replace(_Rows.of(design(data, Polynomial(2), FD4)), weights=weights)
         assert traced_peak(lambda: rows.residual_norms(xis)) < (2 if weighted else 1) * block
+
+    def test_derivative_fields_of_a_ks_layout_are_read_in_place(self, monkeypatch):
+        # KS stores its field with x contiguous; each derivative field comes
+        # back C-ordered all the same, so its (samples, n) matrix is a view
+        # of it, and planning the inputs holds the four fields and the input
+        # matrix plus one transform's work (copying each field to its matrix
+        # peaked at 8 fields' worth)
+        wave = travelling_wave(nx=512, nt=300)
+        ds = Dataset(grid=wave.grid, states=np.asfortranarray(wave.states[..., 0])[..., None])
+        assert ds.states.strides[0] == 8
+        made = []
+        derivative_fields = library_module._derivative_fields
+
+        def spy(*args):
+            fields = derivative_fields(*args)
+            made.extend(fields)
+            return fields
+
+        monkeypatch.setattr(library_module, "_derivative_fields", spy)
+        plan = GridPlan(canonical_library(KS()), 1)
+        _, (matrices,) = plan.inputs(ds, FD4)
+        assert len(matrices) == len(made) == 4
+        for matrix, field in zip(matrices, made):
+            assert field.flags.c_contiguous
+            assert np.shares_memory(matrix, field)
+        field_bytes = 512 * 300 * 8
+        assert traced_peak(lambda: plan.inputs(ds, FD4)) < 6.5 * field_bytes
+
+    def test_ensemble_members_hold_only_their_narrow_counts(self, monkeypatch):
+        # when the members' shared Gram pass starts, the ensemble holds each
+        # member's one-byte counts, and no member's int64 bincount (8 bytes
+        # a row) is left over from the draws
+        m, n_models = 400_000, 4
+        data = np.random.default_rng(0).standard_normal((m, 3))
+        problem = Problem(theta=data[:, :2], targets=data[:, 2:])
+        held_at_pass = []
+        grams = ensemble_module._grams
+
+        def spy(draws):
+            held_at_pass.append(tracemalloc.get_traced_memory()[0])
+            return grams(draws)
+
+        monkeypatch.setattr(ensemble_module, "_grams", spy)
+        tracemalloc.start()
+        try:
+            held = tracemalloc.get_traced_memory()[0]
+            fit_ensemble(problem, STLSQ(threshold=0.01), EnsembleSpec(n_models=n_models, seed=0))
+        finally:
+            tracemalloc.stop()
+        assert held_at_pass[0] - held < (n_models + 1) * m
