@@ -18,6 +18,7 @@ from typing import Union
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from . import optimize
 from .data import Dataset, _is_uniform
 from .errors import DataError, SpecError, check_finite
 
@@ -142,10 +143,11 @@ def _sg_weights(nodes: np.ndarray, at: np.ndarray, d: int, poly_order: int) -> n
 def _stencil_along_last(
     values: np.ndarray, axis: np.ndarray, size: int, edge: int, weights, out: np.ndarray
 ) -> None:
-    """Windowed derivative along the last axis, written into ``out``.
-    Interior points sit at the center of their ``size``-point window; the
-    first and last ``size // 2`` points share one ``edge``-point window per
-    end (one weight matrix per end, like scipy's savgol_filter mode="interp").
+    """Windowed derivative along the last axis, written into ``out`` with no
+    temporary of its size.  Interior points sit at the center of their
+    ``size``-point window; the first and last ``size // 2`` points share one
+    ``edge``-point window per end (one weight matrix per end, like scipy's
+    savgol_filter mode="interp").
 
     ``weights(nodes, at)`` maps window nodes ``(..., w)`` and points
     ``(..., k)`` to weights ``(..., k, w)``; leading axes are a batch of
@@ -156,14 +158,15 @@ def _stencil_along_last(
         raise DataError(f"axis length {L} too short to differentiate (needs >= {edge} points)")
     half = size // 2
     windows = sliding_window_view(values, size, axis=-1)
+    interior = out[..., half : L - half]
     if _is_uniform(axis):
         h = (axis[-1] - axis[0]) / (L - 1)
         offsets = np.arange(size) * h
-        out[..., half : L - half] = windows @ weights(offsets, offsets[half : half + 1])[0]
+        np.matmul(windows, weights(offsets, offsets[half : half + 1])[0], out=interior)
     else:
         nodes = sliding_window_view(axis, size)
         W = weights(nodes, nodes[:, half : half + 1])[:, 0]
-        out[..., half : L - half] = np.einsum("...js,js->...j", windows, W)
+        np.einsum("...js,js->...j", windows, W, out=interior)
     for block, points in ((slice(0, edge), slice(0, half)),
                           (slice(L - edge, L), slice(L - half, L))):
         out[..., points] = values[..., block] @ weights(axis[block], axis[points]).T
@@ -189,21 +192,38 @@ def _spectral_along_last(
     values: np.ndarray, axis: np.ndarray, orders: tuple[int, ...], filter_strength: float,
     outs: list[np.ndarray],
 ) -> None:
-    # one forward transform serves every requested order
+    """Spectral derivatives along the last axis, written into ``outs``.  One
+    forward transform serves every requested order.  The lines along the
+    axis are transformed a chunk of the leading axis at a time, a chunk's
+    spectrum and its product with one order's multiplier together about
+    ``BLOCK_BYTES``; each line is transformed on its own, so a chunk has the
+    bits of the whole transform."""
     L = axis.size
     if not _is_uniform(axis):
         raise DataError("spectral differentiation requires a uniform axis")
     h = (axis[-1] - axis[0]) / (L - 1)
     k = 2.0 * np.pi * np.fft.rfftfreq(L, d=h)
-    spec = np.fft.rfft(values, axis=-1)
-    for d, out in zip(orders, outs):
+    mults = []
+    for d in orders:
         mult = (1j * k) ** d
         if d % 2 == 1 and L % 2 == 0:
             mult[-1] = 0.0  # Nyquist mode carries no sign information for odd d
         if filter_strength > 0:
             kmax = k[-1] if k[-1] > 0 else 1.0
             mult = mult * np.exp(-filter_strength * (k / kmax) ** 8)
-        np.fft.irfft(spec * mult, n=L, axis=-1, out=out)
+        mults.append(mult)
+    if values.ndim == 1:
+        values, outs = values[None], [out[None] for out in outs]
+    # slices of the leading axis are views of the input and of every output
+    # alike, where a reshape of the leading axes could copy and lose writes
+    entry_bytes = 2 * k.size * 16 * max(1, int(np.prod(values.shape[1:-1])))
+    step = max(1, optimize.BLOCK_BYTES // entry_bytes)
+    for start in range(0, values.shape[0], step):
+        at = slice(start, start + step)
+        spec = np.fft.rfft(values[at], axis=-1)
+        for mult, out in zip(mults, outs):
+            np.fft.irfft(spec * mult, n=L, axis=-1, out=out[at])
+        del spec  # each chunk's spectrum is freed before the next is taken
 
 
 def _differentiate_orders(

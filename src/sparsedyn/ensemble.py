@@ -140,6 +140,8 @@ def fit_ensemble(
             members.append(_fit_rows(draw, opt, gram)[0])
         except (FitError, SpecError, np.linalg.LinAlgError) as exc:
             failures.append(f"member {i}: {exc}")
+    # the members' counts and Grams are freed before the aggregate's residual pass
+    del draws, grams, draw, gram, counts
 
     if len(members) <= spec.n_models / 2:
         raise FitError(

@@ -340,16 +340,6 @@ class GridPlan:
         self._fill(X, fields, out)
         return out
 
-    def inputs(self, dataset: Dataset, diff_method: DiffMethod) -> tuple[np.ndarray, list]:
-        """What ``apply`` reads on ``dataset``'s grid: the ``(samples,
-        inputs)`` matrix and each block's derivative fields as ``(samples,
-        n_states)`` matrices, whose rows are the samples of ``flatten``."""
-        fields = [
-            [field.reshape(-1, self.n_states) for field in block.fields(dataset, diff_method)]
-            for block in self.blocks
-        ]
-        return _grid_inputs(dataset), fields
-
     def _walk(self, spec: LibrarySpec, names: tuple[str, ...]) -> tuple[list[str], _Fill]:
         """Column names of ``spec`` on inputs ``names``, and its fill."""
         if isinstance(spec, WeakPDE):

@@ -8,9 +8,10 @@ trajectory boundaries.  ``fit``, ``score`` and ``predict`` read the design a
 block of rows at a time: each block is filled from narrow inputs computed
 once (a grid library's states, derivative fields and targets; a weak form's
 rows), checked finite, used and dropped, so theta is never held whole.  A
-block is filled column-major, each column written contiguously: the Grams
-read it as filled, and the products read a row-major copy of it.  ``design``
-fills the same rows into one row-major array.
+block is filled in the layout its pass reads: column-major, each column
+written contiguously, for the Grams, and row-major for the products, whose
+bits depend on the layout.  ``design`` fills the same rows into one
+row-major array.
 """
 
 from __future__ import annotations
@@ -70,13 +71,15 @@ class _Design:
     """The rows ``[theta Y]`` of a design, filled a block at a time.
 
     The narrow inputs are computed once per trajectory, whole: a grid
-    library's states and controls, each PDE block's derivative fields as
-    ``(samples, n)`` and, with targets, the first time derivatives; or a weak
-    form's rows, one per subdomain, with its left-hand side.  ``design[a:b]``
-    fills rows a..b-1 of the stacked trajectories from them into a new
-    column-major block and checks it finite.  A grid library's value in a row
-    depends on that row's inputs alone, so a block holds the bits of the same
-    rows of the whole design.
+    library's states and controls, each PDE block's derivative fields and,
+    with targets, the first time derivatives, each read as a ``(series,
+    time, k)`` view of its ``(*spatial, time, k)`` array; or a weak form's
+    rows, one per subdomain, with its left-hand side.  ``design[a:b]`` fills
+    rows a..b-1 of the stacked trajectories from them into a new
+    column-major block and checks it finite; ``design.row_major()[a:b]``
+    fills them row-major.  A grid library's value in a row depends on that
+    row's inputs alone, so a block holds the bits of the same rows of the
+    whole design.
     """
 
     def __init__(self, data, library: LibrarySpec, diff: DiffMethod, targets: bool = True,
@@ -105,15 +108,22 @@ class _Design:
         # the fill refers to the plan, not to the design, so that dropping
         # the design frees its inputs at once
         plan, p = self.plan, self.p
-        X, fields = plan.inputs(ds, diff)
-        Y = differentiate_dataset(ds, diff).reshape(-1, ds.n_states) if targets else None
+        T = ds.grid.time_axis.size
+
+        def series(values: np.ndarray) -> np.ndarray:
+            return values.reshape(-1, T, values.shape[-1])
+
+        inputs = [series(ds.states)] + ([] if ds.controls is None else [series(ds.controls)])
+        fields = [[series(f) for f in block.fields(ds, diff)] for block in plan.blocks]
+        Y = series(differentiate_dataset(ds, diff)) if targets else None
 
         def fill(rows: slice, out: np.ndarray) -> None:
-            plan.apply(X[rows], [[f[rows] for f in block] for block in fields], out[:, :p])
+            plan.apply(_sample_rows(inputs, rows),
+                       [[_sample_rows([f], rows) for f in block] for block in fields], out[:, :p])
             if Y is not None:
-                out[:, p:] = Y[rows]
+                out[:, p:] = _sample_rows([Y], rows)
 
-        return X.shape[0], fill
+        return ds.n_samples, fill
 
     def _weak_part(self, ds: Dataset, diff: DiffMethod, width: int):
         whole = _weak_columns(self.plan, ds, diff)[:, :width]
@@ -134,7 +144,15 @@ class _Design:
         return out
 
     def __getitem__(self, at: slice) -> np.ndarray:
-        block = self.fill(at)
+        return self._block(at, "F")
+
+    def row_major(self) -> "_RowMajor":
+        """This design as a source of row-major blocks."""
+        return _RowMajor(self)
+
+    def _block(self, at: slice, order: str) -> np.ndarray:
+        """Rows ``at`` as a new array of ``order``, checked finite."""
+        block = self.fill(at, order)
         if not np.isfinite(block).all():
             # name every bad feature column, as ``Problem`` does
             finite = np.ones(self.shape[1], dtype=bool)
@@ -150,6 +168,32 @@ class _Design:
         return _Rows(data=self, n_features=self.p, weights=None, normalize=normalize_columns,
                      names=self.plan.names, features=slice(0, self.p),
                      targets=slice(self.p, None))
+
+
+class _RowMajor:
+    """A design whose row slices fill row-major blocks, for the passes that
+    take products.  It refers to the design, never the reverse, so that
+    dropping the design frees its inputs at once."""
+
+    __slots__ = ("design", "shape")
+
+    def __init__(self, design: _Design):
+        self.design, self.shape = design, design.shape
+
+    def __getitem__(self, at: slice) -> np.ndarray:
+        return self.design._block(at, "C")
+
+
+def _sample_rows(views: list[np.ndarray], rows: slice) -> np.ndarray:
+    """Rows ``rows`` of the flattened samples of ``views``, ``(series, time,
+    k)`` views of one dataset's arrays, side by side.  Only the series the
+    rows fall in are flattened, so rows inside one series are a plain slice
+    of the one view, and no block copies more than the series it touches."""
+    T = views[0].shape[1]
+    first, last = rows.start // T, (rows.stop - 1) // T + 1
+    at = slice(rows.start - first * T, rows.stop - first * T)
+    parts = [v[first:last].reshape(-1, v.shape[2])[at] for v in views]
+    return parts[0] if len(parts) == 1 else np.hstack(parts)
 
 
 def design(data, library: LibrarySpec, diff: DiffMethod = FiniteDifference(), *,
@@ -201,14 +245,13 @@ def fit(
 
 def _products(source: _Design, xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``theta @ xi`` and the targets of the design ``source``, from one pass
-    over blocks of whole ``PRODUCT_ROWS`` groups, so that the product has the
-    bits of one product over all rows."""
+    over row-major blocks of whole ``PRODUCT_ROWS`` groups, so that the
+    product has the bits of one product over all rows."""
     (m, width), p = source.shape, source.p
     pred, actual = np.empty((m, xi.shape[1])), np.empty((m, width - p))
-    for at, block in _stream(source, PRODUCT_ROWS):
-        # a product's bits depend on its operand's layout: take the row-major
-        # one of ``design``'s array, whose copy replaces the block
-        block = np.ascontiguousarray(block)
+    # a product's bits depend on its operand's layout: the blocks are filled
+    # row-major, the layout of ``design``'s array
+    for at, block in _stream(source.row_major(), PRODUCT_ROWS):
         pred[at] = block[:, :p] @ xi
         actual[at] = block[:, p:]
         del block

@@ -21,12 +21,12 @@ for every pass, and gather and scale by sqrt(W) the rows of nonzero weight of
 each block on its own, so a weighted or resampled fit copies no more than one
 block of rows.  The rows are an array, or a model's design, which fills each
 block from its narrow inputs when a pass reads it, so that no fit of a grid
-library holds theta whole.  A design's blocks are column-major, so that the
-fill writes each column contiguously.  A Gram or a QR has the same bits in
-either layout, so they read such a block as filled, gathering and scaling
-rows along its columns.  A matrix product does not: its kernel sums in
-another order for the other layout, so the residuals read a row-major copy
-of each block, the layout of an array's rows.  Row sets that share the rows
+library holds theta whole.  A Gram or a QR has the same bits in either
+layout, so their passes read a design's blocks filled column-major, each
+column written contiguously, and gather and scale rows along its columns.
+A matrix product does not: its kernel sums in another order for the other
+layout, so the residuals' pass asks the design for blocks filled row-major,
+the layout of an array's rows.  Row sets that share the rows
 (SSR's train split and all its rows, or every ensemble member) sum their
 Grams in one pass.  Every solver reports the factor's ``cond_estimate`` and
 ``rank_deficient``.
@@ -506,13 +506,16 @@ class _Rows:
         """Seeded (train, holdout) split of the row multiset."""
         m = self.data.shape[0]
         size = m if self.counts is None else int(self.counts.sum())
-        drawn = np.random.default_rng(HOLDOUT_SEED).permutation(size)[:_holdout_rows(size)]
+        # the holdout's prefix is copied, so that the permutation of all
+        # ``size`` draws is freed at once
+        drawn = np.random.default_rng(HOLDOUT_SEED).permutation(size)[:_holdout_rows(size)].copy()
         if self.counts is not None:
             drawn = np.repeat(np.arange(m), self.counts)[drawn]
-        hold = np.bincount(drawn, minlength=m)
+        hold = _narrow_counts(np.bincount(drawn, minlength=m))
+        # a row is held out at most as often as it is counted: the train
+        # counts are formed in the narrow types, without wrapping
         total = 1 if self.counts is None else self.counts
-        return (replace(self, counts=_narrow_counts(total - hold)),
-                replace(self, counts=_narrow_counts(hold)))
+        return replace(self, counts=_narrow_counts(total - hold)), replace(self, counts=hold)
 
     def residual_norms(self, xis: np.ndarray) -> np.ndarray:
         """Per-target residual norms over the rows of nonzero weight, each
@@ -521,11 +524,10 @@ class _Rows:
         by block, as ``np.linalg.norm`` sums them, with one square root."""
         xis_in_play = xis[:, self.features]
         total = np.zeros((len(xis), xis.shape[2]))
-        for at, part in _stream(self.data):
-            # a product's bits depend on its operand's layout: a design's
-            # column-major block is read as a problem's row-major rows, from
-            # a copy that replaces it
-            part = np.ascontiguousarray(part)
+        # a product's bits depend on its operand's layout: a design fills
+        # its blocks row-major for it, the layout of an array's rows
+        data = self.data if isinstance(self.data, np.ndarray) else self.data.row_major()
+        for at, part in _stream(data):
             rows, root = self._gather(at, part)
             del part  # each block is freed before the next is filled
             if rows is None:

@@ -22,14 +22,15 @@ from hypothesis import strategies as st
 import sparsedyn.ensemble as ensemble_module
 from sparsedyn import library as library_module
 from sparsedyn import optimize
-from sparsedyn.data import Dataset, Grid, TrajectoryCollection
-from sparsedyn.diff import FiniteDifference, Spectral
+from sparsedyn.data import Dataset, Grid, TrajectoryCollection, split_train_test
+from sparsedyn.diff import FiniteDifference, SavitzkyGolay, Spectral, _differentiate_orders, differentiate
 from sparsedyn.ensemble import EnsembleSpec, fit_ensemble
 from sparsedyn.errors import DataError, SpecError
 from sparsedyn.library import PDE, Concat, Custom, Fourier, GridPlan, InputSubset, Polynomial
-from sparsedyn.model import _Design, _metric, _products, design, fit, predict, score
+from sparsedyn.model import _Design, _metric, _products, _sample_rows, design, fit, predict, score
 from sparsedyn.optimize import FROLS, SR3, SSR, STLSQ, Problem, _fit_rows, _narrow_counts, _Rows, solve
-from sparsedyn.systems import KS, canonical_library
+from sparsedyn.systems import KS, BenchmarkSpec, canonical_library, generate
+from test_diff import oracle_sg_along_last, per_order_spectral
 
 FD4 = FiniteDifference(order=4)
 # 3 rows of the widest design below: every pass crosses many blocks, and a
@@ -327,8 +328,9 @@ class ColumnMajor:
 
 
 class TestColumnMajorBlocks:
-    """A design fills column-major blocks, which every Gram reads as filled;
-    ``design``'s one array is row-major."""
+    """A design fills column-major blocks for the Gram and TSQR passes, which
+    read them as filled, and row-major blocks for the residual and product
+    passes; ``design``'s one array is row-major."""
 
     @given(
         seed=st.integers(0, 10_000),
@@ -363,13 +365,30 @@ class TestColumnMajorBlocks:
                     expected, got = rows._factor(gram), column_major._factor(gram)
                 assert_identical((got.theta, got.targets), (expected.theta, expected.targets))
 
-    def test_a_design_fills_column_major_blocks(self, filled_blocks):
+    def test_a_design_fills_column_major_blocks(self, filled_blocks, factor_branches):
+        # 100 rows of the 13-wide design a block: 6 blocks a pass
         data = oscillator(600)
+
+        def passes(blocks):
+            return [{block.layout for block in blocks[i : i + 6]}
+                    for i in range(0, len(blocks), 6)]
+
         with block_bytes(100 * 13 * 8), filled_blocks() as blocks:
             model = fit(data, Polynomial(2), FD4, SSR(), EnsembleSpec(n_models=3, seed=0))
+        # the members' shared Gram pass; each member's pass for its train
+        # split's and all rows' Grams, then its holdout residuals; the
+        # aggregate's residuals
+        assert passes(blocks) == [{"F"}] + [{"F"}, {"C"}] * 3 + [{"C"}]
+        near = oscillator(600, near_collinear=True)
+        with block_bytes(100 * 13 * 8), filled_blocks() as blocks, factor_branches() as branches:
+            fit(near, Polynomial(2), FD4, STLSQ(threshold=0.05))
+        # the Gram, TSQR and residual passes
+        assert branches == ["factor", "qr"]
+        assert passes(blocks) == [{"F"}, {"F"}, {"C"}]
+        with block_bytes(100 * 13 * 8), filled_blocks() as blocks:
             score(model, data)
             predict(model, data)
-        assert len(blocks) > 6 and {block.layout for block in blocks} == {"F"}
+        assert len(blocks) > 6 and {block.layout for block in blocks} == {"C"}
         with filled_blocks() as blocks:
             problem = design(data, Polynomial(2), FD4)
         assert blocks == [((None, None), "C")]
@@ -432,6 +451,13 @@ def traced_peak(run):
 
 class TestMemory:
     @pytest.fixture(scope="class")
+    def ks_split(self):
+        # the default KS field, 1024 x 251, split in time at 0.6
+        dataset, _ = generate(BenchmarkSpec(system=KS()))
+        assert dataset.states.strides[0] == 8
+        return split_train_test(dataset, 0.6)
+
+    @pytest.fixture(scope="class")
     def tall(self):
         # 200 000 samples of 3 states: Polynomial(3) has 20 columns, so the
         # design [theta Y] is 200 000 x 23, 36.8 MB
@@ -484,10 +510,11 @@ class TestMemory:
     @pytest.mark.parametrize("weighted", [False, True], ids=["unweighted", "weighted"])
     def test_a_product_pass_holds_two_blocks_of_a_design_and_one_of_a_problem(self, weighted):
         # 100 000 rows of the 13-wide Polynomial(2) design (9.9 MiB, ten
-        # 1 MiB blocks): a product reads a design's column-major block from a
-        # row-major copy that replaces it, so the pass holds the two at once;
-        # a problem's rows are read in place, and a weighted pass holds one
-        # gathered copy
+        # 1 MiB blocks): a product pass asks the design for row-major
+        # blocks, and while one is filled the Polynomial fill's gathered
+        # parent and input columns (6 of its 13 columns each) add most of a
+        # block; a problem's rows are read in place, and a weighted pass
+        # holds one gathered copy
         data = oscillator(100_000, t_max=100.0)
         source = _Design(data, Polynomial(2), FD4)
         weights = np.random.default_rng(0).uniform(0.5, 2.0, 100_000) if weighted else None
@@ -503,10 +530,11 @@ class TestMemory:
 
     def test_derivative_fields_of_a_ks_layout_are_read_in_place(self, monkeypatch):
         # KS stores its field with x contiguous; each derivative field comes
-        # back C-ordered all the same, so its (samples, n) matrix is a view
-        # of it, and planning the inputs holds the four fields and the input
-        # matrix plus one transform's work (copying each field to its matrix
-        # peaked at 8 fields' worth)
+        # back C-ordered all the same, so a design reads the rows of a block
+        # inside one series as a view of it, and planning the fields holds
+        # the four fields plus about one block of spectrum (copying each
+        # field to its matrix peaked at 8 fields' worth; planning the input
+        # matrix beside the fields and the whole spectrum at 6.2)
         wave = travelling_wave(nx=512, nt=300)
         ds = Dataset(grid=wave.grid, states=np.asfortranarray(wave.states[..., 0])[..., None])
         assert ds.states.strides[0] == 8
@@ -520,13 +548,65 @@ class TestMemory:
 
         monkeypatch.setattr(library_module, "_derivative_fields", spy)
         plan = GridPlan(canonical_library(KS()), 1)
-        _, (matrices,) = plan.inputs(ds, FD4)
-        assert len(matrices) == len(made) == 4
-        for matrix, field in zip(matrices, made):
-            assert field.flags.c_contiguous
-            assert np.shares_memory(matrix, field)
+        (pde,) = plan.blocks
+        fields = pde.fields(ds, FD4)
+        assert len(fields) == len(made) == 4
+        for field, made_field in zip(fields, made):
+            assert field is made_field and field.flags.c_contiguous
+            rows = _sample_rows([field.reshape(-1, 300, 1)], slice(310, 590))
+            assert np.shares_memory(rows, field)
         field_bytes = 512 * 300 * 8
-        assert traced_peak(lambda: plan.inputs(ds, FD4)) < 6.5 * field_bytes
+        block = optimize.BLOCK_BYTES
+        assert traced_peak(lambda: pde.fields(ds, FD4)) < 4 * field_bytes + 1.5 * block
+
+    def test_a_time_split_ks_fit_holds_its_inputs_and_one_block(self, ks_split):
+        # the default KS field (x contiguous) split in time as ``sparsedyn
+        # fit`` splits it, so the train states are a strided view: a fit
+        # holds the four derivative fields and the targets, each one value a
+        # row, and one block (a flattened copy of the states and a row-major
+        # copy of each block beside it put the peak 3.2 blocks above the
+        # inputs); a score also holds the predictions and targets it compares
+        train, test = ks_split
+        block = optimize.BLOCK_BYTES
+        library, sg = canonical_library(KS()), SavitzkyGolay(window=5, poly_order=3)
+        opt = STLSQ(threshold=0.1, ridge=0.05)
+        inputs = 5 * train.n_samples * 8
+        assert traced_peak(lambda: fit(train, library, sg, opt)) < inputs + 1.5 * block
+        model = fit(train, library, sg, opt)
+        inputs, outputs = 5 * test.n_samples * 8, 2 * test.n_samples * 8
+        assert traced_peak(lambda: score(model, test)) < inputs + outputs + 1.5 * block
+
+    def test_a_spectral_derivative_holds_its_outputs_and_about_one_block(self, ks_split):
+        # the spectrum is taken a chunk of lines at a time (the whole
+        # spectrum and one order's product of it are 2.5 blocks here); the
+        # chunks' derivatives, and the Savitzky-Golay time derivative written
+        # in place, equal the whole-array ones bit for bit
+        train, _ = ks_split
+        x, t = train.grid.spatial_axes[0], train.grid.time_axis
+        orders = (1, 2, 3, 4)
+        outputs = len(orders) * train.n_samples * 8
+        call = lambda: _differentiate_orders(train.states, x, Spectral(), orders, 0)
+        assert traced_peak(call) < outputs + 1.25 * optimize.BLOCK_BYTES
+        moved = np.moveaxis(train.states, 0, -1)
+        for d, field in zip(orders, call()):
+            whole = np.moveaxis(per_order_spectral(moved, x, d, 0.0), -1, 0)
+            np.testing.assert_array_equal(field, whole)
+        moved = np.moveaxis(train.states, 1, -1)
+        whole = np.moveaxis(oracle_sg_along_last(moved, t, 1, 5, 3), -1, 1)
+        np.testing.assert_array_equal(
+            differentiate(train.states, t, SavitzkyGolay(window=5, poly_order=3), axis=1), whole)
+
+    def test_an_ssr_split_holds_no_int64_counts(self):
+        # the split leaves no permutation, bincount or difference of m int64
+        # rows alive beside the narrow counts it makes (keeping them peaked
+        # at 24 bytes a row)
+        m = 400_000
+        rows = _Rows.of(Problem(theta=np.ones((m, 1)), targets=np.ones(m)))
+        assert traced_peak(rows.split) < 12 * m
+        counted = replace(rows, counts=_narrow_counts(np.full(m, 2)))
+        train, hold = counted.split()
+        assert train.counts.dtype == hold.counts.dtype == np.uint8
+        np.testing.assert_array_equal(train.counts.astype(int) + hold.counts, 2)
 
     def test_ensemble_members_hold_only_their_narrow_counts(self, monkeypatch):
         # when the members' shared Gram pass starts, the ensemble holds each
@@ -550,3 +630,25 @@ class TestMemory:
         finally:
             tracemalloc.stop()
         assert held_at_pass[0] - held < (n_models + 1) * m
+
+    def test_ensemble_members_are_freed_before_the_aggregate_pass(self, monkeypatch):
+        # when the aggregate's residual pass starts, no member's counts (one
+        # byte a row each, 1.6 MB here) or Gram is held
+        m, n_models = 400_000, 4
+        data = np.random.default_rng(0).standard_normal((m, 3))
+        problem = Problem(theta=data[:, :2], targets=data[:, 2:])
+        held_at_pass = []
+        finish = ensemble_module._finish
+
+        def spy(*args):
+            held_at_pass.append(tracemalloc.get_traced_memory()[0])
+            return finish(*args)
+
+        monkeypatch.setattr(ensemble_module, "_finish", spy)
+        tracemalloc.start()
+        try:
+            held = tracemalloc.get_traced_memory()[0]
+            fit_ensemble(problem, STLSQ(threshold=0.01), EnsembleSpec(n_models=n_models, seed=0))
+        finally:
+            tracemalloc.stop()
+        assert held_at_pass[0] - held < m // 4
