@@ -7,11 +7,10 @@ stacked across trajectories in input order and never differenced across
 trajectory boundaries.  ``fit``, ``score`` and ``predict`` read the design a
 block of rows at a time: each block is filled from narrow inputs computed
 once (a grid library's states, derivative fields and targets; a weak form's
-rows), checked finite, used and dropped, so theta is never held whole.  A
-block is filled in the layout its pass reads: column-major, each column
-written contiguously, for the Grams, and row-major for the products, whose
-bits depend on the layout.  ``design`` fills the same rows into one
-row-major array.
+rows), checked finite, used and dropped, so theta is never held whole.
+``optimize._stream`` asks the design for each block in the layout its pass
+reads, and ``optimize._products`` is the predictions' pass.  ``design``
+fills the same rows into one row-major array.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ from .ensemble import EnsembleReport, EnsembleSpec, fit_ensemble
 from .errors import DataError, FitError, SpecError
 from .library import GridPlan, LibrarySpec, WeakPDE, _weak_columns
 from .optimize import STLSQ, Coefficients, OptimizerSpec, Problem
-from .optimize import PRODUCT_ROWS, _block_rows, _finish, _fit_rows, _non_finite_error, _Rows, _stream
+from .optimize import _block_rows, _finish, _fit_rows, _non_finite_error, _products, _Rows
 
 BLOWUP_NORM = 1e8
 
@@ -74,12 +73,11 @@ class _Design:
     library's states and controls, each PDE block's derivative fields and,
     with targets, the first time derivatives, each read as a ``(series,
     time, k)`` view of its ``(*spatial, time, k)`` array; or a weak form's
-    rows, one per subdomain, with its left-hand side.  ``design[a:b]`` fills
-    rows a..b-1 of the stacked trajectories from them into a new
-    column-major block and checks it finite; ``design.row_major()[a:b]``
-    fills them row-major.  A grid library's value in a row depends on that
-    row's inputs alone, so a block holds the bits of the same rows of the
-    whole design.
+    rows, one per subdomain, with its left-hand side.  ``design.block(at,
+    order)`` fills the rows ``at`` of the stacked trajectories from them
+    into a new block of ``order``, column-major or row-major, and checks it
+    finite.  A grid library's value in a row depends on that row's inputs
+    alone, so a block holds the bits of the same rows of the whole design.
     """
 
     def __init__(self, data, library: LibrarySpec, diff: DiffMethod, targets: bool = True,
@@ -143,14 +141,7 @@ class _Design:
                 fill(slice(lo - first, hi - first), out[lo - start : hi - start])
         return out
 
-    def __getitem__(self, at: slice) -> np.ndarray:
-        return self._block(at, "F")
-
-    def row_major(self) -> "_RowMajor":
-        """This design as a source of row-major blocks."""
-        return _RowMajor(self)
-
-    def _block(self, at: slice, order: str) -> np.ndarray:
+    def block(self, at: slice, order: str) -> np.ndarray:
         """Rows ``at`` as a new array of ``order``, checked finite."""
         block = self.fill(at, order)
         if not np.isfinite(block).all():
@@ -168,20 +159,6 @@ class _Design:
         return _Rows(data=self, n_features=self.p, weights=None, normalize=normalize_columns,
                      names=self.plan.names, features=slice(0, self.p),
                      targets=slice(self.p, None))
-
-
-class _RowMajor:
-    """A design whose row slices fill row-major blocks, for the passes that
-    take products.  It refers to the design, never the reverse, so that
-    dropping the design frees its inputs at once."""
-
-    __slots__ = ("design", "shape")
-
-    def __init__(self, design: _Design):
-        self.design, self.shape = design, design.shape
-
-    def __getitem__(self, at: slice) -> np.ndarray:
-        return self.design._block(at, "C")
 
 
 def _sample_rows(views: list[np.ndarray], rows: slice) -> np.ndarray:
@@ -243,21 +220,6 @@ def fit(
     return FittedModel(coefficients, library, diff, _target_names(n_targets), report)
 
 
-def _products(source: _Design, xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``theta @ xi`` and the targets of the design ``source``, from one pass
-    over row-major blocks of whole ``PRODUCT_ROWS`` groups, so that the
-    product has the bits of one product over all rows."""
-    (m, width), p = source.shape, source.p
-    pred, actual = np.empty((m, xi.shape[1])), np.empty((m, width - p))
-    # a product's bits depend on its operand's layout: the blocks are filled
-    # row-major, the layout of ``design``'s array
-    for at, block in _stream(source.row_major(), PRODUCT_ROWS):
-        pred[at] = block[:, :p] @ xi
-        actual[at] = block[:, p:]
-        del block
-    return pred, actual
-
-
 def predict(model: FittedModel, dataset: Dataset) -> np.ndarray:
     """Library-times-coefficients prediction of the targets.
 
@@ -265,7 +227,7 @@ def predict(model: FittedModel, dataset: Dataset) -> np.ndarray:
     ``(*spatial, time, n)``; weak models return one row per subdomain.
     """
     source = _Design(dataset, model.library, model.diff, targets=False, names=model.feature_names)
-    pred = _products(source, model.xi)[0]
+    pred = _products(source, source.p, model.xi)[0]
     if isinstance(model.library, WeakPDE):
         return pred
     return unflatten(pred, dataset.grid.sample_shape)
@@ -274,8 +236,8 @@ def predict(model: FittedModel, dataset: Dataset) -> np.ndarray:
 def _predicted_and_actual(model: FittedModel, data) -> tuple[np.ndarray, np.ndarray]:
     """Flat ``(rows, n)`` predictions and computed targets of one or more
     trajectories, from one pass over the design's blocks."""
-    pred, actual = _products(_Design(data, model.library, model.diff, names=model.feature_names),
-                             model.xi)
+    source = _Design(data, model.library, model.diff, names=model.feature_names)
+    pred, actual = _products(source, source.p, model.xi)
     if actual.shape[1] != len(model.target_names):
         raise SpecError(f"the data have {actual.shape[1]} states, the model "
                         f"{len(model.target_names)} targets")

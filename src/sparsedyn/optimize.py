@@ -19,17 +19,18 @@ row counts folded into W.  The factor and the returned residuals read
 ``[theta Y]`` in blocks of ``BLOCK_BYTES`` of its full rows, one partition
 for every pass, and gather and scale by sqrt(W) the rows of nonzero weight of
 each block on its own, so a weighted or resampled fit copies no more than one
-block of rows.  The rows are an array, or a model's design, which fills each
-block from its narrow inputs when a pass reads it, so that no fit of a grid
-library holds theta whole.  A Gram or a QR has the same bits in either
-layout, so their passes read a design's blocks filled column-major, each
-column written contiguously, and gather and scale rows along its columns.
-A matrix product does not: its kernel sums in another order for the other
-layout, so the residuals' pass asks the design for blocks filled row-major,
-the layout of an array's rows.  Row sets that share the rows
-(SSR's train split and all its rows, or every ensemble member) sum their
-Grams in one pass.  Every solver reports the factor's ``cond_estimate`` and
-``rank_deficient``.
+block of rows.  ``_stream`` makes every block: the rows are an array, whose
+blocks are views, or a model's design, which fills each block from its
+narrow inputs when a pass reads it, so that no fit of a grid library holds
+theta whole.  Each pass names the layout a design fills for it.  A Gram or a
+QR has the same bits in either layout, so their passes read column-major
+blocks, each column written contiguously, and gather and scale rows along
+its columns.  A matrix product does not: its kernel sums in another order
+for the other layout, so the residual and prediction (``_products``) passes
+read row-major blocks, the layout of an array's rows.  Row sets that share
+the rows (SSR's train split and all its rows, or every ensemble member) sum
+their Grams in one pass.  Every solver reports the factor's
+``cond_estimate`` and ``rank_deficient``.
 
 Solvers are deterministic given their inputs.  Zero feature columns are
 dropped before solving and reported in diagnostics; coefficients keep the
@@ -288,20 +289,36 @@ def _block_rows(width: int) -> int:
     return max(1, BLOCK_BYTES // (width * 8))
 
 
-def _stream(data, multiple: int = 1):
+def _stream(data, multiple: int = 1, order: str = "F"):
     """(row slice, block) for each block of ``data`` in order: the next
     ``BLOCK_BYTES`` of its full float64 rows, whatever columns a reader
     takes, so every pass over the same rows has the same partition.  With
     ``multiple``, a block holds whole multiples of that many rows (at least
     one), and the last one also any rows short of a multiple.  ``data`` is an
-    array (a block is a view of it) or a model's design, whose row slices
-    fill new blocks."""
+    array, whose block is a view of its rows whatever ``order``, or a model's
+    design, which fills each block anew in ``order`` ("F": column-major, for
+    Grams and QR; "C": row-major, for products) and checks it finite."""
     m, step = data.shape[0], _block_rows(data.shape[1])
     step, start = max(multiple, step - step % multiple), 0
     while start < m:
         stop = start + step if m - start - step >= multiple else m
-        yield slice(start, stop), data[start:stop]
+        at = slice(start, stop)
+        yield at, (data[at] if isinstance(data, np.ndarray) else data.block(at, order))
         start = stop
+
+
+def _products(data, p: int, xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``theta @ xi`` and the targets of ``data``, rows ``[theta Y]`` with
+    ``p`` library columns, from one pass over row-major blocks of whole
+    ``PRODUCT_ROWS`` groups, so that the product has the bits of one product
+    over all rows."""
+    m, width = data.shape
+    pred, actual = np.empty((m, xi.shape[1])), np.empty((m, width - p))
+    for at, block in _stream(data, PRODUCT_ROWS, "C"):
+        pred[at] = block[:, :p] @ xi
+        actual[at] = block[:, p:]
+        del block  # each block is freed before the next is filled
+    return pred, actual
 
 
 def _cholesky(gram: np.ndarray, n_features: int) -> np.ndarray | None:
@@ -353,7 +370,6 @@ class _Factor:
             kept = np.concatenate((np.flatnonzero(keep), np.arange(k0, R.shape[1])))
             R = np.linalg.qr(R[:, kept], mode="r")
         self.scale = norms[keep] if normalize else np.ones(k)
-        self.normalized = normalize
         self.theta = R[:, :k] / self.scale
         self.targets = R[:, k:]
         diag = np.zeros(k)
@@ -382,10 +398,10 @@ class _Rows:
     ``data[:, features]`` are the library columns in play and
     ``data[:, targets]`` the targets: a problem's ``[theta Y]``, or the
     library alone with one of its columns as the target of an implicit
-    candidate.  ``data`` is an array, or a model's design, which fills the
-    rows of each block it is sliced for (``_stream``).  ``n_features`` is the
-    library's width.  A row takes part with weight count * sample weight
-    (``counts``: None, every row once); rows of weight 0 are left out.
+    candidate.  ``data`` is an array, or a model's design, which fills each
+    block a pass reads (``_stream``).  ``n_features`` is the library's
+    width.  A row takes part with weight count * sample weight (``counts``:
+    None, every row once); rows of weight 0 are left out.
     Variants (ensemble members, holdout splits, candidates) share ``data``;
     factors and residuals read it one block at a time, and gather from each
     block the rows they weigh, so none copies more than a block of it.
@@ -524,10 +540,7 @@ class _Rows:
         by block, as ``np.linalg.norm`` sums them, with one square root."""
         xis_in_play = xis[:, self.features]
         total = np.zeros((len(xis), xis.shape[2]))
-        # a product's bits depend on its operand's layout: a design fills
-        # its blocks row-major for it, the layout of an array's rows
-        data = self.data if isinstance(self.data, np.ndarray) else self.data.row_major()
-        for at, part in _stream(data):
+        for at, part in _stream(self.data, order="C"):
             rows, root = self._gather(at, part)
             del part  # each block is freed before the next is filled
             if rows is None:

@@ -15,12 +15,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sparsedyn import optimize
-from sparsedyn.data import Dataset, Grid
-from sparsedyn.diff import FiniteDifference
+from sparsedyn.data import Dataset, Grid, TrajectoryCollection
+from sparsedyn.diff import FiniteDifference, Spectral
 from sparsedyn.ensemble import EnsembleSpec, derive_seed, fit_ensemble
 from sparsedyn.errors import FitError
-from sparsedyn.library import Polynomial
-from sparsedyn.model import fit_implicit
+from sparsedyn.library import PDE, Polynomial, WeakPDE
+from sparsedyn.model import fit, fit_implicit
 from sparsedyn.optimize import (
     FROLS,
     SR3,
@@ -32,6 +32,8 @@ from sparsedyn.optimize import (
     solve,
     solve_path,
 )
+from sparsedyn.systems import BenchmarkSpec, Lorenz, generate
+from test_stream_design import FD4, oscillator, travelling_wave
 
 ALL_SPECS = [STLSQ(threshold=0.1, ridge=0.0), STLSQ(), SR3(threshold=0.1), SSR(), FROLS()]
 ALL_IDS = ["stlsq", "stlsq-ridge", "sr3", "ssr", "frols"]
@@ -158,6 +160,47 @@ class TestManyBlocks:
             ["factor", "qr"] if collinear else ["factor"]
         )
         assert_rounding_only(got, expected)
+
+
+def design_fits():
+    """Fits through a model's design, each as (name, run): a PDE library
+    with spectral derivatives and ``multiply_by``; a weak Lorenz form, whose
+    chunks of subdomains shrink with ``BLOCK_BYTES``; and a 5-member STLSQ
+    ensemble on two trajectories."""
+    lorenz, _ = generate(BenchmarkSpec(system=Lorenz(), noise_level=0.01, seed=1))
+    weak = WeakPDE(Polynomial(2), n_subdomains=200, subdomain_size=(301,), seed=123)
+    pde = PDE(2, ("x",), multiply_by=Polynomial(2, include_bias=False), diff=Spectral())
+    pair = TrajectoryCollection((oscillator(301), oscillator(250, 7.0, phase=0.4)))
+    return [
+        ("pde", lambda: fit(travelling_wave(), pde, FD4, STLSQ(threshold=0.01, ridge=0.0))),
+        ("weak", lambda: fit(lorenz, weak, FiniteDifference(), STLSQ(threshold=0.2))),
+        ("ensemble", lambda: fit(pair, Polynomial(2), FD4, STLSQ(threshold=0.05),
+                                 EnsembleSpec(n_models=5, seed=0))),
+    ]
+
+
+class TestManyBlocksOfADesign:
+    """A fit through a model's design, whose blocks are filled as a pass
+    reads them, moves only by rounding when ``BLOCK_BYTES`` shrinks, and
+    takes the same factor branches."""
+
+    @pytest.mark.parametrize("case", ["pde", "weak", "ensemble"])
+    @pytest.mark.parametrize("nbytes", [500, 4096])
+    def test_blocks_move_answers_only_by_rounding(self, factor_branches, filled_blocks, case,
+                                                  nbytes):
+        run = dict(design_fits())[case]
+        with factor_branches() as one_branches:
+            expected = run()
+        with factor_branches(nbytes) as many_branches, filled_blocks() as blocks:
+            got = run()
+        assert many_branches == one_branches
+        assert len({block.rows for block in blocks}) > 2
+        arrays = [("xi", got.xi), ("residual", got.coefficients.residuals)]
+        expected_arrays = [("xi", expected.xi), ("residual", expected.coefficients.residuals)]
+        if expected.ensemble is not None:
+            arrays.append(("xi", got.ensemble.member_xi))
+            expected_arrays.append(("xi", expected.ensemble.member_xi))
+        assert_rounding_only(arrays, expected_arrays)
 
 
 # ---------------------------------------------------------------------------

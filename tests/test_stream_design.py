@@ -27,8 +27,9 @@ from sparsedyn.diff import FiniteDifference, SavitzkyGolay, Spectral, _different
 from sparsedyn.ensemble import EnsembleSpec, fit_ensemble
 from sparsedyn.errors import DataError, SpecError
 from sparsedyn.library import PDE, Concat, Custom, Fourier, GridPlan, InputSubset, Polynomial
-from sparsedyn.model import _Design, _metric, _products, _sample_rows, design, fit, predict, score
-from sparsedyn.optimize import FROLS, SR3, SSR, STLSQ, Problem, _fit_rows, _narrow_counts, _Rows, solve
+from sparsedyn.model import _Design, _metric, _sample_rows, design, fit, predict, score
+from sparsedyn.optimize import (FROLS, SR3, SSR, STLSQ, Problem, _fit_rows, _narrow_counts, _products,
+                                _Rows, solve)
 from sparsedyn.systems import KS, BenchmarkSpec, canonical_library, generate
 from test_diff import oracle_sg_along_last, per_order_spectral
 
@@ -248,9 +249,9 @@ class TestDesignPasses:
         passes = []
         stream = optimize._stream
 
-        def spy(data):
+        def spy(data, *args, **kwargs):
             passes.append(None)
-            return stream(data)
+            return stream(data, *args, **kwargs)
 
         with pytest.MonkeyPatch.context() as mp, factor_branches() as branches:
             mp.setattr(optimize, "_stream", spy)
@@ -316,15 +317,62 @@ class TestDesignPasses:
         assert blocks == []
 
 
+NBYTES = st.sampled_from([1, 64, 500, 4096, optimize.BLOCK_BYTES])
+MULTIPLE = st.sampled_from([1, optimize.PRODUCT_ROWS])
+
+
+class TestStreamPartition:
+    """``_stream`` cuts rows 0..m into blocks of the same whole multiple of
+    ``multiple`` rows, the last one fewer than that and one more multiple;
+    an array's blocks are views of it, and a design of the same rows is cut
+    alike into blocks filled in the layout asked for."""
+
+    @staticmethod
+    def slices(data, multiple, order="F"):
+        return [at for at, _ in optimize._stream(data, multiple, order)]
+
+    @given(m=st.integers(1, 400), width=st.integers(1, 30), nbytes=NBYTES, multiple=MULTIPLE)
+    @settings(max_examples=80)
+    def test_blocks_cover_the_rows_once_in_whole_multiples(self, m, width, nbytes, multiple):
+        array = np.zeros((m, width))
+        with block_bytes(nbytes):
+            blocks = list(optimize._stream(array, multiple))
+        slices = [at for at, _ in blocks]
+        assert slices[0].start == 0 and slices[-1].stop == m
+        assert all(a.stop == b.start for a, b in zip(slices, slices[1:]))
+        counts = [at.stop - at.start for at in slices]
+        assert min(counts) > 0
+        if len(counts) > 1:
+            step = counts[0]
+            assert set(counts[:-1]) == {step} and step % multiple == 0
+            assert counts[-1] < step + multiple
+        for at, block in blocks:
+            assert block.base is array and np.shares_memory(block, array[at])
+
+    @given(m=st.integers(5, 400), degree=st.integers(1, 3), nbytes=NBYTES, multiple=MULTIPLE,
+           order=st.sampled_from(["F", "C"]))
+    @settings(max_examples=60)
+    def test_a_design_is_cut_as_its_array_and_filled_in_the_layout_asked_for(
+            self, m, degree, nbytes, multiple, order):
+        source = _Design(oscillator(m), Polynomial(degree), FD4)
+        array = source.fill(slice(None), "C")
+        with block_bytes(nbytes):
+            assert self.slices(source, multiple, order) == self.slices(array, multiple, order)
+            for at, block in optimize._stream(source, multiple, order):
+                assert block.flags.f_contiguous if order == "F" else block.flags.c_contiguous
+                np.testing.assert_array_equal(block, array[at], strict=True)
+
+
 class ColumnMajor:
-    """The rows of an array, each slice read into a new column-major block,
-    as a model's design fills them."""
+    """The rows of an array, each block read into a new array of the layout
+    asked for, as a model's design fills them (the Gram and TSQR passes ask
+    for column-major blocks)."""
 
     def __init__(self, array):
         self.array, self.shape = array, array.shape
 
-    def __getitem__(self, at):
-        return np.asfortranarray(self.array[at])
+    def block(self, at, order):
+        return np.array(self.array[at], order=order)
 
 
 class TestColumnMajorBlocks:
@@ -524,7 +572,7 @@ class TestMemory:
         rows = replace(source.rows(False), weights=weights)
         assert traced_peak(lambda: rows.residual_norms(xis)) < 2.5 * block
         outputs = 100_000 * (3 + 3) * 8  # the predictions and targets _products returns
-        assert traced_peak(lambda: _products(source, xis[0])) - outputs < 2.5 * block
+        assert traced_peak(lambda: _products(source, source.p, xis[0])) - outputs < 2.5 * block
         rows = replace(_Rows.of(design(data, Polynomial(2), FD4)), weights=weights)
         assert traced_peak(lambda: rows.residual_norms(xis)) < (2 if weighted else 1) * block
 
