@@ -143,17 +143,22 @@ CSV_ROWS = 4096
 def _prediction_csv(target_names: tuple[str, ...], pred: np.ndarray, actual: np.ndarray):
     """The text of prediction_vs_truth.csv, its header and then a chunk per
     ``CSV_ROWS`` rows: one row per sample, its index, then predicted and
-    computed values of each target, as shortest round-trip floats."""
+    computed values of each target, as shortest round-trip floats.  A chunk
+    is one ``%`` format of its values, interleaved row by row (``%r`` of a
+    float is its ``repr``)."""
     header = ["sample"]
     for name in target_names:
         header += [f"predicted_{name}", f"computed_{name}"]
     yield ",".join(header) + "\n"
+    row = "%d" + ",%r,%r" * len(target_names) + "\n"
     for start in range(0, pred.shape[0], CSV_ROWS):
-        rows = slice(start, start + CSV_ROWS)
-        columns = [map(str, range(start, start + pred[rows].shape[0]))]
-        for j in range(len(target_names)):
-            columns += [map(repr, pred[rows, j].tolist()), map(repr, actual[rows, j].tolist())]
-        yield "".join(",".join(row) + "\n" for row in zip(*columns))
+        stop = min(start + CSV_ROWS, pred.shape[0])
+        # Python ints and floats, row by row
+        values = np.empty((stop - start, 1 + 2 * len(target_names)), dtype=object)
+        values[:, 0] = range(start, stop)
+        values[:, 1::2] = pred[start:stop]
+        values[:, 2::2] = actual[start:stop]
+        yield row * (stop - start) % tuple(values.ravel().tolist())
 
 
 def cmd_fit(args) -> int:

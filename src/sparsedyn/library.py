@@ -255,24 +255,54 @@ def validate(spec: LibrarySpec) -> None:
 
 # Writes a library's values for an (m, k) input matrix into an (m, width)
 # out; ``fields`` holds the derivative fields of every PDE block of the plan.
-_Fill = Callable[[np.ndarray, list, np.ndarray], None]
+# An optional fourth argument, a mask of the width columns (None: all), names
+# the columns to write; the others are left zero or untouched (see ``apply``).
+_Fill = Callable[..., None]
 
 
 @dataclass(frozen=True)
 class _Block:
     """The derivative request of one PDE block: the multi-indices ``mus``
-    along ``spec.axes``, taken with ``spec.diff`` when set, and the names
-    and fill of its ``multiply_by`` factor (``None`` without one)."""
+    along ``spec.axes``, taken with ``spec.diff`` when set, the names and
+    fill of its ``multiply_by`` factor (``None`` without one), and the
+    index in the plan of its first column (``None`` inside a ``Tensor``,
+    whose columns each read every field)."""
 
     spec: PDE
     mus: list[tuple[int, ...]]
     f_names: tuple[str, ...]
     f_fill: _Fill | None
+    start: int | None
 
-    def fields(self, dataset: Dataset, diff_method: DiffMethod) -> list[np.ndarray]:
-        """D^mu of the states for each of ``mus``, shape (*spatial, time, n)."""
+    def fields(self, dataset: Dataset, diff_method: DiffMethod,
+               columns: np.ndarray | None = None) -> list[np.ndarray | None]:
+        """D^mu of the states, shape (*spatial, time, n), for each of ``mus``
+        that a column of the mask ``columns`` of the plan's columns (None:
+        all) reads; None for the others.  Each has the bits of all of them
+        computed together."""
         method = diff_method if self.spec.diff is None else self.spec.diff
-        return _derivative_fields(dataset, self.spec.axes, self.mus, method)
+        reads = np.ones(len(self.mus), dtype=bool)
+        if columns is not None and self.start is not None:
+            # per mu: its pure columns, then its products with every factor
+            width = len(self.mus) * (1 + len(self.f_names)) * dataset.n_states
+            reads = columns[self.start : self.start + width].reshape(len(self.mus), -1).any(axis=1)
+        mus = [mu for mu, read in zip(self.mus, reads) if read]
+        fields = iter(_derivative_fields(dataset, self.spec.axes, mus, method))
+        return [next(fields) if read else None for read in reads]
+
+
+def _whole(fill: _Fill) -> _Fill:
+    """The fill of a node whose columns are computed together: under a mask,
+    all of them if any is asked for, the others then zeroed, else none."""
+
+    def masked(X: np.ndarray, fields: list, values: np.ndarray, columns=None) -> None:
+        if columns is None or columns.all():
+            fill(X, fields, values)
+        elif columns.any():
+            fill(X, fields, values)
+            values[:, ~columns] = 0.0
+
+    return masked
 
 
 def _monomial_name(combo: tuple[int, ...], names: tuple[str, ...]) -> str:
@@ -318,7 +348,7 @@ class GridPlan:
         if self.weak is not None:
             spec._check()
             spec = spec.inner
-        names, self._fill = self._walk(spec, _input_names(n_states, n_controls))
+        names, self._fill = self._walk(spec, _input_names(n_states, n_controls), 0)
         if self.weak is not None and self.blocks and not isinstance(spec, PDE):
             raise SpecError(
                 "weak inner spec must be a single PDE block (with multiply_by "
@@ -327,21 +357,37 @@ class GridPlan:
         self.names = tuple(names)
         _check_unique(self.names)
 
-    def apply(self, X: np.ndarray, fields: list | tuple = (), out: np.ndarray | None = None):
+    def apply(self, X: np.ndarray, fields: list | tuple = (), out: np.ndarray | None = None,
+              columns: np.ndarray | None = None):
         """Feature values ``(m, width)`` of an ``(m, n_inputs)`` matrix, into
         ``out`` when given; ``fields`` holds each block's derivative fields on
-        the same samples."""
+        the same samples.
+
+        ``columns``, a mask of the plan's columns (None: all), names the ones
+        to write; the mask is carried down the plan, and every value written
+        has the bits of a whole fill.  The others are left as they are in
+        ``out``, or set to zero where a node computes them anyway, so an
+        ``out`` of zeros keeps zeros there: ``Polynomial`` and ``Tensor``
+        nodes fill whole or not at all, ``Fourier`` and ``Custom`` nodes per
+        column, ``Concat`` slices the mask among its parts, ``InputSubset``
+        passes it on, and a PDE block writes only the pure and product
+        columns asked for, its ``multiply_by`` factors computed once into a
+        column-major temporary.  A PDE block's field of a multi-index none
+        of whose columns is asked for may be None (``_Block.fields``)."""
         if len(fields) != len(self.blocks):
             raise SpecError("pointwise evaluation is undefined for derivative features")
         if X.ndim != 2 or X.shape[1] != self.n_inputs:
             raise SpecError(f"expected (m, {self.n_inputs}) inputs, got {X.shape}")
         if out is None:
             out = np.empty((X.shape[0], len(self.names)))
-        self._fill(X, fields, out)
+        self._fill(X, fields, out, columns)
         return out
 
-    def _walk(self, spec: LibrarySpec, names: tuple[str, ...]) -> tuple[list[str], _Fill]:
-        """Column names of ``spec`` on inputs ``names``, and its fill."""
+    def _walk(self, spec: LibrarySpec, names: tuple[str, ...],
+              start: int | None = None) -> tuple[list[str], _Fill]:
+        """Column names of ``spec`` on inputs ``names``, and its fill;
+        ``start`` is the index in the plan of its first column where its
+        columns are a contiguous run of the plan's, else None."""
         if isinstance(spec, WeakPDE):
             raise SpecError("weak-form specs cannot be nested or combined; use them top-level")
         if not isinstance(spec, _Spec):
@@ -367,6 +413,7 @@ class GridPlan:
                 out += [_monomial_name(c, names) for c in combos]
                 level = combos
 
+            @_whole
             def fill(X: np.ndarray, fields: list, values: np.ndarray) -> None:
                 c = int(bias)
                 if bias:
@@ -390,17 +437,19 @@ class GridPlan:
                             terms.append((fn, freq, i))
                             out.append(f"{fn.__name__}({freq} {names[i]})")
 
-            def fill(X: np.ndarray, fields: list, values: np.ndarray) -> None:
+            def fill(X: np.ndarray, fields: list, values: np.ndarray, columns=None) -> None:
                 for c, (fn, freq, i) in enumerate(terms):
-                    values[:, c] = fn(freq * X[:, i])
+                    if columns is None or columns[c]:
+                        values[:, c] = fn(freq * X[:, i])
 
             return out, fill
         if isinstance(spec, Custom):
             terms = [(fn, i) for _, fn in spec.functions for i in range(k)]
 
-            def fill(X: np.ndarray, fields: list, values: np.ndarray) -> None:
+            def fill(X: np.ndarray, fields: list, values: np.ndarray, columns=None) -> None:
                 for c, (fn, i) in enumerate(terms):
-                    values[:, c] = fn(X[:, i])
+                    if columns is None or columns[c]:
+                        values[:, c] = fn(X[:, i])
 
             return [f"{fname}({names[i]})" for fname, _ in spec.functions for i in range(k)], fill
         if isinstance(spec, PDE):
@@ -417,42 +466,64 @@ class GridPlan:
                         "duplicate the pure derivative columns)"
                     )
             mus = spec.multiindices()
-            self.blocks.append(_Block(spec, mus, tuple(f_names), f_fill))
+            self.blocks.append(_Block(spec, mus, tuple(f_names), f_fill, start))
             out = []
             for mu in mus:
                 suffix = spec.suffix(mu)
                 out += [f"q{j}{suffix}" for j in range(n)]
                 out += [f"{fname} q{j}{suffix}" for fname in f_names for j in range(n)]
             n_f = len(f_names)
+            every = [[True] * (1 + n_f)] * len(mus)
 
-            def fill(X: np.ndarray, fields: list, values: np.ndarray) -> None:
+            def fill(X: np.ndarray, fields: list, values: np.ndarray, columns=None) -> None:
                 m = X.shape[0]
-                # the multiply_by columns close the block; products read them there
-                f_vals = values[:, values.shape[1] - n_f :]
-                if n_f:
-                    f_fill(X, fields, f_vals)
+                # the multiply_by columns close the block
+                own = values[:, values.shape[1] - n_f :]
+                if columns is None or columns.all():
+                    some = full = every
+                    f_vals = own  # products read the factors there
+                    if n_f:
+                        f_fill(X, fields, own)
+                else:
+                    # per mu, its pure columns, then its products with each factor
+                    wanted = columns[: columns.size - n_f].reshape(len(mus), 1 + n_f, n)
+                    some, full = wanted.any(axis=2).tolist(), wanted.all(axis=2).tolist()
+                    own_wanted = columns[columns.size - n_f :]
+                    factors = wanted[:, 1:].any(axis=(0, 2)) | own_wanted
+                    f_vals = np.empty((m, n_f), order="F")
+                    if factors.any():
+                        f_fill(X, fields, f_vals, factors)
+                    for i in np.flatnonzero(own_wanted).tolist():
+                        own[:, i] = f_vals[:, i]
                 c = 0
-                for field in fields[n_blocks]:
-                    field_flat = field.reshape(m, n)
-                    values[:, c : c + n] = field_flat
-                    c += n
-                    for i in range(n_f):
-                        np.multiply(f_vals[:, i : i + 1], field_flat, out=values[:, c : c + n])
+                for k, field in enumerate(fields[n_blocks]):
+                    for i in range(-1, n_f):
+                        if some[k][i + 1]:
+                            part = values[:, c : c + n]
+                            if i < 0:
+                                part[...] = field.reshape(m, n)
+                            else:
+                                np.multiply(f_vals[:, i : i + 1], field.reshape(m, n), out=part)
+                            if not full[k][i + 1]:
+                                part[:, ~wanted[k, i + 1]] = 0.0
                         c += n
 
             return out + f_names, fill
         if isinstance(spec, Concat):
-            parts = [self._walk(p, names) for p in spec.parts]
-            bounds = np.cumsum([0] + [len(n) for n, _ in parts])
+            parts, bounds = [], [0]
+            for part in spec.parts:
+                parts.append(self._walk(part, names, None if start is None else start + bounds[-1]))
+                bounds.append(bounds[-1] + len(parts[-1][0]))
 
-            def fill(X: np.ndarray, fields: list, values: np.ndarray) -> None:
+            def fill(X: np.ndarray, fields: list, values: np.ndarray, columns=None) -> None:
                 for (_, part), a, b in zip(parts, bounds[:-1], bounds[1:]):
-                    part(X, fields, values[:, a:b])
+                    part(X, fields, values[:, a:b], None if columns is None else columns[a:b])
 
             return [n for part_names, _ in parts for n in part_names], fill
         if isinstance(spec, Tensor):
             (ln, left), (rn, right) = self._walk(spec.left, names), self._walk(spec.right, names)
 
+            @_whole
             def fill(X: np.ndarray, fields: list, values: np.ndarray) -> None:
                 m = X.shape[0]
                 lv, rv = np.empty((m, len(ln))), np.empty((m, len(rn)))
@@ -471,7 +542,7 @@ class GridPlan:
         out, inner = self._walk(spec.inner, tuple(names[i] for i in idx))
         if len(self.blocks) > n_blocks:
             raise SpecError("InputSubset only applies to non-derivative libraries")
-        return out, lambda X, fields, values: inner(X[:, idx], fields, values)
+        return out, lambda X, fields, values, columns=None: inner(X[:, idx], fields, values, columns)
 
 
 def evaluate_pointwise(

@@ -9,8 +9,13 @@ block of rows at a time: each block is filled from narrow inputs computed
 once (a grid library's states, derivative fields and targets; a weak form's
 rows), checked finite, used and dropped, so theta is never held whole.
 ``optimize._stream`` asks the design for each block in the layout its pass
-reads, and ``optimize._products`` is the predictions' pass.  ``design``
-fills the same rows into one row-major array.
+reads, and ``optimize._products`` is the predictions' pass.  A fit's Gram
+and TSQR passes fill (and check) every column; its residual pass, and the
+product pass of ``score`` and ``predict``, fill only the library columns
+their coefficients use and the targets.  ``score`` and ``predict`` build
+their design for the model's support, so they compute only the derivative
+fields it reads, and a non-finite value in a column it does not read fails
+neither of them.  ``design`` fills the same rows into one row-major array.
 """
 
 from __future__ import annotations
@@ -76,14 +81,20 @@ class _Design:
     rows, one per subdomain, with its left-hand side.  ``design.block(at,
     order)`` fills the rows ``at`` of the stacked trajectories from them
     into a new block of ``order``, column-major or row-major, and checks it
-    finite.  A grid library's value in a row depends on that row's inputs
-    alone, so a block holds the bits of the same rows of the whole design.
+    finite; ``design.block(at, order, columns, out)`` writes only the
+    columns of the mask ``columns`` into ``out``, a product pass's zeroed
+    buffer, whose other columns stay zero (``GridPlan.apply``).  A grid
+    library's value in a row depends on that row's inputs alone, so a block
+    holds the bits of the same rows of the whole design.
     """
 
     def __init__(self, data, library: LibrarySpec, diff: DiffMethod, targets: bool = True,
-                 names: tuple[str, ...] | None = None):
+                 names: tuple[str, ...] | None = None, columns: np.ndarray | None = None):
         """The design of ``library`` on one or more trajectories, planned
-        once; ``names``, a model's columns, must be the library's."""
+        once; ``names``, a model's columns, must be the library's.  With
+        ``columns``, a mask of the library columns, only those are ever
+        asked for, so a grid library computes only the derivative fields
+        they read."""
         collection = as_collection(data)
         plan = GridPlan(library, collection.n_states, collection.n_controls)
         if targets:
@@ -95,30 +106,32 @@ class _Design:
         self.parts, m = [], 0
         for ds in collection:
             if plan.weak is None:
-                count, fill = self._grid_part(ds, diff, targets)
+                count, fill = self._grid_part(ds, diff, targets, columns)
             else:
                 count, fill = self._weak_part(ds, diff, width)
             self.parts.append((m, count, fill))
             m += count
         self.shape = (m, width)
 
-    def _grid_part(self, ds: Dataset, diff: DiffMethod, targets: bool):
+    def _grid_part(self, ds: Dataset, diff: DiffMethod, targets: bool,
+                   columns: np.ndarray | None):
         # the fill refers to the plan, not to the design, so that dropping
         # the design frees its inputs at once
         plan, p = self.plan, self.p
         T = ds.grid.time_axis.size
 
-        def series(values: np.ndarray) -> np.ndarray:
-            return values.reshape(-1, T, values.shape[-1])
+        def series(values: np.ndarray | None) -> np.ndarray | None:
+            return None if values is None else values.reshape(-1, T, values.shape[-1])
 
         inputs = [series(ds.states)] + ([] if ds.controls is None else [series(ds.controls)])
-        fields = [[series(f) for f in block.fields(ds, diff)] for block in plan.blocks]
+        fields = [[series(f) for f in block.fields(ds, diff, columns)] for block in plan.blocks]
         Y = series(differentiate_dataset(ds, diff)) if targets else None
 
-        def fill(rows: slice, out: np.ndarray) -> None:
+        def fill(rows: slice, out: np.ndarray, columns: np.ndarray | None) -> None:
             plan.apply(_sample_rows(inputs, rows),
-                       [[_sample_rows([f], rows) for f in block] for block in fields], out[:, :p])
-            if Y is not None:
+                       [[f if f is None else _sample_rows([f], rows) for f in block]
+                        for block in fields], out[:, :p], None if columns is None else columns[:p])
+            if Y is not None:  # every pass reads the targets
                 out[:, p:] = _sample_rows([Y], rows)
 
         return ds.n_samples, fill
@@ -126,30 +139,40 @@ class _Design:
     def _weak_part(self, ds: Dataset, diff: DiffMethod, width: int):
         whole = _weak_columns(self.plan, ds, diff)[:, :width]
 
-        def fill(rows: slice, out: np.ndarray) -> None:
-            out[...] = whole[rows]
+        def fill(rows: slice, out: np.ndarray, columns: np.ndarray | None) -> None:
+            np.copyto(out, whole[rows], where=True if columns is None else columns)
 
         return whole.shape[0], fill
 
-    def fill(self, at: slice, order: str = "F") -> np.ndarray:
-        """Rows ``at`` as a new array of ``order``, unchecked."""
+    def fill(self, at: slice, order: str = "F", columns: np.ndarray | None = None,
+             out: np.ndarray | None = None) -> np.ndarray:
+        """Rows ``at`` as a new array of ``order``, unchecked.  With
+        ``columns``, a mask of the design's columns, only those library
+        columns and the targets are written, into ``out`` (default: a new
+        array of zeros), whose other columns stay zero (``GridPlan.apply``)."""
         start, stop, _ = at.indices(self.shape[0])
-        out = np.empty((max(stop - start, 0), self.shape[1]), order=order)
+        if out is None:
+            shape = (max(stop - start, 0), self.shape[1])
+            out = np.empty(shape, order=order) if columns is None else np.zeros(shape, order=order)
         for first, count, fill in self.parts:
             lo, hi = max(first, start), min(first + count, stop)
             if lo < hi:
-                fill(slice(lo - first, hi - first), out[lo - start : hi - start])
+                fill(slice(lo - first, hi - first), out[lo - start : hi - start], columns)
         return out
 
-    def block(self, at: slice, order: str) -> np.ndarray:
-        """Rows ``at`` as a new array of ``order``, checked finite."""
-        block = self.fill(at, order)
+    def block(self, at: slice, order: str, columns: np.ndarray | None = None,
+              out: np.ndarray | None = None) -> np.ndarray:
+        """Rows ``at`` in ``order``, checked finite: a new array, or with
+        ``columns``, ``out`` with only those written (``fill``), so that only
+        they can fail the check."""
+        block = self.fill(at, order, columns, out)
         if not np.isfinite(block).all():
             # name every bad feature column, as ``Problem`` does
             finite = np.ones(self.shape[1], dtype=bool)
             step = _block_rows(self.shape[1])
             for start in range(0, self.shape[0], step):
-                finite &= np.isfinite(self.fill(slice(start, start + step))).all(axis=0)
+                rows = self.fill(slice(start, start + step), columns=columns)
+                finite &= np.isfinite(rows).all(axis=0)
             bad = np.flatnonzero(~finite[: self.p])
             raise _non_finite_error([self.plan.names[i] for i in bad])
         return block
@@ -226,7 +249,8 @@ def predict(model: FittedModel, dataset: Dataset) -> np.ndarray:
     Differential models return the dataset's sample layout
     ``(*spatial, time, n)``; weak models return one row per subdomain.
     """
-    source = _Design(dataset, model.library, model.diff, targets=False, names=model.feature_names)
+    source = _Design(dataset, model.library, model.diff, targets=False, names=model.feature_names,
+                     columns=model.coefficients.support.any(axis=1))
     pred = _products(source, source.p, model.xi)[0]
     if isinstance(model.library, WeakPDE):
         return pred
@@ -236,7 +260,8 @@ def predict(model: FittedModel, dataset: Dataset) -> np.ndarray:
 def _predicted_and_actual(model: FittedModel, data) -> tuple[np.ndarray, np.ndarray]:
     """Flat ``(rows, n)`` predictions and computed targets of one or more
     trajectories, from one pass over the design's blocks."""
-    source = _Design(data, model.library, model.diff, names=model.feature_names)
+    source = _Design(data, model.library, model.diff, names=model.feature_names,
+                     columns=model.coefficients.support.any(axis=1))
     pred, actual = _products(source, source.p, model.xi)
     if actual.shape[1] != len(model.target_names):
         raise SpecError(f"the data have {actual.shape[1]} states, the model "

@@ -27,7 +27,12 @@ QR has the same bits in either layout, so their passes read column-major
 blocks, each column written contiguously, and gather and scale rows along
 its columns.  A matrix product does not: its kernel sums in another order
 for the other layout, so the residual and prediction (``_products``) passes
-read row-major blocks, the layout of an array's rows.  Row sets that share
+read row-major blocks, the layout of an array's rows.  A product pass also
+names the columns it reads, those where some coefficient is nonzero and the
+targets, and a design fills only these into one zeroed buffer for the pass:
+a zero column times a zero coefficient adds an exact zero, so BLAS sums the
+same nonzero terms in the same order and every product keeps its bits.
+Gram and TSQR passes fill every column.  Row sets that share
 the rows (SSR's train split and all its rows, or every ensemble member) sum
 their Grams in one pass.  Every solver reports the factor's
 ``cond_estimate`` and ``rank_deficient``.
@@ -289,7 +294,7 @@ def _block_rows(width: int) -> int:
     return max(1, BLOCK_BYTES // (width * 8))
 
 
-def _stream(data, multiple: int = 1, order: str = "F"):
+def _stream(data, multiple: int = 1, order: str = "F", columns: np.ndarray | None = None):
     """(row slice, block) for each block of ``data`` in order: the next
     ``BLOCK_BYTES`` of its full float64 rows, whatever columns a reader
     takes, so every pass over the same rows has the same partition.  With
@@ -297,24 +302,52 @@ def _stream(data, multiple: int = 1, order: str = "F"):
     one), and the last one also any rows short of a multiple.  ``data`` is an
     array, whose block is a view of its rows whatever ``order``, or a model's
     design, which fills each block anew in ``order`` ("F": column-major, for
-    Grams and QR; "C": row-major, for products) and checks it finite."""
+    Grams and QR; "C": row-major, for products) and checks it finite.
+    ``columns``, a mask of ``data``'s columns (None: all), names the ones a
+    product pass reads: a design then writes only those, into one buffer
+    zeroed once for the pass, whose other columns stay zero; a mask of every
+    column takes the whole fill.  A reader keeps no block past its turn."""
     m, step = data.shape[0], _block_rows(data.shape[1])
     step, start = max(multiple, step - step % multiple), 0
+    if isinstance(data, np.ndarray):
+        read = data.__getitem__
+    elif columns is None or columns.all():
+        def read(at: slice) -> np.ndarray:
+            return data.block(at, order)
+    else:
+        # the largest block: the last one also takes the rows short of a multiple
+        buffer = np.zeros((min(m, step + multiple - 1), data.shape[1]), order=order)
+
+        def read(at: slice) -> np.ndarray:
+            return data.block(at, order, columns, buffer[: at.stop - at.start])
     while start < m:
         stop = start + step if m - start - step >= multiple else m
         at = slice(start, stop)
-        yield at, (data[at] if isinstance(data, np.ndarray) else data.block(at, order))
+        yield at, read(at)
         start = stop
+
+
+def _used(xis: np.ndarray, width: int, targets) -> np.ndarray:
+    """The mask of the ``width`` columns of ``[theta Y]`` that products with
+    the ``(k, p, n)`` coefficient matrices ``xis`` read: the library columns
+    where some coefficient is nonzero (a zero column times a zero
+    coefficient adds an exact zero, so a product keeps its bits) and the
+    ``targets``."""
+    columns = np.zeros(width, dtype=bool)
+    columns[: xis.shape[1]] = (xis != 0.0).any(axis=(0, 2))
+    columns[targets] = True
+    return columns
 
 
 def _products(data, p: int, xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``theta @ xi`` and the targets of ``data``, rows ``[theta Y]`` with
     ``p`` library columns, from one pass over row-major blocks of whole
     ``PRODUCT_ROWS`` groups, so that the product has the bits of one product
-    over all rows."""
+    over all rows.  A design fills only the columns of ``xi``'s support and
+    the targets."""
     m, width = data.shape
     pred, actual = np.empty((m, xi.shape[1])), np.empty((m, width - p))
-    for at, block in _stream(data, PRODUCT_ROWS, "C"):
+    for at, block in _stream(data, PRODUCT_ROWS, "C", _used(xi[None], width, slice(p, None))):
         pred[at] = block[:, :p] @ xi
         actual[at] = block[:, p:]
         del block  # each block is freed before the next is filled
@@ -537,10 +570,13 @@ class _Rows:
         """Per-target residual norms over the rows of nonzero weight, each
         scaled by sqrt(weight), of every (p, n) coefficient matrix in ``xis``
         (library indexing); returns (len(xis), n).  Squares are summed block
-        by block, as ``np.linalg.norm`` sums them, with one square root."""
+        by block, as ``np.linalg.norm`` sums them, with one square root.  A
+        design fills only the library columns some matrix uses and the
+        targets."""
         xis_in_play = xis[:, self.features]
         total = np.zeros((len(xis), xis.shape[2]))
-        for at, part in _stream(self.data, order="C"):
+        columns = _used(xis, self.data.shape[1], self.targets)
+        for at, part in _stream(self.data, order="C", columns=columns):
             rows, root = self._gather(at, part)
             del part  # each block is freed before the next is filled
             if rows is None:
@@ -616,13 +652,17 @@ def _ridge(theta: np.ndarray, targets: np.ndarray, alpha: float) -> np.ndarray:
 
 
 def _refit(
-    theta: np.ndarray, Y: np.ndarray, support: np.ndarray, ridge: float = 0.0
+    theta: np.ndarray, Y: np.ndarray, support: np.ndarray, ridge: float = 0.0,
+    xi: np.ndarray | None = None, targets=None,
 ) -> np.ndarray:
     """Per-target (ridge) least squares of ``Y`` on the columns of ``theta``
-    in each column of the ``(k, n)`` mask ``support``; zeros off it."""
-    xi = np.zeros(support.shape)
-    for j in range(Y.shape[1]):
+    in each column of the ``(k, n)`` mask ``support``; zeros off it.  With
+    ``xi`` and ``targets``, only those columns of ``xi`` are refit, in place."""
+    if xi is None:
+        xi, targets = np.zeros(support.shape), range(Y.shape[1])
+    for j in targets:
         act = support[:, j]
+        xi[:, j] = 0.0
         if act.any():
             xi[act, j] = _ridge(theta[:, act], Y[:, j : j + 1], ridge).ravel()
     return xi
@@ -634,6 +674,9 @@ def _refit(
 
 
 def _solve_stlsq(fac: _Factor, spec: STLSQ) -> tuple[np.ndarray, dict]:
+    """Threshold, then refit each target on its support.  After the first
+    refit of every target, only the targets whose support the threshold
+    changed are refit: another on the same support has the same bits."""
     theta, Y = fac.theta, fac.targets
     xi = _ridge(theta, Y, spec.ridge)
     support = np.ones(xi.shape, dtype=bool)
@@ -642,16 +685,19 @@ def _solve_stlsq(fac: _Factor, spec: STLSQ) -> tuple[np.ndarray, dict]:
     for _ in range(spec.max_iter):
         new_support = support & (np.abs(xi) >= spec.threshold)
         r_thresh = float(np.linalg.norm(Y - theta @ np.where(new_support, xi, 0.0)))
-        changed = bool((new_support != support).any())
+        changed = (new_support != support).any(axis=0)
         support = new_support
-        xi = _refit(theta, Y, support, spec.ridge)
+        if not history:
+            xi = _refit(theta, Y, support, spec.ridge)
+        elif changed.any():
+            _refit(theta, Y, support, spec.ridge, xi, np.flatnonzero(changed))
         history.append(
             {
                 "residual_thresholded": r_thresh,
                 "residual_refit": float(np.linalg.norm(Y - theta @ xi)),
             }
         )
-        if not changed:
+        if not changed.any():
             converged = True
             break
     diags: dict = {

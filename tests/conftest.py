@@ -58,16 +58,26 @@ class Filled(NamedTuple):
     layout: str
 
 
+class _Kept(list):
+    """The ``Filled`` blocks; ``kept`` holds, with ``keep``, a copy of each
+    block as filled and the mask of the columns asked for (None: all)."""
+
+    kept: list
+
+
 @contextmanager
-def _filled_blocks():
+def _filled_blocks(keep=False):
     """Every block ``_Design.fill`` fills inside, in order, as ``Filled``;
-    the spy passes on whatever arguments the fill takes."""
-    blocks = []
+    the spy passes the fill's arguments on (see ``_Kept`` for ``keep``)."""
+    blocks = _Kept()
+    blocks.kept = []
     fill = _Design.fill
 
-    def spy(self, at, *args, **kwargs):
-        block = fill(self, at, *args, **kwargs)
+    def spy(self, at, order="F", columns=None, out=None):
+        block = fill(self, at, order, columns, out)
         blocks.append(Filled((at.start, at.stop), "F" if block.flags.f_contiguous else "C"))
+        if keep:
+            blocks.kept.append((block.copy(), columns))
         return block
 
     with pytest.MonkeyPatch.context() as mp:
@@ -77,5 +87,5 @@ def _filled_blocks():
 
 @pytest.fixture(scope="session")
 def filled_blocks():
-    """``with filled_blocks() as blocks``: see ``_filled_blocks``."""
+    """``with filled_blocks(keep=False) as blocks``: see ``_filled_blocks``."""
     return _filled_blocks

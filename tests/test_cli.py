@@ -468,6 +468,21 @@ def whole_table_csv(target_names, pred, actual):
     return "\n".join(rows) + "\n"
 
 
+def column_chunks_csv(target_names, pred, actual):
+    """The writer that joined each chunk of ``CSV_ROWS`` rows from per-column
+    ``repr`` maps."""
+    header = ["sample"]
+    for name in target_names:
+        header += [f"predicted_{name}", f"computed_{name}"]
+    yield ",".join(header) + "\n"
+    for start in range(0, pred.shape[0], CSV_ROWS):
+        rows = slice(start, start + CSV_ROWS)
+        columns = [map(str, range(start, start + pred[rows].shape[0]))]
+        for j in range(len(target_names)):
+            columns += [map(repr, pred[rows, j].tolist()), map(repr, actual[rows, j].tolist())]
+        yield "".join(",".join(row) + "\n" for row in zip(*columns))
+
+
 def computed_targets(model, dataset):
     if isinstance(model.library, WeakPDE):
         return design(dataset, model.library, model.diff).targets
@@ -528,6 +543,22 @@ class TestPredictionCsv:
         actual[-len(special) :, -1] = special
         names = tuple(f"q{j}_t" for j in range(n_targets))
         assert "".join(_prediction_csv(names, pred, actual)) == per_cell_csv(names, pred, actual)
+
+    @pytest.mark.parametrize("n_targets", [2, 3])
+    @pytest.mark.parametrize("m", [0, 1, 9, CSV_ROWS + 3])
+    def test_one_format_per_chunk_writes_the_former_text(self, n_targets, m):
+        rng = np.random.default_rng(10 * m + n_targets)
+        pred = rng.standard_normal((m, n_targets)) * 10.0 ** rng.integers(-320, 300, (m, n_targets))
+        actual = rng.standard_normal((m, n_targets))
+        special = np.array([-0.0, np.nan, np.inf, -np.inf, 5e-324, 1e16, 1e-5, 0.0, -5e-324])
+        # the special values in every target column, at both ends of the table
+        for j in range(n_targets):
+            cells = np.roll(special, j)[: m]
+            pred[: cells.size, j], actual[m - cells.size :, j] = cells, cells[::-1]
+        names = tuple(f"q{j}_t" for j in range(n_targets))
+        chunks = list(_prediction_csv(names, pred, actual))
+        assert chunks == list(column_chunks_csv(names, pred, actual))
+        assert len(chunks) == 1 + -(-m // CSV_ROWS)
 
     @pytest.mark.parametrize("n_targets", [1, 3])
     @pytest.mark.parametrize("m", [0, 1, 7, CSV_ROWS, 2 * CSV_ROWS + 17])

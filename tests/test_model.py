@@ -16,7 +16,7 @@ from sparsedyn.data import (
     as_collection,
     split_train_test,
 )
-from sparsedyn.diff import FiniteDifference
+from sparsedyn.diff import FiniteDifference, SavitzkyGolay
 from sparsedyn.errors import DataError, SpecError
 from sparsedyn.integrate import integrate
 from sparsedyn.library import (
@@ -806,3 +806,73 @@ class TestConcatOrder:
         np.testing.assert_array_equal(xi_b != 0.0, a.xi != 0.0)
         tol = 1e-10 * max(1.0, np.abs(a.xi).max())
         np.testing.assert_allclose(xi_b, a.xi, rtol=0.0, atol=tol)
+
+
+@st.composite
+def planted_trajectories(draw):
+    """2-4 trajectories of random states of their own lengths, each with the
+    ``Polynomial(2)`` library times one sparse coefficient matrix (entries
+    0.5-2 in magnitude, at least one for each target) plus optional noise as
+    its precomputed time derivatives, and an order of the trajectories."""
+    k = draw(st.integers(2, 4))
+    seed, noise = draw(st.integers(0, 10_000)), draw(st.sampled_from([0.0, 1e-3]))
+    order = draw(st.permutations(range(k)))
+    rng = np.random.default_rng(seed)
+    p = 6  # 1, q0, q1, q0^2, q0 q1, q1^2
+    xi = rng.uniform(0.5, 2.0, (p, 2)) * rng.choice([-1.0, 1.0], (p, 2))
+    planted = rng.random(xi.shape) < 0.3
+    planted[rng.integers(0, p, 2), [0, 1]] = True  # every target has a term
+    xi *= planted
+    trajectories = []
+    for length in rng.integers(30, 120, k):
+        states = rng.uniform(-2.0, 2.0, (length, 2))
+        grid = Grid(np.arange(float(length)))
+        theta = design(Dataset(grid=grid, states=states), Polynomial(2), targets=False).theta
+        derivs = theta @ xi + noise * rng.standard_normal((length, 2))
+        trajectories.append(Dataset(grid=grid, states=states, derivatives=derivs))
+    return trajectories, order
+
+
+def lorenz_trajectories():
+    """Three 1%-noise Lorenz trajectories from different initial states."""
+    return [generate(BenchmarkSpec(system=Lorenz(initial_state=state, t_span=3.0),
+                                   noise_level=0.01, seed=i))[0]
+            for i, state in enumerate([(-8.0, 8.0, 27.0), (1.0, 1.0, 1.0), (5.0, -3.0, 20.0)])]
+
+
+TRAJECTORY_SOLVERS = [STLSQ(threshold=0.2, ridge=0.0), STLSQ(threshold=0.2), SR3(threshold=0.2),
+                      FROLS()]
+TRAJECTORY_SOLVER_IDS = ["stlsq", "stlsq-ridge", "sr3", "frols"]
+
+
+def assert_same_model(a, b):
+    """Identical supports, and coefficients within 1e-10 of the largest."""
+    np.testing.assert_array_equal(b.xi != 0.0, a.xi != 0.0)
+    tol = 1e-10 * max(1.0, np.abs(a.xi).max())
+    np.testing.assert_allclose(b.xi, a.xi, rtol=0.0, atol=tol)
+
+
+class TestTrajectoryOrder:
+    """Permuting the trajectories of a collection permutes the design's rows
+    by whole trajectories, so every support is the same and the coefficients
+    move by rounding only.  SSR's holdout split and an ensemble's draws take
+    rows by position, so they pick other rows: neither is stated here."""
+
+    @pytest.mark.parametrize("opt", TRAJECTORY_SOLVERS, ids=TRAJECTORY_SOLVER_IDS)
+    @given(case=planted_trajectories())
+    @settings(max_examples=25)
+    def test_planted_trajectories(self, opt, case):
+        trajectories, order = case
+        a = fit(TrajectoryCollection(tuple(trajectories)), Polynomial(2), FD4, opt)
+        b = fit(TrajectoryCollection(tuple(trajectories[i] for i in order)), Polynomial(2), FD4,
+                opt)
+        assert_same_model(a, b)
+
+    @pytest.mark.parametrize("opt", TRAJECTORY_SOLVERS, ids=TRAJECTORY_SOLVER_IDS)
+    def test_lorenz_trajectories(self, opt):
+        trajectories, diff = lorenz_trajectories(), SavitzkyGolay(window=21, poly_order=3)
+        a = fit(TrajectoryCollection(tuple(trajectories)), Polynomial(2), diff, opt)
+        for order in [(2, 1, 0), (1, 2, 0)]:
+            b = fit(TrajectoryCollection(tuple(trajectories[i] for i in order)), Polynomial(2),
+                    diff, opt)
+            assert_same_model(a, b)

@@ -10,7 +10,8 @@ from sparsedyn.data import split_train_test
 from sparsedyn.diff import SavitzkyGolay
 from sparsedyn.ensemble import EnsembleSpec, fit_ensemble
 from sparsedyn.errors import DataError, FitError, SpecError
-from sparsedyn.model import fit
+from sparsedyn.library import Polynomial
+from sparsedyn.model import design, fit
 from sparsedyn.optimize import (
     FROLS,
     SR3,
@@ -23,7 +24,7 @@ from sparsedyn.optimize import (
     solve,
     solve_path,
 )
-from sparsedyn.systems import KS, BenchmarkSpec, canonical_library, generate
+from sparsedyn.systems import KS, BenchmarkSpec, Lorenz, canonical_library, generate
 
 
 def planted_problem(seed=123, noise=0.0, normalize=False):
@@ -1037,6 +1038,34 @@ class TestOneRefit:
             np.testing.assert_allclose(xi, old_xi, rtol=0.0, atol=rel * np.abs(old_xi).max())
         if extras:
             np.testing.assert_array_equal(extras[1], old_extras[1])
+
+    @pytest.mark.parametrize("threshold", [0.3, 1.0])
+    def test_stlsq_refits_only_the_targets_whose_support_changed(self, monkeypatch, threshold):
+        data, _ = generate(BenchmarkSpec(system=Lorenz(), noise_level=0.01, seed=0))
+        problem = design(data, Polynomial(2), SavitzkyGolay(window=21, poly_order=3))
+        spec, ensemble = STLSQ(threshold=threshold), EnsembleSpec(n_models=5, seed=0)
+        refit, refits = optimize._refit, []
+
+        def spy(theta, Y, support, ridge=0.0, xi=None, targets=None):
+            refits.append(Y.shape[1] if targets is None else len(targets))
+            return refit(theta, Y, support, ridge, xi, targets)
+
+        monkeypatch.setattr(optimize, "_refit", spy)
+        new = solve(problem, spec)
+        old = with_former_refits(lambda: solve(problem, spec))
+        assert_identical((new.xi, new.residuals, new.diagnostics),
+                         (old.xi, old.residuals, old.diagnostics))
+        # every target in the first iteration, then only those whose support
+        # changed, and none in the last, converged one
+        iterations = new.diagnostics["iterations"]
+        assert new.diagnostics["converged"] and iterations >= 3
+        assert len(refits) == iterations - 1 and refits[0] == 3
+        assert sum(refits) < 3 * (iterations - 1)
+        refits.clear()
+        members = fit_ensemble(problem, spec, ensemble).member_xi
+        assert len(refits) > 5
+        np.testing.assert_array_equal(
+            members, with_former_refits(lambda: fit_ensemble(problem, spec, ensemble).member_xi))
 
     def test_ssr_holdout_takes_the_sparsest_near_tie(self, monkeypatch):
         # holdout residuals of the path entries of 4 terms down to 1: target

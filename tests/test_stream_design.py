@@ -16,7 +16,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import sparsedyn.ensemble as ensemble_module
@@ -26,10 +26,11 @@ from sparsedyn.data import Dataset, Grid, TrajectoryCollection, split_train_test
 from sparsedyn.diff import FiniteDifference, SavitzkyGolay, Spectral, _differentiate_orders, differentiate
 from sparsedyn.ensemble import EnsembleSpec, fit_ensemble
 from sparsedyn.errors import DataError, SpecError
-from sparsedyn.library import PDE, Concat, Custom, Fourier, GridPlan, InputSubset, Polynomial
-from sparsedyn.model import _Design, _metric, _sample_rows, design, fit, predict, score
-from sparsedyn.optimize import (FROLS, SR3, SSR, STLSQ, Problem, _fit_rows, _narrow_counts, _products,
-                                _Rows, solve)
+from sparsedyn.library import (PDE, Concat, Custom, Fourier, GridPlan, InputSubset, Polynomial,
+                               Tensor)
+from sparsedyn.model import FittedModel, _Design, _metric, _sample_rows, design, fit, predict, score
+from sparsedyn.optimize import (FROLS, SR3, SSR, STLSQ, Coefficients, Problem, _fit_rows,
+                                _narrow_counts, _products, _Rows, solve)
 from sparsedyn.systems import KS, BenchmarkSpec, canonical_library, generate
 from test_diff import oracle_sg_along_last, per_order_spectral
 
@@ -479,6 +480,185 @@ class TestNarrowCounts:
         prob = Problem(theta=rng.standard_normal((400, 4)), targets=rng.standard_normal(400))
         fit_ensemble(prob, SSR(), EnsembleSpec(n_models=3, seed=0))
         assert seen == [np.uint8] * 9
+
+
+# ---------------------------------------------------------------------------
+# Product passes fill only the columns their coefficients use
+# ---------------------------------------------------------------------------
+
+
+def assert_bits(a, b):
+    """Equal shapes and equal bits, the signs of zeros included."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    assert a.shape == b.shape
+    np.testing.assert_array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def wave(seed, nx, nt, n, time_split):
+    """``n`` smooth periodic fields on ``nx`` points and ``nt`` times; with
+    ``time_split``, the first 60% of a longer run, whose states are read
+    with the stride of the whole time axis, as a train split's are."""
+    rng = np.random.default_rng(seed)
+    total = nt * 5 // 3 + 1 if time_split else nt
+    x = np.linspace(0.0, 2.0 * np.pi, nx, endpoint=False)
+    t = np.linspace(0.0, 1.0 + 0.1 * seed, total)
+    k, c, phase = rng.integers(1, 3, n), rng.uniform(-1.0, 1.0, n), rng.uniform(0.0, 6.0, n)
+    u = np.stack([0.5 + np.sin(k[j] * x[:, None] - c[j] * t[None, :] + phase[j])
+                  for j in range(n)], axis=-1)
+    data = Dataset(grid=Grid(t, (x,)), states=u)
+    return split_train_test(data, 0.6)[0] if time_split else data
+
+
+FACTORS = [Polynomial(1, include_bias=False), Polynomial(2, include_bias=False), Fourier(1)]
+LEAVES = st.one_of(
+    st.builds(Polynomial, degree=st.integers(1, 3), include_bias=st.booleans(),
+              include_interactions=st.booleans()),
+    st.builds(Fourier, n_frequencies=st.integers(1, 2), include_cos=st.booleans()),
+    st.just(Custom((("sin", np.sin), ("exp", np.exp)))),
+    st.builds(PDE, derivative_order=st.integers(1, 3),
+              multiply_by=st.one_of(st.none(), st.sampled_from(FACTORS)),
+              diff=st.sampled_from([None, Spectral()])),
+    st.builds(Tensor, left=st.sampled_from([Polynomial(1, include_bias=False), Fourier(1)]),
+              right=st.sampled_from([Polynomial(1, include_bias=False), PDE(derivative_order=1)])),
+    st.builds(InputSubset, inner=st.sampled_from([Polynomial(2, include_bias=False),
+                                                  Fourier(1, include_sin=False)]),
+              indices=st.just((0,))),
+)
+LIBRARIES = st.lists(LEAVES, min_size=1, max_size=3).map(
+    lambda parts: parts[0] if len(parts) == 1 else Concat(tuple(parts)))
+
+
+class TestColumnMasks:
+    """A residual or product pass over a design fills only the library
+    columns its coefficients use and the targets; the others stay zero, and
+    every product and residual keeps the bits of the whole design's."""
+
+    @given(
+        library=LIBRARIES,
+        seeds=st.lists(st.integers(0, 50), min_size=1, max_size=3),
+        nx=st.sampled_from([8, 12]),
+        nt=st.integers(9, 16),
+        n=st.integers(1, 2),
+        time_split=st.booleans(),
+        kind=st.sampled_from(["sparse", "dense", "zero"]),
+        negative_zeros=st.booleans(),
+        counted=st.booleans(),
+        nbytes=st.sampled_from([200, 1000, 4096, optimize.BLOCK_BYTES]),
+    )
+    @settings(max_examples=150)
+    def test_products_and_residuals_keep_the_bits_of_the_whole_design(
+            self, filled_blocks, library, seeds, nx, nt, n, time_split, kind, negative_zeros,
+            counted, nbytes):
+        try:
+            plan = GridPlan(library, n)
+        except SpecError:  # names that repeat across parts
+            assume(False)
+        datasets = [wave(seed, nx, nt + i, n, time_split) for i, seed in enumerate(seeds)]
+        data = datasets[0] if len(datasets) == 1 else TrajectoryCollection(tuple(datasets))
+        diff, p = FiniteDifference(order=2), len(plan.names)
+        rng = np.random.default_rng(seeds[0])
+        xis = rng.standard_normal((3, p, n))
+        if kind != "dense":
+            zero = -0.0 if negative_zeros else 0.0
+            xis[(rng.random(xis.shape) < 0.8) | (kind == "zero")] = zero
+        problem = design(data, library, diff)
+        whole = _Rows.of(problem)
+        if counted:
+            whole = replace(whole, counts=_narrow_counts(rng.integers(0, 3, whole.data.shape[0])))
+        with block_bytes(nbytes), filled_blocks(keep=True) as blocks:
+            source = _Design(data, library, diff)
+            rows = replace(source.rows(False), counts=whole.counts)
+            assert_bits(rows.residual_norms(xis), whole.residual_norms(xis))
+            assert_bits(rows.residual_norms(xis[:1]), whole.residual_norms(xis[:1]))
+            for xi in xis:
+                for got, expected in zip(_products(source, p, xi), _products(whole.data, p, xi)):
+                    assert_bits(got, expected)
+                assert_bits(_products(source, p, xi)[0], problem.theta @ xi)
+        masked = 0
+        for (block, columns), filled in zip(blocks.kept, blocks):
+            expected = whole.data[slice(*filled.rows)]
+            if columns is None:
+                assert_bits(block, expected)
+                continue
+            masked += 1
+            assert not block[:, ~columns].view(np.uint64).any()
+            assert_bits(block[:, columns], expected[:, columns])
+        used = np.concatenate(((xis != 0.0).any(axis=(0, 2)), np.ones(n, dtype=bool)))
+        assert masked or used.all()
+
+    @given(
+        library=LIBRARIES,
+        seed=st.integers(0, 50),
+        n=st.integers(1, 2),
+        kind=st.sampled_from(["sparse", "dense", "zero"]),
+        nbytes=st.sampled_from([200, 4096, optimize.BLOCK_BYTES]),
+    )
+    @settings(max_examples=60)
+    def test_score_and_predict_read_only_the_support(self, library, seed, n, kind, nbytes):
+        try:
+            plan = GridPlan(library, n)
+        except SpecError:
+            assume(False)
+        data, diff = wave(seed, 12, 14, n, seed % 2 == 1), FiniteDifference(order=2)
+        rng = np.random.default_rng(seed)
+        xi = rng.standard_normal((len(plan.names), n))
+        if kind != "dense":
+            xi[(rng.random(xi.shape) < 0.8) | (kind == "zero")] = 0.0
+        coefficients = Coefficients(xi, plan.names, np.zeros(n))
+        model = FittedModel(coefficients, library, diff, tuple(f"q{j}_t" for j in range(n)))
+        problem = design(data, library, diff)
+        pred, actual = _products(_Rows.of(problem).data, len(plan.names), xi)
+        with block_bytes(nbytes):
+            assert_bits(predict(model, data).reshape(pred.shape), pred)
+            for metric in ("r2", "rmse"):
+                if metric == "r2" and np.ptp(actual) == 0.0:
+                    continue
+                assert score(model, data, metric) == _metric(pred, actual, metric)
+
+    def test_score_of_the_ks_truth_computes_no_third_derivative(self, monkeypatch):
+        data, truth = generate(BenchmarkSpec(system=KS(n_grid=64, t_span=4.0), seed=0))
+        library = canonical_library(KS())
+        model = FittedModel(truth, library, SavitzkyGolay(window=5, poly_order=3), ("q0_t",))
+        assert [name for name, used in zip(truth.names, truth.support[:, 0]) if used] == [
+            "q0 q0_x", "q0_xx", "q0_xxxx"]
+        requests, derivative_fields = [], library_module._derivative_fields
+
+        def spy(dataset, axes, mus, method):
+            requests.append(list(mus))
+            return derivative_fields(dataset, axes, mus, method)
+
+        monkeypatch.setattr(library_module, "_derivative_fields", spy)
+        r2 = score(model, data)
+        assert requests == [[(1,), (2,), (4,)]]
+        predict(model, data)
+        assert requests[1:] == [[(1,), (2,), (4,)]]
+        # a fit's design computes every field
+        fit(data, library, model.diff)
+        assert requests[2:] == [[(1,), (2,), (3,), (4,)]]
+        monkeypatch.undo()
+        problem = design(data, library, model.diff)
+        assert r2 == _metric(problem.theta @ truth.xi, problem.targets, "r2")
+
+    def test_a_non_finite_column_no_product_reads(self):
+        # log(q0) is -inf where q0 is 0 and nan where it is negative; the
+        # model reads only q0
+        t = np.linspace(0.0, 4.0, 200)
+        data = Dataset(grid=Grid(t), states=np.sin(t)[:, None])
+        library = Concat((Polynomial(1), Custom((("log", np.log),))))
+        xi = np.array([[0.0], [0.5], [0.0]])
+        names = GridPlan(library, 1).names
+        model = FittedModel(Coefficients(xi, names, np.zeros(1)), library, FD4, ("q0_t",))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            prediction = predict(model, data)
+            np.testing.assert_array_equal(prediction[:, 0], 0.5 * np.sin(t))
+            assert np.isfinite(score(model, data))
+            with pytest.raises(DataError, match=r"\['log\(q0\)'\]"):
+                fit(data, library, FD4)
+            # a model that reads the column still refuses it
+            model = replace(model, coefficients=replace(model.coefficients, xi=xi + 1.0))
+            for call in (lambda: predict(model, data), lambda: score(model, data)):
+                with pytest.raises(DataError, match=r"\['log\(q0\)'\]"):
+                    call()
 
 
 # ---------------------------------------------------------------------------
